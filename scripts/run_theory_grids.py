@@ -31,19 +31,11 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results/theory")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--resolution", type=int, default=50)
-    parser.add_argument("--trials", type=int, default=1_000_000)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
     for kind in GapKind:
-        cells = figure_grid(
-            kind,
-            resolution=args.resolution,
-            fallback_trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        cells = figure_grid(kind, args.resolution)
         path = os.path.join(args.out_dir, f"grid_{kind.value}.csv")
         write_grid_csv(cells, path)
         print(f"wrote {path} ({len(cells)} cells)")

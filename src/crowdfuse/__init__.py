@@ -42,7 +42,6 @@ from .gaps import (
     GapEstimate,
     GapKind,
     SampleVariance,
-    SingularGapError,
     draw_sample_variance,
     expected_gap_analytic,
     figure_grid,

@@ -3,8 +3,8 @@
 Five ways to turn one survey's forecasts into a point estimate:
 
 * ``ewm``: the plain mean of eligible forecasts.
-* ``kf_crowd``: recursive inverse-variance fusion, with each forecaster's
-  variance implied by the reliability estimated from their past errors.
+* ``kf_crowd``: inverse-variance fusion, with each forecaster's variance
+  implied by the reliability estimated from their past errors.
 * ``cwm``: a weighted mean over forecasters whose past leave-one-out
   contribution to the crowd is positive, weights proportional to those
   contributions.
@@ -20,15 +20,11 @@ states, so one survey's aggregation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .fusion import fuse_sequence
 from .quincunx import Judge, p_from_mse
-
-log = logging.getLogger(__name__)
 
 RULE_EWM = "EWM"
 RULE_KF = "KF"
@@ -150,27 +146,27 @@ def kf_crowd(
     states: Mapping[str, ForecasterState],
     rule: str = RULE_KF,
 ) -> AggregateResult:
-    """Recursive inverse-variance fusion of the eligible forecasts.
+    """Inverse-variance fusion of the eligible forecasts.
 
-    Folds (forecast, estimated reliability) pairs through the closure-based
-    fusion; the reported weights are the implied normalized inverse-variance
-    weights. Equal reliabilities reduce this to the equal-weight mean.
+    The estimate is the weighted sum of the forecasts with the reported
+    weights, proportional to 1 / ((1 - p) p) for the estimated
+    reliabilities; it equals the recursive fold of ``fusion.fuse_sequence``.
+    Forecasters at p = 1 share the whole weight equally, whatever their
+    forecasts. Equal reliabilities reduce this to the equal-weight mean.
     """
     members = sorted(slice_.eligible)
     if not members:
         raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    items = []
     for j in members:
         state = states.get(j)
         if state is None or state.p_hat is None:
             raise ValueError(f"forecaster {j} has no reliability estimate")
-        items.append((slice_.forecasts[j], state.p_hat))
-    estimate, _ = fuse_sequence(items)
+    weights = _inverse_variance_weights(members, states)
     return AggregateResult(
         rule=rule,
-        estimate=estimate,
+        estimate=sum(weights[j] * slice_.forecasts[j] for j in members),
         contributors=frozenset(members),
-        weights=_inverse_variance_weights(members, states),
+        weights=weights,
     )
 
 
@@ -281,24 +277,18 @@ def kf_plus(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggre
     return kf_crowd(restricted, states, rule=RULE_KFPLUS)
 
 
-def top_n_subset(
-    states: Mapping[str, ForecasterState], n: int, criterion: str = "by_p"
-) -> frozenset[str]:
+def top_n_subset(states: Mapping[str, ForecasterState], n: int) -> frozenset[str]:
     """The n forecasters with the highest estimated reliability.
 
     Ties break toward lower current MSE, then lexicographic id, so the
     subset is deterministic. Callers pass only the states of forecasters
-    active and eligible in the current survey; if fewer than n remain, all
-    of them are returned with a diagnostic.
+    active and eligible in the current survey; if n covers them all, all
+    of them are returned.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if criterion != "by_p":
-        raise ValueError(f"unsupported criterion {criterion!r}")
     ranked = sorted(
         states.values(),
         key=lambda s: (-(s.p_hat.p if s.p_hat else 0.5), s.mse, s.forecaster_id),
     )
-    if len(ranked) < n:
-        log.warning("top_n_subset: only %d of %d requested available", len(ranked), n)
     return frozenset(s.forecaster_id for s in ranked[:n])

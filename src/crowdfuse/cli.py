@@ -3,7 +3,7 @@
 Four subcommands wire the library into reproducible experiments:
 
 * ``simulate``: draw walk estimates and compare sample to analytic moments.
-* ``theory``: write one expected-gap grid with Monte Carlo fallback cells.
+* ``theory``: write one closed-form expected-gap grid.
 * ``backtest``: run the aggregation rules over a panel (files or synthetic).
 * ``sweep``: rerun the backtest over shrinking top-n subsets.
 
@@ -96,14 +96,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_theory(args: argparse.Namespace) -> int:
     _check_output(args.out, args.force)
-    cells = gaps.figure_grid(
-        _KINDS[args.kind],
-        resolution=args.resolution,
-        fallback_trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    gaps.write_grid_csv(cells, args.out)
+    gaps.write_grid_csv(gaps.figure_grid(_KINDS[args.kind], args.resolution), args.out)
     return 0
 
 
@@ -187,7 +180,6 @@ def _add_backtest_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", required=True, help="directory for the report CSVs")
     sub.add_argument("--window", type=int, default=None, help="restrict reliability MSE to the last N errors")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads (results are identical for any value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     theory = commands.add_parser("theory", help="write one expected-gap grid as CSV")
     theory.add_argument("--kind", choices=sorted(_KINDS), required=True, help="which gap surface")
     theory.add_argument("--resolution", type=int, default=50, help="grid points per axis (>= 10)")
-    theory.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo trials for singular cells")
-    theory.add_argument("--seed", type=int, required=True, help="random seed")
+    theory.add_argument("--seed", type=int, help="ignored: the grid is closed-form and does not depend on a seed")
     theory.add_argument("--out", required=True, help="output CSV path")
-    theory.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads (results are identical for any value)")
     theory.add_argument("--force", action="store_true", help="overwrite an existing output")
 
     run = commands.add_parser("backtest", help="run aggregation rules over a panel")

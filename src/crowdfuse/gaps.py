@@ -24,26 +24,19 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .quincunx import Environment, Judge, sample_estimates
 
 MIN_MC_TRIALS = 10_000
-_SINGULAR_TOL = 1e-9
 _GRID_P_LO = 0.51
 _GRID_P_HI = 0.995
 _CHUNK = 1_000_000
 
 GRID_CSV_HEADER = "p1,p2,analytic,mc_mean,mc_stderr,trials"
-
-
-class SingularGapError(ValueError):
-    """The closed form is singular at equal variances; use Monte Carlo."""
 
 
 class GapKind(enum.Enum):
@@ -84,18 +77,11 @@ class GapEstimate:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One plot-ready grid record: axes plus whichever values were computed."""
+    """One plot-ready grid record: the two reliabilities and the closed-form gap."""
 
     p1: float
     p2: float
-    analytic: float
-    mc_mean: float
-    mc_stderr: float
-    trials: int
-
-    @property
-    def value(self) -> float:
-        return self.analytic if math.isfinite(self.analytic) else self.mc_mean
+    value: float
 
 
 def reliability_variance(p: float) -> float:
@@ -171,42 +157,23 @@ def realized_gap(
 def expected_gap_analytic(kind: GapKind, sigma1_2: float, sigma2_2: float) -> float:
     """Closed-form expected gap for weights estimated from n = 2 observations.
 
-    The forms for ``KFU_VS_KFC`` and ``EW_VS_KFU`` have a removable
-    singularity at equal variances and raise :class:`SingularGapError`
-    within 1e-9 of it; callers should fall back to :func:`monte_carlo_gap`
-    there. The ``SR_VS_KFU`` form is regular everywhere.
+    Written in x = sqrt(a / b) so that each form is one rational function
+    with no cancellation: regular over the whole domain, including the
+    diagonal a = b, where the three gaps are b/4, -b/4 and b/4.
     """
     a, b = sigma1_2, sigma2_2
     if not (a > 0.0 and b > 0.0):
         raise ValueError("true variances must be positive")
-    if kind in (GapKind.KFU_VS_KFC, GapKind.EW_VS_KFU) and abs(a - b) < _SINGULAR_TOL:
-        raise SingularGapError(
-            f"closed form for {kind.value} is singular at equal variances"
-        )
+    x = math.sqrt(a / b)
+    x2 = x * x
     if kind is GapKind.KFU_VS_KFC:
-        num = (
-            -5.0 * b**2.5 * a**1.5
-            + 8.0 * a * b**3
-            + math.sqrt(b**9 / a)
-            + math.sqrt(a**5 * b**3)
-            - 5.0 * math.sqrt(a * b**7)
+        return b * x * (x2 * x2 + 2.0 * x2 * x - 2.0 * x2 + 2.0 * x + 1.0) / (
+            2.0 * (x + 1.0) ** 2 * (x2 + 1.0)
         )
-        return a * num / (2.0 * b * (a - b) ** 2 * (a + b))
     if kind is GapKind.EW_VS_KFU:
-        num = (
-            12.0 * b**2.5 * a**1.5
-            - 2.0 * b**1.5 * a**2.5
-            + b**4
-            - 5.0 * a * b**3
-            - 5.0 * a**2 * b**2
-            + a**3 * b
-            - 2.0 * math.sqrt(a * b**7)
-        )
-        return num / (4.0 * b * (a - b) ** 2)
+        return b * (x2 - 2.0 * x - 1.0) * (x2 + 2.0 * x - 1.0) / (4.0 * (x + 1.0) ** 2)
     if kind is GapKind.SR_VS_KFU:
-        num = -(b**2) + 3.0 * a * b + 2.0 * math.sqrt(a**3 * b) - 2.0 * math.sqrt(a * b**3)
-        den = 2.0 * math.sqrt(b / a) * (a + b + 2.0 * math.sqrt(a * b))
-        return num / den
+        return b * x * (2.0 * x2 * x + 3.0 * x2 - 2.0 * x - 1.0) / (2.0 * (x + 1.0) ** 2)
     raise ValueError(f"unknown gap kind {kind!r}")
 
 
@@ -231,91 +198,50 @@ def monte_carlo_gap(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    jobs: int = 1,
 ) -> GapEstimate:
     """Monte Carlo estimate of the expected gap, with its standard error.
 
     Trials run in fixed-size chunks, each on its own random stream spawned
-    from ``rng``, and partial sums are reduced in chunk order, so the result
-    does not depend on ``jobs`` or scheduling. The closed form is attached
-    when it exists (NaN at the singular diagonal).
+    from ``rng``, and partial sums are reduced in chunk order. The n = 2
+    closed form is attached for comparison.
     """
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
-    streams = rng.spawn(len(sizes))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    lambda args: _mc_chunk(kind, sigma1_2, sigma2_2, n, *args),
-                    zip(sizes, streams),
-                )
-            )
-    else:
-        parts = [
-            _mc_chunk(kind, sigma1_2, sigma2_2, n, size, stream)
-            for size, stream in zip(sizes, streams)
-        ]
+    parts = [
+        _mc_chunk(kind, sigma1_2, sigma2_2, n, size, stream)
+        for size, stream in zip(sizes, rng.spawn(len(sizes)))
+    ]
     total = float(sum(p[0] for p in parts))
     total_sq = float(sum(p[1] for p in parts))
     count = sum(p[2] for p in parts)
     mean = total / count
     var = max(total_sq - total * total / count, 0.0) / (count - 1)
     stderr = math.sqrt(var / count)
-    try:
-        analytic = expected_gap_analytic(kind, sigma1_2, sigma2_2)
-    except SingularGapError:
-        analytic = math.nan
     return GapEstimate(
-        analytic=analytic, monte_carlo_mean=mean, monte_carlo_stderr=stderr,
-        trials=count,
+        analytic=expected_gap_analytic(kind, sigma1_2, sigma2_2),
+        monte_carlo_mean=mean, monte_carlo_stderr=stderr, trials=count,
     )
 
 
-def figure_grid(
-    kind: GapKind,
-    resolution: int,
-    substitute_p: bool = True,
-    fallback_trials: int = 1_000_000,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[GridCell]:
-    """Evaluate one gap surface over a reliability (or variance) grid.
+def figure_grid(kind: GapKind, resolution: int) -> list[GridCell]:
+    """Evaluate one gap surface over a reliability grid.
 
-    With ``substitute_p`` the axes are reliabilities p1, p2 in
-    [0.51, 0.995] and the variances are 4(1-p)p; otherwise the axis values
-    are used directly as variances. Cells where the closed form is singular
-    are filled by Monte Carlo with ``fallback_trials`` trials on a stream
-    derived from (seed, cell index).
+    The axes are reliabilities p1, p2 in [0.51, 0.995], mapped to the
+    variances 4(1-p)p; every cell is the closed form.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
-    axis = np.linspace(_GRID_P_LO, _GRID_P_HI, resolution)
-    cells: list[GridCell] = []
-    for i, p1 in enumerate(axis):
-        for j, p2 in enumerate(axis):
-            a = reliability_variance(p1) if substitute_p else float(p1)
-            b = reliability_variance(p2) if substitute_p else float(p2)
-            try:
-                analytic = expected_gap_analytic(kind, a, b)
-                cells.append(
-                    GridCell(float(p1), float(p2), analytic, math.nan, 0.0, 0)
-                )
-            except SingularGapError:
-                stream = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(i * resolution + j,))
-                )
-                est = monte_carlo_gap(kind, a, b, 2, fallback_trials, stream, jobs)
-                cells.append(
-                    GridCell(
-                        float(p1), float(p2), math.nan,
-                        est.monte_carlo_mean, est.monte_carlo_stderr, est.trials,
-                    )
-                )
-    return cells
+    axis = [float(p) for p in np.linspace(_GRID_P_LO, _GRID_P_HI, resolution)]
+    return [
+        GridCell(p1, p2, expected_gap_analytic(
+            kind, reliability_variance(p1), reliability_variance(p2)
+        ))
+        for p1 in axis
+        for p2 in axis
+    ]
 
 
 def gaussian_limit_check(
@@ -342,8 +268,13 @@ def gaussian_limit_check(
             raise ValueError(f"element counts must be even and >= 2, got {c}")
         env = Environment(norm=0.0, count=c, unit=1.0 / math.sqrt(c), deviation=0)
         draws = sample_estimates(judge, env, samples, rng) / sigma
-        out.append((c, ks_distance(draws, stats.norm.cdf)))
+        out.append((c, ks_distance(draws, _normal_cdf)))
     return out
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard Gaussian CDF, elementwise: erfc(-x / sqrt(2)) / 2."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
 
 
 def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -356,26 +287,16 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     return float(max(upper.max(), lower.max()))
 
 
-def _csv_float(x: float) -> str:
-    return "" if math.isnan(x) else repr(float(x))
-
-
 def write_grid_csv(cells: Iterable[GridCell], path: str) -> None:
-    """Write grid records as UTF-8 CSV; empty fields where nothing was computed."""
+    """Write grid records as UTF-8 CSV.
+
+    Every row is ``p1,p2,value,,,0``: the gap sits in the ``analytic``
+    column, and the Monte Carlo columns of the six-column header stay
+    empty, with zero trials.
+    """
     lines = [GRID_CSV_HEADER]
     for c in cells:
-        lines.append(
-            ",".join(
-                (
-                    repr(float(c.p1)),
-                    repr(float(c.p2)),
-                    _csv_float(c.analytic),
-                    _csv_float(c.mc_mean),
-                    _csv_float(c.mc_stderr) if c.trials else "",
-                    str(c.trials),
-                )
-            )
-        )
+        lines.append(f"{c.p1!r},{c.p2!r},{float(c.value)!r},,,0")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

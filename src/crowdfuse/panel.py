@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
@@ -357,6 +358,13 @@ def _read_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def load_panel(
     forecast_path: str,
     realization_path: str,
@@ -366,8 +374,9 @@ def load_panel(
     """Load and validate the three panel files.
 
     Rows that fail invariants (bad periods, horizons outside 1..5,
-    unparseable numbers) are rejected with line-numbered diagnostics;
-    duplicate keys raise :class:`DuplicateRowError` naming both lines.
+    unparseable or non-finite numbers) are rejected with line-numbered
+    diagnostics; duplicate keys raise :class:`DuplicateRowError` naming
+    both lines.
     """
     forecasts: list[ForecastRow] = []
     seen: dict[tuple[str, str, int, str], int] = {}
@@ -378,7 +387,7 @@ def load_panel(
         try:
             parse_period(survey)
             horizon = int(horizon_s)
-            value = float(value_s)
+            value = _finite_float(value_s)
         except (PanelError, ValueError) as exc:
             log.warning("%s:%d: %s; row rejected", forecast_path, line_no, exc)
             continue
@@ -402,7 +411,7 @@ def load_panel(
         try:
             parse_period(target)
             asof_key(vintage)
-            value = float(value_s)
+            value = _finite_float(value_s)
         except (PanelError, ValueError) as exc:
             log.warning("%s:%d: %s; row rejected", realization_path, line_no, exc)
             continue
@@ -423,7 +432,7 @@ def load_panel(
         try:
             asof_key(asof)
             parse_period(period)
-            level = float(level_s)
+            level = _finite_float(level_s)
         except (PanelError, ValueError) as exc:
             log.warning("%s:%d: %s; row rejected", vintage_path, line_no, exc)
             continue

@@ -137,17 +137,16 @@ def test_criterion_4_figure_sign_structure():
     """Exact sign assertions on the three 50x50 gap surfaces."""
     started = time.monotonic()
 
-    cost = figure_grid(GapKind.KFU_VS_KFC, 50, fallback_trials=1_000_000, seed=41)
+    cost = figure_grid(GapKind.KFU_VS_KFC, 50)
     assert all(c.value >= 0.0 for c in cost)
     by_col: dict[float, list] = {}
     for c in cost:
         by_col.setdefault(c.p2, []).append(c)
     for column in by_col.values():
-        analytic = [c for c in sorted(column, key=lambda c: c.p1) if c.trials == 0]
-        values = [c.value for c in analytic]
+        values = [c.value for c in sorted(column, key=lambda c: c.p1)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    ew = figure_grid(GapKind.EW_VS_KFU, 50, fallback_trials=1_000_000, seed=42)
+    ew = figure_grid(GapKind.EW_VS_KFU, 50)
     for c in ew:
         if c.p1 == c.p2:
             assert c.value < 0.0, (c.p1, c.p2)
@@ -156,7 +155,7 @@ def test_criterion_4_figure_sign_structure():
         if max(c.p1, c.p2) >= 0.99 and min(c.p1, c.p2) <= 0.955:
             assert c.value > 0.0, (c.p1, c.p2)
 
-    sr = figure_grid(GapKind.SR_VS_KFU, 50, seed=43)
+    sr = figure_grid(GapKind.SR_VS_KFU, 50)
     negatives = [c for c in sr if c.value < 0.0]
     assert negatives
     assert all(c.p1 >= 0.83 and c.p2 < c.p1 for c in negatives)
@@ -165,7 +164,7 @@ def test_criterion_4_figure_sign_structure():
         GapKind.SR_VS_KFU, reliability_variance(0.95), reliability_variance(0.6)
     ) < 0.0
     elapsed = time.monotonic() - started
-    report("4", f"three 50x50 grids with 1e6-trial fallback cells in {elapsed:.0f}s")
+    report("4", f"three closed-form 50x50 grids in {elapsed:.2f}s")
 
 
 def _backtest_rmse(config):

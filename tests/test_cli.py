@@ -101,27 +101,25 @@ class TestTheory:
     def test_uncertainty_cost_grid_nonnegative(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = main([
-            "theory", "--kind", "kfu-kfc", "--resolution", "10",
-            "--trials", "20000", "--seed", "5", "--out", str(out), "--jobs", "2",
+            "theory", "--kind", "kfu-kfc", "--resolution", "10", "--out", str(out),
         ])
         assert rc == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "p1,p2,analytic,mc_mean,mc_stderr,trials"
         assert len(lines) == 101
         for line in lines[1:]:
-            p1, p2, analytic, mc_mean, _, trials = line.split(",")
-            value = float(analytic) if analytic else float(mc_mean)
-            assert value >= 0.0
-            assert (analytic == "") == (int(trials) > 0)
+            p1, p2, analytic, mc_mean, mc_stderr, trials = line.split(",")
+            assert float(analytic) >= 0.0
+            assert (mc_mean, mc_stderr, trials) == ("", "", "0")
 
     def test_byte_reproducible(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            main([
-                "theory", "--kind", "sr-kfu", "--resolution", "10",
-                "--trials", "20000", "--seed", "9", "--out", str(out),
-            ])
-        assert a.read_bytes() == b.read_bytes()
+        # --seed is still accepted, and the grid does not depend on it
+        paths = [tmp_path / f"{n}.csv" for n in ("a", "b", "c")]
+        for out, seed in zip(paths, (["--seed", "9"], ["--seed", "9"], [])):
+            assert main([
+                "theory", "--kind", "sr-kfu", "--resolution", "10", *seed, "--out", str(out),
+            ]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 class TestBacktest:

@@ -6,8 +6,8 @@ from scipy import integrate, stats
 
 from crowdfuse.gaps import (
     GapKind,
+    _normal_cdf,
     SampleVariance,
-    SingularGapError,
     draw_sample_variance,
     draw_sample_variances,
     expected_gap_analytic,
@@ -117,12 +117,20 @@ class TestAnalyticForms:
         for _ in range(25):
             p1, p2 = rng.uniform(0.51, 0.99, 2)
             a, b = reliability_variance(p1), reliability_variance(p2)
-            if abs(a - b) < 1e-6:
-                continue
             for kind in GapKind:
                 assert expected_gap_analytic(kind, a, b) == pytest.approx(
                     quadrature_expected_gap(kind, a, b), abs=1e-9
                 )
+        # on and next to the diagonal, where the forms used to cancel
+        for p in (0.51, 0.7, 0.9, 0.995):
+            b = reliability_variance(p)
+            for d in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+                for a in (b + d, b - d):
+                    for kind in GapKind:
+                        assert abs(
+                            expected_gap_analytic(kind, a, b)
+                            - quadrature_expected_gap(kind, a, b)
+                        ) <= 1e-12 * b, (kind, a, b)
 
     def test_pinned_values(self):
         assert expected_gap_analytic(GapKind.KFU_VS_KFC, 0.64, 0.36) == pytest.approx(
@@ -139,13 +147,22 @@ class TestAnalyticForms:
         assert sr == pytest.approx(-0.11455197851061963, abs=1e-13)
         assert sr < 0.0
 
-    def test_singular_diagonal(self):
-        with pytest.raises(SingularGapError):
-            expected_gap_analytic(GapKind.KFU_VS_KFC, 1.0, 1.0)
-        with pytest.raises(SingularGapError):
-            expected_gap_analytic(GapKind.EW_VS_KFU, 0.7, 0.7 + 1e-12)
-        # the subset comparison is regular on the diagonal: value a / 4
-        assert expected_gap_analytic(GapKind.SR_VS_KFU, 0.8, 0.8) == pytest.approx(0.2)
+    def test_regular_on_diagonal(self):
+        # at a = b the gaps are b/4, -b/4 and b/4, and the forms stay
+        # continuous as a approaches b
+        for b in (0.8, 0.5, 1.0, 0.0198):
+            expected = {
+                GapKind.KFU_VS_KFC: b / 4.0,
+                GapKind.EW_VS_KFU: -b / 4.0,
+                GapKind.SR_VS_KFU: b / 4.0,
+            }
+            for kind, value in expected.items():
+                assert expected_gap_analytic(kind, b, b) == pytest.approx(value, rel=1e-15)
+                for d in (1e-6, 1e-8, 1e-10, 1e-12):
+                    for a in (b + d, b - d):
+                        assert abs(expected_gap_analytic(kind, a, b) - value) <= d
+        with pytest.raises(ValueError):
+            expected_gap_analytic(GapKind.SR_VS_KFU, 0.0, 1.0)
 
 
 class TestMonteCarloGap:
@@ -158,10 +175,16 @@ class TestMonteCarloGap:
     def test_equal_variances_equal_weighting_wins(self):
         rng = np.random.default_rng(28)
         est = monte_carlo_gap(GapKind.EW_VS_KFU, 1.0, 1.0, 2, 500_000, rng)
-        assert math.isnan(est.analytic)
+        assert est.analytic == -0.25
         assert est.monte_carlo_mean < 0.0
         # known value -sigma^2 / 4 on the diagonal
         assert abs(est.monte_carlo_mean + 0.25) < 4 * est.monte_carlo_stderr
+
+    def test_diagonal_closed_forms_agree(self):
+        rng = np.random.default_rng(37)
+        for kind in GapKind:
+            est = monte_carlo_gap(kind, 0.5, 0.5, 2, 2_000_000, rng)
+            assert abs(est.analytic - est.monte_carlo_mean) < 3 * est.monte_carlo_stderr
 
     def test_nonnegative_expectation(self):
         rng = np.random.default_rng(29)
@@ -184,14 +207,16 @@ class TestMonteCarloGap:
         with pytest.raises(ValueError):
             monte_carlo_gap(GapKind.KFU_VS_KFC, 1.0, 2.0, 2, 9_999, rng)
 
-    def test_jobs_do_not_change_results(self):
+    def test_same_seed_same_result(self):
+        # 2e6 trials run as two chunks on streams spawned from the seed
         one = monte_carlo_gap(
-            GapKind.EW_VS_KFU, 0.8, 0.5, 2, 2_000_000, np.random.default_rng(32), jobs=1
+            GapKind.EW_VS_KFU, 0.8, 0.5, 2, 2_000_000, np.random.default_rng(32)
         )
-        four = monte_carlo_gap(
-            GapKind.EW_VS_KFU, 0.8, 0.5, 2, 2_000_000, np.random.default_rng(32), jobs=4
+        again = monte_carlo_gap(
+            GapKind.EW_VS_KFU, 0.8, 0.5, 2, 2_000_000, np.random.default_rng(32)
         )
-        assert one == four
+        assert one == again
+        assert one.trials == 2_000_000
 
 
 class TestFigureGrid:
@@ -200,24 +225,26 @@ class TestFigureGrid:
             figure_grid(GapKind.KFU_VS_KFC, 9)
 
     def test_uncertainty_cost_surface(self):
-        cells = figure_grid(GapKind.KFU_VS_KFC, 10, fallback_trials=50_000, seed=1)
+        cells = figure_grid(GapKind.KFU_VS_KFC, 10)
         assert len(cells) == 100
         assert all(c.value >= 0.0 for c in cells)
         diag = [c for c in cells if c.p1 == c.p2]
         assert len(diag) == 10
-        assert all(c.trials == 50_000 and math.isnan(c.analytic) for c in diag)
+        for c in diag:
+            assert c.value == pytest.approx(reliability_variance(c.p2) / 4.0, rel=1e-15)
 
     def test_equal_weight_surface_signs(self):
-        cells = figure_grid(GapKind.EW_VS_KFU, 10, fallback_trials=50_000, seed=2)
+        cells = figure_grid(GapKind.EW_VS_KFU, 10)
         for c in cells:
             if max(c.p1, c.p2) <= 0.951:
                 assert c.value < 0.0
             if max(c.p1, c.p2) >= 0.99 and min(c.p1, c.p2) <= 0.9:
                 assert c.value > 0.0
+            if c.p1 == c.p2:
+                assert c.value == pytest.approx(-reliability_variance(c.p2) / 4.0, rel=1e-15)
 
     def test_subset_surface_signs(self):
-        cells = figure_grid(GapKind.SR_VS_KFU, 10, seed=3)
-        assert all(c.trials == 0 for c in cells)  # regular everywhere
+        cells = figure_grid(GapKind.SR_VS_KFU, 10)
         negatives = [c for c in cells if c.value < 0.0]
         assert negatives, "the subset rule should win somewhere"
         assert all(c.p1 >= 0.8 and c.p2 < c.p1 for c in negatives)
@@ -228,8 +255,9 @@ class TestGaussianLimit:
     def test_ks_distance_matches_scipy(self):
         rng = np.random.default_rng(33)
         x = rng.normal(size=2_000)
-        ours = ks_distance(x, stats.norm.cdf)
-        assert ours == pytest.approx(stats.kstest(x, "norm").statistic, abs=1e-12)
+        expected = stats.kstest(x, "norm").statistic
+        for cdf in (stats.norm.cdf, _normal_cdf):
+            assert ks_distance(x, cdf) == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_judge_skipped(self):
         rng = np.random.default_rng(34)
@@ -254,11 +282,13 @@ class TestGaussianLimit:
 
     def test_csv_writers(self, tmp_path):
         grid_path = tmp_path / "grid.csv"
-        cells = figure_grid(GapKind.SR_VS_KFU, 10, seed=4)
+        cells = figure_grid(GapKind.SR_VS_KFU, 10)
         write_grid_csv(cells, str(grid_path))
         lines = grid_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "p1,p2,analytic,mc_mean,mc_stderr,trials"
         assert len(lines) == 101
+        for line, cell in zip(lines[1:], cells):
+            assert line == f"{cell.p1!r},{cell.p2!r},{cell.value!r},,,0"
         conv_path = tmp_path / "conv.csv"
         write_convergence_csv([(4, 0.2), (16, 0.1)], str(conv_path))
         assert conv_path.read_text(encoding="utf-8").splitlines()[0] == "C,ks_distance"

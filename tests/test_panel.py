@@ -195,12 +195,25 @@ class TestLoadPanel:
         assert any("no forecast rows" in r.message for r in caplog.records)
 
     def test_bad_rows_rejected_with_line_numbers(self, tmp_path, caplog):
-        bad = FORECASTS + "2000Q3,RGDP,7,dave,1.0\n2000Q9,RGDP,1,dave,1.0\n2000Q3,RGDP,1,dave,oops\n"
+        bad = FORECASTS + (
+            "2000Q3,RGDP,7,dave,1.0\n2000Q9,RGDP,1,dave,1.0\n2000Q3,RGDP,1,dave,oops\n"
+            "2000Q3,RGDP,1,erin,nan\n2000Q3,RGDP,1,frank,inf\n2000Q3,RGDP,1,grace,-inf\n"
+        )
+        bad_r = REALIZATIONS + "2000Q3,RGDP,nan,2000Q4\n2000Q4,RGDP,inf,2001Q1\n2001Q1,RGDP,-inf,2001Q2\n"
+        bad_v = VINTAGES + "2000Q3,RGDP,1999Q3,nan\n2000Q3,RGDP,1999Q4,inf\n2000Q3,RGDP,2000Q3,-inf\n"
         with caplog.at_level(logging.WARNING):
-            panel = load_panel(*write_inputs(tmp_path, forecasts=bad))
+            panel = load_panel(*write_inputs(tmp_path, bad, bad_r, bad_v))
         assert len(panel.forecasts) == 6
+        assert len(panel.realizations) == 4
+        assert len(panel.vintages) == 4
         messages = "\n".join(r.message for r in caplog.records)
-        assert ":8:" in messages and ":9:" in messages and ":10:" in messages
+        for line in range(8, 14):
+            assert f"forecasts.csv:{line}:" in messages
+        for name in ("realizations.csv", "vintages.csv"):
+            for line in (6, 7, 8):
+                assert f"{name}:{line}:" in messages
+        assert messages.count("non-finite number") == 9
+        assert messages.count("row rejected") == 12
 
 
 class TestRoundtrip:
