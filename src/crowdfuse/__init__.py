@@ -7,16 +7,14 @@ from .aggregation import (
     RULE_KF,
     RULE_KFPLUS,
     AggregateResult,
-    ForecasterState,
     NoEligibleForecastersError,
     SurveySlice,
-    contribution_update,
     cwm,
     ewm,
+    fold_contributions,
     kf_crowd,
     kf_plus,
-    top_n_subset,
-    update_state,
+    rank_by_reliability,
 )
 from .backtest import (
     BacktestReport,

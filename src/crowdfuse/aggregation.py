@@ -1,6 +1,6 @@
 """Crowd aggregation rules over a single survey.
 
-Five ways to turn one survey's forecasts into a point estimate:
+Four ways to turn one survey's forecasts into a point estimate:
 
 * ``ewm``: the plain mean of eligible forecasts.
 * ``kf_crowd``: inverse-variance fusion, with each forecaster's variance
@@ -10,21 +10,23 @@ Five ways to turn one survey's forecasts into a point estimate:
   contributions.
 * ``kf_plus``: the fusion rule applied within the positive-contribution
   subset.
-* ``top_n_subset``: picks the n most reliable forecasters, for the
-  smaller-wiser-crowd sweeps.
 
-Forecaster bookkeeping (error history, estimated reliability, contribution
-score) lives in immutable ``ForecasterState`` values; updates return new
-states, so one survey's aggregation is a pure function of its inputs.
+Forecaster bookkeeping is plain mappings keyed by forecaster id: the
+estimated reliability p-hat (``Mapping[str, Judge]``) and the running mean
+of leave-one-out contributions (``Mapping[str, float]``), in which a
+forecaster appears once they have at least one term. The rules only read
+them, so one survey's aggregation is a pure function of its inputs;
+:func:`fold_contributions` updates the contribution means in place, and
+:func:`rank_by_reliability` orders forecasters for the top-n
+smaller-wiser-crowd runs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, MutableMapping, Sequence
 
-from .quincunx import Judge, p_from_mse
+from .quincunx import Judge
 
 RULE_EWM = "EWM"
 RULE_KF = "KF"
@@ -35,51 +37,6 @@ ALL_RULES = (RULE_EWM, RULE_KF, RULE_CWM, RULE_KFPLUS)
 
 class NoEligibleForecastersError(ValueError):
     """The survey has no eligible forecaster to aggregate."""
-
-
-@dataclass(frozen=True)
-class ForecasterState:
-    """Rolling performance record for one forecaster on one variable-horizon stream.
-
-    ``contribution`` is the running mean of the forecaster's leave-one-out
-    improvements of the crowd's squared error (positive means the crowd was
-    better off with them in it), over ``contribution_count`` surveys.
-    """
-
-    forecaster_id: str
-    squared_errors: tuple[float, ...] = ()
-    mse: float = math.nan
-    p_hat: Judge | None = None
-    contribution: float = 0.0
-    contribution_count: int = 0
-
-
-def update_state(
-    state: ForecasterState,
-    squared_error: float,
-    calib: tuple[int, float],
-    window: int | None = None,
-) -> ForecasterState:
-    """Append one realized squared error and refresh the reliability estimate.
-
-    The MSE is recomputed over the full history by default; ``window``
-    restricts it to the most recent errors. ``calib`` is the (element count,
-    evidence unit) pair that maps MSE onto reliability.
-    """
-    if squared_error < 0.0:
-        raise ValueError(f"squared error must be nonnegative, got {squared_error!r}")
-    count, unit = calib
-    errors = state.squared_errors + (squared_error,)
-    scored = errors if window is None else errors[-window:]
-    mse = sum(scored) / len(scored)
-    return replace(state, squared_errors=errors, mse=mse, p_hat=p_from_mse(mse, count, unit))
-
-
-def add_contribution(state: ForecasterState, term: float) -> ForecasterState:
-    """Fold one leave-one-out term into the running contribution mean."""
-    count = state.contribution_count + 1
-    mean = state.contribution + (term - state.contribution) / count
-    return replace(state, contribution=mean, contribution_count=count)
 
 
 @dataclass(frozen=True)
@@ -130,8 +87,8 @@ def ewm(slice_: SurveySlice) -> AggregateResult:
     )
 
 
-def _inverse_variance_weights(members: Sequence[str], states: Mapping[str, ForecasterState]) -> dict[str, float]:
-    noises = {j: states[j].p_hat.noise for j in members}
+def _inverse_variance_weights(members: Sequence[str], p_hats: Mapping[str, Judge]) -> dict[str, float]:
+    noises = {j: p_hats[j].noise for j in members}
     perfect = [j for j in members if noises[j] == 0.0]
     if perfect:
         w = 1.0 / len(perfect)
@@ -143,7 +100,7 @@ def _inverse_variance_weights(members: Sequence[str], states: Mapping[str, Forec
 
 def kf_crowd(
     slice_: SurveySlice,
-    states: Mapping[str, ForecasterState],
+    p_hats: Mapping[str, Judge],
     rule: str = RULE_KF,
 ) -> AggregateResult:
     """Inverse-variance fusion of the eligible forecasts.
@@ -158,10 +115,9 @@ def kf_crowd(
     if not members:
         raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
     for j in members:
-        state = states.get(j)
-        if state is None or state.p_hat is None:
+        if p_hats.get(j) is None:
             raise ValueError(f"forecaster {j} has no reliability estimate")
-    weights = _inverse_variance_weights(members, states)
+    weights = _inverse_variance_weights(members, p_hats)
     return AggregateResult(
         rule=rule,
         estimate=sum(weights[j] * slice_.forecasts[j] for j in members),
@@ -194,36 +150,31 @@ def slice_contribution_terms(slice_: SurveySlice, realized: float) -> dict[str, 
     return terms
 
 
-def contribution_update(
-    history: Sequence[tuple[SurveySlice, float]],
-    states: Mapping[str, ForecasterState],
-) -> dict[str, ForecasterState]:
-    """Fold the leave-one-out terms of realized surveys into the states.
+def fold_contributions(
+    contributions: MutableMapping[str, float],
+    counts: MutableMapping[str, int],
+    slice_: SurveySlice,
+    realized: float,
+) -> None:
+    """Fold one realized survey's leave-one-out terms into the running means.
 
-    ``history`` pairs each past slice with its realized value, in survey
-    order. Forecasters appearing in the history but not in ``states`` get
-    fresh states.
+    ``contributions`` holds each forecaster's mean term over the
+    ``counts[j]`` surveys that gave them one; both are updated in place.
     """
-    out: dict[str, ForecasterState] = dict(states)
-    for slice_, realized in history:
-        for j, term in slice_contribution_terms(slice_, realized).items():
-            state = out.get(j, ForecasterState(forecaster_id=j))
-            out[j] = add_contribution(state, term)
-    return out
+    for j, term in slice_contribution_terms(slice_, realized).items():
+        count = counts.get(j, 0) + 1
+        mean = contributions.get(j, 0.0)
+        contributions[j] = mean + (term - mean) / count
+        counts[j] = count
 
 
 def positive_contribution_subset(
-    slice_: SurveySlice, states: Mapping[str, ForecasterState]
+    slice_: SurveySlice, contributions: Mapping[str, float]
 ) -> list[str]:
-    subset = []
-    for j in sorted(slice_.eligible):
-        state = states.get(j)
-        if state is not None and state.contribution_count > 0 and state.contribution > 0.0:
-            subset.append(j)
-    return subset
+    return [j for j in sorted(slice_.eligible) if contributions.get(j, 0.0) > 0.0]
 
 
-def cwm(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> AggregateResult:
+def cwm(slice_: SurveySlice, contributions: Mapping[str, float]) -> AggregateResult:
     """Contribution-weighted mean over the positive-contribution subset.
 
     Weights are the normalized positive contribution scores. When nobody
@@ -232,7 +183,7 @@ def cwm(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggregate
     """
     if not slice_.eligible:
         raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    subset = positive_contribution_subset(slice_, states)
+    subset = positive_contribution_subset(slice_, contributions)
     if not subset:
         fallback = ewm(slice_)
         return AggregateResult(
@@ -241,8 +192,8 @@ def cwm(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggregate
             contributors=fallback.contributors,
             weights=fallback.weights,
         )
-    total = sum(states[j].contribution for j in subset)
-    weights = {j: states[j].contribution / total for j in subset}
+    total = sum(contributions[j] for j in subset)
+    weights = {j: contributions[j] / total for j in subset}
     estimate = sum(weights[j] * slice_.forecasts[j] for j in subset)
     return AggregateResult(
         rule=RULE_CWM,
@@ -252,7 +203,11 @@ def cwm(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggregate
     )
 
 
-def kf_plus(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> AggregateResult:
+def kf_plus(
+    slice_: SurveySlice,
+    p_hats: Mapping[str, Judge],
+    contributions: Mapping[str, float],
+) -> AggregateResult:
     """Inverse-variance fusion restricted to the positive-contribution subset.
 
     Same membership as :func:`cwm`, same equal-weight fallback, but the
@@ -260,7 +215,7 @@ def kf_plus(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggre
     """
     if not slice_.eligible:
         raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    subset = positive_contribution_subset(slice_, states)
+    subset = positive_contribution_subset(slice_, contributions)
     if not subset:
         fallback = ewm(slice_)
         return AggregateResult(
@@ -274,21 +229,15 @@ def kf_plus(slice_: SurveySlice, states: Mapping[str, ForecasterState]) -> Aggre
         forecasts=slice_.forecasts,
         eligible=frozenset(subset),
     )
-    return kf_crowd(restricted, states, rule=RULE_KFPLUS)
+    return kf_crowd(restricted, p_hats, rule=RULE_KFPLUS)
 
 
-def top_n_subset(states: Mapping[str, ForecasterState], n: int) -> frozenset[str]:
-    """The n forecasters with the highest estimated reliability.
+def rank_by_reliability(
+    ids: Iterable[str], p_hats: Mapping[str, Judge], mse: Mapping[str, float]
+) -> list[str]:
+    """Forecasters from the most to the least reliable.
 
-    Ties break toward lower current MSE, then lexicographic id, so the
-    subset is deterministic. Callers pass only the states of forecasters
-    active and eligible in the current survey; if n covers them all, all
-    of them are returned.
+    Ties in the estimated reliability break toward lower current MSE, then
+    lexicographic id, so the top n of the list is deterministic.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ranked = sorted(
-        states.values(),
-        key=lambda s: (-(s.p_hat.p if s.p_hat else 0.5), s.mse, s.forecaster_id),
-    )
-    return frozenset(s.forecaster_id for s in ranked[:n])
+    return sorted(ids, key=lambda j: (-p_hats[j].p, mse[j], j))

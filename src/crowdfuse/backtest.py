@@ -11,13 +11,15 @@ realizations stamped by i.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
-sweep behind the smaller-wiser-crowd curves.
+sweep behind the smaller-wiser-crowd curves. One rolling pass per cell
+serves the plain backtest and every subset size at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,19 +30,17 @@ from .aggregation import (
     RULE_EWM,
     RULE_KF,
     RULE_KFPLUS,
-    ForecasterState,
     SurveySlice,
-    add_contribution,
     cwm,
     ewm,
+    fold_contributions,
     kf_crowd,
     kf_plus,
     positive_contribution_subset,
-    slice_contribution_terms,
-    top_n_subset,
-    update_state,
+    rank_by_reliability,
 )
-from .panel import Calibration, Panel, add_quarters
+from .panel import Calibration, Panel, add_quarters, period_end_month
+from .quincunx import Judge, p_from_mse
 
 RMSE_CSV_HEADER = "variable,horizon,rule,rmse,n_surveys"
 DM_CSV_HEADER = "variable,horizon,rule,stat,p_value"
@@ -149,25 +149,37 @@ def dm_test(
     return float(stat), float(p_value)
 
 
-def _estimate(rule: str, slice_: SurveySlice, states: Mapping[str, ForecasterState]):
+def _estimate(
+    rule: str,
+    slice_: SurveySlice,
+    p_hats: Mapping[str, Judge],
+    contributions: Mapping[str, float],
+):
     if rule == RULE_EWM:
         return ewm(slice_)
     if rule == RULE_KF:
-        return kf_crowd(slice_, states)
+        return kf_crowd(slice_, p_hats)
     if rule == RULE_CWM:
-        return cwm(slice_, states)
+        return cwm(slice_, contributions)
     if rule == RULE_KFPLUS:
-        return kf_plus(slice_, states)
+        return kf_plus(slice_, p_hats, contributions)
     raise ValueError(f"unknown rule {rule!r}")
 
 
 @dataclass
 class CellTrail:
-    """Everything one variable-horizon cell produced over the backtest."""
+    """What one eligible-set limit of a variable-horizon cell produced.
+
+    ``p_hats``, the reliabilities behind each survey's estimates, is
+    collected for the unrestricted (``None``) limit only, whose diagnostics
+    report their median.
+    """
 
     estimates: dict[str, list[tuple[str, float]]]
     errors: dict[str, list[tuple[int, float]]]
-    diagnostics: CellDiagnostics
+    p_hats: list[float] = field(default_factory=list)
+    fallback_surveys: int = 0
+    skipped_surveys: int = 0
 
 
 def _run_cell(
@@ -176,72 +188,73 @@ def _run_cell(
     horizon: int,
     rules: Sequence[str],
     calib: Calibration,
-    top_n: int | None,
+    limits: Sequence[int | None],
     window: int | None,
-) -> CellTrail:
-    """Roll one variable-horizon cell through the surveys."""
-    pair = calib.pair(variable)
-    states: dict[str, ForecasterState] = {}
-    pending: list[tuple[SurveySlice, str]] = []
-    estimates: dict[str, list[tuple[str, float]]] = {rule: [] for rule in rules}
-    errors: dict[str, list[tuple[int, float]]] = {rule: [] for rule in rules}
-    p_hats: list[float] = []
-    fallback_surveys = 0
-    skipped_surveys = 0
+) -> dict[int | None, CellTrail]:
+    """Roll one variable-horizon cell through the surveys, once for all limits.
 
-    for idx, survey in enumerate(panel.surveys):
-        still_pending = []
-        for past_slice, target in pending:
-            realized = panel.realized_value(variable, target, asof=survey)
-            if realized is None:
-                still_pending.append((past_slice, target))
-                continue
-            for j, term in slice_contribution_terms(past_slice, realized).items():
-                states[j] = add_contribution(states[j], term)
-            for j in sorted(past_slice.forecasts):
-                se = (past_slice.forecasts[j] - realized) ** 2
-                state = states.get(j, ForecasterState(forecaster_id=j))
-                states[j] = update_state(state, se, pair, window)
-        pending = still_pending
+    A limit n keeps the n most reliable of each survey's eligible set and
+    ``None`` keeps all of it. Error histories, MSEs and reliabilities depend
+    only on the cell; contribution means depend on the eligible sets, so
+    each limit keeps its own. Each survey's slices are scheduled once, to
+    mature at the first later survey whose quarter ends no earlier than
+    their realization's stamp; a target that never gets a value is never
+    scheduled.
+    """
+    count, unit = calib.pair(variable)
+    surveys = panel.surveys
+    end_months = [period_end_month(s) for s in surveys]
+    history: dict[str, list[float]] = {}
+    mse: dict[str, float] = {}
+    p_hats: dict[str, Judge] = {}
+    contributions: dict[int | None, dict[str, float]] = {n: {} for n in limits}
+    counts: dict[int | None, dict[str, int]] = {n: {} for n in limits}
+    maturing: dict[int, list[tuple[dict[str, float], dict[int | None, SurveySlice], float]]] = {}
+    trails = {n: CellTrail({r: [] for r in rules}, {r: [] for r in rules}) for n in limits}
+    ranking = any(n is not None for n in limits)
+
+    for idx, survey in enumerate(surveys):
+        for forecasts, slices, realized in maturing.pop(idx, ()):
+            for n, slice_ in slices.items():
+                fold_contributions(contributions[n], counts[n], slice_, realized)
+            for j, x in forecasts.items():
+                errors = history.setdefault(j, [])
+                errors.append((x - realized) ** 2)
+                scored = errors if window is None else errors[-window:]
+                mse[j] = sum(scored) / len(scored)
+                p_hats[j] = p_from_mse(mse[j], count, unit)
 
         forecasts = panel.forecasts_at(survey, variable, horizon)
         if not forecasts:
             continue
-        eligible = {
-            j for j in forecasts
-            if j in states and len(states[j].squared_errors) >= 2
-        }
-        if top_n is not None and eligible:
-            eligible = set(top_n_subset({j: states[j] for j in eligible}, top_n))
-        slice_ = SurveySlice(survey, forecasts, frozenset(eligible))
-        target = add_quarters(survey, horizon - 1)
-        realized = panel.realized_value(variable, target)
-
-        if eligible:
-            p_hats.extend(states[j].p_hat.p for j in sorted(eligible))
-            results = {rule: _estimate(rule, slice_, states) for rule in rules}
+        eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
+        ranked = rank_by_reliability(eligible, p_hats, mse) if ranking else eligible
+        realization = panel.realization(variable, add_quarters(survey, horizon - 1))
+        slices = {}
+        for n, trail in trails.items():
+            members = eligible if n is None else ranked[:n]
+            slice_ = slices[n] = SurveySlice(survey, forecasts, frozenset(members))
+            if not members:
+                trail.skipped_surveys += 1
+                continue
+            if n is None:
+                trail.p_hats.extend(p_hats[j].p for j in members)
             for rule in rules:
-                estimates[rule].append((survey, results[rule].estimate))
-            if realized is not None:
-                if not positive_contribution_subset(slice_, states):
-                    fallback_surveys += 1
-                for rule in rules:
-                    errors[rule].append((idx, results[rule].estimate - realized))
-            else:
-                skipped_surveys += 1
-        else:
-            skipped_surveys += 1
+                estimate = _estimate(rule, slice_, p_hats, contributions[n]).estimate
+                trail.estimates[rule].append((survey, estimate))
+                if realization is not None:
+                    trail.errors[rule].append((idx, estimate - realization[0]))
+            if realization is None:
+                trail.skipped_surveys += 1
+            elif not positive_contribution_subset(slice_, contributions[n]):
+                trail.fallback_surveys += 1
 
-        pending.append((slice_, target))
-
-    diag = CellDiagnostics(
-        variable=variable,
-        horizon=horizon,
-        median_p_hat=float(np.median(p_hats)) if p_hats else math.nan,
-        cwm_fallback_surveys=fallback_surveys,
-        skipped_surveys=skipped_surveys,
-    )
-    return CellTrail(estimates=estimates, errors=errors, diagnostics=diag)
+        if realization is not None:
+            # stamped after the target quarter ends, so after this survey: a later bucket
+            known = bisect.bisect_left(end_months, realization[1])
+            if known < len(surveys):
+                maturing.setdefault(known, []).append((forecasts, slices, realization[0]))
+    return trails
 
 
 def cell_estimates(
@@ -250,19 +263,32 @@ def cell_estimates(
     horizon: int,
     rules: Sequence[str],
     calib: Calibration,
-    top_n: int | None = None,
     window: int | None = None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-rule (survey, estimate) trail for one cell; useful for audits."""
-    trail = _run_cell(panel, variable, horizon, rules, calib, top_n, window)
-    return trail.estimates
+    return _run_cell(panel, variable, horizon, rules, calib, (None,), window)[None].estimates
+
+
+def _check_inputs(panel: Panel, rules: Sequence[str]) -> None:
+    if not panel.forecasts:
+        raise EmptyPanelError("panel holds no forecasts")
+    for rule in rules:
+        if rule not in ALL_RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+
+
+def _rmse_cell(
+    variable: str, horizon: int, rule: str, errors: list[tuple[int, float]]
+) -> RmseCell:
+    series = [e for _, e in errors]
+    rmse = math.sqrt(sum(e * e for e in series) / len(series)) if series else math.nan
+    return RmseCell(variable, horizon, rule, rmse, len(series))
 
 
 def run_backtest(
     panel: Panel,
     rules: Sequence[str],
     calib: Calibration,
-    top_n: int | None = None,
     window: int | None = None,
     hln: bool = False,
 ) -> BacktestReport:
@@ -271,26 +297,25 @@ def run_backtest(
     RMSE covers the surveys where a rule produced an estimate and a
     first-reported realization exists. Diebold-Mariano cells compare each
     rule's errors against the contribution-weighted rule's on their common
-    surveys, when at least eight align. ``top_n`` restricts every survey's
-    eligible set to the most reliable n forecasters.
+    surveys, when at least eight align.
     """
-    if not panel.forecasts:
-        raise EmptyPanelError("panel holds no forecasts")
-    for rule in rules:
-        if rule not in ALL_RULES:
-            raise ValueError(f"unknown rule {rule!r}")
+    _check_inputs(panel, rules)
     cells: list[RmseCell] = []
     dm_cells: list[DmCell] = []
     diagnostics: list[CellDiagnostics] = []
     for variable in sorted(panel.variables):
         for horizon in panel.horizons(variable):
-            trail = _run_cell(panel, variable, horizon, rules, calib, top_n, window)
+            trail = _run_cell(panel, variable, horizon, rules, calib, (None,), window)[None]
             errors = trail.errors
-            diagnostics.append(trail.diagnostics)
+            diagnostics.append(CellDiagnostics(
+                variable=variable,
+                horizon=horizon,
+                median_p_hat=float(np.median(trail.p_hats)) if trail.p_hats else math.nan,
+                cwm_fallback_surveys=trail.fallback_surveys,
+                skipped_surveys=trail.skipped_surveys,
+            ))
             for rule in rules:
-                series = [e for _, e in errors[rule]]
-                rmse = math.sqrt(sum(e * e for e in series) / len(series)) if series else math.nan
-                cells.append(RmseCell(variable, horizon, rule, rmse, len(series)))
+                cells.append(_rmse_cell(variable, horizon, rule, errors[rule]))
             if RULE_CWM in rules:
                 base = dict(errors[RULE_CWM])
                 for rule in rules:
@@ -324,25 +349,35 @@ def subset_sweep(
 ) -> list[SweepPoint]:
     """RMSE curves as the eligible set shrinks to the best n forecasters.
 
-    Reruns the full backtest per n with the top-n eligibility filter and
-    aggregates each rule's RMSE across variables, by default as the mean of
-    per-variable RMSEs (``aggregate="pooled"`` pools the squared errors
-    instead).
+    One rolling pass per variable-horizon cell serves every size n: each
+    survey's eligible set is ranked by estimated reliability and cut to its
+    top n. Each rule's RMSE is aggregated across variables, by default as
+    the mean of per-variable RMSEs (``aggregate="pooled"`` pools the
+    squared errors instead). A size at or above the largest eligible set
+    reproduces the plain backtest.
     """
     if aggregate not in ("mean", "pooled"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
     sizes = sorted(set(n_range))
     if not sizes or sizes[0] < 1:
         raise ValueError("subset sizes must be positive")
+    _check_inputs(panel, rules)
+    scored: dict[tuple[int, str, int], list[RmseCell]] = {}
+    for variable in sorted(panel.variables):
+        for horizon in panel.horizons(variable):
+            if horizon not in horizons:
+                continue
+            trails = _run_cell(panel, variable, horizon, rules, calib, sizes, window)
+            for n, trail in trails.items():
+                for rule in rules:
+                    cell = _rmse_cell(variable, horizon, rule, trail.errors[rule])
+                    if cell.n_surveys > 0:
+                        scored.setdefault((horizon, rule, n), []).append(cell)
     points: list[SweepPoint] = []
     for n in sizes:
-        report = run_backtest(panel, rules, calib, top_n=n, window=window)
         for horizon in horizons:
             for rule in rules:
-                matched = [
-                    c for c in report.cells
-                    if c.horizon == horizon and c.rule == rule and c.n_surveys > 0
-                ]
+                matched = scored.get((horizon, rule, n))
                 if not matched:
                     continue
                 if aggregate == "mean":

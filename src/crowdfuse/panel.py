@@ -215,20 +215,28 @@ class Panel:
     def horizons(self, variable: str) -> tuple[int, ...]:
         return tuple(sorted({f.horizon for f in self.forecasts if f.variable == variable}))
 
-    def _levels(self, variable: str, asof: str | None) -> dict[str, float]:
-        """First-report levels per period, restricted to stamps known by ``asof``."""
-        by_period = self._reports.get(variable, {})
-        if asof is None:
-            return {period: cands[0][1] for period, cands in by_period.items()}
-        bound = period_end_month(asof)
-        out = {}
-        for period, cands in by_period.items():
-            if cands[0][0] <= bound:
-                out[period] = cands[0][1]
-        return out
+    def realization(self, variable: str, target: str) -> tuple[float, tuple[int, int]] | None:
+        """First-reported analysis-unit value of a target period and when it is known.
 
-    def first_report_levels(self, variable: str) -> dict[str, float]:
-        return self._levels(variable, None)
+        The value comes from the first reports of the target and, for the
+        yearly change, of the period four quarters earlier; it is known from
+        the (year, month) of the later of their stamps. None if a report is
+        missing or the base level is zero: such a target never matures.
+        """
+        by_period = self._reports.get(variable, {})
+        periods = [target]
+        if self.transform != "none" and variable not in UNTRANSFORMED_VARIABLES:
+            periods.append(add_quarters(target, -4))
+        if any(p not in by_period for p in periods):
+            return None
+        known_by = max(by_period[p][0][0] for p in periods)
+        if len(periods) == 1:
+            return by_period[target][0][1], known_by
+        levels = {p: by_period[p][0][1] for p in periods}
+        try:
+            return to_yearly_pct_change(levels, target), known_by
+        except ZeroBaseError:
+            return None
 
     def realized_value(
         self, variable: str, target: str, asof: str | None = None
@@ -239,13 +247,10 @@ class Panel:
         the end of that period count as known; this is what keeps rolling
         state updates free of lookahead.
         """
-        levels = self._levels(variable, asof)
-        if self.transform == "none" or variable in UNTRANSFORMED_VARIABLES:
-            return levels.get(target)
-        try:
-            return to_yearly_pct_change(levels, target)
-        except (MissingLevelError, ZeroBaseError):
+        known = self.realization(variable, target)
+        if known is None or (asof is not None and known[1] > period_end_month(asof)):
             return None
+        return known[0]
 
 
 # ---------------------------------------------------------------------------

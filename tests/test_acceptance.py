@@ -15,10 +15,9 @@ import pytest
 
 from crowdfuse.aggregation import (
     ALL_RULES,
-    ForecasterState,
     SurveySlice,
-    contribution_update,
     cwm,
+    fold_contributions,
 )
 from crowdfuse.backtest import dm_test, run_backtest
 from crowdfuse.gaps import (
@@ -217,7 +216,10 @@ def test_criterion_6_cwm_oracle_equivalence():
                 (SurveySlice(f"19{s:02d}Q1", forecasts, frozenset(active)),
                  rng.uniform(-5.0, 5.0))
             )
-        states = contribution_update(history, {})
+        contributions: dict[str, float] = {}
+        contribution_counts: dict[str, int] = {}
+        for slice_, realized in history:
+            fold_contributions(contributions, contribution_counts, slice_, realized)
 
         # independent recomputation with per-survey lists
         sums: dict[str, float] = {}
@@ -233,27 +235,20 @@ def test_criterion_6_cwm_oracle_equivalence():
                 err_without = (sum(others) / len(others) - realized) ** 2
                 sums[j] = sums.get(j, 0.0) + (err_without - full_err)
                 counts[j] = counts.get(j, 0) + 1
-        assert set(states) == set(sums)
+        assert set(contributions) == set(sums)
+        assert contribution_counts == counts
         for j in sums:
-            assert abs(states[j].contribution - sums[j] / counts[j]) < 1e-10
+            assert abs(contributions[j] - sums[j] / counts[j]) < 1e-10
 
         current = {j: rng.uniform(-5.0, 5.0) for j in ids}
         slice_ = SurveySlice("2020Q1", current, frozenset(ids))
-        full_states = {
-            j: ForecasterState(
-                j, squared_errors=(0.5, 0.5), mse=0.5, p_hat=Judge(0.8),
-                contribution=states[j].contribution if j in states else 0.0,
-                contribution_count=states[j].contribution_count if j in states else 0,
-            )
-            for j in ids
-        }
         positive = {j: sums[j] / counts[j] for j in sums if sums[j] / counts[j] > 0.0}
         if positive:
             total = sum(positive.values())
             expected = sum(w / total * current[j] for j, w in positive.items())
         else:
             expected = sum(current[j] for j in ids) / len(ids)
-        assert abs(cwm(slice_, full_states).estimate - expected) < 1e-10
+        assert abs(cwm(slice_, contributions).estimate - expected) < 1e-10
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     report("6", f"100 randomized panels in {elapsed:.1f}s")

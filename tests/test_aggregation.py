@@ -3,34 +3,61 @@ import random
 import pytest
 
 from crowdfuse.aggregation import (
-    ForecasterState,
     NoEligibleForecastersError,
     SurveySlice,
-    add_contribution,
-    contribution_update,
     cwm,
     ewm,
+    fold_contributions,
     kf_crowd,
     kf_plus,
+    rank_by_reliability,
     slice_contribution_terms,
-    top_n_subset,
-    update_state,
 )
+from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
-from crowdfuse.quincunx import Judge
+from crowdfuse.panel import (
+    Calibration,
+    ForecastRow,
+    Panel,
+    RealizationRow,
+    VintageRow,
+    calibrate_v,
+    calibration_series,
+)
+from crowdfuse.quincunx import Judge, p_from_mse
 
-CALIB = (1, 1.0)
+SURVEYS = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
+REALIZED = [2.0, 2.4, 1.8, 2.2, 2.0]
 
 
-def make_state(fid, p=None, mse=0.5, contribution=0.0, count=0):
-    return ForecasterState(
-        forecaster_id=fid,
-        squared_errors=(mse, mse),
-        mse=mse,
-        p_hat=Judge(p) if p is not None else None,
-        contribution=contribution,
-        contribution_count=count,
-    )
+def cell_panel(forecasters):
+    """The five surveys and realizations of ``test_backtest.hand_panel``.
+
+    ``forecasters`` maps each id to a function of the realized value giving
+    their forecast; each survey's realization is stamped the next quarter.
+    """
+    forecasts, realizations, vintages = [], [], []
+    for i, (survey, value) in enumerate(zip(SURVEYS, REALIZED)):
+        for j, forecast in forecasters.items():
+            forecasts.append(ForecastRow(survey, "X", 1, j, forecast(value)))
+        stamp = SURVEYS[i + 1] if i + 1 < len(SURVEYS) else "2001Q2"
+        realizations.append(RealizationRow(survey, "X", value, stamp))
+        vintages.append(VintageRow(stamp, "X", survey, value))
+    return Panel(tuple(forecasts), tuple(realizations), tuple(vintages), transform="none")
+
+
+def expected_kf(forecasts, mses, calib):
+    """Inverse-variance estimate for reliabilities implied by the given MSEs."""
+    inverse = {j: 1.0 / p_from_mse(m, *calib).noise for j, m in mses.items()}
+    total = sum(inverse.values())
+    return sum(inverse[j] / total * forecasts[j] for j in mses)
+
+
+def fold_history(history):
+    contributions, counts = {}, {}
+    for slice_, realized in history:
+        fold_contributions(contributions, counts, slice_, realized)
+    return contributions, counts
 
 
 def brute_force_contributions(history):
@@ -63,36 +90,64 @@ def brute_force_cwm(slice_, contributions):
 
 
 class TestStateUpdates:
+    """The rolling reliability and contribution state, observed through the engine."""
+
+    # hand_panel's forecasters: a always says 1.0, b always 3.0
+    SQUARED = {
+        "a": [(1.0 - r) ** 2 for r in REALIZED],
+        "b": [(3.0 - r) ** 2 for r in REALIZED],
+    }
+
     def test_zero_error_gives_perfect_reliability(self):
-        state = update_state(ForecasterState("a"), 0.0, CALIB)
-        assert state.mse == 0.0
-        assert state.p_hat.p == 1.0
+        panel = cell_panel({"a": lambda r: 1.0, "c": lambda r: r})
+        calib = calibrate_v(calibration_series(panel))
+        trail = cell_estimates(panel, "X", 1, ("KF",), calib)["KF"]
+        assert [s for s, _ in trail] == SURVEYS[2:]
+        for survey, estimate in trail:
+            assert estimate == REALIZED[SURVEYS.index(survey)]
+        report = run_backtest(panel, ("KF",), calib)
+        assert report.cells[0].rmse == 0.0
 
     def test_mse_is_running_mean(self):
-        state = ForecasterState("a", squared_errors=(0.2, 0.4), mse=0.3)
-        state = update_state(state, 0.6, CALIB)
-        assert state.mse == pytest.approx(0.4, abs=1e-15)
-        assert state.squared_errors == (0.2, 0.4, 0.6)
+        panel = cell_panel({"a": lambda r: 1.0, "b": lambda r: 3.0})
+        calib = Calibration(1, {"X": 2.0})
+        trail = cell_estimates(panel, "X", 1, ("KF",), calib)["KF"]
+        assert [s for s, _ in trail] == SURVEYS[2:]
+        for i, (_, estimate) in enumerate(trail, start=2):
+            mses = {j: sum(errors[:i]) / i for j, errors in self.SQUARED.items()}
+            expected = expected_kf({"a": 1.0, "b": 3.0}, mses, (1, 2.0))
+            assert estimate == pytest.approx(expected, abs=1e-12)
 
     def test_reliability_roundtrip(self):
-        state = update_state(ForecasterState("a"), 0.36, CALIB)
-        assert state.p_hat.p == pytest.approx(0.9, abs=1e-12)
+        panel = cell_panel({"a": lambda r: r + 0.6, "b": lambda r: r - 0.6})
+        report = run_backtest(panel, ("EWM",), Calibration(1, {"X": 1.0}))
+        assert report.diagnostics[0].median_p_hat == pytest.approx(0.9, abs=1e-12)
 
     def test_window_restricts_history(self):
-        state = ForecasterState("a", squared_errors=(10.0, 10.0), mse=10.0)
-        state = update_state(state, 0.0, CALIB, window=1)
-        assert state.mse == 0.0
-        assert state.squared_errors == (10.0, 10.0, 0.0)
-
-    def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            update_state(ForecasterState("a"), -0.1, CALIB)
+        panel = cell_panel({"a": lambda r: 1.0, "b": lambda r: 3.0})
+        calib = Calibration(1, {"X": 2.0})
+        trail = cell_estimates(panel, "X", 1, ("KF",), calib, window=1)["KF"]
+        full = cell_estimates(panel, "X", 1, ("KF",), calib)["KF"]
+        for i, (_, estimate) in enumerate(trail, start=2):
+            mses = {j: errors[i - 1] for j, errors in self.SQUARED.items()}
+            expected = expected_kf({"a": 1.0, "b": 3.0}, mses, (1, 2.0))
+            assert estimate == pytest.approx(expected, abs=1e-12)
+        assert trail != full
 
     def test_contribution_running_mean(self):
-        state = add_contribution(ForecasterState("a"), 1.0)
-        state = add_contribution(state, 0.0)
-        assert state.contribution == pytest.approx(0.5)
-        assert state.contribution_count == 2
+        contributions, counts = {}, {}
+        # a alone beside the truth: its term is (1 - 0)^2 - 0^2 = 1
+        fold_contributions(
+            contributions, counts, SurveySlice("2000Q1", {"a": -1.0, "b": 1.0}, frozenset("ab")), 0.0
+        )
+        # a on the crowd mean: its term is 0
+        fold_contributions(
+            contributions, counts,
+            SurveySlice("2000Q2", {"a": 2.0, "b": 1.0, "c": 3.0}, frozenset("abc")), 5.0,
+        )
+        assert contributions["a"] == pytest.approx(0.5)
+        assert counts["a"] == 2
+        assert counts == {"a": 2, "b": 2, "c": 1}
 
 
 class TestContributionTerms:
@@ -121,11 +176,11 @@ class TestContributionTerms:
             (SurveySlice("2000Q1", {"a": 1.0, "b": 3.0, "c": 4.0}, frozenset("abc")), 2.0),
             (SurveySlice("2000Q2", {"a": 2.0, "b": 0.0, "c": 1.0}, frozenset("abc")), 1.5),
         ]
-        states = contribution_update(history, {})
-        oracle, counts = brute_force_contributions(history)
+        contributions, counts = fold_history(history)
+        oracle, oracle_counts = brute_force_contributions(history)
         for j in "abc":
-            assert states[j].contribution == pytest.approx(oracle[j], abs=1e-12)
-            assert states[j].contribution_count == counts[j]
+            assert contributions[j] == pytest.approx(oracle[j], abs=1e-12)
+            assert counts[j] == oracle_counts[j]
 
     def test_randomized_against_brute_force(self):
         rng = random.Random(41)
@@ -140,11 +195,11 @@ class TestContributionTerms:
                     (SurveySlice(f"20{s:02d}Q1", forecasts, frozenset(active)),
                      rng.uniform(-5, 5))
                 )
-            states = contribution_update(history, {})
+            contributions, _ = fold_history(history)
             oracle, counts = brute_force_contributions(history)
-            assert set(states) == set(oracle)
+            assert set(contributions) == set(oracle)
             for j in oracle:
-                assert states[j].contribution == pytest.approx(oracle[j], abs=1e-10)
+                assert contributions[j] == pytest.approx(oracle[j], abs=1e-10)
 
 
 class TestEwm:
@@ -174,106 +229,89 @@ class TestEwm:
 
 class TestKfCrowd:
     def test_equal_reliability_equals_mean(self):
-        states = {j: make_state(j, p=0.8) for j in ("a", "b", "c")}
+        p_hats = {j: Judge(0.8) for j in ("a", "b", "c")}
         slice_ = SurveySlice(
             "2000Q1", {"a": 1.0, "b": 2.0, "c": 6.0}, frozenset({"a", "b", "c"})
         )
-        assert kf_crowd(slice_, states).estimate == pytest.approx(
+        assert kf_crowd(slice_, p_hats).estimate == pytest.approx(
             ewm(slice_).estimate, rel=1e-12
         )
 
     def test_pinned_two_forecaster_case(self):
-        states = {"a": make_state("a", p=0.9), "b": make_state("b", p=0.6)}
+        p_hats = {"a": Judge(0.9), "b": Judge(0.6)}
         slice_ = SurveySlice("2000Q1", {"a": 1.0, "b": 0.0}, frozenset({"a", "b"}))
-        result = kf_crowd(slice_, states)
+        result = kf_crowd(slice_, p_hats)
         assert result.estimate == pytest.approx(8.0 / 11.0, abs=1e-12)
         assert result.weights["a"] == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_ordering_invariance(self):
         rng = random.Random(44)
         ids = [f"f{i}" for i in range(6)]
-        states = {j: make_state(j, p=rng.uniform(0.55, 0.95)) for j in ids}
+        p_hats = {j: Judge(rng.uniform(0.55, 0.95)) for j in ids}
         forecasts = {j: rng.uniform(0, 10) for j in ids}
-        base = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), states)
+        base = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), p_hats)
         for _ in range(5):
             order = ids[:]
             rng.shuffle(order)
             shuffled = {j: forecasts[j] for j in order}
-            again = kf_crowd(SurveySlice("s", shuffled, frozenset(ids)), states)
+            again = kf_crowd(SurveySlice("s", shuffled, frozenset(ids)), p_hats)
             assert again.estimate == base.estimate
 
     def test_matches_recursive_fold(self):
         rng = random.Random(48)
         for _ in range(50):
             ids = [f"f{i}" for i in range(rng.randint(1, 8))]
-            states = {j: make_state(j, p=rng.uniform(0.5, 0.999)) for j in ids}
+            p_hats = {j: Judge(rng.uniform(0.5, 0.999)) for j in ids}
             forecasts = {j: rng.uniform(-10, 10) for j in ids}
-            result = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), states)
-            folded, _ = fuse_sequence([(forecasts[j], states[j].p_hat) for j in ids])
+            result = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), p_hats)
+            folded, _ = fuse_sequence([(forecasts[j], p_hats[j]) for j in ids])
             assert result.estimate == pytest.approx(folded, rel=1e-12, abs=1e-12)
 
     def test_perfect_forecasters_share_weight(self):
-        states = {
-            "a": make_state("a", p=1.0), "b": make_state("b", p=1.0),
-            "c": make_state("c", p=0.7),
-        }
+        p_hats = {"a": Judge(1.0), "b": Judge(1.0), "c": Judge(0.7)}
         slice_ = SurveySlice("s", {"a": 3.0, "b": 3.0, "c": 9.0}, frozenset("abc"))
-        result = kf_crowd(slice_, states)
+        result = kf_crowd(slice_, p_hats)
         assert result.estimate == 3.0
         assert result.weights == {"a": 0.5, "b": 0.5, "c": 0.0}
         # perfect members that disagree share the weight too
         slice_ = SurveySlice("s", {"a": 3.0, "b": 4.0, "c": 9.0}, frozenset("abc"))
-        result = kf_crowd(slice_, states)
+        result = kf_crowd(slice_, p_hats)
         assert result.estimate == 3.5
         assert result.weights == {"a": 0.5, "b": 0.5, "c": 0.0}
 
     def test_missing_reliability_raises(self):
-        states = {"a": ForecasterState("a")}
         with pytest.raises(ValueError):
-            kf_crowd(SurveySlice("s", {"a": 1.0}, frozenset("a")), states)
+            kf_crowd(SurveySlice("s", {"a": 1.0}, frozenset("a")), {})
 
 
 class TestCwm:
     def test_equal_positive_contributions(self):
-        states = {
-            "a": make_state("a", p=0.8, contribution=0.2, count=3),
-            "b": make_state("b", p=0.8, contribution=0.2, count=3),
-        }
+        contributions = {"a": 0.2, "b": 0.2}
         slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        assert cwm(slice_, states).estimate == pytest.approx(2.0)
+        assert cwm(slice_, contributions).estimate == pytest.approx(2.0)
 
     def test_normalization_and_exclusion(self):
-        states = {
-            "a": make_state("a", p=0.8, contribution=0.3, count=3),
-            "b": make_state("b", p=0.8, contribution=0.1, count=3),
-            "c": make_state("c", p=0.8, contribution=-0.5, count=3),
-        }
+        contributions = {"a": 0.3, "b": 0.1, "c": -0.5}
         slice_ = SurveySlice(
             "s", {"a": 1.0, "b": 5.0, "c": 100.0}, frozenset({"a", "b", "c"})
         )
-        result = cwm(slice_, states)
+        result = cwm(slice_, contributions)
         assert result.estimate == pytest.approx(2.0, abs=1e-12)
         assert result.weights == pytest.approx({"a": 0.75, "b": 0.25})
         assert "c" not in result.contributors
 
     def test_all_nonpositive_falls_back_to_equal_weights(self):
-        states = {
-            "a": make_state("a", p=0.8, contribution=-0.1, count=2),
-            "b": make_state("b", p=0.8, contribution=0.0, count=2),
-        }
+        contributions = {"a": -0.1, "b": 0.0}
         slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        result = cwm(slice_, states)
+        result = cwm(slice_, contributions)
         assert result.estimate == 2.0
         assert result.rule == "CWM"
 
     def test_zero_contribution_is_excluded(self):
         # "positive" is read strictly: a zero score stays out of the subset
-        states = {
-            "a": make_state("a", p=0.8, contribution=0.4, count=2),
-            "b": make_state("b", p=0.8, contribution=0.0, count=2),
-        }
+        contributions = {"a": 0.4, "b": 0.0}
         slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        assert cwm(slice_, states).contributors == frozenset({"a"})
+        assert cwm(slice_, contributions).contributors == frozenset({"a"})
 
     def test_randomized_against_brute_force(self):
         rng = random.Random(45)
@@ -288,99 +326,82 @@ class TestCwm:
                     (SurveySlice(f"19{s:02d}Q1", forecasts, frozenset(active)),
                      rng.uniform(-5, 5))
                 )
-            states = contribution_update(history, {})
-            for j in ids:
-                state = states.get(j, ForecasterState(j))
-                states[j] = make_state(
-                    j, p=0.8, contribution=state.contribution,
-                    count=state.contribution_count,
-                )
+            contributions, _ = fold_history(history)
             current = {j: rng.uniform(-5, 5) for j in ids}
             slice_ = SurveySlice("2020Q1", current, frozenset(ids))
             oracle, _ = brute_force_contributions(history)
             expected = brute_force_cwm(slice_, oracle)
-            assert cwm(slice_, states).estimate == pytest.approx(expected, abs=1e-10)
+            assert cwm(slice_, contributions).estimate == pytest.approx(expected, abs=1e-10)
 
 
 class TestKfPlus:
     def test_subset_of_one(self):
-        states = {
-            "a": make_state("a", p=0.9, contribution=0.5, count=2),
-            "b": make_state("b", p=0.9, contribution=-0.5, count=2),
-        }
+        p_hats = {"a": Judge(0.9), "b": Judge(0.9)}
+        contributions = {"a": 0.5, "b": -0.5}
         slice_ = SurveySlice("s", {"a": 7.0, "b": 1.0}, frozenset({"a", "b"}))
-        result = kf_plus(slice_, states)
+        result = kf_plus(slice_, p_hats, contributions)
         assert result.estimate == 7.0
         assert result.contributors == frozenset({"a"})
 
     def test_pinned_subset_weights(self):
-        states = {
-            "a": make_state("a", p=0.9, contribution=0.5, count=2),
-            "b": make_state("b", p=0.6, contribution=0.5, count=2),
-            "c": make_state("c", p=0.99, contribution=-1.0, count=2),
-        }
+        p_hats = {"a": Judge(0.9), "b": Judge(0.6), "c": Judge(0.99)}
+        contributions = {"a": 0.5, "b": 0.5, "c": -1.0}
         slice_ = SurveySlice(
             "s", {"a": 1.0, "b": 0.0, "c": 50.0}, frozenset({"a", "b", "c"})
         )
-        assert kf_plus(slice_, states).estimate == pytest.approx(8.0 / 11.0, abs=1e-12)
+        assert kf_plus(slice_, p_hats, contributions).estimate == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_differs_from_cwm_when_contributions_unequal(self):
-        states = {
-            "a": make_state("a", p=0.8, contribution=0.9, count=2),
-            "b": make_state("b", p=0.8, contribution=0.1, count=2),
-        }
+        p_hats = {"a": Judge(0.8), "b": Judge(0.8)}
+        contributions = {"a": 0.9, "b": 0.1}
         slice_ = SurveySlice("s", {"a": 2.0, "b": 4.0}, frozenset({"a", "b"}))
         # equal reliabilities: the fusion weighs evenly, contributions do not
-        assert kf_plus(slice_, states).estimate == pytest.approx(3.0, rel=1e-12)
-        assert cwm(slice_, states).estimate == pytest.approx(2.2, rel=1e-12)
+        assert kf_plus(slice_, p_hats, contributions).estimate == pytest.approx(3.0, rel=1e-12)
+        assert cwm(slice_, contributions).estimate == pytest.approx(2.2, rel=1e-12)
 
     def test_contributor_nesting(self):
         rng = random.Random(46)
         ids = [f"f{i}" for i in range(6)]
-        states = {
-            j: make_state(
-                j, p=rng.uniform(0.55, 0.95),
-                contribution=rng.uniform(-0.5, 0.5), count=2,
-            )
-            for j in ids
-        }
+        p_hats, contributions = {}, {}
+        for j in ids:
+            p_hats[j] = Judge(rng.uniform(0.55, 0.95))
+            contributions[j] = rng.uniform(-0.5, 0.5)
         slice_ = SurveySlice("s", {j: rng.uniform(0, 5) for j in ids}, frozenset(ids))
-        plus, weighted = kf_plus(slice_, states), cwm(slice_, states)
+        plus = kf_plus(slice_, p_hats, contributions)
+        weighted = cwm(slice_, contributions)
         assert plus.contributors <= weighted.contributors
         assert weighted.contributors <= slice_.eligible
 
     def test_fallback_matches_cwm(self):
-        states = {
-            "a": make_state("a", p=0.9, contribution=-0.2, count=1),
-            "b": make_state("b", p=0.6, contribution=-0.1, count=1),
-        }
+        p_hats = {"a": Judge(0.9), "b": Judge(0.6)}
+        contributions = {"a": -0.2, "b": -0.1}
         slice_ = SurveySlice("s", {"a": 1.0, "b": 5.0}, frozenset({"a", "b"}))
-        assert kf_plus(slice_, states).estimate == 3.0
+        assert kf_plus(slice_, p_hats, contributions).estimate == 3.0
 
 
 class TestTopN:
     def test_covering_population_is_identity(self):
-        states = {j: make_state(j, p=0.7) for j in ("a", "b")}
-        assert top_n_subset(states, 5) == frozenset({"a", "b"})
+        p_hats = {"a": Judge(0.7), "b": Judge(0.7)}
+        ranked = rank_by_reliability(["a", "b"], p_hats, {"a": 0.5, "b": 0.5})
+        assert set(ranked[:5]) == {"a", "b"}
 
     def test_top_two_by_reliability(self):
-        states = {
-            "a": make_state("a", p=0.9), "b": make_state("b", p=0.8),
-            "c": make_state("c", p=0.7),
-        }
-        assert top_n_subset(states, 2) == frozenset({"a", "b"})
+        p_hats = {"a": Judge(0.9), "b": Judge(0.8), "c": Judge(0.7)}
+        mse = {"a": 0.5, "b": 0.5, "c": 0.5}
+        assert rank_by_reliability("cba", p_hats, mse)[:2] == ["a", "b"]
 
     def test_tie_breaks_deterministic(self):
         # equal clamped reliability: lower MSE wins, then the id
-        a = make_state("a", p=0.5, mse=3.0)
-        b = make_state("b", p=0.5, mse=2.0)
-        c = make_state("c", p=0.5, mse=2.0)
-        assert top_n_subset({"a": a, "b": b, "c": c}, 1) == frozenset({"b"})
-        assert top_n_subset({"a": a, "b": b, "c": c}, 2) == frozenset({"b", "c"})
+        p_hats = {j: Judge(0.5) for j in "abc"}
+        mse = {"a": 3.0, "b": 2.0, "c": 2.0}
+        ranked = rank_by_reliability("abc", p_hats, mse)
+        assert ranked[:1] == ["b"]
+        assert ranked[:2] == ["b", "c"]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            top_n_subset({}, 0)
+        # a forecaster without a reliability estimate cannot be ranked
+        with pytest.raises(KeyError):
+            rank_by_reliability(["a", "b"], {"a": Judge(0.7)}, {"a": 0.5, "b": 0.5})
 
 
 class TestWeightNormalization:
@@ -388,18 +409,18 @@ class TestWeightNormalization:
         rng = random.Random(47)
         for _ in range(20):
             ids = [f"f{i}" for i in range(rng.randint(2, 7))]
-            states = {
-                j: make_state(
-                    j, p=rng.uniform(0.5, 1.0),
-                    contribution=rng.uniform(-1, 1), count=rng.randint(0, 3),
-                )
-                for j in ids
-            }
+            p_hats, contributions = {}, {}
+            for j in ids:
+                p_hats[j] = Judge(rng.uniform(0.5, 1.0))
+                contribution, count = rng.uniform(-1, 1), rng.randint(0, 3)
+                if count > 0:
+                    contributions[j] = contribution
             slice_ = SurveySlice(
                 "s", {j: rng.uniform(-10, 10) for j in ids}, frozenset(ids)
             )
-            for rule in (ewm, lambda s: kf_crowd(s, states),
-                         lambda s: cwm(s, states), lambda s: kf_plus(s, states)):
+            for rule in (ewm, lambda s: kf_crowd(s, p_hats),
+                         lambda s: cwm(s, contributions),
+                         lambda s: kf_plus(s, p_hats, contributions)):
                 result = rule(slice_)
                 total = sum(result.weights[j] for j in result.contributors)
                 assert abs(total - 1.0) <= 1e-9

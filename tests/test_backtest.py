@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdfuse.aggregation import ALL_RULES
 from crowdfuse.backtest import (
@@ -61,6 +65,19 @@ def hand_panel():
 def synth_calibrated(config):
     panel = synth_panel(config)
     return panel, calibrate_v(calibration_series(panel))
+
+
+def report_bytes(report):
+    """The three report CSVs of a backtest, as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = []
+        for write, rows in ((write_rmse_csv, report.cells), (write_dm_csv, report.dm),
+                            (write_diagnostics_csv, report.diagnostics)):
+            path = os.path.join(tmp, "report.csv")
+            write(rows, path)
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+    return out
 
 
 def rmse_of(report, rule, variable=None, horizon=None):
@@ -251,6 +268,57 @@ class TestRunBacktest:
             paths.append((rmse_path, dm_path, diag_path))
         for a, b in zip(*paths):
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestWindow:
+    def test_window_covering_every_survey_is_no_window(self):
+        panel, calib = synth_calibrated(
+            SynthConfig(num_forecasters=6, num_surveys=25, seed=79, turnover=0.1,
+                        horizons=2, p_dist="uniform", p_low=0.6, p_high=0.95)
+        )
+        plain = report_bytes(run_backtest(panel, RULES, calib, hln=True))
+        for window in (len(panel.surveys), len(panel.surveys) + 7):
+            assert report_bytes(run_backtest(panel, RULES, calib, window=window, hln=True)) == plain
+        points = subset_sweep(panel, (1, 2), range(1, 8), calib)
+        assert subset_sweep(panel, (1, 2), range(1, 8), calib, window=len(panel.surveys)) == points
+
+
+synth_configs = st.builds(
+    SynthConfig,
+    num_forecasters=st.integers(2, 8),
+    num_surveys=st.integers(8, 30),
+    seed=st.integers(0, 2**32 - 1),
+    turnover=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+    horizons=st.integers(1, 3),
+    p_dist=st.sampled_from(["const", "uniform", "two_point"]),
+    p_value=st.floats(0.5, 1.0),
+    p_low=st.floats(0.5, 0.8),
+    p_high=st.floats(0.8, 1.0),
+    p_decay=st.sampled_from([0.0, 0.05, 0.3]),
+)
+
+
+class TestTotality:
+    @given(config=synth_configs, window=st.sampled_from([None, 1, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_every_generated_panel_backtests(self, config, window):
+        panel, calib = synth_calibrated(config)
+        report = run_backtest(panel, RULES, calib, window=window)
+        assert report_bytes(run_backtest(panel, RULES, calib, window=window)) == report_bytes(report)
+        for horizon in range(1, config.horizons + 1):
+            trail = cell_estimates(panel, "SYN", horizon, RULES, calib, window=window)
+            for rule in RULES:
+                assert all(math.isfinite(e) for _, e in trail[rule])
+        horizons = tuple(range(1, config.horizons + 1))
+        n = config.num_forecasters
+        points = subset_sweep(panel, horizons, [n, n + 2], calib, window=window)
+        table = {(p.horizon, p.rule, p.n_included): p.rmse for p in points}
+        for cell in report.cells:
+            for size in (n, n + 2):
+                if cell.n_surveys:
+                    assert table[(cell.horizon, cell.rule, size)] == cell.rmse
+                else:
+                    assert (cell.horizon, cell.rule, size) not in table
 
 
 class TestSubsetSweep:

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdfuse.quincunx import (
@@ -166,10 +167,18 @@ class TestVarianceCorrespondence:
             p_from_mse(-0.1, 1, 1.0)
 
     @given(p=probabilities, count=counts, unit=units)
+    @example(p=0.5000000000000001, count=3, unit=1.0)
     @settings(max_examples=300)
     def test_roundtrip(self, p, count, unit):
-        back = p_from_mse(variance_from_p(p, count, unit), count, unit)
-        assert abs(back.p - p) < 1e-12
+        # Near p = 0.5 the map p -> 4C(1-p)p v^2 is flat, so a rounded
+        # variance pins p only to about 1e-8; there the variance must
+        # round-trip instead.
+        v = variance_from_p(p, count, unit)
+        back = p_from_mse(v, count, unit)
+        assert (
+            abs(back.p - p) < 1e-12
+            or abs(variance_from_p(back.p, count, unit) - v) <= 4 * sys.float_info.epsilon * v
+        )
 
 
 class TestFuseP:
