@@ -14,9 +14,13 @@ Four ways to turn one survey's forecasts into a point estimate:
 Forecaster bookkeeping is plain mappings keyed by forecaster id: the
 estimated reliability p-hat (``Mapping[str, Judge]``) and the running mean
 of leave-one-out contributions (``Mapping[str, float]``), in which a
-forecaster appears once they have at least one term. The rules only read
-them, so one survey's aggregation is a pure function of its inputs;
-:func:`fold_contributions` updates the contribution means in place, and
+forecaster appears once they have at least one term.
+
+Each weight formula, the positive-contribution test and the leave-one-out
+term live once, in private helpers over members in sorted order. The
+backtest calls the kernel :func:`rule_estimates` (four estimates and the
+CWM fallback flag as plain values) and :func:`fold_survey`; the public
+rules wrap the same helpers in an :class:`AggregateResult`.
 :func:`rank_by_reliability` orders forecasters for the top-n
 smaller-wiser-crowd runs.
 """
@@ -24,6 +28,7 @@ smaller-wiser-crowd runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, MutableMapping, Sequence
 
 from .quincunx import Judge
@@ -67,35 +72,154 @@ class AggregateResult:
     def __post_init__(self) -> None:
         if not self.contributors:
             raise ValueError("an aggregate needs at least one contributor")
-        total = sum(self.weights[j] for j in self.contributors)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
+        _check_normalized(self.weights[j] for j in self.contributors)
+
+
+def _check_normalized(weights: Iterable[float]) -> None:
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"weights sum to {total!r}, expected 1")
+
+
+def _weighted_sum(weights: Sequence[float], values: Sequence[float]) -> float:
+    return sum(map(mul, weights, values))
+
+
+def _equal_weights(values: Sequence[float]) -> tuple[list[float], float]:
+    """Equal weights and the plain mean."""
+    n = len(values)
+    return [1.0 / n] * n, sum(values) / n
+
+
+def _inverse_variance_weights(
+    noises: Sequence[float], values: Sequence[float]
+) -> tuple[list[float], float]:
+    """Weights proportional to 1 / noise and the weighted sum of the values.
+
+    Members at zero noise (p = 1) share the whole weight equally, whatever
+    their values.
+    """
+    perfect = noises.count(0.0)
+    if perfect:
+        w = 1.0 / perfect
+        weights = [w if u == 0.0 else 0.0 for u in noises]
+    else:
+        inverse = [1.0 / u for u in noises]
+        total = sum(inverse)
+        weights = [x / total for x in inverse]
+    return weights, _weighted_sum(weights, values)
+
+
+def _contribution_weights(
+    scores: Sequence[float], values: Sequence[float]
+) -> tuple[list[float], float]:
+    """Weights proportional to positive contribution scores, and the weighted sum."""
+    total = sum(scores)
+    weights = [c / total for c in scores]
+    return weights, _weighted_sum(weights, values)
+
+
+def _noises(ids: Sequence[str], noise: Mapping[str, float]) -> list[float]:
+    try:
+        return [noise[j] for j in ids]
+    except KeyError as missing:
+        raise ValueError(f"forecaster {missing.args[0]} has no reliability estimate") from None
+
+
+def _positive(ids: Sequence[str], contributions: Mapping[str, float]) -> list[int]:
+    """Positions of the members whose mean contribution is strictly positive."""
+    return [i for i, j in enumerate(ids) if contributions.get(j, 0.0) > 0.0]
+
+
+def _loo_terms(values: Sequence[float], realized: float) -> list[float]:
+    """Leave-one-out terms of one realized survey, one per value; none below two."""
+    n = len(values)
+    if n < 2:
+        return []
+    total = sum(values)
+    err_all = (total / n - realized) ** 2
+    return [((total - x) / (n - 1) - realized) ** 2 - err_all for x in values]
+
+
+def rule_estimates(
+    ids: Sequence[str],
+    values: Sequence[float],
+    noise: Mapping[str, float],
+    contributions: Mapping[str, float],
+) -> tuple[float, float, float, float, bool]:
+    """The EWM, KF, CWM and KFplus estimates of one survey (the order of
+    ``ALL_RULES``), and the CWM fallback flag.
+
+    ``ids`` are the survey's members in sorted order and ``values`` their
+    forecasts; ``noise`` maps a forecaster to (1 - p) p of their estimated
+    reliability and ``contributions`` to their mean leave-one-out term. The
+    flag is true when no member has a positive contribution, so that CWM
+    and KFplus fall back to the equal-weight mean. Every rule's weights are
+    checked to sum to one.
+    """
+    if not ids:
+        raise NoEligibleForecastersError("nobody eligible")
+    noises = _noises(ids, noise)
+    ew_weights, ew = _equal_weights(values)
+    kf_weights, kf = _inverse_variance_weights(noises, values)
+    _check_normalized(ew_weights)
+    _check_normalized(kf_weights)
+    keep = _positive(ids, contributions)
+    if not keep:
+        return ew, kf, ew, ew, True
+    kept = [values[i] for i in keep]
+    cw_weights, cw = _contribution_weights([contributions[ids[i]] for i in keep], kept)
+    kp_weights, kp = _inverse_variance_weights([noises[i] for i in keep], kept)
+    _check_normalized(cw_weights)
+    _check_normalized(kp_weights)
+    return ew, kf, cw, kp, False
+
+
+def fold_survey(
+    contributions: MutableMapping[str, float],
+    counts: MutableMapping[str, int],
+    ids: Sequence[str],
+    values: Sequence[float],
+    realized: float,
+) -> None:
+    """Fold one realized survey's leave-one-out terms into the running means.
+
+    ``ids`` and ``values`` are the survey's members in sorted order and
+    their forecasts. ``contributions`` holds each forecaster's mean term
+    over the ``counts[j]`` surveys that gave them one; both are updated in
+    place.
+    """
+    for j, term in zip(ids, _loo_terms(values, realized)):
+        count = counts.get(j, 0) + 1
+        mean = contributions.get(j, 0.0)
+        contributions[j] = mean + (term - mean) / count
+        counts[j] = count
+
+
+def _members(slice_: SurveySlice) -> tuple[list[str], list[float]]:
+    """The slice's eligible ids in sorted order and their forecasts."""
+    members = sorted(slice_.eligible)
+    if not members:
+        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
+    return members, [slice_.forecasts[j] for j in members]
+
+
+def _result(
+    rule: str, contributors: Sequence[str], weighted: tuple[list[float], float]
+) -> AggregateResult:
+    weights, estimate = weighted
+    return AggregateResult(
+        rule=rule,
+        estimate=estimate,
+        contributors=frozenset(contributors),
+        weights=dict(zip(contributors, weights)),
+    )
 
 
 def ewm(slice_: SurveySlice) -> AggregateResult:
     """Equal-weight mean over the eligible forecasters."""
-    members = sorted(slice_.eligible)
-    if not members:
-        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    estimate = sum(slice_.forecasts[j] for j in members) / len(members)
-    w = 1.0 / len(members)
-    return AggregateResult(
-        rule=RULE_EWM,
-        estimate=estimate,
-        contributors=frozenset(members),
-        weights={j: w for j in members},
-    )
-
-
-def _inverse_variance_weights(members: Sequence[str], p_hats: Mapping[str, Judge]) -> dict[str, float]:
-    noises = {j: p_hats[j].noise for j in members}
-    perfect = [j for j in members if noises[j] == 0.0]
-    if perfect:
-        w = 1.0 / len(perfect)
-        return {j: (w if j in perfect else 0.0) for j in members}
-    inv = {j: 1.0 / noises[j] for j in members}
-    total = sum(inv[j] for j in members)
-    return {j: inv[j] / total for j in members}
+    members, values = _members(slice_)
+    return _result(RULE_EWM, members, _equal_weights(values))
 
 
 def kf_crowd(
@@ -111,19 +235,9 @@ def kf_crowd(
     Forecasters at p = 1 share the whole weight equally, whatever their
     forecasts. Equal reliabilities reduce this to the equal-weight mean.
     """
-    members = sorted(slice_.eligible)
-    if not members:
-        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    for j in members:
-        if p_hats.get(j) is None:
-            raise ValueError(f"forecaster {j} has no reliability estimate")
-    weights = _inverse_variance_weights(members, p_hats)
-    return AggregateResult(
-        rule=rule,
-        estimate=sum(weights[j] * slice_.forecasts[j] for j in members),
-        contributors=frozenset(members),
-        weights=weights,
-    )
+    members, values = _members(slice_)
+    noise = {j: judge.noise for j in members if (judge := p_hats.get(j)) is not None}
+    return _result(rule, members, _inverse_variance_weights(_noises(members, noise), values))
 
 
 def slice_contribution_terms(slice_: SurveySlice, realized: float) -> dict[str, float]:
@@ -136,18 +250,8 @@ def slice_contribution_terms(slice_: SurveySlice, realized: float) -> dict[str, 
     is undefined).
     """
     members = sorted(slice_.eligible)
-    if len(members) < 2:
-        return {}
     values = [slice_.forecasts[j] for j in members]
-    total = sum(values)
-    n = len(values)
-    mean_all = total / n
-    err_all = (mean_all - realized) ** 2
-    terms: dict[str, float] = {}
-    for j, x in zip(members, values):
-        mean_without = (total - x) / (n - 1)
-        terms[j] = (mean_without - realized) ** 2 - err_all
-    return terms
+    return dict(zip(members, _loo_terms(values, realized)))
 
 
 def fold_contributions(
@@ -156,22 +260,16 @@ def fold_contributions(
     slice_: SurveySlice,
     realized: float,
 ) -> None:
-    """Fold one realized survey's leave-one-out terms into the running means.
-
-    ``contributions`` holds each forecaster's mean term over the
-    ``counts[j]`` surveys that gave them one; both are updated in place.
-    """
-    for j, term in slice_contribution_terms(slice_, realized).items():
-        count = counts.get(j, 0) + 1
-        mean = contributions.get(j, 0.0)
-        contributions[j] = mean + (term - mean) / count
-        counts[j] = count
+    """:func:`fold_survey` over a slice's eligible forecasters."""
+    members = sorted(slice_.eligible)
+    fold_survey(contributions, counts, members, [slice_.forecasts[j] for j in members], realized)
 
 
 def positive_contribution_subset(
     slice_: SurveySlice, contributions: Mapping[str, float]
 ) -> list[str]:
-    return [j for j in sorted(slice_.eligible) if contributions.get(j, 0.0) > 0.0]
+    members = sorted(slice_.eligible)
+    return [members[i] for i in _positive(members, contributions)]
 
 
 def cwm(slice_: SurveySlice, contributions: Mapping[str, float]) -> AggregateResult:
@@ -181,26 +279,13 @@ def cwm(slice_: SurveySlice, contributions: Mapping[str, float]) -> AggregateRes
     has a positive score the rule degrades to equal weights over the
     eligible set, keeping the backtest total.
     """
-    if not slice_.eligible:
-        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    subset = positive_contribution_subset(slice_, contributions)
-    if not subset:
-        fallback = ewm(slice_)
-        return AggregateResult(
-            rule=RULE_CWM,
-            estimate=fallback.estimate,
-            contributors=fallback.contributors,
-            weights=fallback.weights,
-        )
-    total = sum(contributions[j] for j in subset)
-    weights = {j: contributions[j] / total for j in subset}
-    estimate = sum(weights[j] * slice_.forecasts[j] for j in subset)
-    return AggregateResult(
-        rule=RULE_CWM,
-        estimate=estimate,
-        contributors=frozenset(subset),
-        weights=weights,
-    )
+    members, values = _members(slice_)
+    keep = _positive(members, contributions)
+    if not keep:
+        return _result(RULE_CWM, members, _equal_weights(values))
+    subset = [members[i] for i in keep]
+    scores = [contributions[j] for j in subset]
+    return _result(RULE_CWM, subset, _contribution_weights(scores, [values[i] for i in keep]))
 
 
 def kf_plus(
@@ -213,23 +298,12 @@ def kf_plus(
     Same membership as :func:`cwm`, same equal-weight fallback, but the
     weights within the subset come from the estimated reliabilities.
     """
-    if not slice_.eligible:
-        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    subset = positive_contribution_subset(slice_, contributions)
-    if not subset:
-        fallback = ewm(slice_)
-        return AggregateResult(
-            rule=RULE_KFPLUS,
-            estimate=fallback.estimate,
-            contributors=fallback.contributors,
-            weights=fallback.weights,
-        )
-    restricted = SurveySlice(
-        survey_id=slice_.survey_id,
-        forecasts=slice_.forecasts,
-        eligible=frozenset(subset),
-    )
-    return kf_crowd(restricted, p_hats, rule=RULE_KFPLUS)
+    members, values = _members(slice_)
+    keep = _positive(members, contributions)
+    if not keep:
+        return _result(RULE_KFPLUS, members, _equal_weights(values))
+    subset = frozenset(members[i] for i in keep)
+    return kf_crowd(SurveySlice(slice_.survey_id, slice_.forecasts, subset), p_hats, rule=RULE_KFPLUS)
 
 
 def rank_by_reliability(

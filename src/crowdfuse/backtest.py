@@ -20,24 +20,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .aggregation import (
     ALL_RULES,
     RULE_CWM,
-    RULE_EWM,
-    RULE_KF,
-    RULE_KFPLUS,
-    SurveySlice,
-    cwm,
-    ewm,
-    fold_contributions,
-    kf_crowd,
-    kf_plus,
-    positive_contribution_subset,
+    fold_survey,
     rank_by_reliability,
+    rule_estimates,
 )
 from .panel import Calibration, Panel, add_quarters, period_end_month
 from .quincunx import Judge, p_from_mse
@@ -149,23 +141,6 @@ def dm_test(
     return float(stat), float(p_value)
 
 
-def _estimate(
-    rule: str,
-    slice_: SurveySlice,
-    p_hats: Mapping[str, Judge],
-    contributions: Mapping[str, float],
-):
-    if rule == RULE_EWM:
-        return ewm(slice_)
-    if rule == RULE_KF:
-        return kf_crowd(slice_, p_hats)
-    if rule == RULE_CWM:
-        return cwm(slice_, contributions)
-    if rule == RULE_KFPLUS:
-        return kf_plus(slice_, p_hats, contributions)
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 @dataclass
 class CellTrail:
     """What one eligible-set limit of a variable-horizon cell produced.
@@ -207,53 +182,64 @@ def _run_cell(
     history: dict[str, list[float]] = {}
     mse: dict[str, float] = {}
     p_hats: dict[str, Judge] = {}
+    noise: dict[str, float] = {}
     contributions: dict[int | None, dict[str, float]] = {n: {} for n in limits}
     counts: dict[int | None, dict[str, int]] = {n: {} for n in limits}
-    maturing: dict[int, list[tuple[dict[str, float], dict[int | None, SurveySlice], float]]] = {}
+    # per matured survey: its forecasts, each limit's (sorted ids, values), the realized value
+    maturing: dict[
+        int, list[tuple[dict[str, float], dict[int | None, tuple[list[str], list[float]]], float]]
+    ] = {}
     trails = {n: CellTrail({r: [] for r in rules}, {r: [] for r in rules}) for n in limits}
+    slots = [(rule, _RULE_ORDER[rule]) for rule in rules]
     ranking = any(n is not None for n in limits)
 
     for idx, survey in enumerate(surveys):
-        for forecasts, slices, realized in maturing.pop(idx, ()):
-            for n, slice_ in slices.items():
-                fold_contributions(contributions[n], counts[n], slice_, realized)
+        for forecasts, members, realized in maturing.pop(idx, ()):
+            for n, (ids, values) in members.items():
+                fold_survey(contributions[n], counts[n], ids, values, realized)
             for j, x in forecasts.items():
                 errors = history.setdefault(j, [])
                 errors.append((x - realized) ** 2)
                 scored = errors if window is None else errors[-window:]
                 mse[j] = sum(scored) / len(scored)
-                p_hats[j] = p_from_mse(mse[j], count, unit)
+                judge = p_hats[j] = p_from_mse(mse[j], count, unit)
+                noise[j] = judge.noise
 
         forecasts = panel.forecasts_at(survey, variable, horizon)
         if not forecasts:
             continue
         eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
+        everyone = (eligible, [forecasts[j] for j in eligible])
         ranked = rank_by_reliability(eligible, p_hats, mse) if ranking else eligible
         realization = panel.realization(variable, add_quarters(survey, horizon - 1))
-        slices = {}
+        members = {}
         for n, trail in trails.items():
-            members = eligible if n is None else ranked[:n]
-            slice_ = slices[n] = SurveySlice(survey, forecasts, frozenset(members))
-            if not members:
+            if n is None or n >= len(eligible):
+                ids, values = members[n] = everyone
+            else:
+                ids = sorted(ranked[:n])
+                values = [forecasts[j] for j in ids]
+                members[n] = (ids, values)
+            if not ids:
                 trail.skipped_surveys += 1
                 continue
             if n is None:
-                trail.p_hats.extend(p_hats[j].p for j in members)
-            for rule in rules:
-                estimate = _estimate(rule, slice_, p_hats, contributions[n]).estimate
-                trail.estimates[rule].append((survey, estimate))
+                trail.p_hats.extend(p_hats[j].p for j in ids)
+            *estimates, fallback = rule_estimates(ids, values, noise, contributions[n])
+            for rule, slot in slots:
+                trail.estimates[rule].append((survey, estimates[slot]))
                 if realization is not None:
-                    trail.errors[rule].append((idx, estimate - realization[0]))
+                    trail.errors[rule].append((idx, estimates[slot] - realization[0]))
             if realization is None:
                 trail.skipped_surveys += 1
-            elif not positive_contribution_subset(slice_, contributions[n]):
+            elif fallback:
                 trail.fallback_surveys += 1
 
         if realization is not None:
             # stamped after the target quarter ends, so after this survey: a later bucket
             known = bisect.bisect_left(end_months, realization[1])
             if known < len(surveys):
-                maturing.setdefault(known, []).append((forecasts, slices, realization[0]))
+                maturing.setdefault(known, []).append((forecasts, members, realization[0]))
     return trails
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quincunx import Environment, Judge, sample_estimate
+from .quincunx import Environment, sample_estimate_each
 
 log = logging.getLogger(__name__)
 
@@ -237,20 +237,6 @@ class Panel:
             return to_yearly_pct_change(levels, target), known_by
         except ZeroBaseError:
             return None
-
-    def realized_value(
-        self, variable: str, target: str, asof: str | None = None
-    ) -> float | None:
-        """Realized analysis-unit value for a target period, or None if unknown.
-
-        With ``asof`` set to a survey period, only first reports stamped by
-        the end of that period count as known; this is what keeps rolling
-        state updates free of lookahead.
-        """
-        known = self.realization(variable, target)
-        if known is None or (asof is not None and known[1] > period_end_month(asof)):
-            return None
-        return known[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +598,9 @@ def synth_panel(config: SynthConfig) -> Panel:
                 unit=config.unit,
                 deviation=deviations[s + h - 1],
             )
-            for fid, p_base in roster:
-                p_eff = min(1.0, max(0.5, p_base - config.p_decay * (h - 1)))
-                value = sample_estimate(Judge(p_eff), env, rng)
+            ps = [min(1.0, max(0.5, p_base - config.p_decay * (h - 1))) for _, p_base in roster]
+            values = sample_estimate_each(ps, env, rng)
+            for (fid, _), value in zip(roster, values):
                 forecasts.append(ForecastRow(periods[s], config.variable, h, fid, value))
 
     realizations = []

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -148,12 +149,23 @@ def sample_estimate(judge: Judge, env: Environment, rng: np.random.Generator) ->
     each is detected correctly with probability p, independently, and a
     wrong detection flips the element's contribution.
     """
-    n_pos = env.positive_elements
+    return sample_estimate_each([judge.p], env, rng)[0]
+
+
+def sample_estimate_each(
+    ps: Sequence[float], env: Environment, rng: np.random.Generator
+) -> list[float]:
+    """One :func:`sample_estimate` per reliability in ``ps`` (each in [0.5, 1]).
+
+    The uniforms for all of them come from one ``rng.random((len(ps),
+    count))`` draw, which consumes the stream exactly as ``len(ps)``
+    successive :func:`sample_estimate` calls do, so the values are the same.
+    """
     signs = np.ones(env.count)
-    signs[n_pos:] = -1.0
-    correct = rng.random(env.count) < judge.p
+    signs[env.positive_elements:] = -1.0
+    correct = rng.random((len(ps), env.count)) < np.asarray(ps, dtype=np.float64)[:, None]
     steps = np.where(correct, signs, -signs)
-    return env.norm + env.unit * float(steps.sum())
+    return [env.norm + env.unit * float(total) for total in steps.sum(axis=1)]
 
 
 def sample_estimates(

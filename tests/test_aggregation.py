@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdfuse.aggregation import (
     NoEligibleForecastersError,
@@ -8,9 +10,12 @@ from crowdfuse.aggregation import (
     cwm,
     ewm,
     fold_contributions,
+    fold_survey,
     kf_crowd,
     kf_plus,
+    positive_contribution_subset,
     rank_by_reliability,
+    rule_estimates,
     slice_contribution_terms,
 )
 from crowdfuse.backtest import cell_estimates, run_backtest
@@ -424,3 +429,84 @@ class TestWeightNormalization:
                 result = rule(slice_)
                 total = sum(result.weights[j] for j in result.contributors)
                 assert abs(total - 1.0) <= 1e-9
+
+
+values = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def surveys(draw):
+    """One survey: forecasts, a nonempty eligible subset, p-hats and contributions.
+
+    Reliabilities are often exactly 1, contribution means take either sign
+    or are missing (no term yet), and some forecasters are not eligible.
+    """
+    ids = [f"f{i}" for i in range(draw(st.integers(1, 7)))]
+    forecasts = {j: draw(values) for j in ids}
+    eligible = draw(st.sets(st.sampled_from(ids), min_size=1))
+    ps = {j: draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0))) for j in ids}
+    contributions = {
+        j: c for j in ids
+        if (c := draw(st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)))) is not None
+    }
+    return forecasts, frozenset(eligible), ps, contributions
+
+
+# realized surveys: forecasts, an eligible set (cut to the forecasters), the realization
+histories = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from("abcde"), values),
+              st.sets(st.sampled_from("abcde")), values),
+    max_size=8,
+)
+
+
+class TestRuleKernel:
+    """The kernel the engine calls equals the public rules it shares helpers with."""
+
+    @given(surveys())
+    @settings(max_examples=300, deadline=None)
+    # perfect members that disagree
+    @example(({"a": 1.0, "b": 2.0, "c": 9.0}, frozenset("abc"), {"a": 1.0, "b": 1.0, "c": 0.7},
+              {"a": 0.5, "b": 0.2, "c": 0.1}))
+    # every contribution at or below zero: both subset rules fall back
+    @example(({"a": 1.0, "b": 2.0}, frozenset("ab"), {"a": 0.8, "b": 0.6}, {"a": -0.3, "b": 0.0}))
+    # a single member
+    @example(({"a": 4.0, "b": 2.0}, frozenset("a"), {"a": 0.9, "b": 0.6}, {"a": 0.1}))
+    # mixed signs, one member without a term
+    @example(({"a": 1.0, "b": 2.0, "c": 5.0, "d": -1.0}, frozenset("abcd"),
+              {"a": 0.9, "b": 0.6, "c": 1.0, "d": 0.75}, {"a": 0.4, "b": -0.2, "c": 0.1}))
+    def test_estimates_and_fallback_equal_public_rules(self, survey):
+        forecasts, eligible, ps, contributions = survey
+        p_hats = {j: Judge(p) for j, p in ps.items()}
+        slice_ = SurveySlice("s", forecasts, eligible)
+        ids = sorted(eligible)
+        noise = {j: p.noise for j, p in p_hats.items()}
+        ew, kf, cw, kp, fallback = rule_estimates(
+            ids, [forecasts[j] for j in ids], noise, contributions
+        )
+        assert ew == ewm(slice_).estimate
+        assert kf == kf_crowd(slice_, p_hats).estimate
+        assert cw == cwm(slice_, contributions).estimate
+        assert kp == kf_plus(slice_, p_hats, contributions).estimate
+        assert fallback == (not positive_contribution_subset(slice_, contributions))
+
+    def test_missing_reliability_raises(self):
+        with pytest.raises(ValueError, match="no reliability estimate"):
+            rule_estimates(["a", "b"], [1.0, 2.0], {"a": 0.16}, {})
+
+    def test_empty_raises(self):
+        with pytest.raises(NoEligibleForecastersError):
+            rule_estimates([], [], {}, {})
+
+    @given(histories)
+    @settings(max_examples=200, deadline=None)
+    def test_engine_fold_equals_slice_fold(self, history):
+        engine_means, engine_counts = {}, {}
+        for forecasts, eligible, realized in history:
+            ids = sorted(eligible & forecasts.keys())
+            fold_survey(engine_means, engine_counts, ids, [forecasts[j] for j in ids], realized)
+        slices = [
+            (SurveySlice("s", forecasts, frozenset(eligible & forecasts.keys())), realized)
+            for forecasts, eligible, realized in history
+        ]
+        assert (engine_means, engine_counts) == fold_history(slices)

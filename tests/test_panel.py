@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import crowdfuse.panel as panel_module
 from crowdfuse.panel import (
     CalibrationError,
     DuplicateRowError,
@@ -20,11 +21,13 @@ from crowdfuse.panel import (
     load_panel,
     load_synth_config,
     parse_period,
+    period_end_month,
     period_key,
     synth_panel,
     to_yearly_pct_change,
     write_panel,
 )
+from crowdfuse.quincunx import Judge, sample_estimate
 
 FORECASTS = """survey,variable,horizon,forecaster_id,value
 2000Q1,RGDP,1,alice,2.5
@@ -140,9 +143,9 @@ class TestLoadPanel:
 
     def test_realized_value_uses_first_report_and_lag(self, tmp_path):
         panel = load_panel(*write_inputs(tmp_path))
-        assert panel.realized_value("RGDP", "2000Q1") == pytest.approx(4.0)
-        assert panel.realized_value("RGDP", "2000Q2") == pytest.approx(105.0 / 101.0 * 100 - 100)
-        assert panel.realized_value("RGDP", "2001Q1") is None
+        assert panel.realization("RGDP", "2000Q1")[0] == pytest.approx(4.0)
+        assert panel.realization("RGDP", "2000Q2")[0] == pytest.approx(105.0 / 101.0 * 100 - 100)
+        assert panel.realization("RGDP", "2001Q1") is None
 
     def test_first_vintage_wins(self, tmp_path):
         realizations = (
@@ -152,7 +155,7 @@ class TestLoadPanel:
         )
         forecasts = "survey,variable,horizon,forecaster_id,value\n1999Q1,UNEMP,1,a,5.0\n"
         panel = load_panel(*write_inputs(tmp_path, forecasts=forecasts, realizations=realizations))
-        assert panel.realized_value("UNEMP", "1999Q1") == 5.0
+        assert panel.realization("UNEMP", "1999Q1") == (5.0, period_end_month("1999Q2"))
 
     def test_asof_gating(self, tmp_path):
         realizations = (
@@ -161,8 +164,11 @@ class TestLoadPanel:
         )
         forecasts = "survey,variable,horizon,forecaster_id,value\n1999Q1,UNEMP,1,a,5.0\n"
         panel = load_panel(*write_inputs(tmp_path, forecasts=forecasts, realizations=realizations))
-        assert panel.realized_value("UNEMP", "1999Q1", asof="1999Q3") is None
-        assert panel.realized_value("UNEMP", "1999Q1", asof="2000Q4") == 5.0
+        value, known_by = panel.realization("UNEMP", "1999Q1")
+        assert value == 5.0
+        # unknown to a survey in 1999Q3, known to one in 2000Q4
+        assert known_by > period_end_month("1999Q3")
+        assert known_by <= period_end_month("2000Q4")
 
     def test_stamp_before_period_end_dropped(self, tmp_path, caplog):
         realizations = (
@@ -172,7 +178,7 @@ class TestLoadPanel:
         forecasts = "survey,variable,horizon,forecaster_id,value\n1999Q1,UNEMP,1,a,5.0\n"
         with caplog.at_level(logging.WARNING):
             panel = load_panel(*write_inputs(tmp_path, forecasts=forecasts, realizations=realizations))
-        assert panel.realized_value("UNEMP", "1999Q1") is None
+        assert panel.realization("UNEMP", "1999Q1") is None
         assert any("no stamp after period end" in r.message for r in caplog.records)
 
     def test_duplicate_forecast_rows(self, tmp_path):
@@ -265,7 +271,7 @@ class TestSynthPanel:
         panel = synth_panel(config)
         for row in panel.forecasts:
             target = add_quarters(row.survey, row.horizon - 1)
-            assert row.value == panel.realized_value(row.variable, target)
+            assert row.value == panel.realization(row.variable, target)[0]
 
     def test_reproducible(self):
         config = SynthConfig(num_forecasters=6, num_surveys=10, seed=3, turnover=0.2)
@@ -286,10 +292,30 @@ class TestSynthPanel:
     def test_calibration_series_uses_realized_values(self):
         panel = synth_panel(SynthConfig(num_forecasters=3, num_surveys=12, seed=5))
         series = calibration_series(panel)
-        realized = [panel.realized_value("SYN", s) for s in panel.surveys]
+        realized = [panel.realization("SYN", s)[0] for s in panel.surveys]
         assert series["SYN"] == pytest.approx(realized)
         calib = calibrate_v(series)
         assert calib.unit_by_variable["SYN"] > 0.0
+
+    @pytest.mark.parametrize("config", [
+        SynthConfig(num_forecasters=9, num_surveys=25, seed=11, horizons=3, turnover=0.3),
+        SynthConfig(num_forecasters=9, num_surveys=25, seed=12, horizons=4, turnover=0.2,
+                    p_dist="uniform", p_low=0.55, p_high=1.0, p_decay=0.05),
+        SynthConfig(num_forecasters=9, num_surveys=25, seed=13, horizons=2, turnover=0.1,
+                    p_dist="two_point", p_low=0.6, p_high=0.97, count=7, unit=0.5),
+    ], ids=["const", "uniform", "two_point"])
+    def test_roster_draws_match_per_row_reference(self, config, monkeypatch):
+        # one rng.random((roster, count)) per (survey, horizon) consumes the
+        # stream as one sample_estimate per row did, so the panels are equal
+        batched = synth_panel(config)
+        monkeypatch.setattr(
+            panel_module,
+            "sample_estimate_each",
+            lambda ps, env, rng: [sample_estimate(Judge(p), env, rng) for p in ps],
+        )
+        per_row = synth_panel(config)
+        assert batched.forecasts == per_row.forecasts
+        assert batched.realizations == per_row.realizations
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from crowdfuse.quincunx import (
     moments,
     p_from_mse,
     sample_estimate,
+    sample_estimate_each,
     sample_estimates,
     variance_from_p,
 )
@@ -92,6 +93,20 @@ class TestSampler:
         assert all(d == 103.0 for d in draws)
         batch = sample_estimates(Judge(1.0), env, 1000, rng)
         assert np.all(batch == 103.0)
+
+    def test_rows_match_one_walk_at_a_time(self):
+        # the row form consumes the stream exactly as successive single draws
+        env = walk_env(count=9, deviation=-3, norm=10.0)
+        ps = [0.5, 0.73, 1.0, 0.91, 0.6]
+        rows = sample_estimate_each(ps, env, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        signs = np.where(np.arange(env.count) < env.positive_elements, 1.0, -1.0)
+        for p, value in zip(ps, rows):
+            correct = rng.random(env.count) < p
+            assert value == env.norm + env.unit * float(np.where(correct, signs, -signs).sum())
+        again = np.random.default_rng(5)
+        assert [sample_estimate(Judge(p), env, again) for p in ps] == rows
+        assert again.random() == rng.random()
 
     def test_symmetric_walk_mean(self):
         env = walk_env(count=10, deviation=0, norm=50.0)
