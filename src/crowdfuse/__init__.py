@@ -6,15 +6,10 @@ from .aggregation import (
     RULE_EWM,
     RULE_KF,
     RULE_KFPLUS,
-    AggregateResult,
     NoEligibleForecastersError,
-    SurveySlice,
-    cwm,
-    ewm,
-    fold_contributions,
-    kf_crowd,
-    kf_plus,
+    fold_survey,
     rank_by_reliability,
+    rule_estimates,
 )
 from .backtest import (
     BacktestReport,

@@ -1,33 +1,35 @@
 """Crowd aggregation rules over a single survey.
 
-Four ways to turn one survey's forecasts into a point estimate:
+Four ways to turn one survey's forecasts into a point estimate, in the
+order of ``ALL_RULES``:
 
-* ``ewm``: the plain mean of eligible forecasts.
-* ``kf_crowd``: inverse-variance fusion, with each forecaster's variance
-  implied by the reliability estimated from their past errors.
-* ``cwm``: a weighted mean over forecasters whose past leave-one-out
-  contribution to the crowd is positive, weights proportional to those
-  contributions.
-* ``kf_plus``: the fusion rule applied within the positive-contribution
-  subset.
+* EWM: the plain mean of the eligible forecasts.
+* KF: inverse-variance fusion, each forecast weighted by 1 / ((1 - p) p)
+  for the reliability p estimated from the forecaster's past errors; the
+  estimate equals the recursive fold of ``fusion.fuse_sequence``. Members
+  at p = 1 share the whole weight equally, whatever their forecasts.
+* CWM: a mean over the members whose running mean leave-one-out
+  contribution is strictly positive, weighted by those contributions.
+* KFplus: the KF weights within the CWM subset.
 
-Forecaster bookkeeping is plain mappings keyed by forecaster id: the
-estimated reliability p-hat (``Mapping[str, Judge]``) and the running mean
-of leave-one-out contributions (``Mapping[str, float]``), in which a
-forecaster appears once they have at least one term.
+When no member has a positive contribution, CWM and KFplus fall back to
+the equal-weight mean. A member's leave-one-out term for a realized
+survey is the squared error of the equal-weight mean without them minus
+the squared error with them, so a positive term means they moved the
+crowd toward the realization; a survey with fewer than two members gives
+no terms.
 
-Each weight formula, the positive-contribution test and the leave-one-out
-term live once, in private helpers over members in sorted order. The
-backtest calls the kernel :func:`rule_estimates` (four estimates and the
-CWM fallback flag as plain values) and :func:`fold_survey`; the public
-rules wrap the same helpers in an :class:`AggregateResult`.
+There is one path per rule. :func:`rule_estimates` takes a survey's
+members in sorted order and their forecasts and returns all four
+estimates and the CWM fallback flag; :func:`fold_survey` folds one
+realized survey into the running contribution means; and
 :func:`rank_by_reliability` orders forecasters for the top-n
-smaller-wiser-crowd runs.
+smaller-wiser-crowd runs. Each weight formula, the positive-contribution
+test and the leave-one-out term live once, in private helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, MutableMapping, Sequence
 
@@ -42,37 +44,6 @@ ALL_RULES = (RULE_EWM, RULE_KF, RULE_CWM, RULE_KFPLUS)
 
 class NoEligibleForecastersError(ValueError):
     """The survey has no eligible forecaster to aggregate."""
-
-
-@dataclass(frozen=True)
-class SurveySlice:
-    """One survey's forecasts for a single variable-horizon cell.
-
-    ``eligible`` holds the forecasters with at least two realized errors on
-    this stream; only they enter aggregation.
-    """
-
-    survey_id: str
-    forecasts: Mapping[str, float]
-    eligible: frozenset[str]
-
-    def __post_init__(self) -> None:
-        missing = self.eligible - set(self.forecasts)
-        if missing:
-            raise ValueError(f"eligible forecasters without forecasts: {sorted(missing)}")
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    rule: str
-    estimate: float
-    contributors: frozenset[str]
-    weights: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        if not self.contributors:
-            raise ValueError("an aggregate needs at least one contributor")
-        _check_normalized(self.weights[j] for j in self.contributors)
 
 
 def _check_normalized(weights: Iterable[float]) -> None:
@@ -194,116 +165,6 @@ def fold_survey(
         mean = contributions.get(j, 0.0)
         contributions[j] = mean + (term - mean) / count
         counts[j] = count
-
-
-def _members(slice_: SurveySlice) -> tuple[list[str], list[float]]:
-    """The slice's eligible ids in sorted order and their forecasts."""
-    members = sorted(slice_.eligible)
-    if not members:
-        raise NoEligibleForecastersError(f"survey {slice_.survey_id}: nobody eligible")
-    return members, [slice_.forecasts[j] for j in members]
-
-
-def _result(
-    rule: str, contributors: Sequence[str], weighted: tuple[list[float], float]
-) -> AggregateResult:
-    weights, estimate = weighted
-    return AggregateResult(
-        rule=rule,
-        estimate=estimate,
-        contributors=frozenset(contributors),
-        weights=dict(zip(contributors, weights)),
-    )
-
-
-def ewm(slice_: SurveySlice) -> AggregateResult:
-    """Equal-weight mean over the eligible forecasters."""
-    members, values = _members(slice_)
-    return _result(RULE_EWM, members, _equal_weights(values))
-
-
-def kf_crowd(
-    slice_: SurveySlice,
-    p_hats: Mapping[str, Judge],
-    rule: str = RULE_KF,
-) -> AggregateResult:
-    """Inverse-variance fusion of the eligible forecasts.
-
-    The estimate is the weighted sum of the forecasts with the reported
-    weights, proportional to 1 / ((1 - p) p) for the estimated
-    reliabilities; it equals the recursive fold of ``fusion.fuse_sequence``.
-    Forecasters at p = 1 share the whole weight equally, whatever their
-    forecasts. Equal reliabilities reduce this to the equal-weight mean.
-    """
-    members, values = _members(slice_)
-    noise = {j: judge.noise for j in members if (judge := p_hats.get(j)) is not None}
-    return _result(rule, members, _inverse_variance_weights(_noises(members, noise), values))
-
-
-def slice_contribution_terms(slice_: SurveySlice, realized: float) -> dict[str, float]:
-    """Leave-one-out terms for one realized survey.
-
-    For each eligible forecaster j, the term is the squared error of the
-    eligible equal-weight mean without j minus the squared error with j, so
-    a positive term means j moved the crowd toward the realization. A survey
-    with fewer than two eligible forecasters yields no terms (leave-one-out
-    is undefined).
-    """
-    members = sorted(slice_.eligible)
-    values = [slice_.forecasts[j] for j in members]
-    return dict(zip(members, _loo_terms(values, realized)))
-
-
-def fold_contributions(
-    contributions: MutableMapping[str, float],
-    counts: MutableMapping[str, int],
-    slice_: SurveySlice,
-    realized: float,
-) -> None:
-    """:func:`fold_survey` over a slice's eligible forecasters."""
-    members = sorted(slice_.eligible)
-    fold_survey(contributions, counts, members, [slice_.forecasts[j] for j in members], realized)
-
-
-def positive_contribution_subset(
-    slice_: SurveySlice, contributions: Mapping[str, float]
-) -> list[str]:
-    members = sorted(slice_.eligible)
-    return [members[i] for i in _positive(members, contributions)]
-
-
-def cwm(slice_: SurveySlice, contributions: Mapping[str, float]) -> AggregateResult:
-    """Contribution-weighted mean over the positive-contribution subset.
-
-    Weights are the normalized positive contribution scores. When nobody
-    has a positive score the rule degrades to equal weights over the
-    eligible set, keeping the backtest total.
-    """
-    members, values = _members(slice_)
-    keep = _positive(members, contributions)
-    if not keep:
-        return _result(RULE_CWM, members, _equal_weights(values))
-    subset = [members[i] for i in keep]
-    scores = [contributions[j] for j in subset]
-    return _result(RULE_CWM, subset, _contribution_weights(scores, [values[i] for i in keep]))
-
-
-def kf_plus(
-    slice_: SurveySlice,
-    p_hats: Mapping[str, Judge],
-    contributions: Mapping[str, float],
-) -> AggregateResult:
-    """Inverse-variance fusion restricted to the positive-contribution subset.
-
-    Same membership as :func:`cwm`, same equal-weight fallback, but the
-    weights within the subset come from the estimated reliabilities.
-    """
-    members, values = _members(slice_)
-    keep = _positive(members, contributions)
-    if not keep:
-        return _result(RULE_KFPLUS, members, _equal_weights(values))
-    subset = frozenset(members[i] for i in keep)
-    return kf_crowd(SurveySlice(slice_.survey_id, slice_.forecasts, subset), p_hats, rule=RULE_KFPLUS)
 
 
 def rank_by_reliability(

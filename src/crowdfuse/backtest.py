@@ -145,13 +145,15 @@ def dm_test(
 class CellTrail:
     """What one eligible-set limit of a variable-horizon cell produced.
 
+    Every rule estimates on the same surveys and is scored on those with a
+    realization, so the per-rule ``errors`` lists align survey by survey.
     ``p_hats``, the reliabilities behind each survey's estimates, is
     collected for the unrestricted (``None``) limit only, whose diagnostics
     report their median.
     """
 
     estimates: dict[str, list[tuple[str, float]]]
-    errors: dict[str, list[tuple[int, float]]]
+    errors: dict[str, list[float]]
     p_hats: list[float] = field(default_factory=list)
     fallback_surveys: int = 0
     skipped_surveys: int = 0
@@ -229,7 +231,7 @@ def _run_cell(
             for rule, slot in slots:
                 trail.estimates[rule].append((survey, estimates[slot]))
                 if realization is not None:
-                    trail.errors[rule].append((idx, estimates[slot] - realization[0]))
+                    trail.errors[rule].append(estimates[slot] - realization[0])
             if realization is None:
                 trail.skipped_surveys += 1
             elif fallback:
@@ -263,12 +265,9 @@ def _check_inputs(panel: Panel, rules: Sequence[str]) -> None:
             raise ValueError(f"unknown rule {rule!r}")
 
 
-def _rmse_cell(
-    variable: str, horizon: int, rule: str, errors: list[tuple[int, float]]
-) -> RmseCell:
-    series = [e for _, e in errors]
-    rmse = math.sqrt(sum(e * e for e in series) / len(series)) if series else math.nan
-    return RmseCell(variable, horizon, rule, rmse, len(series))
+def _rmse_cell(variable: str, horizon: int, rule: str, errors: list[float]) -> RmseCell:
+    rmse = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else math.nan
+    return RmseCell(variable, horizon, rule, rmse, len(errors))
 
 
 def run_backtest(
@@ -280,10 +279,10 @@ def run_backtest(
 ) -> BacktestReport:
     """Backtest the requested rules over every variable-horizon cell.
 
-    RMSE covers the surveys where a rule produced an estimate and a
+    RMSE covers the surveys where the rules produced estimates and a
     first-reported realization exists. Diebold-Mariano cells compare each
-    rule's errors against the contribution-weighted rule's on their common
-    surveys, when at least eight align.
+    rule's errors against the contribution-weighted rule's on those
+    surveys, when there are at least eight.
     """
     _check_inputs(panel, rules)
     cells: list[RmseCell] = []
@@ -303,21 +302,10 @@ def run_backtest(
             for rule in rules:
                 cells.append(_rmse_cell(variable, horizon, rule, errors[rule]))
             if RULE_CWM in rules:
-                base = dict(errors[RULE_CWM])
                 for rule in rules:
-                    if rule == RULE_CWM:
-                        continue
-                    shared = [idx for idx, _ in errors[rule] if idx in base]
-                    if len(shared) < _MIN_DM_LENGTH:
-                        continue
-                    rule_errors = dict(errors[rule])
-                    stat, p_value = dm_test(
-                        [rule_errors[i] for i in shared],
-                        [base[i] for i in shared],
-                        horizon,
-                        hln,
-                    )
-                    dm_cells.append(DmCell(variable, horizon, rule, stat, p_value))
+                    if rule != RULE_CWM and len(errors[rule]) >= _MIN_DM_LENGTH:
+                        stat, p_value = dm_test(errors[rule], errors[RULE_CWM], horizon, hln)
+                        dm_cells.append(DmCell(variable, horizon, rule, stat, p_value))
     cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
     dm_cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
     diagnostics.sort(key=lambda c: (c.variable, c.horizon))

@@ -243,18 +243,13 @@ class Panel:
 # Transform and calibration
 # ---------------------------------------------------------------------------
 
-def to_yearly_pct_change(
-    levels: Mapping[str, float], target_period: str, variable: str | None = None
-) -> float:
+def to_yearly_pct_change(levels: Mapping[str, float], target_period: str) -> float:
     """Yearly percentage change of a level series at a target period.
 
-    100 * (x_t / x_{t-4} - 1) over the four-quarter lag. UNEMP is already in
-    percent and passes through unchanged.
+    100 * (x_t / x_{t-4} - 1) over the four-quarter lag. Variables already
+    in percent (UNEMP) are left as they are by the callers, which do not
+    call this for them.
     """
-    if variable in UNTRANSFORMED_VARIABLES:
-        if target_period not in levels:
-            raise MissingLevelError(f"no level at {target_period}")
-        return levels[target_period]
     lag_period = add_quarters(target_period, -4)
     if target_period not in levels or lag_period not in levels:
         raise MissingLevelError(

@@ -6,17 +6,12 @@ from hypothesis import strategies as st
 
 from crowdfuse.aggregation import (
     NoEligibleForecastersError,
-    SurveySlice,
-    cwm,
-    ewm,
-    fold_contributions,
+    _contribution_weights,
+    _equal_weights,
+    _inverse_variance_weights,
     fold_survey,
-    kf_crowd,
-    kf_plus,
-    positive_contribution_subset,
     rank_by_reliability,
     rule_estimates,
-    slice_contribution_terms,
 )
 from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
@@ -51,47 +46,81 @@ def cell_panel(forecasters):
     return Panel(tuple(forecasts), tuple(realizations), tuple(vintages), transform="none")
 
 
+def members(forecasts):
+    """A survey's member ids in sorted order and their forecasts."""
+    ids = sorted(forecasts)
+    return ids, [forecasts[j] for j in ids]
+
+
+def estimates(forecasts, contributions, ps=None):
+    """The kernel's (EWM, KF, CWM, KFplus, fallback) for a survey's forecasts.
+
+    Every member has p = 0.8 unless ``ps`` gives their reliability.
+    """
+    ids, values = members(forecasts)
+    ps = ps or dict.fromkeys(ids, 0.8)
+    return rule_estimates(ids, values, {j: Judge(ps[j]).noise for j in ids}, contributions)
+
+
+def inverse_noise_mean(forecasts, noise):
+    """Inverse-variance estimate; members at zero noise share the weight equally."""
+    perfect = [j for j in forecasts if noise[j] == 0.0]
+    if perfect:
+        return sum(forecasts[j] for j in perfect) / len(perfect)
+    total = sum(1.0 / noise[j] for j in forecasts)
+    return sum(forecasts[j] / noise[j] for j in forecasts) / total
+
+
 def expected_kf(forecasts, mses, calib):
     """Inverse-variance estimate for reliabilities implied by the given MSEs."""
-    inverse = {j: 1.0 / p_from_mse(m, *calib).noise for j, m in mses.items()}
-    total = sum(inverse.values())
-    return sum(inverse[j] / total * forecasts[j] for j in mses)
+    noise = {j: p_from_mse(m, *calib).noise for j, m in mses.items()}
+    return inverse_noise_mean({j: forecasts[j] for j in mses}, noise)
 
 
 def fold_history(history):
     contributions, counts = {}, {}
-    for slice_, realized in history:
-        fold_contributions(contributions, counts, slice_, realized)
+    for forecasts, realized in history:
+        fold_survey(contributions, counts, *members(forecasts), realized)
     return contributions, counts
 
 
 def brute_force_contributions(history):
     """Oracle: recompute every leave-one-out term from scratch with lists."""
     sums, counts = {}, {}
-    for slice_, realized in history:
-        members = sorted(slice_.eligible)
-        if len(members) < 2:
+    for forecasts, realized in history:
+        ids = sorted(forecasts)
+        if len(ids) < 2:
             continue
-        for j in members:
-            others = [slice_.forecasts[k] for k in members if k != j]
+        for j in ids:
+            others = [forecasts[k] for k in ids if k != j]
             err_without = (sum(others) / len(others) - realized) ** 2
-            err_with = (sum(slice_.forecasts[k] for k in members) / len(members) - realized) ** 2
+            err_with = (sum(forecasts[k] for k in ids) / len(ids) - realized) ** 2
             sums[j] = sums.get(j, 0.0) + (err_without - err_with)
             counts[j] = counts.get(j, 0) + 1
     return {j: sums[j] / counts[j] for j in sums}, counts
 
 
-def brute_force_cwm(slice_, contributions):
+def brute_force_cwm(forecasts, contributions):
     positive = {
         j: contributions[j]
-        for j in sorted(slice_.eligible)
+        for j in sorted(forecasts)
         if contributions.get(j, 0.0) > 0.0
     }
     if not positive:
-        members = sorted(slice_.eligible)
-        return sum(slice_.forecasts[j] for j in members) / len(members)
+        return sum(forecasts.values()) / len(forecasts)
     total = sum(positive.values())
-    return sum(w / total * slice_.forecasts[j] for j, w in positive.items())
+    return sum(w / total * forecasts[j] for j, w in positive.items())
+
+
+def brute_force_rules(forecasts, noise, contributions):
+    """Oracle: the EWM, KF, CWM and KFplus estimates and the CWM fallback flag."""
+    mean = sum(forecasts.values()) / len(forecasts)
+    kf = inverse_noise_mean(forecasts, noise)
+    subset = {j: x for j, x in forecasts.items() if contributions.get(j, 0.0) > 0.0}
+    if not subset:
+        return mean, kf, mean, mean, True
+    cw = brute_force_cwm(forecasts, contributions)
+    return mean, kf, cw, inverse_noise_mean(subset, noise), False
 
 
 class TestStateUpdates:
@@ -142,44 +171,34 @@ class TestStateUpdates:
     def test_contribution_running_mean(self):
         contributions, counts = {}, {}
         # a alone beside the truth: its term is (1 - 0)^2 - 0^2 = 1
-        fold_contributions(
-            contributions, counts, SurveySlice("2000Q1", {"a": -1.0, "b": 1.0}, frozenset("ab")), 0.0
-        )
+        fold_survey(contributions, counts, ["a", "b"], [-1.0, 1.0], 0.0)
         # a on the crowd mean: its term is 0
-        fold_contributions(
-            contributions, counts,
-            SurveySlice("2000Q2", {"a": 2.0, "b": 1.0, "c": 3.0}, frozenset("abc")), 5.0,
-        )
+        fold_survey(contributions, counts, ["a", "b", "c"], [2.0, 1.0, 3.0], 5.0)
         assert contributions["a"] == pytest.approx(0.5)
         assert counts["a"] == 2
         assert counts == {"a": 2, "b": 2, "c": 1}
 
 
 class TestContributionTerms:
+    """One fold into empty state leaves each member's leave-one-out term as their mean."""
+
     def test_forecaster_at_crowd_mean_contributes_nothing(self):
-        slice_ = SurveySlice(
-            "2000Q1", {"a": 2.0, "b": 1.0, "c": 3.0}, frozenset({"a", "b", "c"})
-        )
-        terms = slice_contribution_terms(slice_, realized=5.0)
+        terms, _ = fold_history([({"a": 2.0, "b": 1.0, "c": 3.0}, 5.0)])
         assert terms["a"] == pytest.approx(0.0, abs=1e-12)
 
     def test_closer_than_crowd_is_positive(self):
         # a sits on the truth, the others are off; removing a must hurt
-        slice_ = SurveySlice(
-            "2000Q1", {"a": 5.0, "b": 1.0, "c": 2.0}, frozenset({"a", "b", "c"})
-        )
-        terms = slice_contribution_terms(slice_, realized=5.0)
+        terms, _ = fold_history([({"a": 5.0, "b": 1.0, "c": 2.0}, 5.0)])
         assert terms["a"] > 0.0
         assert terms["b"] < 0.0
 
     def test_single_member_yields_no_terms(self):
-        slice_ = SurveySlice("2000Q1", {"a": 2.0}, frozenset({"a"}))
-        assert slice_contribution_terms(slice_, realized=1.0) == {}
+        assert fold_history([({"a": 2.0}, 1.0)]) == ({}, {})
 
     def test_hand_built_two_survey_history(self):
         history = [
-            (SurveySlice("2000Q1", {"a": 1.0, "b": 3.0, "c": 4.0}, frozenset("abc")), 2.0),
-            (SurveySlice("2000Q2", {"a": 2.0, "b": 0.0, "c": 1.0}, frozenset("abc")), 1.5),
+            ({"a": 1.0, "b": 3.0, "c": 4.0}, 2.0),
+            ({"a": 2.0, "b": 0.0, "c": 1.0}, 1.5),
         ]
         contributions, counts = fold_history(history)
         oracle, oracle_counts = brute_force_contributions(history)
@@ -193,13 +212,9 @@ class TestContributionTerms:
             n_f = rng.randint(2, 6)
             ids = [f"f{i}" for i in range(n_f)]
             history = []
-            for s in range(rng.randint(1, 8)):
+            for _ in range(rng.randint(1, 8)):
                 active = rng.sample(ids, rng.randint(1, n_f))
-                forecasts = {j: rng.uniform(-5, 5) for j in active}
-                history.append(
-                    (SurveySlice(f"20{s:02d}Q1", forecasts, frozenset(active)),
-                     rng.uniform(-5, 5))
-                )
+                history.append(({j: rng.uniform(-5, 5) for j in active}, rng.uniform(-5, 5)))
             contributions, _ = fold_history(history)
             oracle, counts = brute_force_contributions(history)
             assert set(contributions) == set(oracle)
@@ -209,114 +224,108 @@ class TestContributionTerms:
 
 class TestEwm:
     def test_mean(self):
-        slice_ = SurveySlice("2000Q1", {"a": 2.0, "b": 4.0}, frozenset({"a", "b"}))
-        result = ewm(slice_)
-        assert result.estimate == 3.0
-        assert result.weights == {"a": 0.5, "b": 0.5}
+        ew, *_ = estimates({"a": 2.0, "b": 4.0}, {})
+        assert ew == 3.0
+        assert _equal_weights([2.0, 4.0]) == ([0.5, 0.5], 3.0)
 
     def test_single(self):
-        slice_ = SurveySlice("2000Q1", {"a": 2.0, "b": 4.0}, frozenset({"a"}))
-        assert ewm(slice_).estimate == 2.0
-
-    def test_empty_raises(self):
-        with pytest.raises(NoEligibleForecastersError):
-            ewm(SurveySlice("2000Q1", {"a": 2.0}, frozenset()))
+        ew, *_ = estimates({"a": 2.0}, {})
+        assert ew == 2.0
 
     def test_matches_brute_sum(self):
         rng = random.Random(43)
         values = {f"f{i}": rng.uniform(0, 10) for i in range(5)}
-        slice_ = SurveySlice("2000Q1", values, frozenset(values))
         total = 0.0
         for v in sorted(values):
             total += values[v]
-        assert ewm(slice_).estimate == pytest.approx(total / 5, abs=1e-12)
+        ew, *_ = estimates(values, {})
+        assert ew == pytest.approx(total / 5, abs=1e-12)
 
 
 class TestKfCrowd:
     def test_equal_reliability_equals_mean(self):
-        p_hats = {j: Judge(0.8) for j in ("a", "b", "c")}
-        slice_ = SurveySlice(
-            "2000Q1", {"a": 1.0, "b": 2.0, "c": 6.0}, frozenset({"a", "b", "c"})
-        )
-        assert kf_crowd(slice_, p_hats).estimate == pytest.approx(
-            ewm(slice_).estimate, rel=1e-12
-        )
+        ew, kf, *_ = estimates({"a": 1.0, "b": 2.0, "c": 6.0}, {})
+        assert kf == pytest.approx(ew, rel=1e-12)
 
     def test_pinned_two_forecaster_case(self):
-        p_hats = {"a": Judge(0.9), "b": Judge(0.6)}
-        slice_ = SurveySlice("2000Q1", {"a": 1.0, "b": 0.0}, frozenset({"a", "b"}))
-        result = kf_crowd(slice_, p_hats)
-        assert result.estimate == pytest.approx(8.0 / 11.0, abs=1e-12)
-        assert result.weights["a"] == pytest.approx(8.0 / 11.0, abs=1e-12)
+        _, kf, *_ = estimates({"a": 1.0, "b": 0.0}, {}, {"a": 0.9, "b": 0.6})
+        assert kf == pytest.approx(8.0 / 11.0, abs=1e-12)
+        weights, _ = _inverse_variance_weights([Judge(0.9).noise, Judge(0.6).noise], [1.0, 0.0])
+        assert weights[0] == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_ordering_invariance(self):
         rng = random.Random(44)
         ids = [f"f{i}" for i in range(6)]
-        p_hats = {j: Judge(rng.uniform(0.55, 0.95)) for j in ids}
+        ps = {j: rng.uniform(0.55, 0.95) for j in ids}
         forecasts = {j: rng.uniform(0, 10) for j in ids}
-        base = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), p_hats)
+        _, base, *_ = estimates(forecasts, {}, ps)
         for _ in range(5):
             order = ids[:]
             rng.shuffle(order)
+            # maps built in any order give the same sorted members
             shuffled = {j: forecasts[j] for j in order}
-            again = kf_crowd(SurveySlice("s", shuffled, frozenset(ids)), p_hats)
-            assert again.estimate == base.estimate
+            _, again, *_ = estimates(shuffled, {}, {j: ps[j] for j in order})
+            assert again == base
+            # the members in another order sum in another order: equal to rounding
+            noise = {j: Judge(ps[j]).noise for j in ids}
+            _, permuted, *_ = rule_estimates(order, [forecasts[j] for j in order], noise, {})
+            assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_matches_recursive_fold(self):
         rng = random.Random(48)
         for _ in range(50):
             ids = [f"f{i}" for i in range(rng.randint(1, 8))]
-            p_hats = {j: Judge(rng.uniform(0.5, 0.999)) for j in ids}
+            ps = {j: rng.uniform(0.5, 0.999) for j in ids}
             forecasts = {j: rng.uniform(-10, 10) for j in ids}
-            result = kf_crowd(SurveySlice("s", forecasts, frozenset(ids)), p_hats)
-            folded, _ = fuse_sequence([(forecasts[j], p_hats[j]) for j in ids])
-            assert result.estimate == pytest.approx(folded, rel=1e-12, abs=1e-12)
+            _, kf, *_ = estimates(forecasts, {}, ps)
+            folded, _ = fuse_sequence([(forecasts[j], Judge(ps[j])) for j in ids])
+            assert kf == pytest.approx(folded, rel=1e-12, abs=1e-12)
 
     def test_perfect_forecasters_share_weight(self):
-        p_hats = {"a": Judge(1.0), "b": Judge(1.0), "c": Judge(0.7)}
-        slice_ = SurveySlice("s", {"a": 3.0, "b": 3.0, "c": 9.0}, frozenset("abc"))
-        result = kf_crowd(slice_, p_hats)
-        assert result.estimate == 3.0
-        assert result.weights == {"a": 0.5, "b": 0.5, "c": 0.0}
+        ps = {"a": 1.0, "b": 1.0, "c": 0.7}
+        noises = [Judge(ps[j]).noise for j in "abc"]
+        _, kf, *_ = estimates({"a": 3.0, "b": 3.0, "c": 9.0}, {}, ps)
+        assert kf == 3.0
+        assert _inverse_variance_weights(noises, [3.0, 3.0, 9.0]) == ([0.5, 0.5, 0.0], 3.0)
         # perfect members that disagree share the weight too
-        slice_ = SurveySlice("s", {"a": 3.0, "b": 4.0, "c": 9.0}, frozenset("abc"))
-        result = kf_crowd(slice_, p_hats)
-        assert result.estimate == 3.5
-        assert result.weights == {"a": 0.5, "b": 0.5, "c": 0.0}
+        _, kf, *_ = estimates({"a": 3.0, "b": 4.0, "c": 9.0}, {}, ps)
+        assert kf == 3.5
+        assert _inverse_variance_weights(noises, [3.0, 4.0, 9.0]) == ([0.5, 0.5, 0.0], 3.5)
 
     def test_missing_reliability_raises(self):
+        # even a member whose weight would be zero beside a perfect one needs an estimate
         with pytest.raises(ValueError):
-            kf_crowd(SurveySlice("s", {"a": 1.0}, frozenset("a")), {})
+            rule_estimates(["a", "b"], [1.0, 2.0], {"a": 0.0}, {})
 
 
 class TestCwm:
     def test_equal_positive_contributions(self):
-        contributions = {"a": 0.2, "b": 0.2}
-        slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        assert cwm(slice_, contributions).estimate == pytest.approx(2.0)
+        _, _, cw, *_ = estimates({"a": 1.0, "b": 3.0}, {"a": 0.2, "b": 0.2})
+        assert cw == pytest.approx(2.0)
 
     def test_normalization_and_exclusion(self):
         contributions = {"a": 0.3, "b": 0.1, "c": -0.5}
-        slice_ = SurveySlice(
-            "s", {"a": 1.0, "b": 5.0, "c": 100.0}, frozenset({"a", "b", "c"})
-        )
-        result = cwm(slice_, contributions)
-        assert result.estimate == pytest.approx(2.0, abs=1e-12)
-        assert result.weights == pytest.approx({"a": 0.75, "b": 0.25})
-        assert "c" not in result.contributors
+        _, _, cw, *_ = estimates({"a": 1.0, "b": 5.0, "c": 100.0}, contributions)
+        assert cw == pytest.approx(2.0, abs=1e-12)
+        weights, _ = _contribution_weights([0.3, 0.1], [1.0, 5.0])
+        assert weights == pytest.approx([0.75, 0.25])
+        # c has a negative contribution: its forecast has no effect
+        _, _, moved, *_ = estimates({"a": 1.0, "b": 5.0, "c": -100.0}, contributions)
+        assert moved == cw
 
     def test_all_nonpositive_falls_back_to_equal_weights(self):
-        contributions = {"a": -0.1, "b": 0.0}
-        slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        result = cwm(slice_, contributions)
-        assert result.estimate == 2.0
-        assert result.rule == "CWM"
+        _, _, cw, _, fallback = estimates({"a": 1.0, "b": 3.0}, {"a": -0.1, "b": 0.0})
+        assert cw == 2.0
+        assert fallback
 
     def test_zero_contribution_is_excluded(self):
         # "positive" is read strictly: a zero score stays out of the subset
         contributions = {"a": 0.4, "b": 0.0}
-        slice_ = SurveySlice("s", {"a": 1.0, "b": 3.0}, frozenset({"a", "b"}))
-        assert cwm(slice_, contributions).contributors == frozenset({"a"})
+        _, _, cw, _, fallback = estimates({"a": 1.0, "b": 3.0}, contributions)
+        assert cw == 1.0
+        assert not fallback
+        _, _, moved, *_ = estimates({"a": 1.0, "b": 30.0}, contributions)
+        assert moved == cw
 
     def test_randomized_against_brute_force(self):
         rng = random.Random(45)
@@ -324,64 +333,62 @@ class TestCwm:
             n_f = rng.randint(2, 6)
             ids = [f"f{i}" for i in range(n_f)]
             history = []
-            for s in range(rng.randint(2, 10)):
+            for _ in range(rng.randint(2, 10)):
                 active = rng.sample(ids, rng.randint(2, n_f))
-                forecasts = {j: rng.uniform(-5, 5) for j in active}
-                history.append(
-                    (SurveySlice(f"19{s:02d}Q1", forecasts, frozenset(active)),
-                     rng.uniform(-5, 5))
-                )
+                history.append(({j: rng.uniform(-5, 5) for j in active}, rng.uniform(-5, 5)))
             contributions, _ = fold_history(history)
             current = {j: rng.uniform(-5, 5) for j in ids}
-            slice_ = SurveySlice("2020Q1", current, frozenset(ids))
             oracle, _ = brute_force_contributions(history)
-            expected = brute_force_cwm(slice_, oracle)
-            assert cwm(slice_, contributions).estimate == pytest.approx(expected, abs=1e-10)
+            expected = brute_force_cwm(current, oracle)
+            _, _, cw, *_ = estimates(current, contributions)
+            assert cw == pytest.approx(expected, abs=1e-10)
 
 
 class TestKfPlus:
     def test_subset_of_one(self):
-        p_hats = {"a": Judge(0.9), "b": Judge(0.9)}
         contributions = {"a": 0.5, "b": -0.5}
-        slice_ = SurveySlice("s", {"a": 7.0, "b": 1.0}, frozenset({"a", "b"}))
-        result = kf_plus(slice_, p_hats, contributions)
-        assert result.estimate == 7.0
-        assert result.contributors == frozenset({"a"})
+        ps = {"a": 0.9, "b": 0.9}
+        *_, kp, _ = estimates({"a": 7.0, "b": 1.0}, contributions, ps)
+        assert kp == 7.0
+        # b is outside the subset: its forecast has no effect
+        *_, moved, _ = estimates({"a": 7.0, "b": -50.0}, contributions, ps)
+        assert moved == 7.0
 
     def test_pinned_subset_weights(self):
-        p_hats = {"a": Judge(0.9), "b": Judge(0.6), "c": Judge(0.99)}
+        ps = {"a": 0.9, "b": 0.6, "c": 0.99}
         contributions = {"a": 0.5, "b": 0.5, "c": -1.0}
-        slice_ = SurveySlice(
-            "s", {"a": 1.0, "b": 0.0, "c": 50.0}, frozenset({"a", "b", "c"})
-        )
-        assert kf_plus(slice_, p_hats, contributions).estimate == pytest.approx(8.0 / 11.0, abs=1e-12)
+        *_, kp, _ = estimates({"a": 1.0, "b": 0.0, "c": 50.0}, contributions, ps)
+        assert kp == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_differs_from_cwm_when_contributions_unequal(self):
-        p_hats = {"a": Judge(0.8), "b": Judge(0.8)}
-        contributions = {"a": 0.9, "b": 0.1}
-        slice_ = SurveySlice("s", {"a": 2.0, "b": 4.0}, frozenset({"a", "b"}))
         # equal reliabilities: the fusion weighs evenly, contributions do not
-        assert kf_plus(slice_, p_hats, contributions).estimate == pytest.approx(3.0, rel=1e-12)
-        assert cwm(slice_, contributions).estimate == pytest.approx(2.2, rel=1e-12)
+        _, _, cw, kp, _ = estimates({"a": 2.0, "b": 4.0}, {"a": 0.9, "b": 0.1})
+        assert kp == pytest.approx(3.0, rel=1e-12)
+        assert cw == pytest.approx(2.2, rel=1e-12)
 
     def test_contributor_nesting(self):
+        # CWM and KFplus read the same subset of the members: moving a
+        # forecast moves both estimates exactly when its contribution is positive
         rng = random.Random(46)
         ids = [f"f{i}" for i in range(6)]
-        p_hats, contributions = {}, {}
+        ps, contributions = {}, {}
         for j in ids:
-            p_hats[j] = Judge(rng.uniform(0.55, 0.95))
+            ps[j] = rng.uniform(0.55, 0.95)
             contributions[j] = rng.uniform(-0.5, 0.5)
-        slice_ = SurveySlice("s", {j: rng.uniform(0, 5) for j in ids}, frozenset(ids))
-        plus = kf_plus(slice_, p_hats, contributions)
-        weighted = cwm(slice_, contributions)
-        assert plus.contributors <= weighted.contributors
-        assert weighted.contributors <= slice_.eligible
+        forecasts = {j: rng.uniform(0, 5) for j in ids}
+        _, _, cw, kp, fallback = estimates(forecasts, contributions, ps)
+        assert not fallback
+        for j in ids:
+            _, _, moved_cw, moved_kp, _ = estimates({**forecasts, j: 100.0}, contributions, ps)
+            inside = contributions[j] > 0.0
+            assert (moved_cw != cw) == inside
+            assert (moved_kp != kp) == inside
 
     def test_fallback_matches_cwm(self):
-        p_hats = {"a": Judge(0.9), "b": Judge(0.6)}
         contributions = {"a": -0.2, "b": -0.1}
-        slice_ = SurveySlice("s", {"a": 1.0, "b": 5.0}, frozenset({"a", "b"}))
-        assert kf_plus(slice_, p_hats, contributions).estimate == 3.0
+        _, _, cw, kp, _ = estimates({"a": 1.0, "b": 5.0}, contributions, {"a": 0.9, "b": 0.6})
+        assert kp == 3.0
+        assert kp == cw
 
 
 class TestTopN:
@@ -413,22 +420,17 @@ class TestWeightNormalization:
     def test_all_rules_normalize(self):
         rng = random.Random(47)
         for _ in range(20):
-            ids = [f"f{i}" for i in range(rng.randint(2, 7))]
-            p_hats, contributions = {}, {}
-            for j in ids:
-                p_hats[j] = Judge(rng.uniform(0.5, 1.0))
-                contribution, count = rng.uniform(-1, 1), rng.randint(0, 3)
-                if count > 0:
-                    contributions[j] = contribution
-            slice_ = SurveySlice(
-                "s", {j: rng.uniform(-10, 10) for j in ids}, frozenset(ids)
-            )
-            for rule in (ewm, lambda s: kf_crowd(s, p_hats),
-                         lambda s: cwm(s, contributions),
-                         lambda s: kf_plus(s, p_hats, contributions)):
-                result = rule(slice_)
-                total = sum(result.weights[j] for j in result.contributors)
-                assert abs(total - 1.0) <= 1e-9
+            n = rng.randint(2, 7)
+            values = [rng.uniform(-10, 10) for _ in range(n)]
+            noises = [Judge(rng.uniform(0.5, 1.0)).noise for _ in range(n)]
+            scores = [c for _ in range(n) if (c := rng.uniform(-1, 1)) > 0.0]
+            kept = values[:len(scores)]
+            weights = [_equal_weights(values)[0], _inverse_variance_weights(noises, values)[0]]
+            if scores:
+                weights.append(_contribution_weights(scores, kept)[0])
+                weights.append(_inverse_variance_weights(noises[:len(scores)], kept)[0])
+            for rule_weights in weights:
+                assert abs(sum(rule_weights) - 1.0) <= 1e-9
 
 
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -461,7 +463,7 @@ histories = st.lists(
 
 
 class TestRuleKernel:
-    """The kernel the engine calls equals the public rules it shares helpers with."""
+    """The kernel the engine calls against straight-line oracles."""
 
     @given(surveys())
     @settings(max_examples=300, deadline=None)
@@ -475,20 +477,14 @@ class TestRuleKernel:
     # mixed signs, one member without a term
     @example(({"a": 1.0, "b": 2.0, "c": 5.0, "d": -1.0}, frozenset("abcd"),
               {"a": 0.9, "b": 0.6, "c": 1.0, "d": 0.75}, {"a": 0.4, "b": -0.2, "c": 0.1}))
-    def test_estimates_and_fallback_equal_public_rules(self, survey):
+    def test_estimates_and_fallback_equal_oracle(self, survey):
         forecasts, eligible, ps, contributions = survey
-        p_hats = {j: Judge(p) for j, p in ps.items()}
-        slice_ = SurveySlice("s", forecasts, eligible)
-        ids = sorted(eligible)
-        noise = {j: p.noise for j, p in p_hats.items()}
-        ew, kf, cw, kp, fallback = rule_estimates(
-            ids, [forecasts[j] for j in ids], noise, contributions
-        )
-        assert ew == ewm(slice_).estimate
-        assert kf == kf_crowd(slice_, p_hats).estimate
-        assert cw == cwm(slice_, contributions).estimate
-        assert kp == kf_plus(slice_, p_hats, contributions).estimate
-        assert fallback == (not positive_contribution_subset(slice_, contributions))
+        current = {j: forecasts[j] for j in eligible}
+        noise = {j: (1.0 - p) * p for j, p in ps.items()}
+        *got, fallback = rule_estimates(*members(current), noise, contributions)
+        *expected, expected_fallback = brute_force_rules(current, noise, contributions)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert fallback == expected_fallback
 
     def test_missing_reliability_raises(self):
         with pytest.raises(ValueError, match="no reliability estimate"):
@@ -500,13 +496,12 @@ class TestRuleKernel:
 
     @given(histories)
     @settings(max_examples=200, deadline=None)
-    def test_engine_fold_equals_slice_fold(self, history):
-        engine_means, engine_counts = {}, {}
-        for forecasts, eligible, realized in history:
-            ids = sorted(eligible & forecasts.keys())
-            fold_survey(engine_means, engine_counts, ids, [forecasts[j] for j in ids], realized)
-        slices = [
-            (SurveySlice("s", forecasts, frozenset(eligible & forecasts.keys())), realized)
+    def test_fold_equals_brute_force(self, history):
+        realized_surveys = [
+            ({j: forecasts[j] for j in eligible & forecasts.keys()}, realized)
             for forecasts, eligible, realized in history
         ]
-        assert (engine_means, engine_counts) == fold_history(slices)
+        contributions, counts = fold_history(realized_surveys)
+        oracle, oracle_counts = brute_force_contributions(realized_surveys)
+        assert counts == oracle_counts
+        assert contributions == pytest.approx(oracle, rel=1e-12, abs=1e-10)

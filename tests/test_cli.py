@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from crowdfuse.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SYNTH_CFG = """# tiny demo panel
 num_forecasters = 5
@@ -15,6 +22,21 @@ def write_config(tmp_path, text=SYNTH_CFG):
     path = tmp_path / "gen.cfg"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only oracle; importing it would cost every command's start-up
+        probe = (
+            "import sys, crowdfuse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestHelp:

@@ -170,12 +170,13 @@ class TestMonteCarloGap:
         rng = np.random.default_rng(27)
         for kind in GapKind:
             est = monte_carlo_gap(kind, 0.9, 0.4, 2, 2_000_000, rng)
-            assert abs(est.analytic - est.monte_carlo_mean) < 4 * est.monte_carlo_stderr
+            analytic = expected_gap_analytic(kind, 0.9, 0.4)
+            assert abs(analytic - est.monte_carlo_mean) < 4 * est.monte_carlo_stderr
 
     def test_equal_variances_equal_weighting_wins(self):
         rng = np.random.default_rng(28)
         est = monte_carlo_gap(GapKind.EW_VS_KFU, 1.0, 1.0, 2, 500_000, rng)
-        assert est.analytic == -0.25
+        assert expected_gap_analytic(GapKind.EW_VS_KFU, 1.0, 1.0) == -0.25
         assert est.monte_carlo_mean < 0.0
         # known value -sigma^2 / 4 on the diagonal
         assert abs(est.monte_carlo_mean + 0.25) < 4 * est.monte_carlo_stderr
@@ -184,7 +185,8 @@ class TestMonteCarloGap:
         rng = np.random.default_rng(37)
         for kind in GapKind:
             est = monte_carlo_gap(kind, 0.5, 0.5, 2, 2_000_000, rng)
-            assert abs(est.analytic - est.monte_carlo_mean) < 3 * est.monte_carlo_stderr
+            analytic = expected_gap_analytic(kind, 0.5, 0.5)
+            assert abs(analytic - est.monte_carlo_mean) < 3 * est.monte_carlo_stderr
 
     def test_nonnegative_expectation(self):
         rng = np.random.default_rng(29)

@@ -13,6 +13,7 @@ from crowdfuse.panel import (
     Panel,
     SchemaError,
     SynthConfig,
+    VintageRow,
     ZeroBaseError,
     add_quarters,
     asof_key,
@@ -94,7 +95,17 @@ class TestPctChange:
         assert to_yearly_pct_change(levels, "2020Q1") == 0.0
 
     def test_unemployment_passthrough(self):
-        assert to_yearly_pct_change({"2020Q1": 5.3}, "2020Q1", variable="UNEMP") == 5.3
+        # UNEMP is already in percent: its first reports come back as raw levels
+        unemp = {"2019Q1": 3.8, "2019Q2": 3.6, "2020Q1": 4.4, "2020Q2": 13.0}
+        rgdp = {"2019Q1": 100.0, "2020Q1": 110.0}
+        vintages = tuple(
+            VintageRow(add_quarters(period, 1), variable, period, level)
+            for variable, levels in (("UNEMP", unemp), ("RGDP", rgdp))
+            for period, level in levels.items()
+        )
+        series = calibration_series(Panel((), (), vintages, transform="yearly_pct"))
+        assert series["UNEMP"] == list(unemp.values())
+        assert series["RGDP"] == pytest.approx([10.0])
 
     def test_missing_lag(self):
         with pytest.raises(MissingLevelError):
