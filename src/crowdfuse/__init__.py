@@ -60,6 +60,7 @@ from .quincunx import (
     Moments,
     fuse_p,
     moments,
+    noise_from_p,
     p_from_mse,
     sample_estimate,
     sample_estimates,

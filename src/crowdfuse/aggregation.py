@@ -33,8 +33,6 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Mapping, MutableMapping, Sequence
 
-from .quincunx import Judge
-
 RULE_EWM = "EWM"
 RULE_KF = "KF"
 RULE_CWM = "CWM"
@@ -168,11 +166,12 @@ def fold_survey(
 
 
 def rank_by_reliability(
-    ids: Iterable[str], p_hats: Mapping[str, Judge], mse: Mapping[str, float]
+    ids: Iterable[str], p_hats: Mapping[str, float], mse: Mapping[str, float]
 ) -> list[str]:
     """Forecasters from the most to the least reliable.
 
-    Ties in the estimated reliability break toward lower current MSE, then
-    lexicographic id, so the top n of the list is deterministic.
+    ``p_hats`` maps a forecaster to their estimated reliability p. Ties in
+    p break toward lower current MSE, then lexicographic id, so the top n
+    of the list is deterministic.
     """
-    return sorted(ids, key=lambda j: (-p_hats[j].p, mse[j], j))
+    return sorted(ids, key=lambda j: (-p_hats[j], mse[j], j))

@@ -32,7 +32,7 @@ from .aggregation import (
     rule_estimates,
 )
 from .panel import Calibration, Panel, add_quarters, period_end_month
-from .quincunx import Judge, p_from_mse
+from .quincunx import noise_from_p, p_from_mse
 
 RMSE_CSV_HEADER = "variable,horizon,rule,rmse,n_surveys"
 DM_CSV_HEADER = "variable,horizon,rule,stat,p_value"
@@ -183,7 +183,7 @@ def _run_cell(
     end_months = [period_end_month(s) for s in surveys]
     history: dict[str, list[float]] = {}
     mse: dict[str, float] = {}
-    p_hats: dict[str, Judge] = {}
+    p_hats: dict[str, float] = {}
     noise: dict[str, float] = {}
     contributions: dict[int | None, dict[str, float]] = {n: {} for n in limits}
     counts: dict[int | None, dict[str, int]] = {n: {} for n in limits}
@@ -204,8 +204,8 @@ def _run_cell(
                 errors.append((x - realized) ** 2)
                 scored = errors if window is None else errors[-window:]
                 mse[j] = sum(scored) / len(scored)
-                judge = p_hats[j] = p_from_mse(mse[j], count, unit)
-                noise[j] = judge.noise
+                p = p_hats[j] = p_from_mse(mse[j], count, unit)
+                noise[j] = noise_from_p(p)
 
         forecasts = panel.forecasts_at(survey, variable, horizon)
         if not forecasts:
@@ -226,7 +226,7 @@ def _run_cell(
                 trail.skipped_surveys += 1
                 continue
             if n is None:
-                trail.p_hats.extend(p_hats[j].p for j in ids)
+                trail.p_hats.extend(map(p_hats.__getitem__, ids))
             *estimates, fallback = rule_estimates(ids, values, noise, contributions[n])
             for rule, slot in slots:
                 trail.estimates[rule].append((survey, estimates[slot]))
@@ -254,10 +254,17 @@ def cell_estimates(
     window: int | None = None,
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-rule (survey, estimate) trail for one cell; useful for audits."""
+    _check_window(window)
     return _run_cell(panel, variable, horizon, rules, calib, (None,), window)[None].estimates
 
 
-def _check_inputs(panel: Panel, rules: Sequence[str]) -> None:
+def _check_window(window: int | None) -> None:
+    if window is not None and window < 1:
+        raise ValueError(f"window must be a positive number of errors, got {window!r}")
+
+
+def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> None:
+    _check_window(window)
     if not panel.forecasts:
         raise EmptyPanelError("panel holds no forecasts")
     for rule in rules:
@@ -282,9 +289,10 @@ def run_backtest(
     RMSE covers the surveys where the rules produced estimates and a
     first-reported realization exists. Diebold-Mariano cells compare each
     rule's errors against the contribution-weighted rule's on those
-    surveys, when there are at least eight.
+    surveys, when there are at least eight. A ``window`` n (at least 1)
+    estimates each forecaster's reliability from their last n errors only.
     """
-    _check_inputs(panel, rules)
+    _check_inputs(panel, rules, window)
     cells: list[RmseCell] = []
     dm_cells: list[DmCell] = []
     diagnostics: list[CellDiagnostics] = []
@@ -335,7 +343,8 @@ def subset_sweep(
     sizes = sorted(set(n_range))
     if not sizes or sizes[0] < 1:
         raise ValueError("subset sizes must be positive")
-    _check_inputs(panel, rules)
+    _check_inputs(panel, rules, window)
+    horizons = sorted(set(horizons))
     scored: dict[tuple[int, str, int], list[RmseCell]] = {}
     for variable in sorted(panel.variables):
         for horizon in panel.horizons(variable):

@@ -154,10 +154,18 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     _check_output(out_path, args.force)
     panel, calib = _load_inputs(args, parser)
     rules = _parse_rules(args.rules, parser)
+    held = sorted({h for variable in panel.variables for h in panel.horizons(variable)})
+    horizons = tuple(held)
     if args.horizons:
-        horizons = tuple(int(h) for h in args.horizons.split(","))
-    else:
-        horizons = tuple(sorted({f.horizon for f in panel.forecasts}))
+        try:
+            horizons = tuple(int(h) for h in args.horizons.split(","))
+        except ValueError:
+            horizons = ()
+        if not horizons or not set(horizons) <= set(held):
+            parser.error(
+                f"--horizons {args.horizons!r}: expected a comma-separated subset of "
+                f"the panel's horizons {','.join(map(str, held))}"
+            )
     points = bt.subset_sweep(
         panel,
         horizons,
@@ -171,6 +179,16 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_backtest_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--forecasts", help="forecast CSV (survey,variable,horizon,forecaster_id,value)")
     sub.add_argument("--realizations", help="realization CSV (target,variable,value,vintage)")
@@ -179,7 +197,7 @@ def _add_backtest_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="generator seed (required with --synthetic unless the config has one)")
     sub.add_argument("--rules", default="ewm,kf,cwm,kfplus", help="comma-separated rules to run")
     sub.add_argument("--out-dir", required=True, help="directory for the report CSVs")
-    sub.add_argument("--window", type=int, default=None, help="restrict reliability MSE to the last N errors")
+    sub.add_argument("--window", type=_positive_int, default=None, help="restrict reliability MSE to the last N >= 1 errors")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 

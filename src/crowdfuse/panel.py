@@ -24,7 +24,8 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,8 +121,7 @@ def asof_key(text: str) -> tuple[int, int]:
 # Rows and the panel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ForecastRow:
+class ForecastRow(NamedTuple):
     survey: str
     variable: str
     horizon: int
@@ -184,9 +184,16 @@ def _first_reports(
     }
 
 
+_NO_FORECASTS: Mapping[str, float] = MappingProxyType({})
+
+
 @dataclass
 class Panel:
-    """An immutable forecast panel with derived lookup tables."""
+    """An immutable forecast panel with derived lookup tables.
+
+    One pass over the forecast rows builds the (survey, variable, horizon)
+    cell map, the survey list and each variable's horizons.
+    """
 
     forecasts: tuple[ForecastRow, ...]
     realizations: tuple[RealizationRow, ...]
@@ -199,21 +206,30 @@ class Panel:
     def __post_init__(self) -> None:
         if self.transform not in ("yearly_pct", "none"):
             raise ValueError(f"unknown transform {self.transform!r}")
-        self.surveys = tuple(sorted({f.survey for f in self.forecasts}, key=period_key))
-        self.variables = frozenset(f.variable for f in self.forecasts)
-        self._forecast_map: dict[tuple[str, str, int], dict[str, float]] = {}
-        for row in self.forecasts:
-            cell = self._forecast_map.setdefault((row.survey, row.variable, row.horizon), {})
-            cell[row.forecaster_id] = row.value
+        cells: dict[tuple[str, str, int], dict[str, float]] = {}
+        surveys: set[str] = set()
+        horizons: dict[str, set[int]] = {}
+        for survey, variable, horizon, forecaster, value in self.forecasts:
+            cell = cells.get((survey, variable, horizon))
+            if cell is None:
+                cell = cells[survey, variable, horizon] = {}
+                surveys.add(survey)
+                horizons.setdefault(variable, set()).add(horizon)
+            cell[forecaster] = value
+        self.surveys = tuple(sorted(surveys, key=period_key))
+        self.variables = frozenset(horizons)
+        self._horizons = {variable: tuple(sorted(hs)) for variable, hs in horizons.items()}
+        self._forecast_map = {key: MappingProxyType(cell) for key, cell in cells.items()}
         self._reports = _report_candidates(
             (r.variable, r.target, r.vintage, r.value) for r in self.realizations
         )
 
-    def forecasts_at(self, survey: str, variable: str, horizon: int) -> dict[str, float]:
-        return dict(self._forecast_map.get((survey, variable, horizon), {}))
+    def forecasts_at(self, survey: str, variable: str, horizon: int) -> Mapping[str, float]:
+        """Forecaster id to forecast in one cell, as a read-only view."""
+        return self._forecast_map.get((survey, variable, horizon), _NO_FORECASTS)
 
     def horizons(self, variable: str) -> tuple[int, ...]:
-        return tuple(sorted({f.horizon for f in self.forecasts if f.variable == variable}))
+        return self._horizons.get(variable, ())
 
     def realization(self, variable: str, target: str) -> tuple[float, tuple[int, int]] | None:
         """First-reported analysis-unit value of a target period and when it is known.
@@ -321,27 +337,25 @@ def calibration_series(panel: Panel) -> dict[str, list[float]]:
 # Loading and writing
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-        if got != header:
-            raise SchemaError(
-                f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
-            )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                log.warning("%s:%d: expected %d columns, got %d; row rejected",
-                            path, line_no, len(header), len(row))
-                continue
-            rows.append((line_no, row))
-    return rows
+def _records(fh: Iterable[str], path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The CSV records of an open file after its checked header, with line numbers from 2."""
+    reader = csv.reader(fh)
+    try:
+        got = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
+    if got != header:
+        raise SchemaError(
+            f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
+        )
+    return enumerate(reader, start=2)
+
+
+def _warn_width(path: str, line_no: int, row: list[str], width: int) -> None:
+    """Reject a record of the wrong width; a blank line is skipped silently."""
+    if row:
+        log.warning("%s:%d: expected %d columns, got %d; row rejected",
+                    path, line_no, width, len(row))
 
 
 def _finite_float(text: str) -> float:
@@ -349,6 +363,59 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
+
+
+def _load_forecasts(path: str) -> tuple[ForecastRow, ...]:
+    """The accepted forecast rows, in file order, from one pass over the file.
+
+    Each distinct survey string is parsed once and each distinct horizon
+    string converted once; the memos hand every row the first copy of its
+    survey string. A string that fails is not memoized, so every line that
+    holds it is rejected with the same message.
+    """
+    forecasts: list[ForecastRow] = []
+    periods: dict[str, str] = {}
+    horizons: dict[str, int] = {}
+    seen: dict[tuple[str, str, int], dict[str, int]] = {}
+    width = len(FORECAST_HEADER)
+    rejected = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, row in _records(fh, path, FORECAST_HEADER):
+            if len(row) != width:
+                _warn_width(path, line_no, row, width)
+                continue
+            survey_s, variable, horizon_s, forecaster, value_s = row
+            try:
+                survey = periods.get(survey_s)
+                if survey is None:
+                    parse_period(survey_s)
+                    survey = periods[survey_s] = survey_s
+                horizon = horizons.get(horizon_s)
+                if horizon is None:
+                    horizon = horizons[horizon_s] = int(horizon_s)
+                value = _finite_float(value_s)
+            except (PanelError, ValueError) as exc:
+                log.warning("%s:%d: %s; row rejected", path, line_no, exc)
+                rejected += 1
+                continue
+            if not MIN_HORIZON <= horizon <= MAX_HORIZON:
+                log.warning("%s:%d: horizon %d outside %d..%d; row rejected",
+                            path, line_no, horizon, MIN_HORIZON, MAX_HORIZON)
+                rejected += 1
+                continue
+            cell = seen.get((survey, variable, horizon))
+            if cell is None:
+                cell = seen[survey, variable, horizon] = {}
+            elif forecaster in cell:
+                key = (survey, variable, horizon, forecaster)
+                raise DuplicateRowError(
+                    f"{path}: duplicate forecast {key} at lines {cell[forecaster]} and {line_no}"
+                )
+            cell[forecaster] = line_no
+            forecasts.append(ForecastRow(survey, variable, horizon, forecaster, value))
+    if not forecasts and not rejected:  # no record had the right width
+        log.warning("%s: no forecast rows", path)
+    return tuple(forecasts)
 
 
 def load_panel(
@@ -361,78 +428,63 @@ def load_panel(
 
     Rows that fail invariants (bad periods, horizons outside 1..5,
     unparseable or non-finite numbers) are rejected with line-numbered
-    diagnostics; duplicate keys raise :class:`DuplicateRowError` naming
-    both lines.
+    diagnostics, in line order; duplicate keys raise
+    :class:`DuplicateRowError` naming both lines.
     """
-    forecasts: list[ForecastRow] = []
-    seen: dict[tuple[str, str, int, str], int] = {}
-    rows = _read_rows(forecast_path, FORECAST_HEADER)
-    if not rows:
-        log.warning("%s: no forecast rows", forecast_path)
-    for line_no, (survey, variable, horizon_s, forecaster, value_s) in rows:
-        try:
-            parse_period(survey)
-            horizon = int(horizon_s)
-            value = _finite_float(value_s)
-        except (PanelError, ValueError) as exc:
-            log.warning("%s:%d: %s; row rejected", forecast_path, line_no, exc)
-            continue
-        if not MIN_HORIZON <= horizon <= MAX_HORIZON:
-            log.warning("%s:%d: horizon %d outside %d..%d; row rejected",
-                        forecast_path, line_no, horizon, MIN_HORIZON, MAX_HORIZON)
-            continue
-        key = (survey, variable, horizon, forecaster)
-        if key in seen:
-            raise DuplicateRowError(
-                f"{forecast_path}: duplicate forecast {key} at lines {seen[key]} and {line_no}"
-            )
-        seen[key] = line_no
-        forecasts.append(ForecastRow(survey, variable, horizon, forecaster, value))
+    forecasts = _load_forecasts(forecast_path)
 
     realizations: list[RealizationRow] = []
     seen_r: dict[tuple[str, str, str], int] = {}
-    for line_no, (target, variable, value_s, vintage) in _read_rows(
-        realization_path, REALIZATION_HEADER
-    ):
-        try:
-            parse_period(target)
-            asof_key(vintage)
-            value = _finite_float(value_s)
-        except (PanelError, ValueError) as exc:
-            log.warning("%s:%d: %s; row rejected", realization_path, line_no, exc)
-            continue
-        key = (target, variable, vintage)
-        if key in seen_r:
-            raise DuplicateRowError(
-                f"{realization_path}: duplicate realization {key} at lines "
-                f"{seen_r[key]} and {line_no}"
-            )
-        seen_r[key] = line_no
-        realizations.append(RealizationRow(target, variable, value, vintage))
+    width = len(REALIZATION_HEADER)
+    with open(realization_path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, row in _records(fh, realization_path, REALIZATION_HEADER):
+            if len(row) != width:
+                _warn_width(realization_path, line_no, row, width)
+                continue
+            target, variable, value_s, vintage = row
+            try:
+                parse_period(target)
+                asof_key(vintage)
+                value = _finite_float(value_s)
+            except (PanelError, ValueError) as exc:
+                log.warning("%s:%d: %s; row rejected", realization_path, line_no, exc)
+                continue
+            key = (target, variable, vintage)
+            if key in seen_r:
+                raise DuplicateRowError(
+                    f"{realization_path}: duplicate realization {key} at lines "
+                    f"{seen_r[key]} and {line_no}"
+                )
+            seen_r[key] = line_no
+            realizations.append(RealizationRow(target, variable, value, vintage))
 
     vintages: list[VintageRow] = []
     seen_v: dict[tuple[str, str, str], int] = {}
-    for line_no, (asof, variable, period, level_s) in _read_rows(
-        vintage_path, VINTAGE_HEADER
-    ):
-        try:
-            asof_key(asof)
-            parse_period(period)
-            level = _finite_float(level_s)
-        except (PanelError, ValueError) as exc:
-            log.warning("%s:%d: %s; row rejected", vintage_path, line_no, exc)
-            continue
-        key = (asof, variable, period)
-        if key in seen_v:
-            raise DuplicateRowError(
-                f"{vintage_path}: duplicate vintage {key} at lines "
-                f"{seen_v[key]} and {line_no}"
-            )
-        seen_v[key] = line_no
-        vintages.append(VintageRow(asof, variable, period, level))
+    width = len(VINTAGE_HEADER)
+    with open(vintage_path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, row in _records(fh, vintage_path, VINTAGE_HEADER):
+            if len(row) != width:
+                _warn_width(vintage_path, line_no, row, width)
+                continue
+            asof, variable, period, level_s = row
+            try:
+                asof_key(asof)
+                parse_period(period)
+                level = _finite_float(level_s)
+            except (PanelError, ValueError) as exc:
+                log.warning("%s:%d: %s; row rejected", vintage_path, line_no, exc)
+                continue
+            key = (asof, variable, period)
+            if key in seen_v:
+                raise DuplicateRowError(
+                    f"{vintage_path}: duplicate vintage {key} at lines "
+                    f"{seen_v[key]} and {line_no}"
+                )
+            seen_v[key] = line_no
+            vintages.append(VintageRow(asof, variable, period, level))
 
     return Panel(
-        forecasts=tuple(forecasts),
+        forecasts=forecasts,
         realizations=tuple(realizations),
         vintages=tuple(vintages),
         transform=transform,

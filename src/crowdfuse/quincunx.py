@@ -91,7 +91,7 @@ class Judge:
     @property
     def noise(self) -> float:
         """The unit-free variance factor (1 - p) * p."""
-        return (1.0 - self.p) * self.p
+        return noise_from_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,17 @@ def variance_from_p(p: float, count: int, unit: float) -> float:
     return 4.0 * count * (1.0 - p) * p * unit * unit
 
 
-def p_from_mse(mse: float, count: int, unit: float) -> Judge:
+def noise_from_p(p: float) -> float:
+    """The unit-free variance factor (1 - p) * p of reliability p."""
+    return (1.0 - p) * p
+
+
+def p_from_mse(mse: float, count: int, unit: float) -> float:
     """Invert the variance identity: reliability implied by an observed MSE.
 
-    p = 1/2 + sqrt(Cv^2 (Cv^2 - MSE)) / (2 Cv^2). An MSE above Cv^2 (possible
-    in real data) is clamped to the maximal-uncertainty bound, returning
-    p = 0.5 rather than a complex root.
+    p = 1/2 + sqrt(Cv^2 (Cv^2 - MSE)) / (2 Cv^2), a float in [0.5, 1]. An
+    MSE above Cv^2 (possible in real data) is clamped to the
+    maximal-uncertainty bound, returning p = 0.5 rather than a complex root.
     """
     if mse < 0.0 or not math.isfinite(mse):
         raise ValueError(f"mse must be a nonnegative finite real, got {mse!r}")
@@ -215,9 +220,8 @@ def p_from_mse(mse: float, count: int, unit: float) -> Judge:
         raise ValueError(f"unit must be positive, got {unit!r}")
     cap = count * unit * unit
     if mse >= cap:
-        return Judge(0.5)
-    p = 0.5 + math.sqrt(cap * (cap - mse)) / (2.0 * cap)
-    return Judge(min(p, 1.0))
+        return 0.5
+    return min(0.5 + math.sqrt(cap * (cap - mse)) / (2.0 * cap), 1.0)
 
 
 def fuse_p(a: Judge, b: Judge) -> Judge:

@@ -24,7 +24,7 @@ from crowdfuse.panel import (
     calibrate_v,
     calibration_series,
 )
-from crowdfuse.quincunx import Judge, p_from_mse
+from crowdfuse.quincunx import Judge, noise_from_p, p_from_mse
 
 SURVEYS = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
 REALIZED = [2.0, 2.4, 1.8, 2.2, 2.0]
@@ -73,7 +73,7 @@ def inverse_noise_mean(forecasts, noise):
 
 def expected_kf(forecasts, mses, calib):
     """Inverse-variance estimate for reliabilities implied by the given MSEs."""
-    noise = {j: p_from_mse(m, *calib).noise for j, m in mses.items()}
+    noise = {j: noise_from_p(p_from_mse(m, *calib)) for j, m in mses.items()}
     return inverse_noise_mean({j: forecasts[j] for j in mses}, noise)
 
 
@@ -393,18 +393,18 @@ class TestKfPlus:
 
 class TestTopN:
     def test_covering_population_is_identity(self):
-        p_hats = {"a": Judge(0.7), "b": Judge(0.7)}
+        p_hats = {"a": 0.7, "b": 0.7}
         ranked = rank_by_reliability(["a", "b"], p_hats, {"a": 0.5, "b": 0.5})
         assert set(ranked[:5]) == {"a", "b"}
 
     def test_top_two_by_reliability(self):
-        p_hats = {"a": Judge(0.9), "b": Judge(0.8), "c": Judge(0.7)}
+        p_hats = {"a": 0.9, "b": 0.8, "c": 0.7}
         mse = {"a": 0.5, "b": 0.5, "c": 0.5}
         assert rank_by_reliability("cba", p_hats, mse)[:2] == ["a", "b"]
 
     def test_tie_breaks_deterministic(self):
         # equal clamped reliability: lower MSE wins, then the id
-        p_hats = {j: Judge(0.5) for j in "abc"}
+        p_hats = dict.fromkeys("abc", 0.5)
         mse = {"a": 3.0, "b": 2.0, "c": 2.0}
         ranked = rank_by_reliability("abc", p_hats, mse)
         assert ranked[:1] == ["b"]
@@ -413,7 +413,7 @@ class TestTopN:
     def test_rejects_bad_arguments(self):
         # a forecaster without a reliability estimate cannot be ranked
         with pytest.raises(KeyError):
-            rank_by_reliability(["a", "b"], {"a": Judge(0.7)}, {"a": 0.5, "b": 0.5})
+            rank_by_reliability(["a", "b"], {"a": 0.7}, {"a": 0.5, "b": 0.5})
 
 
 class TestWeightNormalization:

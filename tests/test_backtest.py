@@ -282,6 +282,24 @@ class TestWindow:
         points = subset_sweep(panel, (1, 2), range(1, 8), calib)
         assert subset_sweep(panel, (1, 2), range(1, 8), calib, window=len(panel.surveys)) == points
 
+    def test_repeated_horizon_counts_once(self):
+        panel, calib = synth_calibrated(SynthConfig(num_forecasters=5, num_surveys=20, seed=80))
+        points = subset_sweep(panel, (1,), range(1, 4), calib)
+        assert points
+        assert subset_sweep(panel, (1, 1), range(1, 4), calib) == points
+
+    @pytest.mark.parametrize("window", [0, -1, -500])
+    def test_window_below_one_rejected(self, window):
+        # 0 used to act as no window, -1 dropped the oldest error, -500 divided by zero
+        panel = hand_panel()
+        calib = calibrate_v(calibration_series(panel))
+        with pytest.raises(ValueError, match="window"):
+            run_backtest(panel, RULES, calib, window=window)
+        with pytest.raises(ValueError, match="window"):
+            subset_sweep(panel, (1,), range(1, 3), calib, window=window)
+        with pytest.raises(ValueError, match="window"):
+            cell_estimates(panel, "X", 1, RULES, calib, window=window)
+
 
 synth_configs = st.builds(
     SynthConfig,

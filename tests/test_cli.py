@@ -241,3 +241,30 @@ class TestSweep:
         assert lines[0] == "horizon,rule,n_included,rmse"
         sizes = {int(line.split(",")[2]) for line in lines[1:]}
         assert sizes == {2, 3, 4, 5}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("window", ["0", "-1", "-500"])
+    def test_window_below_one(self, tmp_path, capsys, command, window):
+        out_dir = tmp_path / "r"
+        argv = [command, "--synthetic", write_config(tmp_path), "--seed", "5",
+                "--window", window, "--out-dir", str(out_dir)]
+        if command == "sweep":
+            argv += ["--n-min", "1", "--n-max", "3"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "--window" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("horizons", ["x", "9", "1,9", "1,"])
+    def test_sweep_horizons_not_in_panel(self, tmp_path, capsys, horizons):
+        cfg = write_config(tmp_path, SYNTH_CFG + "horizons = 2\n")
+        out_dir = tmp_path / "r"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--synthetic", cfg, "--seed", "6", "--n-min", "2", "--n-max", "3",
+                  "--horizons", horizons, "--out-dir", str(out_dir)])
+        assert err.value.code == 2
+        assert "horizons 1,2" in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()

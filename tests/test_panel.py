@@ -1,13 +1,21 @@
+import csv
 import logging
+import math
+import os
 import random
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdfuse.panel as panel_module
 from crowdfuse.panel import (
     CalibrationError,
     DuplicateRowError,
+    ForecastRow,
     MissingLevelError,
     MissingSeedError,
     Panel,
@@ -54,14 +62,15 @@ VINTAGES = """asof,variable,period,level
 """
 
 
-def write_inputs(tmp_path, forecasts=FORECASTS, realizations=REALIZATIONS, vintages=VINTAGES):
-    f = tmp_path / "forecasts.csv"
-    r = tmp_path / "realizations.csv"
-    v = tmp_path / "vintages.csv"
-    f.write_text(forecasts, encoding="utf-8")
-    r.write_text(realizations, encoding="utf-8")
-    v.write_text(vintages, encoding="utf-8")
-    return str(f), str(r), str(v)
+def write_inputs(directory, forecasts=FORECASTS, realizations=REALIZATIONS, vintages=VINTAGES):
+    paths = []
+    for name, text in (("forecasts.csv", forecasts), ("realizations.csv", realizations),
+                       ("vintages.csv", vintages)):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        paths.append(path)
+    return tuple(paths)
 
 
 class TestPeriods:
@@ -231,6 +240,203 @@ class TestLoadPanel:
                 assert f"{name}:{line}:" in messages
         assert messages.count("non-finite number") == 9
         assert messages.count("row rejected") == 12
+
+
+# survey, horizon and value strings that repeat across rows, valid and not
+ORACLE_SURVEYS = ["2000Q1", "2000Q2", "2001Q4", "1999Q3", "2000Q5", "2000q1", "00Q1"]
+ORACLE_HORIZONS = ["1", "2", "5", " 3", "0", "6", "-1", "x", "1.5"]
+ORACLE_VALUES = ["1.5", "-0.25", "3", "1e-3", "nan", "inf", "-inf", "oops", ""]
+
+oracle_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(ORACLE_SURVEYS), st.sampled_from(["X", "Y"]),
+        st.sampled_from(ORACLE_HORIZONS), st.sampled_from(ORACLE_VALUES),
+    ),
+    st.just(()),                                        # a blank line
+    st.sampled_from([1, 2, 4, 6]),                      # a record of the wrong width
+)
+
+
+def oracle_text(lines, unique_ids):
+    """A forecast file: each tuple is a row, () a blank line, an int a record that wide.
+
+    With ``unique_ids`` every row has its own forecaster, so no key repeats;
+    otherwise ids come from two, and duplicates are likely.
+    """
+    out = ["survey,variable,horizon,forecaster_id,value"]
+    for i, line in enumerate(lines):
+        if isinstance(line, int):
+            out.append(",".join(["z"] * line))
+        elif not line:
+            out.append("")
+        else:
+            survey, variable, horizon, value = line
+            forecaster = f"f{i}" if unique_ids else "ab"[i % 2]
+            out.append(f"{survey},{variable},{horizon},{forecaster},{value}")
+    return "\n".join(out) + "\n"
+
+
+def oracle_load(path):
+    """Straight-line, row-by-row reference of the forecast loader.
+
+    Returns the accepted rows, the warning messages in order, and the
+    duplicate error message (or None); rows after a duplicate are not read.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    rows, messages, first_line = [], [], {}
+    width_ok = False
+    for line_no, record in enumerate(records, start=2):
+        if not record:
+            continue
+        if len(record) != 5:
+            messages.append(f"{path}:{line_no}: expected 5 columns, got {len(record)}; row rejected")
+            continue
+        width_ok = True
+        survey, variable, horizon_s, forecaster, value_s = record
+        reason = None
+        if not re.fullmatch(r"[0-9]{4}Q[1-4]", survey):
+            reason = f"bad period {survey!r}, expected YYYYQn"
+        else:
+            try:
+                horizon = int(horizon_s)
+                value = float(value_s)
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                if not math.isfinite(value):
+                    reason = f"non-finite number {value_s!r}"
+                elif not 1 <= horizon <= 5:
+                    reason = f"horizon {horizon} outside 1..5"
+        if reason is not None:
+            messages.append(f"{path}:{line_no}: {reason}; row rejected")
+            continue
+        key = (survey, variable, horizon, forecaster)
+        if key in first_line:
+            error = f"{path}: duplicate forecast {key} at lines {first_line[key]} and {line_no}"
+            return rows, messages, error
+        first_line[key] = line_no
+        rows.append(ForecastRow(survey, variable, horizon, forecaster, value))
+    if not width_ok:
+        messages.append(f"{path}: no forecast rows")
+    return rows, messages, None
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def load_logged(paths):
+    """Load a panel, returning it (or the raised error) and the warning messages."""
+    handler = _Records()
+    logger = logging.getLogger(panel_module.__name__)
+    logger.addHandler(handler)
+    try:
+        try:
+            return load_panel(*paths), handler.messages
+        except DuplicateRowError as exc:
+            return exc, handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestOnePassLoader:
+    @given(lines=st.lists(oracle_lines, max_size=30), unique_ids=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row_oracle(self, lines, unique_ids):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_inputs(tmp, oracle_text(lines, unique_ids))
+            expected_rows, expected_messages, duplicate = oracle_load(paths[0])
+            got, messages = load_logged(paths)
+        assert messages == expected_messages
+        if duplicate is not None:
+            assert isinstance(got, DuplicateRowError)
+            assert str(got) == duplicate
+            return
+        assert got.forecasts == tuple(expected_rows)
+        cells = {}
+        for row in expected_rows:
+            cells.setdefault((row.survey, row.variable, row.horizon), {})[row.forecaster_id] = row.value
+        for survey in ORACLE_SURVEYS:
+            for variable in ("X", "Y"):
+                for horizon in range(0, 7):
+                    key = (survey, variable, horizon)
+                    assert got.forecasts_at(*key) == cells.get(key, {})
+        assert got.surveys == tuple(sorted({r.survey for r in expected_rows}, key=parse_period))
+        for variable in ("X", "Y", "Z"):
+            assert got.horizons(variable) == tuple(
+                sorted({r.horizon for r in expected_rows if r.variable == variable})
+            )
+
+    def test_duplicate_after_rejected_rows_names_both_lines(self, tmp_path):
+        text = (
+            "survey,variable,horizon,forecaster_id,value\n"
+            "2000Q1,X,1,a,1.0\n"          # line 2
+            "2000Q5,X,1,a,1.0\n"          # rejected: bad period
+            "2000Q1,X,x,a,1.0\n"          # rejected: horizon
+            "2000Q1,X,1\n"                # rejected: width
+            "\n"
+            "2000Q1,X,1,a,2.0\n"          # line 7 repeats line 2
+        )
+        got, messages = load_logged(write_inputs(tmp_path, forecasts=text))
+        assert isinstance(got, DuplicateRowError)
+        assert "('2000Q1', 'X', 1, 'a') at lines 2 and 7" in str(got)
+        assert [m.split(":")[1] for m in messages] == ["3", "4", "5"]
+
+    def test_parses_each_survey_string_once(self, tmp_path, monkeypatch):
+        # 1,980 rows over 4 surveys, then 20 rejected rows whose strings repeat
+        lines = ["survey,variable,horizon,forecaster_id,value"]
+        surveys = ["2000Q1", "2000Q2", "2000Q3", "2000Q4"]
+        for survey in surveys:
+            for horizon in range(1, 6):
+                lines.extend(f"{survey},X,{horizon},f{j},1.5" for j in range(99))
+        lines.extend("2000Q5,X,1,bad,1.5" for _ in range(10))
+        lines.extend(f"2000Q1,X,x,bad{j},1.5" for j in range(5))
+        lines.extend(f"2000Q1,X,1,bad{j},nan" for j in range(5))
+        assert len(lines) == 2001
+        # header-only realization and vintage files parse no periods
+        paths = write_inputs(
+            tmp_path, forecasts="\n".join(lines) + "\n",
+            realizations="target,variable,value,vintage\n",
+            vintages="asof,variable,period,level\n",
+        )
+        calls = []
+        original = panel_module.parse_period
+        monkeypatch.setattr(
+            panel_module, "parse_period", lambda text: calls.append(text) or original(text)
+        )
+        panel = load_panel(*paths)
+        assert len(panel.forecasts) == 1980
+        distinct, rejected = len(surveys) + 1, 20
+        assert len(calls) <= distinct + rejected
+        assert calls.count("2000Q5") == 10
+
+    def test_forecasts_at_is_read_only(self, tmp_path):
+        panel = load_panel(*write_inputs(tmp_path))
+        view = panel.forecasts_at("2000Q1", "RGDP", 1)
+        with pytest.raises(TypeError):
+            view["alice"] = 99.0
+        with pytest.raises(TypeError):
+            del view["bob"]
+        copied = view.copy()
+        copied["alice"] = 99.0
+        missing = panel.forecasts_at("1990Q1", "RGDP", 1)
+        with pytest.raises(TypeError):
+            missing["alice"] = 1.0
+        assert panel.forecasts_at("2000Q1", "RGDP", 1) == {"alice": 2.5, "bob": 3.0, "carol": 2.0}
+        assert panel.forecasts_at("1990Q1", "RGDP", 1) == {}
+        assert panel.forecasts[0] == ForecastRow("2000Q1", "RGDP", 1, "alice", 2.5)
+
+    def test_forecast_row_is_a_plain_tuple(self):
+        row = ForecastRow("2000Q1", "X", 2, "a", 1.5)
+        assert row == ("2000Q1", "X", 2, "a", 1.5)
+        assert (row.survey, row.horizon, row.value) == ("2000Q1", 2, 1.5)
+        assert not hasattr(row, "__dict__")
 
 
 class TestRoundtrip:

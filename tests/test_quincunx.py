@@ -14,6 +14,7 @@ from crowdfuse.quincunx import (
     fuse_p,
     kurtosis,
     moments,
+    noise_from_p,
     p_from_mse,
     sample_estimate,
     sample_estimate_each,
@@ -175,11 +176,18 @@ class TestVarianceCorrespondence:
         assert abs(draws.var() - 0.36) < 0.005
 
     def test_p_from_mse_examples(self):
-        assert p_from_mse(0.0, 1, 1.0).p == 1.0
-        assert p_from_mse(0.36, 1, 1.0).p == pytest.approx(0.9, abs=1e-12)
-        assert p_from_mse(5.0, 1, 1.0).p == 0.5
-        with pytest.raises(ValueError):
-            p_from_mse(-0.1, 1, 1.0)
+        assert p_from_mse(0.0, 1, 1.0) == 1.0
+        assert p_from_mse(0.36, 1, 1.0) == pytest.approx(0.9, abs=1e-12)
+        assert p_from_mse(5.0, 1, 1.0) == 0.5
+        assert type(p_from_mse(0.36, 1, 1.0)) is float
+        for mse, count, unit in ((-0.1, 1, 1.0), (math.nan, 1, 1.0), (math.inf, 1, 1.0),
+                                 (0.1, 0, 1.0), (0.1, 1, 0.0)):
+            with pytest.raises(ValueError):
+                p_from_mse(mse, count, unit)
+
+    def test_noise_from_p_is_judge_noise(self):
+        for p in (0.5, 0.6, 0.9, 1.0):
+            assert noise_from_p(p) == Judge(p).noise == (1.0 - p) * p
 
     @given(p=probabilities, count=counts, unit=units)
     @example(p=0.5000000000000001, count=3, unit=1.0)
@@ -191,8 +199,8 @@ class TestVarianceCorrespondence:
         v = variance_from_p(p, count, unit)
         back = p_from_mse(v, count, unit)
         assert (
-            abs(back.p - p) < 1e-12
-            or abs(variance_from_p(back.p, count, unit) - v) <= 4 * sys.float_info.epsilon * v
+            abs(back - p) < 1e-12
+            or abs(variance_from_p(back, count, unit) - v) <= 4 * sys.float_info.epsilon * v
         )
 
 
