@@ -3,18 +3,22 @@
 A panel holds quarterly forecasts (per survey, variable, horizon, and
 forecaster), realized values as first reported, and vintage level series.
 File schemas (UTF-8 CSV, mandatory header, ``.`` decimal separator,
-periods formatted ``YYYYQn``):
+periods formatted ``YYYYQn``, stamps ``YYYYQn`` or ``YYYY-MM[-DD]`` with a
+month of 1-12 and a day of 1-31):
 
 * forecasts:     ``survey,variable,horizon,forecaster_id,value``
 * realizations:  ``target,variable,value,vintage``
 * vintages:      ``asof,variable,period,level``
 
-Realized targets are taken from the first vintage strictly following the
-target period, so they reflect only what forecasters could not have known.
-Realization values are level data; analysis units are yearly percentage
-changes computed across the first-report series (except UNEMP, already in
-percent). Synthetic panels skip the transformation and carry analysis
-units directly.
+All three files go through one reader with the same rules: a bad row is
+rejected with a line-numbered warning, and a repeated key raises an error
+naming both lines. Realized targets are taken from the first stamp strictly
+following the target period (on a tie, the earlier row wins), so they
+reflect only what forecasters could not have known. Realization values are
+level data; analysis units are yearly percentage changes computed across
+the first-report series (except UNEMP, already in percent), known from the
+later of the two stamps. Synthetic panels skip the transformation and
+carry analysis units directly.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,7 +117,9 @@ def asof_key(text: str) -> tuple[int, int]:
         return int(m.group(1)), 3 * int(m.group(2))
     m = _DATE_RE.match(text)
     if m:
-        return int(m.group(1)), int(m.group(2))
+        year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
+        if 1 <= month <= 12 and 1 <= day <= 31:
+            return year, month
     raise PanelError(f"bad vintage stamp {text!r}, expected YYYYQn or YYYY-MM[-DD]")
 
 
@@ -145,43 +151,49 @@ class VintageRow:
     level: float
 
 
-def _report_candidates(
-    rows: Iterable[tuple[str, str, str, float]]
-) -> dict[str, dict[str, list[tuple[tuple[int, int], float]]]]:
-    """Group reported values by (variable, period), keeping stamps after the period end.
+def _analysis_table(
+    rows: Iterable[tuple[str, str, str, float]], transform: str
+) -> dict[str, dict[str, tuple[float, tuple[int, int]]]]:
+    """First-reported analysis-unit values: ``{variable: {period: (value, known_by)}}``.
 
-    Values stamped at or before the period end cannot be first reports of a
-    completed period and are dropped with a diagnostic. The survivors are
-    sorted by stamp, so index 0 is the first report.
+    A period's first report is the value at its earliest stamp after the
+    period ends; on a tie the earlier row wins. Values stamped at or before
+    the period end are dropped with a diagnostic. The yearly change of a
+    period is known from the later of its two stamps; a period whose base
+    report is missing or zero has no entry. UNEMP, and every variable under
+    ``transform="none"``, passes through.
     """
-    grouped: dict[str, dict[str, list[tuple[tuple[int, int], float]]]] = {}
+    firsts: dict[str, dict[str, tuple[tuple[int, int], float]]] = {}
     early: set[tuple[str, str]] = set()
     for variable, period, stamp, value in rows:
         key = asof_key(stamp)
         if key <= period_end_month(period):
             early.add((variable, period))
             continue
-        grouped.setdefault(variable, {}).setdefault(period, []).append((key, value))
-    for variable in grouped:
-        for period in grouped[variable]:
-            grouped[variable][period].sort(key=lambda item: item[0])
+        reports = firsts.setdefault(variable, {})
+        first = reports.get(period)
+        if first is None or key < first[0]:
+            reports[period] = (key, value)
     for variable, period in sorted(early):
-        if period not in grouped.get(variable, {}):
+        if period not in firsts.get(variable, {}):
             log.warning(
                 "no stamp after period end for %s %s; value dropped", variable, period
             )
-    return grouped
-
-
-def _first_reports(
-    rows: Iterable[tuple[str, str, str, float]]
-) -> dict[str, dict[str, float]]:
-    """Per (variable, period), the value at the first stamp after the period ends."""
-    grouped = _report_candidates(rows)
-    return {
-        variable: {period: candidates[0][1] for period, candidates in by_period.items()}
-        for variable, by_period in grouped.items()
-    }
+    table: dict[str, dict[str, tuple[float, tuple[int, int]]]] = {}
+    for variable, reports in firsts.items():
+        out = table[variable] = {}
+        if transform == "none" or variable in UNTRANSFORMED_VARIABLES:
+            for period, (key, value) in reports.items():
+                out[period] = (value, key)
+            continue
+        levels = {period: value for period, (_, value) in reports.items()}
+        for period, (key, _) in reports.items():
+            try:
+                change = to_yearly_pct_change(levels, period)
+            except (MissingLevelError, ZeroBaseError):
+                continue
+            out[period] = (change, max(key, reports[add_quarters(period, -4)][0]))
+    return table
 
 
 _NO_FORECASTS: Mapping[str, float] = MappingProxyType({})
@@ -220,8 +232,9 @@ class Panel:
         self.variables = frozenset(horizons)
         self._horizons = {variable: tuple(sorted(hs)) for variable, hs in horizons.items()}
         self._forecast_map = {key: MappingProxyType(cell) for key, cell in cells.items()}
-        self._reports = _report_candidates(
-            (r.variable, r.target, r.vintage, r.value) for r in self.realizations
+        self._realized = _analysis_table(
+            ((r.variable, r.target, r.vintage, r.value) for r in self.realizations),
+            self.transform,
         )
 
     def forecasts_at(self, survey: str, variable: str, horizon: int) -> Mapping[str, float]:
@@ -234,25 +247,12 @@ class Panel:
     def realization(self, variable: str, target: str) -> tuple[float, tuple[int, int]] | None:
         """First-reported analysis-unit value of a target period and when it is known.
 
-        The value comes from the first reports of the target and, for the
-        yearly change, of the period four quarters earlier; it is known from
-        the (year, month) of the later of their stamps. None if a report is
-        missing or the base level is zero: such a target never matures.
+        The value is known from the (year, month) of its stamp; a yearly
+        change, from the later of the target's and the base period's stamps.
+        None if a report is missing or the base level is zero: such a target
+        never matures.
         """
-        by_period = self._reports.get(variable, {})
-        periods = [target]
-        if self.transform != "none" and variable not in UNTRANSFORMED_VARIABLES:
-            periods.append(add_quarters(target, -4))
-        if any(p not in by_period for p in periods):
-            return None
-        known_by = max(by_period[p][0][0] for p in periods)
-        if len(periods) == 1:
-            return by_period[target][0][1], known_by
-        levels = {p: by_period[p][0][1] for p in periods}
-        try:
-            return to_yearly_pct_change(levels, target), known_by
-        except ZeroBaseError:
-            return None
+        return self._realized.get(variable, {}).get(target)
 
 
 # ---------------------------------------------------------------------------
@@ -315,48 +315,18 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
 
 def calibration_series(panel: Panel) -> dict[str, list[float]]:
     """Analysis-unit series per variable from the vintage table's first reports."""
-    first = _first_reports((v.variable, v.period, v.asof, v.level) for v in panel.vintages)
-    out: dict[str, list[float]] = {}
-    for variable in sorted(first):
-        levels = first[variable]
-        periods = sorted(levels, key=period_key)
-        if panel.transform == "none" or variable in UNTRANSFORMED_VARIABLES:
-            out[variable] = [levels[p] for p in periods]
-            continue
-        series = []
-        for p in periods:
-            try:
-                series.append(to_yearly_pct_change(levels, p))
-            except (MissingLevelError, ZeroBaseError):
-                continue
-        out[variable] = series
-    return out
+    table = _analysis_table(
+        ((v.variable, v.period, v.asof, v.level) for v in panel.vintages), panel.transform
+    )
+    return {
+        variable: [table[variable][p][0] for p in sorted(table[variable], key=period_key)]
+        for variable in sorted(table)
+    }
 
 
 # ---------------------------------------------------------------------------
 # Loading and writing
 # ---------------------------------------------------------------------------
-
-def _records(fh: Iterable[str], path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The CSV records of an open file after its checked header, with line numbers from 2."""
-    reader = csv.reader(fh)
-    try:
-        got = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-    if got != header:
-        raise SchemaError(
-            f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
-        )
-    return enumerate(reader, start=2)
-
-
-def _warn_width(path: str, line_no: int, row: list[str], width: int) -> None:
-    """Reject a record of the wrong width; a blank line is skipped silently."""
-    if row:
-        log.warning("%s:%d: expected %d columns, got %d; row rejected",
-                    path, line_no, width, len(row))
-
 
 def _finite_float(text: str) -> float:
     value = float(text)
@@ -365,129 +335,110 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_forecasts(path: str) -> tuple[ForecastRow, ...]:
-    """The accepted forecast rows, in file order, from one pass over the file.
+def _read_rows(
+    path: str,
+    header: list[str],
+    parse: Callable[[list[str]], tuple[tuple, str, object]],
+    what: str,
+) -> tuple:
+    """The accepted rows of one panel file, in file order, from one pass.
 
-    Each distinct survey string is parsed once and each distinct horizon
-    string converted once; the memos hand every row the first copy of its
-    survey string. A string that fails is not memoized, so every line that
-    holds it is rejected with the same message.
+    ``parse(record)`` returns a row's ``(cell, member, row)``; the key
+    ``cell + (member,)`` must be unique, and a repeat raises
+    :class:`DuplicateRowError` naming both lines. A record of the wrong
+    width, or one that ``parse`` fails on, is rejected with a line-numbered
+    warning; a blank line is skipped silently. A file with no record of the
+    right width warns that it holds no rows.
     """
-    forecasts: list[ForecastRow] = []
-    periods: dict[str, str] = {}
-    horizons: dict[str, int] = {}
-    seen: dict[tuple[str, str, int], dict[str, int]] = {}
-    width = len(FORECAST_HEADER)
+    rows: list = []
+    seen: dict[tuple, dict[str, int]] = {}
+    width = len(header)
     rejected = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in _records(fh, path, FORECAST_HEADER):
-            if len(row) != width:
-                _warn_width(path, line_no, row, width)
+        reader = csv.reader(fh)
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
+        if got != header:
+            raise SchemaError(
+                f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
+            )
+        for line_no, record in enumerate(reader, start=2):
+            if len(record) != width:
+                if record:
+                    log.warning("%s:%d: expected %d columns, got %d; row rejected",
+                                path, line_no, width, len(record))
                 continue
-            survey_s, variable, horizon_s, forecaster, value_s = row
             try:
-                survey = periods.get(survey_s)
-                if survey is None:
-                    parse_period(survey_s)
-                    survey = periods[survey_s] = survey_s
-                horizon = horizons.get(horizon_s)
-                if horizon is None:
-                    horizon = horizons[horizon_s] = int(horizon_s)
-                value = _finite_float(value_s)
+                cell, member, row = parse(record)
             except (PanelError, ValueError) as exc:
                 log.warning("%s:%d: %s; row rejected", path, line_no, exc)
                 rejected += 1
                 continue
-            if not MIN_HORIZON <= horizon <= MAX_HORIZON:
-                log.warning("%s:%d: horizon %d outside %d..%d; row rejected",
-                            path, line_no, horizon, MIN_HORIZON, MAX_HORIZON)
-                rejected += 1
-                continue
-            cell = seen.get((survey, variable, horizon))
-            if cell is None:
-                cell = seen[survey, variable, horizon] = {}
-            elif forecaster in cell:
-                key = (survey, variable, horizon, forecaster)
+            lines = seen.get(cell)
+            if lines is None:
+                lines = seen[cell] = {}
+            elif member in lines:
                 raise DuplicateRowError(
-                    f"{path}: duplicate forecast {key} at lines {cell[forecaster]} and {line_no}"
+                    f"{path}: duplicate {what} {cell + (member,)} at lines "
+                    f"{lines[member]} and {line_no}"
                 )
-            cell[forecaster] = line_no
-            forecasts.append(ForecastRow(survey, variable, horizon, forecaster, value))
-    if not forecasts and not rejected:  # no record had the right width
-        log.warning("%s: no forecast rows", path)
-    return tuple(forecasts)
+            lines[member] = line_no
+            rows.append(row)
+    if not rows and not rejected:
+        log.warning("%s: no %s rows", path, what)
+    return tuple(rows)
 
 
-def load_panel(
-    forecast_path: str,
-    realization_path: str,
-    vintage_path: str,
-    transform: str = "yearly_pct",
-) -> Panel:
+def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> Panel:
     """Load and validate the three panel files.
 
-    Rows that fail invariants (bad periods, horizons outside 1..5,
-    unparseable or non-finite numbers) are rejected with line-numbered
-    diagnostics, in line order; duplicate keys raise
-    :class:`DuplicateRowError` naming both lines.
+    Rows that fail invariants (bad periods or stamps, horizons outside
+    1..5, unparseable or non-finite numbers) are rejected with
+    line-numbered diagnostics, in line order; duplicate keys raise
+    :class:`DuplicateRowError` naming both lines. Each distinct survey
+    string of the forecast file is parsed once and each distinct horizon
+    string converted once; a string that fails is not memoized, so every
+    line that holds it is rejected with the same message.
     """
-    forecasts = _load_forecasts(forecast_path)
+    periods: dict[str, str] = {}
+    horizons: dict[str, int] = {}
 
-    realizations: list[RealizationRow] = []
-    seen_r: dict[tuple[str, str, str], int] = {}
-    width = len(REALIZATION_HEADER)
-    with open(realization_path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in _records(fh, realization_path, REALIZATION_HEADER):
-            if len(row) != width:
-                _warn_width(realization_path, line_no, row, width)
-                continue
-            target, variable, value_s, vintage = row
-            try:
-                parse_period(target)
-                asof_key(vintage)
-                value = _finite_float(value_s)
-            except (PanelError, ValueError) as exc:
-                log.warning("%s:%d: %s; row rejected", realization_path, line_no, exc)
-                continue
-            key = (target, variable, vintage)
-            if key in seen_r:
-                raise DuplicateRowError(
-                    f"{realization_path}: duplicate realization {key} at lines "
-                    f"{seen_r[key]} and {line_no}"
-                )
-            seen_r[key] = line_no
-            realizations.append(RealizationRow(target, variable, value, vintage))
+    def forecast(record: list[str]) -> tuple[tuple[str, str, int], str, ForecastRow]:
+        survey_s, variable, horizon_s, forecaster, value_s = record
+        survey = periods.get(survey_s)
+        if survey is None:
+            parse_period(survey_s)
+            survey = periods[survey_s] = survey_s
+        horizon = horizons.get(horizon_s)
+        if horizon is None:
+            horizon = horizons[horizon_s] = int(horizon_s)
+        value = _finite_float(value_s)
+        if not MIN_HORIZON <= horizon <= MAX_HORIZON:
+            raise PanelError(f"horizon {horizon} outside {MIN_HORIZON}..{MAX_HORIZON}")
+        return (survey, variable, horizon), forecaster, ForecastRow(
+            survey, variable, horizon, forecaster, value
+        )
 
-    vintages: list[VintageRow] = []
-    seen_v: dict[tuple[str, str, str], int] = {}
-    width = len(VINTAGE_HEADER)
-    with open(vintage_path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in _records(fh, vintage_path, VINTAGE_HEADER):
-            if len(row) != width:
-                _warn_width(vintage_path, line_no, row, width)
-                continue
-            asof, variable, period, level_s = row
-            try:
-                asof_key(asof)
-                parse_period(period)
-                level = _finite_float(level_s)
-            except (PanelError, ValueError) as exc:
-                log.warning("%s:%d: %s; row rejected", vintage_path, line_no, exc)
-                continue
-            key = (asof, variable, period)
-            if key in seen_v:
-                raise DuplicateRowError(
-                    f"{vintage_path}: duplicate vintage {key} at lines "
-                    f"{seen_v[key]} and {line_no}"
-                )
-            seen_v[key] = line_no
-            vintages.append(VintageRow(asof, variable, period, level))
+    def realization(record: list[str]) -> tuple[tuple[str, str], str, RealizationRow]:
+        target, variable, value_s, vintage = record
+        parse_period(target)
+        asof_key(vintage)
+        value = _finite_float(value_s)
+        return (target, variable), vintage, RealizationRow(target, variable, value, vintage)
+
+    def vintage(record: list[str]) -> tuple[tuple[str, str], str, VintageRow]:
+        asof, variable, period, level_s = record
+        asof_key(asof)
+        parse_period(period)
+        level = _finite_float(level_s)
+        return (asof, variable), period, VintageRow(asof, variable, period, level)
 
     return Panel(
-        forecasts=forecasts,
-        realizations=tuple(realizations),
-        vintages=tuple(vintages),
-        transform=transform,
+        forecasts=_read_rows(forecast_path, FORECAST_HEADER, forecast, "forecast"),
+        realizations=_read_rows(realization_path, REALIZATION_HEADER, realization, "realization"),
+        vintages=_read_rows(vintage_path, VINTAGE_HEADER, vintage, "vintage"),
     )
 
 

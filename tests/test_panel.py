@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crowdfuse.panel as panel_module
@@ -19,6 +19,7 @@ from crowdfuse.panel import (
     MissingLevelError,
     MissingSeedError,
     Panel,
+    RealizationRow,
     SchemaError,
     SynthConfig,
     VintageRow,
@@ -62,6 +63,9 @@ VINTAGES = """asof,variable,period,level
 """
 
 
+FILES = {"forecasts": FORECASTS, "realizations": REALIZATIONS, "vintages": VINTAGES}
+
+
 def write_inputs(directory, forecasts=FORECASTS, realizations=REALIZATIONS, vintages=VINTAGES):
     paths = []
     for name, text in (("forecasts.csv", forecasts), ("realizations.csv", realizations),
@@ -90,8 +94,12 @@ class TestPeriods:
         assert asof_key("2020Q1") == (2020, 3)
         assert asof_key("2020-04-15") == (2020, 4)
         assert asof_key("2020-04") == (2020, 4)
-        with pytest.raises(ValueError):
-            asof_key("April 2020")
+        assert asof_key("2020-12-31") == (2020, 12)
+        assert asof_key("2020-01-01") == (2020, 1)
+        for text in ("April 2020", "2020-13-01", "2020-00-15", "2020-99", "2020-00",
+                     "2020-04-00", "2020-04-32", "2020-04-99"):
+            with pytest.raises(ValueError, match="bad vintage stamp"):
+                asof_key(text)
 
 
 class TestPctChange:
@@ -201,16 +209,37 @@ class TestLoadPanel:
         assert panel.realization("UNEMP", "1999Q1") is None
         assert any("no stamp after period end" in r.message for r in caplog.records)
 
-    def test_duplicate_forecast_rows(self, tmp_path):
-        bad = FORECASTS + "2000Q1,RGDP,1,alice,9.9\n"
+    @pytest.mark.parametrize("name", FILES)
+    def test_duplicate_rows(self, tmp_path, name):
+        extra, message = {
+            "forecasts": ("2000Q1,RGDP,1,alice,9.9\n",
+                          "duplicate forecast ('2000Q1', 'RGDP', 1, 'alice') at lines 2 and 8"),
+            "realizations": ("2000Q1,RGDP,9.9,2000Q2\n",
+                             "duplicate realization ('2000Q1', 'RGDP', '2000Q2') at lines 2 and 6"),
+            "vintages": ("2000Q2,RGDP,1999Q1,9.9\n",
+                         "duplicate vintage ('2000Q2', 'RGDP', '1999Q1') at lines 2 and 6"),
+        }[name]
+        texts = dict(FILES)
+        texts[name] += extra
+        paths = write_inputs(tmp_path, **texts)
         with pytest.raises(DuplicateRowError) as err:
-            load_panel(*write_inputs(tmp_path, forecasts=bad))
-        assert "lines 2 and 8" in str(err.value)
+            load_panel(*paths)
+        assert str(err.value) == f"{paths[list(FILES).index(name)]}: {message}"
 
-    def test_header_mismatch(self, tmp_path):
-        bad = FORECASTS.replace("forecaster_id", "judge")
-        with pytest.raises(SchemaError):
-            load_panel(*write_inputs(tmp_path, forecasts=bad))
+    @pytest.mark.parametrize("name", FILES)
+    def test_header_mismatch(self, tmp_path, name):
+        old, new = {"forecasts": ("forecaster_id", "judge"), "realizations": ("vintage", "stamp"),
+                    "vintages": ("level", "value")}[name]
+        texts = dict(FILES)
+        header = texts[name].split("\n", 1)[0]
+        texts[name] = texts[name].replace(old, new, 1)
+        paths = write_inputs(tmp_path, **texts)
+        with pytest.raises(SchemaError) as err:
+            load_panel(*paths)
+        assert str(err.value) == (
+            f"{paths[list(FILES).index(name)]}: header {header.replace(old, new)!r} "
+            f"does not match {header!r}"
+        )
 
     def test_empty_forecast_file_warns(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
@@ -219,14 +248,30 @@ class TestLoadPanel:
             )
         assert panel.forecasts == ()
         assert any("no forecast rows" in r.message for r in caplog.records)
+        # the realization and vintage files follow the same rule
+        headers = {name: text.split("\n", 1)[0] + "\n" for name, text in FILES.items()}
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            paths = write_inputs(tmp_path, **headers)
+            load_panel(*paths)
+        assert [r.message for r in caplog.records] == [
+            f"{path}: no {what} rows"
+            for path, what in zip(paths, ("forecast", "realization", "vintage"))
+        ]
 
     def test_bad_rows_rejected_with_line_numbers(self, tmp_path, caplog):
         bad = FORECASTS + (
             "2000Q3,RGDP,7,dave,1.0\n2000Q9,RGDP,1,dave,1.0\n2000Q3,RGDP,1,dave,oops\n"
             "2000Q3,RGDP,1,erin,nan\n2000Q3,RGDP,1,frank,inf\n2000Q3,RGDP,1,grace,-inf\n"
         )
-        bad_r = REALIZATIONS + "2000Q3,RGDP,nan,2000Q4\n2000Q4,RGDP,inf,2001Q1\n2001Q1,RGDP,-inf,2001Q2\n"
-        bad_v = VINTAGES + "2000Q3,RGDP,1999Q3,nan\n2000Q3,RGDP,1999Q4,inf\n2000Q3,RGDP,2000Q3,-inf\n"
+        bad_r = REALIZATIONS + (
+            "2000Q3,RGDP,nan,2000Q4\n2000Q4,RGDP,inf,2001Q1\n2001Q1,RGDP,-inf,2001Q2\n"
+            "2001Q2,RGDP,1.0,2001-13-01\n2001Q2,RGDP,1.0,2001-07-99\n"
+        )
+        bad_v = VINTAGES + (
+            "2000Q3,RGDP,1999Q3,nan\n2000Q3,RGDP,1999Q4,inf\n2000Q3,RGDP,2000Q3,-inf\n"
+            "2000-00-15,RGDP,1999Q3,1.0\n2000-99,RGDP,1999Q3,1.0\n"
+        )
         with caplog.at_level(logging.WARNING):
             panel = load_panel(*write_inputs(tmp_path, bad, bad_r, bad_v))
         assert len(panel.forecasts) == 6
@@ -236,10 +281,11 @@ class TestLoadPanel:
         for line in range(8, 14):
             assert f"forecasts.csv:{line}:" in messages
         for name in ("realizations.csv", "vintages.csv"):
-            for line in (6, 7, 8):
+            for line in (6, 7, 8, 9, 10):
                 assert f"{name}:{line}:" in messages
         assert messages.count("non-finite number") == 9
-        assert messages.count("row rejected") == 12
+        assert messages.count("bad vintage stamp") == 4
+        assert messages.count("row rejected") == 16
 
 
 # survey, horizon and value strings that repeat across rows, valid and not
@@ -439,6 +485,73 @@ class TestOnePassLoader:
         assert not hasattr(row, "__dict__")
 
 
+# periods two years wide, so lag-4 joins happen; stamps that tie in a month
+# (2000Q2 and 2000-06-30, 2000Q4 and 2000-12) and values with a zero base
+TABLE_PERIODS = ["1999Q1", "1999Q2", "1999Q3", "1999Q4", "2000Q1", "2000Q2", "2000Q3", "2000Q4"]
+TABLE_STAMPS = ["1999Q2", "1999-07-15", "1999Q4", "2000-01", "2000Q2", "2000-06-30", "2000-06",
+                "2000Q3", "2000-12", "2000Q4", "2001-01-03", "2001Q1"]
+TABLE_VALUES = [0.0, 100.0, 101.5, 98.25, -3.0, 4.4]
+
+table_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["RGDP", "UNEMP"]), st.sampled_from(TABLE_PERIODS),
+        st.sampled_from(TABLE_STAMPS), st.sampled_from(TABLE_VALUES),
+    ),
+    max_size=40,
+)
+
+
+def first_report_oracle(rows, transform):
+    """Straight-line reference of the first-report table.
+
+    ``rows`` are (variable, period, stamp, value). Returns
+    ``{variable: {period: (value, known_by)}}`` with a (maybe empty) entry
+    for every variable that has a first report.
+    """
+    first = {}
+    for variable, period, stamp, value in sorted(rows, key=lambda row: asof_key(row[2])):
+        if asof_key(stamp) > period_end_month(period):
+            first.setdefault((variable, period), (value, asof_key(stamp)))
+    table = {variable: {} for variable, _ in first}
+    for (variable, period), (value, known_by) in first.items():
+        if transform == "none" or variable == "UNEMP":
+            table[variable][period] = (value, known_by)
+            continue
+        base = first.get((variable, add_quarters(period, -4)))
+        if base is None or base[0] == 0.0:
+            continue
+        table[variable][period] = (100.0 * (value / base[0] - 1.0), max(known_by, base[1]))
+    return table
+
+
+TIE_ROWS = [("RGDP", "2000Q1", "2000Q2", 101.5), ("RGDP", "2000Q1", "2000-06-30", 98.25),
+            ("RGDP", "1999Q1", "1999Q2", 100.0), ("UNEMP", "2000Q1", "2000-06", 4.4),
+            ("UNEMP", "2000Q1", "2000Q2", -3.0)]
+
+
+class TestFirstReportTable:
+    @given(realized=table_rows, levels=table_rows, transform=st.sampled_from(["yearly_pct", "none"]))
+    @example(realized=TIE_ROWS, levels=TIE_ROWS[::-1], transform="yearly_pct")
+    @example(realized=TIE_ROWS[::-1], levels=TIE_ROWS, transform="none")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_straight_line_oracle(self, realized, levels, transform):
+        panel = Panel(
+            (),
+            tuple(RealizationRow(p, v, x, stamp) for v, p, stamp, x in realized),
+            tuple(VintageRow(stamp, v, p, x) for v, p, stamp, x in levels),
+            transform=transform,
+        )
+        expected = first_report_oracle(realized, transform)
+        for variable in ("RGDP", "UNEMP", "CPI"):
+            for period in TABLE_PERIODS + ["2001Q1"]:
+                assert panel.realization(variable, period) == expected.get(variable, {}).get(period)
+        expected = first_report_oracle(levels, transform)
+        assert calibration_series(panel) == {
+            variable: [by_period[p][0] for p in sorted(by_period, key=period_key)]
+            for variable, by_period in expected.items()
+        }
+
+
 class TestRoundtrip:
     def test_canonical_fixture_reproduced_byte_identically(self, tmp_path):
         # the fixtures above are already in canonical form (repr floats),
@@ -465,7 +578,7 @@ class TestRoundtrip:
         panel = synth_panel(SynthConfig(num_forecasters=4, num_surveys=6, seed=9, horizons=2))
         paths = [str(tmp_path / n) for n in ("f.csv", "r.csv", "v.csv")]
         write_panel(panel, *paths)
-        loaded = load_panel(*paths, transform="none")
+        loaded = load_panel(*paths)
         assert loaded.forecasts == panel.forecasts
         assert loaded.realizations == panel.realizations
         assert loaded.vintages == panel.vintages
