@@ -1,26 +1,37 @@
 """Rolling backtest of aggregation rules over a panel.
 
-Surveys are processed in order. For each variable-horizon cell the engine
-matures realized errors as soon as their first report is stamped (never
-earlier), updates forecaster reliabilities and contributions from them,
-builds the eligible slice (two matured errors required), lets every rule
-estimate, and scores the estimates against the first-reported realization.
-State updates always happen after the estimates that would use them, so an
+Surveys are processed in order, in one rolling pass per variable that
+serves all of its horizons and, for the sweep, every top-n size at once.
+At each survey the engine first matures realized errors whose first
+report is stamped by then (never earlier) and updates forecaster
+reliabilities and contributions from them; then it builds each horizon's
+eligible set (two matured errors required), lets every rule estimate, and
+scores the estimates against the first-reported realization. State
+updates always happen after the estimates that would use them, so an
 estimate at survey i is a pure function of forecasts at i and of
 realizations stamped by i.
 
+The state lives in plain arrays: per (horizon, forecaster) the error
+count, the squared-error sum (or, under a window, the last errors), MSE,
+reliability and noise; per (horizon, limit, forecaster) the contribution
+mean and count. Forecasters are indexed in sorted-id order. Each survey
+makes one ``rule_estimates`` call whose rows are its (horizon, limit)
+pairs; matured targets are folded in rounds of at most one per horizon,
+one ``fold_survey`` call and one reliability update per round. The
+reports equal those of a straight-line loop per cell to the last bit:
+every sum adds left to right, every square is ``d * d``.
+
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
-sweep behind the smaller-wiser-crowd curves. One rolling pass per cell
-serves the plain backtest and every subset size at once.
+sweep behind the smaller-wiser-crowd curves.
 """
-
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +51,7 @@ SWEEP_CSV_HEADER = "horizon,rule,n_included,rmse"
 DIAGNOSTICS_CSV_HEADER = "variable,horizon,median_p_hat,cwm_fallback_surveys,skipped_surveys"
 
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
+_UNRANKED = np.iinfo(np.intp).max  # the rank of a column outside a row's eligible set
 _MIN_DM_LENGTH = 8
 
 
@@ -145,103 +157,292 @@ def dm_test(
 class CellTrail:
     """What one eligible-set limit of a variable-horizon cell produced.
 
-    Every rule estimates on the same surveys and is scored on those with a
-    realization, so the per-rule ``errors`` lists align survey by survey.
-    ``p_hats``, the reliabilities behind each survey's estimates, is
-    collected for the unrestricted (``None``) limit only, whose diagnostics
-    report their median.
+    ``surveys`` are the surveys where the rules estimated; row i of
+    ``estimates`` holds survey i's estimates, one column per rule in the
+    order of ``ALL_RULES``. ``errors`` holds the rows of the surveys with a
+    realization, minus it, so the rules' errors align survey by survey.
+    ``p_hats``, the reliabilities behind the estimates, is collected for
+    the unrestricted (``None``) limit only, whose diagnostics report their
+    median.
     """
 
-    estimates: dict[str, list[tuple[str, float]]]
-    errors: dict[str, list[float]]
-    p_hats: list[float] = field(default_factory=list)
-    fallback_surveys: int = 0
-    skipped_surveys: int = 0
+    surveys: list[str]
+    estimates: np.ndarray
+    errors: np.ndarray
+    p_hats: np.ndarray
+    fallback_surveys: int
+    skipped_surveys: int
+
+    def rule_errors(self, rule: str) -> np.ndarray:
+        return self.errors[:, _RULE_ORDER[rule]]
 
 
-def _run_cell(
+class _Target(NamedTuple):
+    """A survey's forecasts at one horizon, waiting for their realization.
+
+    ``cells`` are the forecasters' (horizon, forecaster) state positions.
+    ``columns`` to ``sizes`` are that horizon's rows of the survey's
+    estimate call: the member columns, each limit's member mask, the
+    forecasts, and each limit's EWM numerator and member count. They are
+    None when nobody was eligible.
+    """
+
+    horizon: int
+    cells: np.ndarray
+    values: np.ndarray
+    realized: float
+    columns: np.ndarray | None
+    members: np.ndarray | None
+    row_values: np.ndarray | None
+    totals: np.ndarray | None
+    sizes: np.ndarray | None
+
+
+@dataclass
+class _Collected:
+    """One horizon's per-survey results, gathered into a ``CellTrail`` per limit at the end."""
+
+    positions: list[int] = field(default_factory=list)
+    estimates: list[np.ndarray] = field(default_factory=list)
+    fallbacks: list[np.ndarray] = field(default_factory=list)
+    realized: list[float] = field(default_factory=list)
+    scored: list[bool] = field(default_factory=list)
+    p_hats: list[np.ndarray] = field(default_factory=list)
+    unestimated: int = 0
+
+
+def _rounds(matured: list[_Target]) -> list[list[_Target]]:
+    """Matured targets in rounds of at most one per horizon, each horizon's in order."""
+    rounds: list[list[_Target]] = []
+    taken: dict[int, int] = {}
+    for target in matured:
+        k = taken.get(target.horizon, 0)
+        taken[target.horizon] = k + 1
+        if k == len(rounds):
+            rounds.append([])
+        rounds[k].append(target)
+    return rounds
+
+
+class _State:
+    """The rolling state of one variable, in flat arrays.
+
+    Per (horizon, forecaster), at ``h * width + f``: error counts, squared
+    error sums (or, under a window, the last errors), MSEs, reliabilities
+    and noises. Per (horizon, limit, forecaster), at ``(h * limits + l) *
+    width + f``: contribution means and counts.
+    """
+
+    def __init__(
+        self, n_horizons: int, n_limits: int, width: int,
+        calib: tuple[int, float], window: int | None,
+    ) -> None:
+        size = n_horizons * width
+        self.width = width
+        self.n_limits = n_limits
+        self.calib = calib
+        self.errors = np.zeros(size, dtype=np.intp)
+        self.total = np.zeros(size)
+        self.recent = None if window is None else np.zeros((size, window))
+        self.mse = np.full(size, np.nan)
+        self.p_hat = np.full(size, np.nan)
+        self.noise = np.full(size, np.nan)
+        self.contributions = np.zeros(size * n_limits)
+        self.counts = np.zeros(size * n_limits, dtype=np.intp)
+
+    def member_cells(self, horizons: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Contribution positions of each (horizon, limit) row and column."""
+        rows = (horizons[:, None] * self.n_limits + np.arange(self.n_limits)).reshape(-1)
+        return (rows * self.width)[:, None] + columns
+
+    def fold(self, batch: list[_Target]) -> None:
+        """Fold one round's realized member sets into the contribution means."""
+        batch = [t for t in batch if t.columns is not None]
+        if not batch:
+            return
+        if len(batch) == 1:
+            columns = batch[0].columns
+        else:
+            present = np.zeros(self.width, dtype=bool)
+            for t in batch:
+                present[t.columns] = True
+            columns = np.flatnonzero(present)
+        n_limits = self.n_limits
+        V = np.zeros((len(batch) * n_limits, len(columns)))
+        M = np.zeros(V.shape, dtype=bool)
+        for i, t in enumerate(batch):
+            at = np.searchsorted(columns, t.columns)
+            rows = slice(i * n_limits, (i + 1) * n_limits)
+            V[rows, at] = t.row_values
+            M[rows, at] = t.members
+        cells = self.member_cells(np.array([t.horizon for t in batch]), columns)
+        C, K = self.contributions[cells], self.counts[cells]
+        fold_survey(
+            C, K, V, M,
+            np.concatenate([t.totals for t in batch]),
+            np.concatenate([t.sizes for t in batch]),
+            np.repeat([t.realized for t in batch], n_limits),
+        )
+        self.contributions[cells] = C
+        self.counts[cells] = K
+
+    def observe(self, batch: list[_Target]) -> None:
+        """Add one round's squared errors and re-estimate those forecasters' reliabilities."""
+        if len(batch) == 1:
+            cells, d = batch[0].cells, batch[0].values - batch[0].realized
+        else:
+            cells = np.concatenate([t.cells for t in batch])
+            d = np.concatenate([t.values - t.realized for t in batch])
+        squared = d * d
+        seen = self.errors[cells] + 1
+        self.errors[cells] = seen
+        if self.recent is None:
+            total = self.total[cells] + squared
+            self.total[cells] = total
+            mse = total / seen
+        else:
+            window = self.recent.shape[1]
+            self.recent[cells, (seen - 1) % window] = squared
+            back = seen[:, None] - window + np.arange(window)
+            last = np.where(back >= 0, self.recent[cells[:, None], back % window], 0.0)
+            mse = np.add.accumulate(last, axis=1)[:, -1] / np.minimum(seen, window)
+        p = p_from_mse(mse, *self.calib)
+        self.mse[cells] = mse
+        self.p_hat[cells] = p
+        self.noise[cells] = noise_from_p(p)
+
+
+def _run_variable(
     panel: Panel,
     variable: str,
-    horizon: int,
-    rules: Sequence[str],
+    horizons: Sequence[int],
     calib: Calibration,
     limits: Sequence[int | None],
     window: int | None,
-) -> dict[int | None, CellTrail]:
-    """Roll one variable-horizon cell through the surveys, once for all limits.
+) -> dict[tuple[int, int | None], CellTrail]:
+    """Roll one variable through the surveys, once for all horizons and limits.
 
     A limit n keeps the n most reliable of each survey's eligible set and
-    ``None`` keeps all of it. Error histories, MSEs and reliabilities depend
-    only on the cell; contribution means depend on the eligible sets, so
-    each limit keeps its own. Each survey's slices are scheduled once, to
-    mature at the first later survey whose quarter ends no earlier than
-    their realization's stamp; a target that never gets a value is never
-    scheduled.
+    ``None`` keeps all of it. Error histories, MSEs and reliabilities
+    depend on the horizon; contribution means also on the limit. Each
+    survey makes one :func:`rule_estimates` call, whose rows are its
+    (horizon, limit) pairs and whose columns are the forecasters eligible
+    at any of its horizons, in sorted-id order. A survey's forecasts at a
+    horizon mature at the first later survey whose quarter ends no earlier
+    than their realization's stamp; a target that never gets a value never
+    matures. Matured targets are folded in rounds with at most one per
+    horizon, so each horizon's state sees them in survey order.
     """
-    count, unit = calib.pair(variable)
     surveys = panel.surveys
+    cells = [[panel.forecasts_at(s, variable, h) for h in horizons] for s in surveys]
+    names = sorted({j for row in cells for cell in row for j in cell})
+    index = {j: i for i, j in enumerate(names)}
+    width, n_limits = len(names), len(limits)
+    if window is not None and window >= len(surveys):
+        window = None  # covers every history
+    state = _State(len(horizons), n_limits, width, calib.pair(variable), window)
+    cut = np.array([width if n is None else n for n in limits])
+    unrestricted = limits.index(None) if None in limits else None
     end_months = [period_end_month(s) for s in surveys]
-    history: dict[str, list[float]] = {}
-    mse: dict[str, float] = {}
-    p_hats: dict[str, float] = {}
-    noise: dict[str, float] = {}
-    contributions: dict[int | None, dict[str, float]] = {n: {} for n in limits}
-    counts: dict[int | None, dict[str, int]] = {n: {} for n in limits}
-    # per matured survey: its forecasts, each limit's (sorted ids, values), the realized value
-    maturing: dict[
-        int, list[tuple[dict[str, float], dict[int | None, tuple[list[str], list[float]]], float]]
-    ] = {}
-    trails = {n: CellTrail({r: [] for r in rules}, {r: [] for r in rules}) for n in limits}
-    slots = [(rule, _RULE_ORDER[rule]) for rule in rules]
-    ranking = any(n is not None for n in limits)
+    maturing: dict[int, list[_Target]] = {}
+    collected = [_Collected() for _ in horizons]
 
     for idx, survey in enumerate(surveys):
-        for forecasts, members, realized in maturing.pop(idx, ()):
-            for n, (ids, values) in members.items():
-                fold_survey(contributions[n], counts[n], ids, values, realized)
-            for j, x in forecasts.items():
-                errors = history.setdefault(j, [])
-                errors.append((x - realized) ** 2)
-                scored = errors if window is None else errors[-window:]
-                mse[j] = sum(scored) / len(scored)
-                p = p_hats[j] = p_from_mse(mse[j], count, unit)
-                noise[j] = noise_from_p(p)
+        for batch in _rounds(maturing.pop(idx, [])):
+            state.fold(batch)
+            state.observe(batch)
 
-        forecasts = panel.forecasts_at(survey, variable, horizon)
-        if not forecasts:
+        sizes = [len(cell) for cell in cells[idx]]
+        if not any(sizes):
             continue
-        eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
-        everyone = (eligible, [forecasts[j] for j in eligible])
-        ranked = rank_by_reliability(eligible, p_hats, mse) if ranking else eligible
-        realization = panel.realization(variable, add_quarters(survey, horizon - 1))
-        members = {}
-        for n, trail in trails.items():
-            if n is None or n >= len(eligible):
-                ids, values = members[n] = everyone
+        hh = np.repeat(np.arange(len(horizons)), sizes)
+        ff = np.fromiter(map(index.__getitem__, chain.from_iterable(cells[idx])), np.intp, len(hh))
+        xx = np.fromiter(chain.from_iterable(c.values() for c in cells[idx]), np.float64, len(hh))
+        hf = hh * width + ff
+        eligible = state.errors[hf] >= 2
+        row_at = [-1] * len(horizons)
+        if eligible.any():
+            eh, ef, ehf = hh[eligible], ff[eligible], hf[eligible]
+            per_horizon = np.bincount(eh, minlength=len(horizons))
+            rows = np.flatnonzero(per_horizon)
+            present = np.zeros(width, dtype=bool)
+            present[ef] = True
+            columns = np.flatnonzero(present)
+            # each eligible entry's (row, column) in the estimate call
+            at = (np.cumsum(per_horizon > 0) - 1)[eh], np.searchsorted(columns, ef)
+            ranks = np.full((len(rows), len(columns)), _UNRANKED)
+            if cut.min() < per_horizon.max():  # some limit cuts an eligible set
+                ranks[at] = rank_by_reliability(eh, ef, state.p_hat[ehf], state.mse[ehf])
             else:
-                ids = sorted(ranked[:n])
-                values = [forecasts[j] for j in ids]
-                members[n] = (ids, values)
-            if not ids:
-                trail.skipped_surveys += 1
-                continue
-            if n is None:
-                trail.p_hats.extend(map(p_hats.__getitem__, ids))
-            *estimates, fallback = rule_estimates(ids, values, noise, contributions[n])
-            for rule, slot in slots:
-                trail.estimates[rule].append((survey, estimates[slot]))
-                if realization is not None:
-                    trail.errors[rule].append(estimates[slot] - realization[0])
-            if realization is None:
-                trail.skipped_surveys += 1
-            elif fallback:
-                trail.fallback_surveys += 1
+                ranks[at] = 0
+            members = ranks[:, None, :] < cut[None, :, None]
+            n = np.minimum(per_horizon[rows][:, None], cut)
+            V = np.zeros(ranks.shape)
+            V[at] = xx[eligible]
+            U = state.noise[(rows * width)[:, None] + columns]
+            estimates, fallback, totals = rule_estimates(
+                np.repeat(V, n_limits, axis=0),
+                np.repeat(U, n_limits, axis=0),
+                state.contributions[state.member_cells(rows, columns)],
+                members.reshape(-1, len(columns)),
+                n.reshape(-1),
+            )
+            estimates = estimates.reshape(len(rows), n_limits, len(ALL_RULES))
+            fallback = fallback.reshape(len(rows), n_limits)
+            totals = totals.reshape(len(rows), n_limits)
+            for i, k in enumerate(rows.tolist()):
+                row_at[k] = i
 
-        if realization is not None:
-            # stamped after the target quarter ends, so after this survey: a later bucket
-            known = bisect.bisect_left(end_months, realization[1])
-            if known < len(surveys):
-                maturing.setdefault(known, []).append((forecasts, members, realization[0]))
+        start = 0
+        for k, horizon in enumerate(horizons):
+            stop = start + sizes[k]
+            if start == stop:
+                continue
+            realization = panel.realization(variable, add_quarters(survey, horizon - 1))
+            i = row_at[k]
+            out = collected[k]
+            if i < 0:
+                out.unestimated += 1
+                fold = (None,) * 5
+            else:
+                out.positions.append(idx)
+                out.estimates.append(estimates[i])
+                out.fallbacks.append(fallback[i])
+                out.scored.append(realization is not None)
+                out.realized.append(math.nan if realization is None else realization[0])
+                if unrestricted is not None:
+                    out.p_hats.append(state.p_hat[k * width + columns[members[i, unrestricted]]])
+                fold = (columns, members[i], V[i], totals[i], n[i])
+            if realization is not None:
+                # stamped after the target quarter ends, so after this survey: a later bucket
+                known = bisect.bisect_left(end_months, realization[1])
+                if known < len(surveys):
+                    maturing.setdefault(known, []).append(
+                        _Target(k, hf[start:stop], xx[start:stop], realization[0], *fold)
+                    )
+            start = stop
+
+    trails: dict[tuple[int, int | None], CellTrail] = {}
+    for k, horizon in enumerate(horizons):
+        out = collected[k]
+        estimates = np.array(out.estimates).reshape(-1, n_limits, len(ALL_RULES))
+        fallbacks = np.array(out.fallbacks, dtype=bool).reshape(-1, n_limits)
+        realized = np.array(out.realized)
+        scored = np.array(out.scored, dtype=bool)
+        errors = estimates[scored] - realized[scored, None, None]
+        fallback_surveys = fallbacks[scored].sum(axis=0)
+        skipped = out.unestimated + int((~scored).sum())
+        p_hats = np.concatenate(out.p_hats) if out.p_hats else np.empty(0)
+        estimated = [surveys[i] for i in out.positions]
+        for l, limit in enumerate(limits):
+            trails[horizon, limit] = CellTrail(
+                surveys=estimated,
+                estimates=estimates[:, l],
+                errors=errors[:, l],
+                p_hats=p_hats if limit is None else np.empty(0),
+                fallback_surveys=int(fallback_surveys[l]),
+                skipped_surveys=skipped,
+            )
     return trails
 
 
@@ -255,7 +456,11 @@ def cell_estimates(
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-rule (survey, estimate) trail for one cell; useful for audits."""
     _check_window(window)
-    return _run_cell(panel, variable, horizon, rules, calib, (None,), window)[None].estimates
+    trail = _run_variable(panel, variable, (horizon,), calib, (None,), window)[horizon, None]
+    return {
+        rule: list(zip(trail.surveys, trail.estimates[:, _RULE_ORDER[rule]].tolist()))
+        for rule in rules
+    }
 
 
 def _check_window(window: int | None) -> None:
@@ -272,9 +477,11 @@ def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> Non
             raise ValueError(f"unknown rule {rule!r}")
 
 
-def _rmse_cell(variable: str, horizon: int, rule: str, errors: list[float]) -> RmseCell:
-    rmse = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else math.nan
-    return RmseCell(variable, horizon, rule, rmse, len(errors))
+def _rmse_cell(variable: str, horizon: int, rule: str, errors: np.ndarray) -> RmseCell:
+    if not errors.size:
+        return RmseCell(variable, horizon, rule, math.nan, 0)
+    rmse = math.sqrt(np.add.accumulate(errors * errors)[-1] / errors.size)
+    return RmseCell(variable, horizon, rule, rmse, errors.size)
 
 
 def run_backtest(
@@ -297,22 +504,24 @@ def run_backtest(
     dm_cells: list[DmCell] = []
     diagnostics: list[CellDiagnostics] = []
     for variable in sorted(panel.variables):
-        for horizon in panel.horizons(variable):
-            trail = _run_cell(panel, variable, horizon, rules, calib, (None,), window)[None]
-            errors = trail.errors
+        horizons = panel.horizons(variable)
+        trails = _run_variable(panel, variable, horizons, calib, (None,), window)
+        for horizon in horizons:
+            trail = trails[horizon, None]
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,
-                median_p_hat=float(np.median(trail.p_hats)) if trail.p_hats else math.nan,
+                median_p_hat=float(np.median(trail.p_hats)) if trail.p_hats.size else math.nan,
                 cwm_fallback_surveys=trail.fallback_surveys,
                 skipped_surveys=trail.skipped_surveys,
             ))
             for rule in rules:
-                cells.append(_rmse_cell(variable, horizon, rule, errors[rule]))
-            if RULE_CWM in rules:
+                cells.append(_rmse_cell(variable, horizon, rule, trail.rule_errors(rule)))
+            if RULE_CWM in rules and len(trail.errors) >= _MIN_DM_LENGTH:
+                cwm = trail.rule_errors(RULE_CWM)
                 for rule in rules:
-                    if rule != RULE_CWM and len(errors[rule]) >= _MIN_DM_LENGTH:
-                        stat, p_value = dm_test(errors[rule], errors[RULE_CWM], horizon, hln)
+                    if rule != RULE_CWM:
+                        stat, p_value = dm_test(trail.rule_errors(rule), cwm, horizon, hln)
                         dm_cells.append(DmCell(variable, horizon, rule, stat, p_value))
     cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
     dm_cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
@@ -331,7 +540,7 @@ def subset_sweep(
 ) -> list[SweepPoint]:
     """RMSE curves as the eligible set shrinks to the best n forecasters.
 
-    One rolling pass per variable-horizon cell serves every size n: each
+    One rolling pass per variable serves every horizon and size n: each
     survey's eligible set is ranked by estimated reliability and cut to its
     top n. Each rule's RMSE is aggregated across variables, by default as
     the mean of per-variable RMSEs (``aggregate="pooled"`` pools the
@@ -347,15 +556,15 @@ def subset_sweep(
     horizons = sorted(set(horizons))
     scored: dict[tuple[int, str, int], list[RmseCell]] = {}
     for variable in sorted(panel.variables):
-        for horizon in panel.horizons(variable):
-            if horizon not in horizons:
-                continue
-            trails = _run_cell(panel, variable, horizon, rules, calib, sizes, window)
-            for n, trail in trails.items():
-                for rule in rules:
-                    cell = _rmse_cell(variable, horizon, rule, trail.errors[rule])
-                    if cell.n_surveys > 0:
-                        scored.setdefault((horizon, rule, n), []).append(cell)
+        cell_horizons = [h for h in panel.horizons(variable) if h in horizons]
+        if not cell_horizons:
+            continue
+        trails = _run_variable(panel, variable, cell_horizons, calib, sizes, window)
+        for (horizon, n), trail in trails.items():
+            for rule in rules:
+                cell = _rmse_cell(variable, horizon, rule, trail.rule_errors(rule))
+                if cell.n_surveys > 0:
+                    scored.setdefault((horizon, rule, n), []).append(cell)
     points: list[SweepPoint] = []
     for n in sizes:
         for horizon in horizons:
@@ -366,7 +575,7 @@ def subset_sweep(
                 if aggregate == "mean":
                     rmse = sum(c.rmse for c in matched) / len(matched)
                 else:
-                    total = sum(c.rmse**2 * c.n_surveys for c in matched)
+                    total = sum(c.rmse * c.rmse * c.n_surveys for c in matched)
                     count = sum(c.n_surveys for c in matched)
                     rmse = math.sqrt(total / count)
                 points.append(SweepPoint(horizon, rule, n, rmse))

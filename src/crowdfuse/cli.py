@@ -5,8 +5,8 @@ Four subcommands wire the library into reproducible experiments:
 * ``simulate``: draw walk estimates and compare sample to analytic moments.
 * ``theory``: write one closed-form expected-gap grid.
 * ``backtest``: run the aggregation rules over a panel (files or synthetic).
-* ``sweep``: RMSE over shrinking top-n subsets, one rolling pass per cell
-  for all sizes.
+* ``sweep``: RMSE over shrinking top-n subsets, one rolling pass per
+  variable for all horizons and sizes.
 
 Exit codes: 0 success, 1 runtime or IO failure, 2 usage error. Commands
 with identical flags and seed are byte-reproducible; outputs are never

@@ -24,6 +24,7 @@ carry analysis units directly.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import re
@@ -82,7 +83,14 @@ class MissingSeedError(SchemaError):
 # Period arithmetic
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4096)
 def parse_period(text: str) -> tuple[int, int]:
+    """(year, quarter) of a ``YYYYQn`` period.
+
+    Memoized: a panel holds a few hundred distinct periods, parsed again
+    and again by the period arithmetic. A string that fails is not
+    cached, so it raises on every call.
+    """
     m = _PERIOD_RE.match(text)
     if not m:
         raise PanelError(f"bad period {text!r}, expected YYYYQn")

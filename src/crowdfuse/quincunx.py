@@ -205,23 +205,25 @@ def noise_from_p(p: float) -> float:
     return (1.0 - p) * p
 
 
-def p_from_mse(mse: float, count: int, unit: float) -> float:
+def p_from_mse(mse, count: int, unit: float):
     """Invert the variance identity: reliability implied by an observed MSE.
 
-    p = 1/2 + sqrt(Cv^2 (Cv^2 - MSE)) / (2 Cv^2), a float in [0.5, 1]. An
-    MSE above Cv^2 (possible in real data) is clamped to the
-    maximal-uncertainty bound, returning p = 0.5 rather than a complex root.
+    p = 1/2 + sqrt(Cv^2 (Cv^2 - MSE)) / (2 Cv^2) in [0.5, 1], elementwise
+    over an array of MSEs (a float for a float). An MSE above Cv^2
+    (possible in real data) is clamped to the maximal-uncertainty bound,
+    returning p = 0.5 rather than a complex root.
     """
-    if mse < 0.0 or not math.isfinite(mse):
-        raise ValueError(f"mse must be a nonnegative finite real, got {mse!r}")
+    m = np.asarray(mse, dtype=np.float64)
+    bad = ~(np.isfinite(m) & (m >= 0.0))
+    if bad.any():
+        raise ValueError(f"mse must be a nonnegative finite real, got {float(m[bad][0])!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     if not unit > 0.0:
         raise ValueError(f"unit must be positive, got {unit!r}")
     cap = count * unit * unit
-    if mse >= cap:
-        return 0.5
-    return min(0.5 + math.sqrt(cap * (cap - mse)) / (2.0 * cap), 1.0)
+    p = np.minimum(0.5 + np.sqrt(cap * (cap - np.minimum(m, cap))) / (2.0 * cap), 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def fuse_p(a: Judge, b: Judge) -> Judge:

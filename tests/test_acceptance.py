@@ -209,12 +209,17 @@ def test_criterion_6_cwm_oracle_equivalence():
             active = rng.sample(ids, rng.randint(2, n_f))
             forecasts = {j: rng.uniform(-5.0, 5.0) for j in active}
             history.append((forecasts, rng.uniform(-5.0, 5.0)))
-        contributions: dict[str, float] = {}
-        contribution_counts: dict[str, int] = {}
+        # one kernel row per realized survey, over the forecasters in sorted order
+        C = np.zeros((1, n_f))
+        K = np.zeros((1, n_f), dtype=np.intp)
         for forecasts, realized in history:
-            members = sorted(forecasts)
-            values = [forecasts[j] for j in members]
-            fold_survey(contributions, contribution_counts, members, values, realized)
+            V = np.array([[forecasts.get(j, 0.0) for j in ids]])
+            M = np.array([[j in forecasts for j in ids]])
+            n = M.sum(axis=1)
+            _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C, M, n)
+            fold_survey(C, K, V, M, totals, n, np.array([realized]))
+        contributions = {j: C[0, i] for i, j in enumerate(ids) if K[0, i]}
+        contribution_counts = {j: int(K[0, i]) for i, j in enumerate(ids) if K[0, i]}
 
         # independent recomputation with per-survey lists
         sums: dict[str, float] = {}
@@ -242,8 +247,10 @@ def test_criterion_6_cwm_oracle_equivalence():
             expected = sum(w / total * current[j] for j, w in positive.items())
         else:
             expected = sum(current[j] for j in ids) / len(ids)
-        noise = dict.fromkeys(ids, 0.25)
-        _, _, cw, _, _ = rule_estimates(ids, [current[j] for j in ids], noise, contributions)
+        V = np.array([[current[j] for j in ids]])
+        got, _, _ = rule_estimates(V, np.full(V.shape, 0.25), C, np.ones(V.shape, dtype=bool),
+                                   np.array([n_f]))
+        cw = got[0, 2]
         assert abs(cw - expected) < 1e-10
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,14 +53,34 @@ def members(forecasts):
     return ids, [forecasts[j] for j in ids]
 
 
+def one_row(values, noises=None, scores=None):
+    """A single kernel row whose members are all its columns, in the order given."""
+    V = np.array([values], dtype=float)
+    U = np.array([noises if noises is not None else [0.25] * len(values)], dtype=float)
+    C = np.array([scores if scores is not None else [0.0] * len(values)], dtype=float)
+    return V, U, C, np.ones(V.shape, dtype=bool), np.array([len(values)])
+
+
+def kernel(forecasts, noise, contributions):
+    """The kernel's (EWM, KF, CWM, KFplus, fallback) for one survey, as one row.
+
+    ``noise`` maps each member to (1 - p) p; a member missing from
+    ``contributions`` has no term yet.
+    """
+    ids, values = members(forecasts)
+    row = one_row(values, [noise[j] for j in ids], [contributions.get(j, 0.0) for j in ids])
+    got, fallback, _ = rule_estimates(*row)
+    return (*got[0].tolist(), bool(fallback[0]))
+
+
 def estimates(forecasts, contributions, ps=None):
     """The kernel's (EWM, KF, CWM, KFplus, fallback) for a survey's forecasts.
 
     Every member has p = 0.8 unless ``ps`` gives their reliability.
     """
-    ids, values = members(forecasts)
+    ids = sorted(forecasts)
     ps = ps or dict.fromkeys(ids, 0.8)
-    return rule_estimates(ids, values, {j: Judge(ps[j]).noise for j in ids}, contributions)
+    return kernel(forecasts, {j: Judge(ps[j]).noise for j in ids}, contributions)
 
 
 def inverse_noise_mean(forecasts, noise):
@@ -78,10 +99,25 @@ def expected_kf(forecasts, mses, calib):
 
 
 def fold_history(history):
-    contributions, counts = {}, {}
+    """Fold realized surveys one row each, in order; the terms' running means and counts.
+
+    The columns are every forecaster of the history in sorted order, and
+    each survey's EWM numerator comes from the rule kernel, as in the
+    backtest.
+    """
+    ids = sorted({j for forecasts, _ in history for j in forecasts})
+    C = np.zeros((1, len(ids)))
+    K = np.zeros((1, len(ids)), dtype=np.intp)
     for forecasts, realized in history:
-        fold_survey(contributions, counts, *members(forecasts), realized)
-    return contributions, counts
+        if not forecasts:
+            continue
+        V = np.array([[forecasts.get(j, 0.0) for j in ids]])
+        M = np.array([[j in forecasts for j in ids]])
+        n = M.sum(axis=1)
+        _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C, M, n)
+        fold_survey(C, K, V, M, totals, n, np.array([realized]))
+    folded = [i for i in range(len(ids)) if K[0, i]]
+    return {ids[i]: float(C[0, i]) for i in folded}, {ids[i]: int(K[0, i]) for i in folded}
 
 
 def brute_force_contributions(history):
@@ -169,14 +205,18 @@ class TestStateUpdates:
         assert trail != full
 
     def test_contribution_running_mean(self):
-        contributions, counts = {}, {}
+        # columns a, b, c; the first survey's members are a and b
+        C = np.zeros((1, 3))
+        K = np.zeros((1, 3), dtype=np.intp)
         # a alone beside the truth: its term is (1 - 0)^2 - 0^2 = 1
-        fold_survey(contributions, counts, ["a", "b"], [-1.0, 1.0], 0.0)
+        first = np.array([[True, True, False]])
+        fold_survey(C, K, np.array([[-1.0, 1.0, 0.0]]), first, np.array([0.0]), np.array([2]),
+                    np.array([0.0]))
         # a on the crowd mean: its term is 0
-        fold_survey(contributions, counts, ["a", "b", "c"], [2.0, 1.0, 3.0], 5.0)
-        assert contributions["a"] == pytest.approx(0.5)
-        assert counts["a"] == 2
-        assert counts == {"a": 2, "b": 2, "c": 1}
+        fold_survey(C, K, np.array([[2.0, 1.0, 3.0]]), np.ones((1, 3), dtype=bool),
+                    np.array([6.0]), np.array([3]), np.array([5.0]))
+        assert C[0, 0] == pytest.approx(0.5)
+        assert K.tolist() == [[2, 2, 1]]
 
 
 class TestContributionTerms:
@@ -226,7 +266,7 @@ class TestEwm:
     def test_mean(self):
         ew, *_ = estimates({"a": 2.0, "b": 4.0}, {})
         assert ew == 3.0
-        assert _equal_weights([2.0, 4.0]) == ([0.5, 0.5], 3.0)
+        assert _equal_weights(np.ones((1, 2), dtype=bool), np.array([2])).tolist() == [[0.5, 0.5]]
 
     def test_single(self):
         ew, *_ = estimates({"a": 2.0}, {})
@@ -250,8 +290,9 @@ class TestKfCrowd:
     def test_pinned_two_forecaster_case(self):
         _, kf, *_ = estimates({"a": 1.0, "b": 0.0}, {}, {"a": 0.9, "b": 0.6})
         assert kf == pytest.approx(8.0 / 11.0, abs=1e-12)
-        weights, _ = _inverse_variance_weights([Judge(0.9).noise, Judge(0.6).noise], [1.0, 0.0])
-        assert weights[0] == pytest.approx(8.0 / 11.0, abs=1e-12)
+        noise = np.array([[Judge(0.9).noise, Judge(0.6).noise]])
+        weights = _inverse_variance_weights(noise, np.ones((1, 2), dtype=bool))
+        assert weights[0, 0] == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_ordering_invariance(self):
         rng = random.Random(44)
@@ -266,9 +307,9 @@ class TestKfCrowd:
             shuffled = {j: forecasts[j] for j in order}
             _, again, *_ = estimates(shuffled, {}, {j: ps[j] for j in order})
             assert again == base
-            # the members in another order sum in another order: equal to rounding
-            noise = {j: Judge(ps[j]).noise for j in ids}
-            _, permuted, *_ = rule_estimates(order, [forecasts[j] for j in order], noise, {})
+            # the columns in another order sum in another order: equal to rounding
+            row = one_row([forecasts[j] for j in order], [Judge(ps[j]).noise for j in order])
+            permuted = rule_estimates(*row)[0][0, 1]
             assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_matches_recursive_fold(self):
@@ -283,19 +324,19 @@ class TestKfCrowd:
 
     def test_perfect_forecasters_share_weight(self):
         ps = {"a": 1.0, "b": 1.0, "c": 0.7}
-        noises = [Judge(ps[j]).noise for j in "abc"]
+        noises = np.array([[Judge(ps[j]).noise for j in "abc"]])
         _, kf, *_ = estimates({"a": 3.0, "b": 3.0, "c": 9.0}, {}, ps)
         assert kf == 3.0
-        assert _inverse_variance_weights(noises, [3.0, 3.0, 9.0]) == ([0.5, 0.5, 0.0], 3.0)
+        weights = _inverse_variance_weights(noises, np.ones((1, 3), dtype=bool))
+        assert weights.tolist() == [[0.5, 0.5, 0.0]]
         # perfect members that disagree share the weight too
         _, kf, *_ = estimates({"a": 3.0, "b": 4.0, "c": 9.0}, {}, ps)
         assert kf == 3.5
-        assert _inverse_variance_weights(noises, [3.0, 4.0, 9.0]) == ([0.5, 0.5, 0.0], 3.5)
 
     def test_missing_reliability_raises(self):
         # even a member whose weight would be zero beside a perfect one needs an estimate
         with pytest.raises(ValueError):
-            rule_estimates(["a", "b"], [1.0, 2.0], {"a": 0.0}, {})
+            rule_estimates(*one_row([1.0, 2.0], [0.0, float("nan")]))
 
 
 class TestCwm:
@@ -307,8 +348,9 @@ class TestCwm:
         contributions = {"a": 0.3, "b": 0.1, "c": -0.5}
         _, _, cw, *_ = estimates({"a": 1.0, "b": 5.0, "c": 100.0}, contributions)
         assert cw == pytest.approx(2.0, abs=1e-12)
-        weights, _ = _contribution_weights([0.3, 0.1], [1.0, 5.0])
-        assert weights == pytest.approx([0.75, 0.25])
+        keep = np.array([[True, True, False]])
+        weights = _contribution_weights(np.array([[0.3, 0.1, -0.5]]), keep)
+        assert weights[0] == pytest.approx([0.75, 0.25, 0.0])
         # c has a negative contribution: its forecast has no effect
         _, _, moved, *_ = estimates({"a": 1.0, "b": 5.0, "c": -100.0}, contributions)
         assert moved == cw
@@ -392,28 +434,37 @@ class TestKfPlus:
 
 
 class TestTopN:
+    @staticmethod
+    def ranks(ids, p_hats, mse, groups=None):
+        groups = np.zeros(len(ids), dtype=np.intp) if groups is None else np.array(groups)
+        return rank_by_reliability(
+            groups, np.array(ids), np.array(p_hats, dtype=float), np.array(mse, dtype=float)
+        ).tolist()
+
     def test_covering_population_is_identity(self):
-        p_hats = {"a": 0.7, "b": 0.7}
-        ranked = rank_by_reliability(["a", "b"], p_hats, {"a": 0.5, "b": 0.5})
-        assert set(ranked[:5]) == {"a", "b"}
+        ranks = self.ranks([0, 1], [0.7, 0.7], [0.5, 0.5])
+        assert sorted(ranks) == [0, 1]
+        assert all(r < 5 for r in ranks)
 
     def test_top_two_by_reliability(self):
-        p_hats = {"a": 0.9, "b": 0.8, "c": 0.7}
-        mse = {"a": 0.5, "b": 0.5, "c": 0.5}
-        assert rank_by_reliability("cba", p_hats, mse)[:2] == ["a", "b"]
+        # entries c, b, a: the order of the entries does not matter
+        ranks = self.ranks([2, 1, 0], [0.7, 0.8, 0.9], [0.5, 0.5, 0.5])
+        assert ranks == [2, 1, 0]
 
     def test_tie_breaks_deterministic(self):
         # equal clamped reliability: lower MSE wins, then the id
-        p_hats = dict.fromkeys("abc", 0.5)
-        mse = {"a": 3.0, "b": 2.0, "c": 2.0}
-        ranked = rank_by_reliability("abc", p_hats, mse)
-        assert ranked[:1] == ["b"]
-        assert ranked[:2] == ["b", "c"]
+        ranks = self.ranks([0, 1, 2], [0.5, 0.5, 0.5], [3.0, 2.0, 2.0])
+        assert ranks == [2, 0, 1]
+
+    def test_groups_rank_apart(self):
+        ranks = self.ranks([0, 1, 0, 1], [0.9, 0.8, 0.6, 0.7], [0.1, 0.2, 0.3, 0.3],
+                           groups=[0, 0, 1, 1])
+        assert ranks == [0, 1, 1, 0]
 
     def test_rejects_bad_arguments(self):
         # a forecaster without a reliability estimate cannot be ranked
-        with pytest.raises(KeyError):
-            rank_by_reliability(["a", "b"], {"a": 0.7}, {"a": 0.5, "b": 0.5})
+        with pytest.raises(ValueError, match="reliability estimate"):
+            self.ranks([0, 1], [0.7, float("nan")], [0.5, 0.5])
 
 
 class TestWeightNormalization:
@@ -421,16 +472,16 @@ class TestWeightNormalization:
         rng = random.Random(47)
         for _ in range(20):
             n = rng.randint(2, 7)
-            values = [rng.uniform(-10, 10) for _ in range(n)]
-            noises = [Judge(rng.uniform(0.5, 1.0)).noise for _ in range(n)]
-            scores = [c for _ in range(n) if (c := rng.uniform(-1, 1)) > 0.0]
-            kept = values[:len(scores)]
-            weights = [_equal_weights(values)[0], _inverse_variance_weights(noises, values)[0]]
-            if scores:
-                weights.append(_contribution_weights(scores, kept)[0])
-                weights.append(_inverse_variance_weights(noises[:len(scores)], kept)[0])
+            noises = np.array([[Judge(rng.uniform(0.5, 1.0)).noise for _ in range(n)]])
+            scores = np.array([[rng.uniform(-1, 1) for _ in range(n)]])
+            mask = np.ones((1, n), dtype=bool)
+            keep = scores > 0.0
+            weights = [_equal_weights(mask, np.array([n])), _inverse_variance_weights(noises, mask)]
+            if keep.any():
+                weights.append(_contribution_weights(scores, keep))
+                weights.append(_inverse_variance_weights(noises, keep))
             for rule_weights in weights:
-                assert abs(sum(rule_weights) - 1.0) <= 1e-9
+                assert abs(sum(rule_weights[0].tolist()) - 1.0) <= 1e-9
 
 
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -481,18 +532,57 @@ class TestRuleKernel:
         forecasts, eligible, ps, contributions = survey
         current = {j: forecasts[j] for j in eligible}
         noise = {j: (1.0 - p) * p for j, p in ps.items()}
-        *got, fallback = rule_estimates(*members(current), noise, contributions)
+        *got, fallback = kernel(current, noise, contributions)
         *expected, expected_fallback = brute_force_rules(current, noise, contributions)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert fallback == expected_fallback
 
+    @given(st.lists(surveys(), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_independent(self, stacked):
+        # the surveys stacked as rows over the union of their forecasters
+        # give each survey's single-row results exactly
+        ids = sorted({j for forecasts, *_ in stacked for j in forecasts})
+        shape = (len(stacked), len(ids))
+        V, U, C = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+        M = np.zeros(shape, dtype=bool)
+        singles = []
+        for r, (forecasts, eligible, ps, contributions) in enumerate(stacked):
+            for c, j in enumerate(ids):
+                if j in eligible:
+                    M[r, c] = True
+                    V[r, c] = forecasts[j]
+                    U[r, c] = (1.0 - ps[j]) * ps[j]
+                    C[r, c] = contributions.get(j, 0.0)
+            current = {j: forecasts[j] for j in eligible}
+            singles.append(kernel(current, {j: (1.0 - p) * p for j, p in ps.items()},
+                                  contributions))
+        got, fallback, totals = rule_estimates(V, U, C, M, M.sum(axis=1))
+        assert [(*e, bool(f)) for e, f in zip(got.tolist(), fallback)] == singles
+        realized = np.linspace(-1.0, 1.0, len(stacked))
+        K = np.zeros(shape, dtype=np.intp)
+        folded = np.zeros(shape)
+        fold_survey(folded, K, V, M, totals, M.sum(axis=1), realized)
+        for r, (forecasts, eligible, *_) in enumerate(stacked):
+            alone, counts = fold_history([({j: forecasts[j] for j in eligible}, realized[r])])
+            assert {ids[c]: float(folded[r, c]) for c in range(len(ids)) if K[r, c]} == alone
+            assert {ids[c]: int(K[r, c]) for c in range(len(ids)) if K[r, c]} == counts
+
     def test_missing_reliability_raises(self):
-        with pytest.raises(ValueError, match="no reliability estimate"):
-            rule_estimates(["a", "b"], [1.0, 2.0], {"a": 0.16}, {})
+        # a member whose noise is NaN (no estimate) or negative cannot be weighed
+        for bad in (float("nan"), -0.1):
+            with pytest.raises(ValueError, match="no reliability estimate"):
+                rule_estimates(*one_row([1.0, 2.0], [0.16, bad]))
+        # a column outside the row's members is never read
+        V, U, C, M, _ = one_row([1.0, 2.0], [0.16, float("nan")])
+        M[0, 1] = False
+        got, _, _ = rule_estimates(V, U, C, M, np.array([1]))
+        assert got[0].tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_empty_raises(self):
+        V, U, C, M, _ = one_row([1.0, 2.0])
         with pytest.raises(NoEligibleForecastersError):
-            rule_estimates([], [], {}, {})
+            rule_estimates(V, U, C, M & False, np.array([0]))
 
     @given(histories)
     @settings(max_examples=200, deadline=None)

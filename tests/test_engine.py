@@ -1,0 +1,399 @@
+"""The array engine against a straight-line oracle, compared with ``==``.
+
+The oracle below is the scalar engine the array pass replaced: one rolling
+loop per (variable, horizon) cell and limit, with per-forecaster maps, one
+rule-kernel call per (survey, limit) and one contribution fold per matured
+survey and limit. Every square is ``d * d`` and every sum is Python's
+left-to-right ``sum()``, which is what the array engine must reproduce
+exactly: reports, sweep points and audit trails are compared with ``==``.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from dataclasses import astuple
+from operator import mul
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from crowdfuse import backtest
+from crowdfuse.aggregation import ALL_RULES, RULE_CWM
+from crowdfuse.backtest import (
+    BacktestReport,
+    CellDiagnostics,
+    DmCell,
+    RmseCell,
+    SweepPoint,
+    cell_estimates,
+    dm_test,
+    run_backtest,
+    subset_sweep,
+)
+from crowdfuse.panel import (
+    Calibration,
+    ForecastRow,
+    Panel,
+    RealizationRow,
+    SynthConfig,
+    add_quarters,
+    calibrate_v,
+    calibration_series,
+    period_end_month,
+    synth_panel,
+)
+
+_RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
+
+
+# ---------------------------------------------------------------------------
+# Straight-line oracle
+# ---------------------------------------------------------------------------
+
+def oracle_p_from_mse(mse, count, unit):
+    cap = count * unit * unit
+    if mse >= cap:
+        return 0.5
+    return min(0.5 + math.sqrt(cap * (cap - mse)) / (2.0 * cap), 1.0)
+
+
+def _check_normalized(weights):
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"weights sum to {total!r}, expected 1")
+
+
+def _inverse_variance(noises, values):
+    perfect = noises.count(0.0)
+    if perfect:
+        weights = [1.0 / perfect if u == 0.0 else 0.0 for u in noises]
+    else:
+        inverse = [1.0 / u for u in noises]
+        total = sum(inverse)
+        weights = [x / total for x in inverse]
+    return weights, sum(map(mul, weights, values))
+
+
+def oracle_rule_estimates(ids, values, noise, contributions):
+    """EWM, KF, CWM, KFplus and the fallback flag of one sorted member list."""
+    n = len(values)
+    noises = [noise[j] for j in ids]
+    _check_normalized([1.0 / n] * n)
+    ew = sum(values) / n
+    kf_weights, kf = _inverse_variance(noises, values)
+    _check_normalized(kf_weights)
+    keep = [i for i, j in enumerate(ids) if contributions.get(j, 0.0) > 0.0]
+    if not keep:
+        return ew, kf, ew, ew, True
+    kept = [values[i] for i in keep]
+    scores = [contributions[ids[i]] for i in keep]
+    total = sum(scores)
+    cw_weights = [c / total for c in scores]
+    kp_weights, kp = _inverse_variance([noises[i] for i in keep], kept)
+    _check_normalized(cw_weights)
+    _check_normalized(kp_weights)
+    return ew, kf, sum(map(mul, cw_weights, kept)), kp, False
+
+
+def oracle_fold_survey(contributions, counts, ids, values, realized):
+    n = len(values)
+    if n < 2:
+        return
+    total = sum(values)
+    d_all = total / n - realized
+    err_all = d_all * d_all
+    for j, x in zip(ids, values):
+        d = (total - x) / (n - 1) - realized
+        term = d * d - err_all
+        count = counts.get(j, 0) + 1
+        mean = contributions.get(j, 0.0)
+        contributions[j] = mean + (term - mean) / count
+        counts[j] = count
+
+
+def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None):
+    """Per limit: (estimates [(survey, [4 floats])], errors [[4 floats]], p_hats,
+    fallback surveys, skipped surveys)."""
+    count, unit = calib.pair(variable)
+    surveys = panel.surveys
+    end_months = [period_end_month(s) for s in surveys]
+    history, mse, p_hats, noise = {}, {}, {}, {}
+    contributions = {n: {} for n in limits}
+    counts = {n: {} for n in limits}
+    maturing = {}
+    trails = {n: ([], [], [], [0], [0]) for n in limits}
+    for idx, survey in enumerate(surveys):
+        matured = maturing.pop(idx, [])
+        if stats is not None and len(matured) > 1:
+            stats["together"] += 1
+        for forecasts, members, realized in matured:
+            for n, (ids, values) in members.items():
+                oracle_fold_survey(contributions[n], counts[n], ids, values, realized)
+            for j, x in forecasts.items():
+                d = x - realized
+                errors = history.setdefault(j, [])
+                errors.append(d * d)
+                scored = errors if window is None else errors[-window:]
+                mse[j] = sum(scored) / len(scored)
+                p = p_hats[j] = oracle_p_from_mse(mse[j], count, unit)
+                noise[j] = (1.0 - p) * p
+        forecasts = panel.forecasts_at(survey, variable, horizon)
+        if not forecasts:
+            continue
+        eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
+        ranked = sorted(eligible, key=lambda j: (-p_hats[j], mse[j], j))
+        realization = panel.realization(variable, add_quarters(survey, horizon - 1))
+        members = {}
+        for n, (estimates, errors, p_list, fallbacks, skipped) in trails.items():
+            ids = eligible if n is None or n >= len(eligible) else sorted(ranked[:n])
+            values = [forecasts[j] for j in ids]
+            members[n] = (ids, values)
+            if not ids:
+                skipped[0] += 1
+                continue
+            if n is None:
+                p_list.extend(p_hats[j] for j in ids)
+            *rules, fallback = oracle_rule_estimates(ids, values, noise, contributions[n])
+            estimates.append((survey, rules))
+            if realization is None:
+                skipped[0] += 1
+            else:
+                errors.append([e - realization[0] for e in rules])
+                fallbacks[0] += fallback
+        if realization is not None:
+            known = bisect.bisect_left(end_months, realization[1])
+            if known < len(surveys):
+                maturing.setdefault(known, []).append((forecasts, members, realization[0]))
+    return trails
+
+
+def _rmse_cell(variable, horizon, rule, errors):
+    series = [e[_RULE_ORDER[rule]] for e in errors]
+    rmse = math.sqrt(sum(e * e for e in series) / len(series)) if series else math.nan
+    return RmseCell(variable, horizon, rule, rmse, len(series))
+
+
+def oracle_run_backtest(panel, rules, calib, window=None, hln=False):
+    cells, dm_cells, diagnostics = [], [], []
+    for variable in sorted(panel.variables):
+        for horizon in panel.horizons(variable):
+            _, errors, p_list, fallbacks, skipped = oracle_run_cell(
+                panel, variable, horizon, calib, (None,), window
+            )[None]
+            diagnostics.append(CellDiagnostics(
+                variable, horizon, float(np.median(p_list)) if p_list else math.nan,
+                fallbacks[0], skipped[0],
+            ))
+            for rule in rules:
+                cells.append(_rmse_cell(variable, horizon, rule, errors))
+            if RULE_CWM in rules and len(errors) >= 8:
+                cwm = [e[_RULE_ORDER[RULE_CWM]] for e in errors]
+                for rule in rules:
+                    if rule != RULE_CWM:
+                        own = [e[_RULE_ORDER[rule]] for e in errors]
+                        dm_cells.append(DmCell(variable, horizon, rule, *dm_test(own, cwm, horizon, hln)))
+    key = lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule])  # noqa: E731
+    return BacktestReport(
+        sorted(cells, key=key), sorted(dm_cells, key=key),
+        sorted(diagnostics, key=lambda c: (c.variable, c.horizon)),
+    )
+
+
+def oracle_subset_sweep(panel, horizons, n_range, calib, rules=ALL_RULES, aggregate="mean",
+                        window=None):
+    sizes = sorted(set(n_range))
+    horizons = sorted(set(horizons))
+    scored = {}
+    for variable in sorted(panel.variables):
+        for horizon in panel.horizons(variable):
+            if horizon not in horizons:
+                continue
+            trails = oracle_run_cell(panel, variable, horizon, calib, sizes, window)
+            for n, (_, errors, *_rest) in trails.items():
+                for rule in rules:
+                    cell = _rmse_cell(variable, horizon, rule, errors)
+                    if cell.n_surveys > 0:
+                        scored.setdefault((horizon, rule, n), []).append(cell)
+    points = []
+    for n in sizes:
+        for horizon in horizons:
+            for rule in rules:
+                matched = scored.get((horizon, rule, n))
+                if not matched:
+                    continue
+                if aggregate == "mean":
+                    rmse = sum(c.rmse for c in matched) / len(matched)
+                else:
+                    total = sum(c.rmse * c.rmse * c.n_surveys for c in matched)
+                    rmse = math.sqrt(total / sum(c.n_surveys for c in matched))
+                points.append(SweepPoint(horizon, rule, n, rmse))
+    points.sort(key=lambda p: (p.horizon, _RULE_ORDER[p.rule], p.n_included))
+    return points
+
+
+def oracle_cell_estimates(panel, variable, horizon, rules, calib, window=None):
+    estimates = oracle_run_cell(panel, variable, horizon, calib, (None,), window)[None][0]
+    return {rule: [(s, e[_RULE_ORDER[rule]]) for s, e in estimates] for rule in rules}
+
+
+# ---------------------------------------------------------------------------
+# Panels
+# ---------------------------------------------------------------------------
+
+def _rows(items):
+    """Dataclass rows as tuples, with NaN spelled out so that it equals itself."""
+    return [
+        tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in astuple(item))
+        for item in items
+    ]
+
+
+def _reports(report):
+    return _rows(report.cells), _rows(report.dm), _rows(report.diagnostics)
+
+
+def late_stamp_panel():
+    """Two horizons, three forecasters (c always exact), and realizations
+    stamped late so that three targets of horizon 1 mature at 2000Q4 and
+    again at 2001Q3, after the members are eligible."""
+    surveys = [add_quarters("2000Q1", i) for i in range(10)]
+    truth = [1.0, 2.5, 0.5, -1.0, 2.0, 1.5, 0.0, 3.0, 1.0, 2.0, 0.5]
+    stamps = {0: 3, 1: 2, 2: 1, 3: 3, 4: 3, 5: 2, 6: 1, 7: 1, 8: 2, 9: 1, 10: 1}
+    forecasts = []
+    for s, survey in enumerate(surveys):
+        for h in (1, 2):
+            target = truth[s + h - 1]
+            forecasts.append(ForecastRow(survey, "X", h, "a", target + 1.0))
+            forecasts.append(ForecastRow(survey, "X", h, "b", target - 0.5 * (s % 3)))
+            forecasts.append(ForecastRow(survey, "X", h, "c", target))
+            if s % 2:
+                forecasts.append(ForecastRow(survey, "X", h, "d", target + 2.0))
+    realizations = tuple(
+        RealizationRow(add_quarters("2000Q1", t), "X", truth[t], add_quarters("2000Q1", t + lag))
+        for t, lag in stamps.items()
+    )
+    return Panel(tuple(forecasts), realizations, (), transform="none")
+
+
+VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def panels(draw):
+    """Panels with turnover, 2-3 horizons, targets stamped 1-3 quarters late
+    or never, and a forecaster (f0) whose every forecast is exact."""
+    n_surveys = draw(st.integers(4, 12))
+    n_horizons = draw(st.integers(2, 3))
+    pool = [f"f{i}" for i in range(draw(st.integers(2, 11)))]
+    variables = draw(st.sampled_from([("X",), ("X", "Y")]))
+    forecasts, realizations = [], []
+    for variable in variables:
+        truth = [draw(VALUES) for _ in range(n_surveys + n_horizons - 1)]
+        for t, value in enumerate(truth):
+            lag = draw(st.sampled_from([None, 1, 1, 2, 3]))
+            if lag is not None:
+                target = add_quarters("2000Q1", t)
+                realizations.append(
+                    RealizationRow(target, variable, value, add_quarters(target, lag))
+                )
+        for s in range(n_surveys):
+            survey = add_quarters("2000Q1", s)
+            active = sorted(draw(st.sets(st.sampled_from(pool), min_size=1)))
+            for h in range(1, n_horizons + 1):
+                for j in active:
+                    miss = 0.0 if j == pool[0] else draw(VALUES)
+                    forecasts.append(ForecastRow(survey, variable, h, j, truth[s + h - 1] + miss))
+    panel = Panel(tuple(forecasts), tuple(realizations), (), transform="none")
+    unit = draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
+    return panel, Calibration(1, dict.fromkeys(variables, unit))
+
+
+LATE = (late_stamp_panel(), Calibration(1, {"X": 2.0}))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+class TestEngineEqualsOracle:
+    @given(
+        case=panels(),
+        window=st.sampled_from([None, 1, 3]),
+        hln=st.booleans(),
+        rules=st.sampled_from([ALL_RULES, ("EWM", "KF"), ("KFplus", "CWM", "EWM")]),
+        aggregate=st.sampled_from(["mean", "pooled"]),
+    )
+    @example(case=LATE, window=None, hln=False, rules=ALL_RULES, aggregate="mean")
+    @example(case=LATE, window=1, hln=True, rules=ALL_RULES, aggregate="pooled")
+    @settings(max_examples=120, deadline=None)
+    def test_reports_sweeps_and_trails(self, case, window, hln, rules, aggregate):
+        panel, calib = case
+        stats = {"together": 0}
+        for variable in panel.variables:
+            for horizon in panel.horizons(variable):
+                oracle_run_cell(panel, variable, horizon, calib, (None,), window, stats)
+        if stats["together"]:
+            event("two targets of one cell mature at one survey")
+
+        got = run_backtest(panel, rules, calib, window=window, hln=hln)
+        assert _reports(got) == _reports(oracle_run_backtest(panel, rules, calib, window, hln))
+
+        horizons = sorted({h for v in panel.variables for h in panel.horizons(v)})
+        sizes = range(1, 9)
+        got = subset_sweep(panel, horizons, sizes, calib, rules, aggregate, window)
+        assert got == oracle_subset_sweep(panel, horizons, sizes, calib, rules, aggregate, window)
+
+        for variable in panel.variables:
+            for horizon in panel.horizons(variable):
+                got = cell_estimates(panel, variable, horizon, rules, calib, window)
+                assert got == oracle_cell_estimates(panel, variable, horizon, rules, calib, window)
+
+    def test_late_stamps_fold_in_rounds(self, monkeypatch):
+        # the fixed example reaches the multi-round maturation path
+        panel, calib = LATE
+        stats = {"together": 0}
+        oracle_run_cell(panel, "X", 1, calib, (None,), None, stats)
+        assert stats["together"] == 2
+        rounds_at = []
+        rounds = backtest._rounds
+
+        def counted(matured):
+            split = rounds(matured)
+            rounds_at.append(len(split))
+            return split
+
+        monkeypatch.setattr(backtest, "_rounds", counted)
+        report = run_backtest(panel, ALL_RULES, calib)
+        # three targets of horizon 1 mature together at 2000Q4 and at 2001Q3
+        assert rounds_at.count(3) == 2
+        assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
+        assert sum(c.n_surveys for c in report.cells) > 0
+
+
+class TestKernelCalls:
+    def test_one_rule_call_per_survey_with_an_eligible_member(self, monkeypatch):
+        panel = synth_panel(SynthConfig(num_forecasters=10, num_surveys=24, seed=5, horizons=3,
+                                        turnover=0.5, p_dist="uniform"))
+        calib = calibrate_v(calibration_series(panel))
+        calls = []
+        kernel = backtest.rule_estimates
+
+        def counted(V, U, C, M, n):
+            calls.append(M.shape[0])
+            return kernel(V, U, C, M, n)
+
+        monkeypatch.setattr(backtest, "rule_estimates", counted)
+        points = subset_sweep(panel, (1, 2, 3), range(1, 9), calib)
+        assert points
+        estimated = set()
+        for horizon in (1, 2, 3):
+            trail = oracle_cell_estimates(panel, "SYN", horizon, ("EWM",), calib)["EWM"]
+            estimated.update(s for s, _ in trail)
+        assert len(calls) == len(estimated)
+        # every call carries a row per (horizon, limit), never one per limit
+        assert max(calls) == 3 * 8
+        assert all(rows % 8 == 0 for rows in calls)

@@ -19,6 +19,7 @@ from crowdfuse.panel import (
     MissingLevelError,
     MissingSeedError,
     Panel,
+    PanelError,
     RealizationRow,
     SchemaError,
     SynthConfig,
@@ -89,6 +90,13 @@ class TestPeriods:
             parse_period("2020Q5")
         with pytest.raises(ValueError):
             parse_period("2020-01")
+
+    def test_bad_period_raises_on_every_call(self):
+        # parse_period is memoized, but a failure is never cached
+        for _ in range(3):
+            with pytest.raises(PanelError, match="bad period"):
+                parse_period("2000Q5")
+        assert parse_period("2000Q4") == parse_period("2000Q4") == (2000, 4)
 
     def test_asof_key_formats(self):
         assert asof_key("2020Q1") == (2020, 3)
