@@ -11,15 +11,18 @@ updates always happen after the estimates that would use them, so an
 estimate at survey i is a pure function of forecasts at i and of
 realizations stamped by i.
 
-The state lives in plain arrays: per (horizon, forecaster) the error
-count, the squared-error sum (or, under a window, the last errors), MSE,
-reliability and noise; per (horizon, limit, forecaster) the contribution
-mean and count. Forecasters are indexed in sorted-id order. Each survey
-makes one ``rule_estimates`` call whose rows are its (horizon, limit)
-pairs; matured targets are folded in rounds of at most one per horizon,
-one ``fold_survey`` call and one reliability update per round. The
-reports equal those of a straight-line loop per cell to the last bit:
-every sum adds left to right, every square is ``d * d``.
+The panel's forecast table is sorted by (variable, survey, horizon,
+forecaster id), so a survey's forecasts of one variable are one slice of
+it, horizon by horizon. The state lives in plain arrays: per (horizon,
+forecaster) the error count, the squared-error sum (or, under a window,
+the last errors), MSE, reliability and noise; per (horizon, limit,
+forecaster) the contribution mean and count. Forecasters are indexed in
+sorted-id order. Each survey makes one ``rule_estimates`` call whose rows
+are its (horizon, limit) pairs; matured targets are folded in rounds of
+at most one per horizon, one ``fold_survey`` call and one reliability
+update per round. The reports equal those of a straight-line loop per
+cell to the last bit: every sum adds left to right, every square is
+``d * d``.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -322,21 +324,27 @@ def _run_variable(
 ) -> dict[tuple[int, int | None], CellTrail]:
     """Roll one variable through the surveys, once for all horizons and limits.
 
-    A limit n keeps the n most reliable of each survey's eligible set and
-    ``None`` keeps all of it. Error histories, MSEs and reliabilities
-    depend on the horizon; contribution means also on the limit. Each
-    survey makes one :func:`rule_estimates` call, whose rows are its
-    (horizon, limit) pairs and whose columns are the forecasters eligible
-    at any of its horizons, in sorted-id order. A survey's forecasts at a
-    horizon mature at the first later survey whose quarter ends no earlier
-    than their realization's stamp; a target that never gets a value never
-    matures. Matured targets are folded in rounds with at most one per
-    horizon, so each horizon's state sees them in survey order.
+    ``horizons`` ascend. A limit n keeps the n most reliable of each
+    survey's eligible set and ``None`` keeps all of it. Error histories,
+    MSEs and reliabilities depend on the horizon; contribution means also
+    on the limit. Each survey's forecasts are one slice of the variable's
+    rows of the forecast table, and each survey makes one
+    :func:`rule_estimates` call, whose rows are its (horizon, limit) pairs
+    and whose columns are the forecasters eligible at any of its horizons,
+    in sorted-id order. A survey's forecasts at a horizon mature at the
+    first later survey whose quarter ends no earlier than their
+    realization's stamp; a target that never gets a value never matures.
+    Matured targets are folded in rounds with at most one per horizon, so
+    each horizon's state sees them in survey order.
     """
     surveys = panel.surveys
-    cells = [[panel.forecasts_at(s, variable, h) for h in horizons] for s in surveys]
-    names = sorted({j for row in cells for cell in row for j in cell})
-    index = {j: i for i, j in enumerate(names)}
+    f = panel.forecasts
+    v = f.variables.index(variable) if variable in f.variables else -1
+    mine = np.flatnonzero((f.variable == v) & np.isin(f.horizon, horizons))
+    names, column = np.unique(f.forecaster[mine], return_inverse=True)
+    horizon_at = np.searchsorted(horizons, f.horizon[mine])
+    value = f.value[mine]
+    bounds = np.searchsorted(f.survey[mine], np.arange(len(surveys) + 1)).tolist()
     width, n_limits = len(names), len(limits)
     if window is not None and window >= len(surveys):
         window = None  # covers every history
@@ -352,12 +360,11 @@ def _run_variable(
             state.fold(batch)
             state.observe(batch)
 
-        sizes = [len(cell) for cell in cells[idx]]
-        if not any(sizes):
+        first, last = bounds[idx], bounds[idx + 1]
+        if first == last:
             continue
-        hh = np.repeat(np.arange(len(horizons)), sizes)
-        ff = np.fromiter(map(index.__getitem__, chain.from_iterable(cells[idx])), np.intp, len(hh))
-        xx = np.fromiter(chain.from_iterable(c.values() for c in cells[idx]), np.float64, len(hh))
+        hh, ff, xx = horizon_at[first:last], column[first:last], value[first:last]
+        sizes = np.bincount(hh, minlength=len(horizons)).tolist()
         hf = hh * width + ff
         eligible = state.errors[hf] >= 2
         row_at = [-1] * len(horizons)

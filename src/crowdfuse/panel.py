@@ -28,9 +28,9 @@ import functools
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,12 +135,63 @@ def asof_key(text: str) -> tuple[int, int]:
 # Rows and the panel
 # ---------------------------------------------------------------------------
 
-class ForecastRow(NamedTuple):
-    survey: str
-    variable: str
-    horizon: int
-    forecaster_id: str
-    value: float
+def _encode(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A column's distinct strings in sorted order, and each entry's position among them."""
+    names = sorted(set(column))
+    at = {name: i for i, name in enumerate(names)}
+    return tuple(names), np.array([at[x] for x in column], dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastTable:
+    """A panel's forecasts as parallel columns, one entry per forecast.
+
+    ``survey``, ``variable`` and ``forecaster`` hold positions in the sorted
+    names ``surveys``, ``variables`` and ``forecasters`` (``YYYYQn`` periods
+    sort as text in time order). The entries are sorted by (variable,
+    survey, horizon, forecaster id), so each survey's forecasts of one
+    variable are one contiguous run, horizon by horizon.
+    """
+
+    surveys: tuple[str, ...]
+    variables: tuple[str, ...]
+    forecasters: tuple[str, ...]
+    survey: np.ndarray
+    variable: np.ndarray
+    horizon: np.ndarray
+    forecaster: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_columns(cls, survey: Sequence[str], variable: Sequence[str], horizon: Sequence[int],
+                     forecaster: Sequence[str], value: Sequence[float]) -> ForecastTable:
+        """Encode parallel columns of forecasts and sort them into table order."""
+        (surveys, s), (variables, v), (forecasters, f) = map(_encode, (survey, variable, forecaster))
+        h = np.array(horizon, dtype=np.intp)
+        x = np.array(value, dtype=np.float64)
+        order = np.lexsort((f, h, s, v))
+        return cls(surveys, variables, forecasters, s[order], v[order], h[order], f[order], x[order])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, str, int, str, float]]) -> ForecastTable:
+        """The table of (survey, variable, horizon, forecaster id, value) rows."""
+        return cls.from_columns(*(zip(*rows) if rows else [()] * 5))
+
+    def rows(self) -> list[tuple[str, str, int, str, float]]:
+        """Each entry as a (survey, variable, horizon, forecaster id, value) row, in table order."""
+        return list(zip(
+            map(self.surveys.__getitem__, self.survey.tolist()),
+            map(self.variables.__getitem__, self.variable.tolist()),
+            self.horizon.tolist(),
+            map(self.forecasters.__getitem__, self.forecaster.tolist()),
+            self.value.tolist(),
+        ))
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ForecastTable) and self.rows() == other.rows()
 
 
 @dataclass(frozen=True)
@@ -168,7 +219,8 @@ def _analysis_table(
     period ends; on a tie the earlier row wins. Values stamped at or before
     the period end are dropped with a diagnostic. The yearly change of a
     period is known from the later of its two stamps; a period whose base
-    report is missing or zero has no entry. UNEMP, and every variable under
+    report is missing or zero has no entry, nor has one whose change is not
+    finite (with a diagnostic). UNEMP, and every variable under
     ``transform="none"``, passes through.
     """
     firsts: dict[str, dict[str, tuple[tuple[int, int], float]]] = {}
@@ -200,22 +252,22 @@ def _analysis_table(
                 change = to_yearly_pct_change(levels, period)
             except (MissingLevelError, ZeroBaseError):
                 continue
+            if not math.isfinite(change):
+                log.warning("yearly change of %s %s is not finite; value dropped", variable, period)
+                continue
             out[period] = (change, max(key, reports[add_quarters(period, -4)][0]))
     return table
 
 
-_NO_FORECASTS: Mapping[str, float] = MappingProxyType({})
-
-
 @dataclass
 class Panel:
-    """An immutable forecast panel with derived lookup tables.
+    """A forecast panel with derived lookup tables.
 
-    One pass over the forecast rows builds the (survey, variable, horizon)
-    cell map, the survey list and each variable's horizons.
+    The surveys, in period order, and the variables are those of the
+    forecast table; each variable's horizons are read off it once.
     """
 
-    forecasts: tuple[ForecastRow, ...]
+    forecasts: ForecastTable
     realizations: tuple[RealizationRow, ...]
     vintages: tuple[VintageRow, ...]
     transform: str = "yearly_pct"
@@ -226,28 +278,17 @@ class Panel:
     def __post_init__(self) -> None:
         if self.transform not in ("yearly_pct", "none"):
             raise ValueError(f"unknown transform {self.transform!r}")
-        cells: dict[tuple[str, str, int], dict[str, float]] = {}
-        surveys: set[str] = set()
-        horizons: dict[str, set[int]] = {}
-        for survey, variable, horizon, forecaster, value in self.forecasts:
-            cell = cells.get((survey, variable, horizon))
-            if cell is None:
-                cell = cells[survey, variable, horizon] = {}
-                surveys.add(survey)
-                horizons.setdefault(variable, set()).add(horizon)
-            cell[forecaster] = value
-        self.surveys = tuple(sorted(surveys, key=period_key))
-        self.variables = frozenset(horizons)
-        self._horizons = {variable: tuple(sorted(hs)) for variable, hs in horizons.items()}
-        self._forecast_map = {key: MappingProxyType(cell) for key, cell in cells.items()}
+        f = self.forecasts
+        self.surveys = f.surveys
+        self.variables = frozenset(f.variables)
+        self._horizons = {
+            name: tuple(np.unique(f.horizon[f.variable == v]).tolist())
+            for v, name in enumerate(f.variables)
+        }
         self._realized = _analysis_table(
             ((r.variable, r.target, r.vintage, r.value) for r in self.realizations),
             self.transform,
         )
-
-    def forecasts_at(self, survey: str, variable: str, horizon: int) -> Mapping[str, float]:
-        """Forecaster id to forecast in one cell, as a read-only view."""
-        return self._forecast_map.get((survey, variable, horizon), _NO_FORECASTS)
 
     def horizons(self, variable: str) -> tuple[int, ...]:
         return self._horizons.get(variable, ())
@@ -257,8 +298,8 @@ class Panel:
 
         The value is known from the (year, month) of its stamp; a yearly
         change, from the later of the target's and the base period's stamps.
-        None if a report is missing or the base level is zero: such a target
-        never matures.
+        None if a report is missing, the base level is zero or the change is
+        not finite: such a target never matures.
         """
         return self._realized.get(variable, {}).get(target)
 
@@ -408,12 +449,14 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
     :class:`DuplicateRowError` naming both lines. Each distinct survey
     string of the forecast file is parsed once and each distinct horizon
     string converted once; a string that fails is not memoized, so every
-    line that holds it is rejected with the same message.
+    line that holds it is rejected with the same message. Variable and
+    forecaster strings are interned, so the accepted rows share one copy
+    of each on their way into the panel's :class:`ForecastTable`.
     """
     periods: dict[str, str] = {}
     horizons: dict[str, int] = {}
 
-    def forecast(record: list[str]) -> tuple[tuple[str, str, int], str, ForecastRow]:
+    def forecast(record: list[str]) -> tuple[tuple[str, str, int], str, tuple]:
         survey_s, variable, horizon_s, forecaster, value_s = record
         survey = periods.get(survey_s)
         if survey is None:
@@ -425,9 +468,8 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
         value = _finite_float(value_s)
         if not MIN_HORIZON <= horizon <= MAX_HORIZON:
             raise PanelError(f"horizon {horizon} outside {MIN_HORIZON}..{MAX_HORIZON}")
-        return (survey, variable, horizon), forecaster, ForecastRow(
-            survey, variable, horizon, forecaster, value
-        )
+        cell = (survey, sys.intern(variable), horizon)
+        return cell, forecaster, cell + (sys.intern(forecaster), value)
 
     def realization(record: list[str]) -> tuple[tuple[str, str], str, RealizationRow]:
         target, variable, value_s, vintage = record
@@ -444,7 +486,9 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
         return (asof, variable), period, VintageRow(asof, variable, period, level)
 
     return Panel(
-        forecasts=_read_rows(forecast_path, FORECAST_HEADER, forecast, "forecast"),
+        forecasts=ForecastTable.from_rows(
+            _read_rows(forecast_path, FORECAST_HEADER, forecast, "forecast")
+        ),
         realizations=_read_rows(realization_path, REALIZATION_HEADER, realization, "realization"),
         vintages=_read_rows(vintage_path, VINTAGE_HEADER, vintage, "vintage"),
     )
@@ -453,11 +497,15 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
 def write_panel(
     panel: Panel, forecast_path: str, realization_path: str, vintage_path: str
 ) -> None:
-    """Write the three files in canonical form (row order preserved, repr floats)."""
+    """Write the three files in canonical form, with repr floats.
+
+    Forecasts are written in table order, by (variable, survey, horizon,
+    forecaster id); realizations and vintages in their row order.
+    """
     with open(forecast_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(FORECAST_HEADER) + "\n")
-        for r in panel.forecasts:
-            fh.write(f"{r.survey},{r.variable},{r.horizon},{r.forecaster_id},{r.value!r}\n")
+        for survey, variable, horizon, forecaster, value in panel.forecasts.rows():
+            fh.write(f"{survey},{variable},{horizon},{forecaster},{value!r}\n")
     with open(realization_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(REALIZATION_HEADER) + "\n")
         for r in panel.realizations:
@@ -565,6 +613,9 @@ def synth_panel(config: SynthConfig) -> Panel:
     realized value is the environment's true magnitude; each active
     forecaster submits a walk estimate at their effective reliability.
     Entrants replace leavers one for one, keeping the roster size constant.
+    Each (survey, horizon) draws the whole roster's estimates in one block,
+    which consumes the stream as one draw per forecaster would, and the
+    columns go into the forecast table as they are.
     """
     rng = np.random.default_rng(config.seed)
     n_periods = config.num_surveys + config.horizons - 1
@@ -590,13 +641,18 @@ def synth_panel(config: SynthConfig) -> Panel:
     roster = [new_forecaster() for _ in range(config.num_forecasters)]
     exit_prob = 1.0 - (1.0 - config.turnover) ** 0.25
 
-    forecasts: list[ForecastRow] = []
+    surveys: list[str] = []
+    horizons: list[int] = []
+    ids: list[str] = []
+    values: list[float] = []
     for s in range(config.num_surveys):
         if s > 0 and exit_prob > 0.0:
             roster = [
                 member if rng.random() >= exit_prob else new_forecaster()
                 for member in roster
             ]
+        roster_ids = [fid for fid, _ in roster]
+        p_base = np.array([p for _, p in roster])
         for h in range(1, config.horizons + 1):
             env = Environment(
                 norm=config.norm,
@@ -604,10 +660,11 @@ def synth_panel(config: SynthConfig) -> Panel:
                 unit=config.unit,
                 deviation=deviations[s + h - 1],
             )
-            ps = [min(1.0, max(0.5, p_base - config.p_decay * (h - 1))) for _, p_base in roster]
-            values = sample_estimate_each(ps, env, rng)
-            for (fid, _), value in zip(roster, values):
-                forecasts.append(ForecastRow(periods[s], config.variable, h, fid, value))
+            ps = np.clip(p_base - config.p_decay * (h - 1), 0.5, 1.0)
+            values.extend(sample_estimate_each(ps, env, rng))
+            ids.extend(roster_ids)
+            surveys.extend([periods[s]] * len(roster))
+            horizons.extend([h] * len(roster))
 
     realizations = []
     vintages = []
@@ -618,7 +675,9 @@ def synth_panel(config: SynthConfig) -> Panel:
         vintages.append(VintageRow(stamp, config.variable, periods[i], value))
 
     return Panel(
-        forecasts=tuple(forecasts),
+        forecasts=ForecastTable.from_columns(
+            surveys, [config.variable] * len(values), horizons, ids, values
+        ),
         realizations=tuple(realizations),
         vintages=tuple(vintages),
         transform="none",

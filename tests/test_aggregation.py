@@ -18,7 +18,7 @@ from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
 from crowdfuse.panel import (
     Calibration,
-    ForecastRow,
+    ForecastTable,
     Panel,
     RealizationRow,
     VintageRow,
@@ -40,11 +40,12 @@ def cell_panel(forecasters):
     forecasts, realizations, vintages = [], [], []
     for i, (survey, value) in enumerate(zip(SURVEYS, REALIZED)):
         for j, forecast in forecasters.items():
-            forecasts.append(ForecastRow(survey, "X", 1, j, forecast(value)))
+            forecasts.append((survey, "X", 1, j, forecast(value)))
         stamp = SURVEYS[i + 1] if i + 1 < len(SURVEYS) else "2001Q2"
         realizations.append(RealizationRow(survey, "X", value, stamp))
         vintages.append(VintageRow(stamp, "X", survey, value))
-    return Panel(tuple(forecasts), tuple(realizations), tuple(vintages), transform="none")
+    return Panel(ForecastTable.from_rows(forecasts), tuple(realizations), tuple(vintages),
+                 transform="none")
 
 
 def members(forecasts):

@@ -24,7 +24,7 @@ from crowdfuse.backtest import (
 )
 from crowdfuse.panel import (
     Calibration,
-    ForecastRow,
+    ForecastTable,
     Panel,
     RealizationRow,
     SynthConfig,
@@ -45,8 +45,8 @@ def hand_panel():
     realized = [2.0, 2.4, 1.8, 2.2, 2.0]
     forecasts = []
     for s in surveys:
-        forecasts.append(ForecastRow(s, "X", 1, "a", 1.0))
-        forecasts.append(ForecastRow(s, "X", 1, "b", 3.0))
+        forecasts.append((s, "X", 1, "a", 1.0))
+        forecasts.append((s, "X", 1, "b", 3.0))
     realizations = []
     vintages = []
     for s, value in zip(surveys, realized):
@@ -55,7 +55,7 @@ def hand_panel():
         realizations.append(RealizationRow(s, "X", value, stamp))
         vintages.append(VintageRow(stamp, "X", s, value))
     return Panel(
-        forecasts=tuple(forecasts),
+        forecasts=ForecastTable.from_rows(forecasts),
         realizations=tuple(realizations),
         vintages=tuple(vintages),
         transform="none",
@@ -149,7 +149,8 @@ class TestDmTest:
 
 class TestRunBacktest:
     def test_empty_panel(self):
-        panel = Panel(forecasts=(), realizations=(), vintages=(), transform="none")
+        panel = Panel(forecasts=ForecastTable.from_rows(()), realizations=(), vintages=(),
+                      transform="none")
         with pytest.raises(EmptyPanelError):
             run_backtest(panel, RULES, Calibration(1, {}))
 
@@ -220,11 +221,10 @@ class TestRunBacktest:
         bound = period_end_month(cutoff)
 
         mutated = Panel(
-            forecasts=tuple(
-                ForecastRow(f.survey, f.variable, f.horizon, f.forecaster_id,
-                            f.value + 77.7 if period_key(f.survey) > period_key(cutoff) else f.value)
-                for f in panel.forecasts
-            ),
+            forecasts=ForecastTable.from_rows([
+                (s, v, h, j, x + 77.7 if period_key(s) > period_key(cutoff) else x)
+                for s, v, h, j, x in panel.forecasts.rows()
+            ]),
             realizations=tuple(
                 RealizationRow(r.target, r.variable,
                                r.value - 55.5 if asof_key(r.vintage) > bound else r.value,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -187,6 +188,32 @@ class TestBacktest:
                          "--out-dir", str(d)]) == 0
         for name in ("rmse.csv", "dm.csv", "diagnostics.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_tiny_base_level_drops_the_overflowing_change(self, tmp_path, caplog):
+        # a base level of 1e-307 makes the next year's change overflow to inf;
+        # the period is dropped with a warning instead of failing the run
+        golden = ROOT / "tests" / "data" / "golden" / "files"
+        edits = {"realizations.csv": "2000Q1,GDP,{},2000Q2\n", "vintages.csv": "2000Q2,GDP,2000Q1,{}\n"}
+        inputs = []
+        for name in ("forecasts.csv", "realizations.csv", "vintages.csv"):
+            text = (golden / name).read_text(encoding="utf-8")
+            if name in edits:
+                line = edits[name]
+                assert line.format("100.0") in text
+                text = text.replace(line.format("100.0"), line.format("1e-307"))
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            inputs += [f"--{name[:-5]}", str(tmp_path / name)]
+        out_dir = tmp_path / "reports"
+        with caplog.at_level("WARNING"):
+            assert main(["backtest"] + inputs + ["--out-dir", str(out_dir)]) == 0
+        dropped = [r.getMessage() for r in caplog.records if "not finite" in r.getMessage()]
+        # once from the realizations' table, once from the vintages' calibration table
+        assert dropped == ["yearly change of GDP 2001Q1 is not finite; value dropped"] * 2
+        for name in ("rmse.csv", "dm.csv", "diagnostics.csv"):
+            for line in (out_dir / name).read_text().splitlines()[1:]:
+                for field in line.split(",")[1:]:
+                    if field not in ("", "EWM", "KF", "CWM", "KFplus"):
+                        assert math.isfinite(float(field)), (name, line)
 
     def test_file_mode_missing_inputs(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

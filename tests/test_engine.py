@@ -35,7 +35,7 @@ from crowdfuse.backtest import (
 )
 from crowdfuse.panel import (
     Calibration,
-    ForecastRow,
+    ForecastTable,
     Panel,
     RealizationRow,
     SynthConfig,
@@ -114,10 +114,19 @@ def oracle_fold_survey(contributions, counts, ids, values, realized):
         counts[j] = count
 
 
+def forecast_cells(panel):
+    """(survey, variable, horizon) to {forecaster id: value}, from the panel's rows."""
+    cells = {}
+    for survey, variable, horizon, forecaster, value in panel.forecasts.rows():
+        cells.setdefault((survey, variable, horizon), {})[forecaster] = value
+    return cells
+
+
 def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None):
     """Per limit: (estimates [(survey, [4 floats])], errors [[4 floats]], p_hats,
     fallback surveys, skipped surveys)."""
     count, unit = calib.pair(variable)
+    cells = forecast_cells(panel)
     surveys = panel.surveys
     end_months = [period_end_month(s) for s in surveys]
     history, mse, p_hats, noise = {}, {}, {}, {}
@@ -140,7 +149,7 @@ def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None)
                 mse[j] = sum(scored) / len(scored)
                 p = p_hats[j] = oracle_p_from_mse(mse[j], count, unit)
                 noise[j] = (1.0 - p) * p
-        forecasts = panel.forecasts_at(survey, variable, horizon)
+        forecasts = cells.get((survey, variable, horizon), {})
         if not forecasts:
             continue
         eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
@@ -266,16 +275,16 @@ def late_stamp_panel():
     for s, survey in enumerate(surveys):
         for h in (1, 2):
             target = truth[s + h - 1]
-            forecasts.append(ForecastRow(survey, "X", h, "a", target + 1.0))
-            forecasts.append(ForecastRow(survey, "X", h, "b", target - 0.5 * (s % 3)))
-            forecasts.append(ForecastRow(survey, "X", h, "c", target))
+            forecasts.append((survey, "X", h, "a", target + 1.0))
+            forecasts.append((survey, "X", h, "b", target - 0.5 * (s % 3)))
+            forecasts.append((survey, "X", h, "c", target))
             if s % 2:
-                forecasts.append(ForecastRow(survey, "X", h, "d", target + 2.0))
+                forecasts.append((survey, "X", h, "d", target + 2.0))
     realizations = tuple(
         RealizationRow(add_quarters("2000Q1", t), "X", truth[t], add_quarters("2000Q1", t + lag))
         for t, lag in stamps.items()
     )
-    return Panel(tuple(forecasts), realizations, (), transform="none")
+    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
 
 
 VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
@@ -306,8 +315,8 @@ def panels(draw):
             for h in range(1, n_horizons + 1):
                 for j in active:
                     miss = 0.0 if j == pool[0] else draw(VALUES)
-                    forecasts.append(ForecastRow(survey, variable, h, j, truth[s + h - 1] + miss))
-    panel = Panel(tuple(forecasts), tuple(realizations), (), transform="none")
+                    forecasts.append((survey, variable, h, j, truth[s + h - 1] + miss))
+    panel = Panel(ForecastTable.from_rows(forecasts), tuple(realizations), (), transform="none")
     unit = draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
     return panel, Calibration(1, dict.fromkeys(variables, unit))
 

@@ -15,7 +15,7 @@ import crowdfuse.panel as panel_module
 from crowdfuse.panel import (
     CalibrationError,
     DuplicateRowError,
-    ForecastRow,
+    ForecastTable,
     MissingLevelError,
     MissingSeedError,
     Panel,
@@ -65,6 +65,20 @@ VINTAGES = """asof,variable,period,level
 
 
 FILES = {"forecasts": FORECASTS, "realizations": REALIZATIONS, "vintages": VINTAGES}
+
+
+def forecast_cells(rows):
+    """(survey, variable, horizon) to {forecaster id: value}, from forecast rows."""
+    cells = {}
+    for survey, variable, horizon, forecaster, value in rows:
+        cells.setdefault((survey, variable, horizon), {})[forecaster] = value
+    return cells
+
+
+def canonical(row):
+    """The table order of a forecast row: variable, survey, horizon, forecaster id."""
+    survey, variable, horizon, forecaster, _ = row
+    return variable, survey, horizon, forecaster
 
 
 def write_inputs(directory, forecasts=FORECASTS, realizations=REALIZATIONS, vintages=VINTAGES):
@@ -128,7 +142,9 @@ class TestPctChange:
             for variable, levels in (("UNEMP", unemp), ("RGDP", rgdp))
             for period, level in levels.items()
         )
-        series = calibration_series(Panel((), (), vintages, transform="yearly_pct"))
+        series = calibration_series(
+            Panel(ForecastTable.from_rows(()), (), vintages, transform="yearly_pct")
+        )
         assert series["UNEMP"] == list(unemp.values())
         assert series["RGDP"] == pytest.approx([10.0])
 
@@ -173,9 +189,28 @@ class TestLoadPanel:
         assert len(panel.forecasts) == 6
         assert panel.surveys == ("2000Q1", "2000Q2")
         assert panel.variables == frozenset({"RGDP"})
-        assert panel.forecasts_at("2000Q1", "RGDP", 1) == {
+        assert forecast_cells(panel.forecasts.rows())["2000Q1", "RGDP", 1] == {
             "alice": 2.5, "bob": 3.0, "carol": 2.0,
         }
+
+    def test_forecasts_in_table_order(self, tmp_path):
+        # rows out of order in the file come back, and are written, in table order
+        lines = FORECASTS.splitlines()
+        shuffled = [lines[0], "2000Q1,CPI,2,zed,1.25"] + lines[:0:-1] + ["1999Q4,RGDP,3,bob,0.5"]
+        panel = load_panel(*write_inputs(tmp_path, forecasts="\n".join(shuffled) + "\n"))
+        rows = panel.forecasts.rows()
+        assert rows == sorted(rows, key=canonical)
+        assert rows[0] == ("2000Q1", "CPI", 2, "zed", 1.25)
+        assert rows[1] == ("1999Q4", "RGDP", 3, "bob", 0.5)
+        assert all(type(x) is t for row in rows for x, t in zip(row, (str, str, int, str, float)))
+        assert panel.surveys == ("1999Q4", "2000Q1", "2000Q2")
+        assert panel.horizons("RGDP") == (1, 3)
+        out = [str(tmp_path / n) for n in ("f.csv", "r.csv", "v.csv")]
+        write_panel(panel, *out)
+        with open(out[0], encoding="utf-8") as fh:
+            written = fh.read().splitlines()
+        assert written[0] == lines[0]
+        assert written[1:] == [",".join(map(str, row[:4])) + f",{row[4]!r}" for row in rows]
 
     def test_realized_value_uses_first_report_and_lag(self, tmp_path):
         panel = load_panel(*write_inputs(tmp_path))
@@ -254,7 +289,7 @@ class TestLoadPanel:
             panel = load_panel(
                 *write_inputs(tmp_path, forecasts="survey,variable,horizon,forecaster_id,value\n")
             )
-        assert panel.forecasts == ()
+        assert len(panel.forecasts) == 0
         assert any("no forecast rows" in r.message for r in caplog.records)
         # the realization and vintage files follow the same rule
         headers = {name: text.split("\n", 1)[0] + "\n" for name, text in FILES.items()}
@@ -370,7 +405,7 @@ def oracle_load(path):
             error = f"{path}: duplicate forecast {key} at lines {first_line[key]} and {line_no}"
             return rows, messages, error
         first_line[key] = line_no
-        rows.append(ForecastRow(survey, variable, horizon, forecaster, value))
+        rows.append((survey, variable, horizon, forecaster, value))
     if not width_ok:
         messages.append(f"{path}: no forecast rows")
     return rows, messages, None
@@ -412,19 +447,18 @@ class TestOnePassLoader:
             assert isinstance(got, DuplicateRowError)
             assert str(got) == duplicate
             return
-        assert got.forecasts == tuple(expected_rows)
-        cells = {}
-        for row in expected_rows:
-            cells.setdefault((row.survey, row.variable, row.horizon), {})[row.forecaster_id] = row.value
+        assert got.forecasts.rows() == sorted(expected_rows, key=canonical)
+        cells = forecast_cells(expected_rows)
+        got_cells = forecast_cells(got.forecasts.rows())
         for survey in ORACLE_SURVEYS:
             for variable in ("X", "Y"):
                 for horizon in range(0, 7):
                     key = (survey, variable, horizon)
-                    assert got.forecasts_at(*key) == cells.get(key, {})
-        assert got.surveys == tuple(sorted({r.survey for r in expected_rows}, key=parse_period))
+                    assert got_cells.get(key, {}) == cells.get(key, {})
+        assert got.surveys == tuple(sorted({r[0] for r in expected_rows}, key=parse_period))
         for variable in ("X", "Y", "Z"):
             assert got.horizons(variable) == tuple(
-                sorted({r.horizon for r in expected_rows if r.variable == variable})
+                sorted({r[2] for r in expected_rows if r[1] == variable})
             )
 
     def test_duplicate_after_rejected_rows_names_both_lines(self, tmp_path):
@@ -469,28 +503,6 @@ class TestOnePassLoader:
         distinct, rejected = len(surveys) + 1, 20
         assert len(calls) <= distinct + rejected
         assert calls.count("2000Q5") == 10
-
-    def test_forecasts_at_is_read_only(self, tmp_path):
-        panel = load_panel(*write_inputs(tmp_path))
-        view = panel.forecasts_at("2000Q1", "RGDP", 1)
-        with pytest.raises(TypeError):
-            view["alice"] = 99.0
-        with pytest.raises(TypeError):
-            del view["bob"]
-        copied = view.copy()
-        copied["alice"] = 99.0
-        missing = panel.forecasts_at("1990Q1", "RGDP", 1)
-        with pytest.raises(TypeError):
-            missing["alice"] = 1.0
-        assert panel.forecasts_at("2000Q1", "RGDP", 1) == {"alice": 2.5, "bob": 3.0, "carol": 2.0}
-        assert panel.forecasts_at("1990Q1", "RGDP", 1) == {}
-        assert panel.forecasts[0] == ForecastRow("2000Q1", "RGDP", 1, "alice", 2.5)
-
-    def test_forecast_row_is_a_plain_tuple(self):
-        row = ForecastRow("2000Q1", "X", 2, "a", 1.5)
-        assert row == ("2000Q1", "X", 2, "a", 1.5)
-        assert (row.survey, row.horizon, row.value) == ("2000Q1", 2, 1.5)
-        assert not hasattr(row, "__dict__")
 
 
 # periods two years wide, so lag-4 joins happen; stamps that tie in a month
@@ -544,7 +556,7 @@ class TestFirstReportTable:
     @settings(max_examples=300, deadline=None)
     def test_matches_straight_line_oracle(self, realized, levels, transform):
         panel = Panel(
-            (),
+            ForecastTable.from_rows(()),
             tuple(RealizationRow(p, v, x, stamp) for v, p, stamp, x in realized),
             tuple(VintageRow(stamp, v, p, x) for v, p, stamp, x in levels),
             transform=transform,
@@ -596,8 +608,8 @@ class TestSynthPanel:
     def test_zero_turnover_constant_roster(self):
         panel = synth_panel(SynthConfig(num_forecasters=5, num_surveys=8, seed=1))
         rosters = {}
-        for row in panel.forecasts:
-            rosters.setdefault(row.survey, set()).add(row.forecaster_id)
+        for survey, _, _, forecaster, _ in panel.forecasts.rows():
+            rosters.setdefault(survey, set()).add(forecaster)
         assert all(r == rosters[panel.surveys[0]] for r in rosters.values())
         assert len(rosters[panel.surveys[0]]) == 5
 
@@ -607,9 +619,9 @@ class TestSynthPanel:
             horizons=2,
         )
         panel = synth_panel(config)
-        for row in panel.forecasts:
-            target = add_quarters(row.survey, row.horizon - 1)
-            assert row.value == panel.realization(row.variable, target)[0]
+        for survey, variable, horizon, _, value in panel.forecasts.rows():
+            target = add_quarters(survey, horizon - 1)
+            assert value == panel.realization(variable, target)[0]
 
     def test_reproducible(self):
         config = SynthConfig(num_forecasters=6, num_surveys=10, seed=3, turnover=0.2)
@@ -622,8 +634,8 @@ class TestSynthPanel:
         # should sit in the low teens of surveys
         panel = synth_panel(SynthConfig(num_forecasters=36, num_surveys=200, seed=0, turnover=0.22))
         tenure: dict[str, set] = {}
-        for row in panel.forecasts:
-            tenure.setdefault(row.forecaster_id, set()).add(row.survey)
+        for survey, _, _, forecaster, _ in panel.forecasts.rows():
+            tenure.setdefault(forecaster, set()).add(survey)
         med = float(np.median(sorted(len(s) for s in tenure.values())))
         assert 11 <= med <= 18
 
