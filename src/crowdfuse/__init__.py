@@ -7,7 +7,7 @@ from .aggregation import (
     RULE_KF,
     RULE_KFPLUS,
     NoEligibleForecastersError,
-    fold_survey,
+    contribution_terms,
     rank_by_reliability,
     rule_estimates,
 )

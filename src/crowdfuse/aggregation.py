@@ -21,19 +21,25 @@ no terms.
 
 The kernels work on rows. A row is one member set of one survey; the
 backtest makes one row per (horizon, eligible-set limit) of a survey.
-Arrays are rows x columns, the columns are forecasters in sorted-id order,
-and a boolean mask marks each row's members. :func:`rule_estimates`
-returns every row's four estimates, its CWM fallback flag and its EWM
-numerator; :func:`fold_survey` folds realized rows' leave-one-out terms
-into the running contribution means, reusing those numerators; and
+Arrays are member-major: forecasters along the first axis, in sorted-id
+order, and rows along the second, with a boolean mask marking each row's
+members. :func:`rule_estimates` returns every row's four estimates, its
+CWM fallback flag and its EWM numerator; :func:`contribution_terms` gives
+realized rows' leave-one-out terms from those numerators, entry by entry,
+for the backtest to fold into its running means; and
 :func:`rank_by_reliability` ranks forecasters for the top-n
 smaller-wiser-crowd runs. Each weight formula lives once, in a private
 helper, and every rule's weights are checked to sum to one on every row.
 
 The results are exactly those of a straight-line loop over each row's
-members: every sum is a left-to-right ``np.add.accumulate`` along the
-member axis, in which non-members add exact zeros (the order in which
-Python's ``sum()`` adds), and every square is written ``d * d``.
+members: every sum runs over the member axis in ``_member_sums``, member
+by member from the lowest id, in which non-members add exact zeros (the
+order in which Python's ``sum()`` adds), and every square is written
+``d * d``. numpy's ``np.add.reduce(axis=0)`` adds that way only when the
+operand is C-contiguous and each member holds more than one entry; over
+a fast (Fortran-ordered) axis, or over a single entry per member, it sums
+pairwise from eight terms on. ``_member_sums`` keeps to the first case
+and uses ``np.add.accumulate`` for the second.
 """
 
 from __future__ import annotations
@@ -51,19 +57,23 @@ class NoEligibleForecastersError(ValueError):
     """A row has no eligible forecaster to aggregate."""
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right along the member (last) axis."""
-    return np.add.accumulate(a, axis=-1)[..., -1]
+def _member_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum over the member (first) axis, added member by member, left to right."""
+    if a.size == a.shape[0]:  # one entry per member: reduce would sum pairwise
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
 
 
-def _divide_rows(a: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``a`` over each row's total; a row whose total is zero stays zero."""
-    return np.divide(a, totals[..., None], out=np.zeros(a.shape), where=totals[..., None] != 0.0)
+def _normalize(a: np.ndarray) -> np.ndarray:
+    """``a``, nonnegative, over each row's total, in place; a row of zeros stays zero."""
+    totals = _member_sums(a)
+    a /= np.where(totals != 0.0, totals, 1.0)
+    return a
 
 
 def _equal_weights(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
     """1 / n on each row's members."""
-    return np.where(mask, (1.0 / n)[:, None], 0.0)
+    return mask * (1.0 / n)
 
 
 def _inverse_variance_weights(noise: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -71,22 +81,21 @@ def _inverse_variance_weights(noise: np.ndarray, mask: np.ndarray) -> np.ndarray
 
     In a row with members at zero noise (p = 1), those members share the
     whole weight equally. ``mask`` may stack several member sets over the
-    same rows (sets x rows x columns).
+    same rows (members x sets x rows), with ``noise`` broadcast to it.
     """
     perfect = mask & (noise == 0.0)
-    inverse = np.divide(1.0, noise, out=np.zeros(mask.shape), where=mask & ~perfect)
-    weights = _divide_rows(inverse, _row_sums(inverse))
-    n_perfect = perfect.sum(axis=-1)
-    shared = n_perfect > 0
-    if shared.any():
-        weights[shared] = np.where(perfect[shared], (1.0 / n_perfect[shared])[:, None], 0.0)
+    inverse = np.divide(1.0, noise, out=np.zeros(noise.shape), where=noise != 0.0)
+    weights = _normalize(np.where(mask, inverse, 0.0))
+    if perfect.any():
+        n_perfect = perfect.sum(axis=0)
+        shared = n_perfect > 0
+        weights[:, shared] = np.where(perfect[:, shared], 1.0 / n_perfect[shared], 0.0)
     return weights
 
 
 def _contribution_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Weights proportional to the positive contribution scores of the kept members."""
-    kept = np.where(keep, scores, 0.0)
-    return _divide_rows(kept, _row_sums(kept))
+    return _normalize(np.where(keep, scores, 0.0))
 
 
 def rule_estimates(
@@ -96,7 +105,7 @@ def rule_estimates(
 
     ``V`` holds the forecasts, ``U`` each forecaster's noise (1 - p) p of
     their estimated reliability and ``C`` their mean leave-one-out term,
-    all rows x columns; ``M`` marks each row's members and ``n`` counts
+    all members x rows; ``M`` marks each row's members and ``n`` counts
     them. Entries outside ``M`` are never read, so they may hold anything.
 
     Returns the estimates (rows x 4, in the order of ``ALL_RULES``), the
@@ -107,56 +116,43 @@ def rule_estimates(
     """
     if not (n > 0).all():
         raise NoEligibleForecastersError("nobody eligible")
-    noises = U[M]
-    valid = noises >= 0.0  # false for NaN, the noise of a forecaster without an estimate
-    if not valid.all():
-        raise ValueError(
-            f"a member has no reliability estimate: noise {float(noises[~valid][0])!r}"
-        )
+    invalid = M & ~(U >= 0.0)  # true for NaN, the noise of a forecaster without an estimate
+    if invalid.any():
+        raise ValueError(f"a member has no reliability estimate: noise {float(U[invalid][0])!r}")
     X = np.where(M, V, 0.0)
-    totals = _row_sums(X)
+    totals = _member_sums(X)
     keep = M & (C > 0.0)
-    fallback = ~keep.any(axis=1)
-    kf_weights, kp_weights = _inverse_variance_weights(U, np.stack((M, keep)))
-    weights = np.stack(
-        (_equal_weights(M, n), kf_weights, _contribution_weights(C, keep), kp_weights)
-    )
-    sums = _row_sums(weights)
+    fallback = ~keep.any(axis=0)
+    fused = _inverse_variance_weights(U[:, None], np.stack((M, keep), axis=1))  # KF, KFplus
+    scored = _contribution_weights(C, keep)
+    sums = np.stack((_member_sums(_equal_weights(M, n)), *_member_sums(fused),
+                     _member_sums(scored)))
     off = np.abs(sums - 1.0) > 1e-9
-    off[2:, fallback] = False  # CWM and KFplus weigh nothing where they fall back
+    off[2:, fallback] = False  # KFplus and CWM weigh nothing where they fall back
     if off.any():
         raise ValueError(f"weights sum to {float(sums[off][0])!r}, expected 1")
     ew = totals / n
-    kf, cw, kp = _row_sums(weights[1:] * X)
+    fused *= X[:, None]  # the weighted forecasts, in place of the weights
+    scored *= X
+    kf, kp = _member_sums(fused)
+    cw = _member_sums(scored)
     estimates = np.stack((ew, kf, np.where(fallback, ew, cw), np.where(fallback, ew, kp)), axis=1)
     return estimates, fallback, totals
 
 
-def fold_survey(
-    C: np.ndarray,
-    K: np.ndarray,
-    V: np.ndarray,
-    M: np.ndarray,
-    totals: np.ndarray,
-    n: np.ndarray,
-    realized: np.ndarray,
-) -> None:
-    """Fold realized rows' leave-one-out terms into the running means, in place.
+def contribution_terms(
+    values: np.ndarray, totals: np.ndarray, n: np.ndarray, realized: np.ndarray
+) -> np.ndarray:
+    """Each member entry's leave-one-out term for a realized row.
 
-    Each row is one realized survey's member set: ``M`` marks the members
-    and ``V`` holds their forecasts (rows x columns); ``totals`` and ``n``
-    are the row's EWM numerator and member count, as
-    :func:`rule_estimates` gave them, and ``realized`` its realization.
-    ``C`` holds each member's mean term over the ``K`` surveys that gave
-    them one; a row with fewer than two members gives no terms.
+    The arrays align entry by entry: a member's forecast, their row's EWM
+    numerator and member count (at least two), as :func:`rule_estimates`
+    gave them, and the row's realization. The term is the squared error of
+    the row's mean without the member minus that of the mean with them.
     """
-    fold = M & (n >= 2)[:, None]
     d_all = totals / n - realized
-    err_all = d_all * d_all
-    d = (totals[:, None] - V) / np.maximum(n - 1, 1)[:, None] - realized[:, None]
-    terms = d * d - err_all[:, None]
-    K += fold
-    C[fold] += (terms[fold] - C[fold]) / K[fold]
+    d = (totals - values) / (n - 1) - realized
+    return d * d - d_all * d_all
 
 
 def rank_by_reliability(

@@ -17,9 +17,10 @@ it, horizon by horizon. The state lives in plain arrays: per (horizon,
 forecaster) the error count, the squared-error sum (or, under a window,
 the last errors), MSE, reliability and noise; per (horizon, limit,
 forecaster) the contribution mean and count. Forecasters are indexed in
-sorted-id order. Each survey makes one ``rule_estimates`` call whose rows
-are its (horizon, limit) pairs; matured targets are folded in rounds of
-at most one per horizon, one ``fold_survey`` call and one reliability
+sorted-id order. Each survey makes one member-major ``rule_estimates`` call
+whose rows are its (horizon, limit) pairs; matured targets, which carry
+their members' flat contribution cells, fold in rounds of at most one per
+horizon: one gather, running-mean update and scatter, and one reliability
 update per round. The reports equal those of a straight-line loop per
 cell to the last bit: every sum adds left to right, every square is
 ``d * d``.
@@ -40,7 +41,7 @@ import numpy as np
 from .aggregation import (
     ALL_RULES,
     RULE_CWM,
-    fold_survey,
+    contribution_terms,
     rank_by_reliability,
     rule_estimates,
 )
@@ -124,7 +125,8 @@ def dm_test(
     lag-0 term if the truncated sum turns nonpositive). Small p-values mean
     the first series' losses are smaller. A differential with zero variance
     is degenerate and reports (0, 0.5). ``hln`` applies the small-sample
-    stat correction.
+    stat correction. Both series are first scaled by one power of two, which
+    keeps the statistic's bits and keeps squares from overflowing.
     """
     a = np.asarray(errors_a, dtype=np.float64)
     b = np.asarray(errors_b, dtype=np.float64)
@@ -135,6 +137,11 @@ def dm_test(
         raise ValueError(f"need at least {_MIN_DM_LENGTH} aligned observations, got {t}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # an exact scale that brings the largest |error| into [0.5, 1)
+    peak = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    if 0.0 < peak < math.inf:
+        shift = -math.frexp(peak)[1]
+        a, b = np.ldexp(a, shift), np.ldexp(b, shift)
     d = a * a - b * b
     dbar = float(d.mean())
     dc = d - dbar
@@ -183,21 +190,23 @@ class _Target(NamedTuple):
     """A survey's forecasts at one horizon, waiting for their realization.
 
     ``cells`` are the forecasters' (horizon, forecaster) state positions.
-    ``columns`` to ``sizes`` are that horizon's rows of the survey's
-    estimate call: the member columns, each limit's member mask, the
-    forecasts, and each limit's EWM numerator and member count. They are
-    None when nobody was eligible.
+    ``members`` are the contribution cells of the members of that horizon's
+    rows (one per limit) with two or more members, and ``member_values``,
+    ``totals`` and ``sizes`` give each one's forecast, row EWM numerator and
+    row member count, for the leave-one-out terms.
     """
 
     horizon: int
     cells: np.ndarray
     values: np.ndarray
     realized: float
-    columns: np.ndarray | None
-    members: np.ndarray | None
-    row_values: np.ndarray | None
-    totals: np.ndarray | None
-    sizes: np.ndarray | None
+    members: np.ndarray
+    member_values: np.ndarray
+    totals: np.ndarray
+    sizes: np.ndarray
+
+
+_NO_MEMBERS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
 
 
 @dataclass
@@ -240,8 +249,6 @@ class _State:
         calib: tuple[int, float], window: int | None,
     ) -> None:
         size = n_horizons * width
-        self.width = width
-        self.n_limits = n_limits
         self.calib = calib
         self.errors = np.zeros(size, dtype=np.intp)
         self.total = np.zeros(size)
@@ -252,41 +259,25 @@ class _State:
         self.contributions = np.zeros(size * n_limits)
         self.counts = np.zeros(size * n_limits, dtype=np.intp)
 
-    def member_cells(self, horizons: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Contribution positions of each (horizon, limit) row and column."""
-        rows = (horizons[:, None] * self.n_limits + np.arange(self.n_limits)).reshape(-1)
-        return (rows * self.width)[:, None] + columns
-
     def fold(self, batch: list[_Target]) -> None:
-        """Fold one round's realized member sets into the contribution means."""
-        batch = [t for t in batch if t.columns is not None]
-        if not batch:
-            return
+        """Fold one round's leave-one-out terms into the contribution means."""
         if len(batch) == 1:
-            columns = batch[0].columns
+            t = batch[0]
+            cells, values, totals, sizes = t.members, t.member_values, t.totals, t.sizes
+            realized = t.realized
         else:
-            present = np.zeros(self.width, dtype=bool)
-            for t in batch:
-                present[t.columns] = True
-            columns = np.flatnonzero(present)
-        n_limits = self.n_limits
-        V = np.zeros((len(batch) * n_limits, len(columns)))
-        M = np.zeros(V.shape, dtype=bool)
-        for i, t in enumerate(batch):
-            at = np.searchsorted(columns, t.columns)
-            rows = slice(i * n_limits, (i + 1) * n_limits)
-            V[rows, at] = t.row_values
-            M[rows, at] = t.members
-        cells = self.member_cells(np.array([t.horizon for t in batch]), columns)
-        C, K = self.contributions[cells], self.counts[cells]
-        fold_survey(
-            C, K, V, M,
-            np.concatenate([t.totals for t in batch]),
-            np.concatenate([t.sizes for t in batch]),
-            np.repeat([t.realized for t in batch], n_limits),
-        )
-        self.contributions[cells] = C
+            cells = np.concatenate([t.members for t in batch])
+            values = np.concatenate([t.member_values for t in batch])
+            totals = np.concatenate([t.totals for t in batch])
+            sizes = np.concatenate([t.sizes for t in batch])
+            realized = np.repeat([t.realized for t in batch], [t.members.size for t in batch])
+        if not cells.size:
+            return
+        terms = contribution_terms(values, totals, sizes, realized)
+        K = self.counts[cells] + 1
+        C = self.contributions[cells]
         self.counts[cells] = K
+        self.contributions[cells] = C + (terms - C) / K
 
     def observe(self, batch: list[_Target]) -> None:
         """Add one round's squared errors and re-estimate those forecasters' reliabilities."""
@@ -329,9 +320,9 @@ def _run_variable(
     MSEs and reliabilities depend on the horizon; contribution means also
     on the limit. Each survey's forecasts are one slice of the variable's
     rows of the forecast table, and each survey makes one
-    :func:`rule_estimates` call, whose rows are its (horizon, limit) pairs
-    and whose columns are the forecasters eligible at any of its horizons,
-    in sorted-id order. A survey's forecasts at a horizon mature at the
+    :func:`rule_estimates` call, whose members are the forecasters eligible
+    at any of its horizons, in sorted-id order, and whose rows are its
+    (horizon, limit) pairs. A survey's forecasts at a horizon mature at the
     first later survey whose quarter ends no earlier than their
     realization's stamp; a target that never gets a value never matures.
     Matured targets are folded in rounds with at most one per horizon, so
@@ -375,28 +366,41 @@ def _run_variable(
             present = np.zeros(width, dtype=bool)
             present[ef] = True
             columns = np.flatnonzero(present)
-            # each eligible entry's (row, column) in the estimate call
-            at = (np.cumsum(per_horizon > 0) - 1)[eh], np.searchsorted(columns, ef)
-            ranks = np.full((len(rows), len(columns)), _UNRANKED)
+            # each eligible entry's (column, horizon row) in the estimate call
+            at = np.searchsorted(columns, ef), (np.cumsum(per_horizon > 0) - 1)[eh]
+            ranks = np.full((len(columns), len(rows)), _UNRANKED)
             if cut.min() < per_horizon.max():  # some limit cuts an eligible set
                 ranks[at] = rank_by_reliability(eh, ef, state.p_hat[ehf], state.mse[ehf])
             else:
                 ranks[at] = 0
-            members = ranks[:, None, :] < cut[None, :, None]
+            members = ranks[:, :, None] < cut  # columns x horizon rows x limits
             n = np.minimum(per_horizon[rows][:, None], cut)
             V = np.zeros(ranks.shape)
             V[at] = xx[eligible]
-            U = state.noise[(rows * width)[:, None] + columns]
+            U = state.noise[rows * width + columns[:, None]]
+            # each column's contribution cell at each horizon row and limit
+            cells = (rows[:, None] * n_limits + np.arange(n_limits)) * width + columns[:, None, None]
             estimates, fallback, totals = rule_estimates(
-                np.repeat(V, n_limits, axis=0),
-                np.repeat(U, n_limits, axis=0),
-                state.contributions[state.member_cells(rows, columns)],
-                members.reshape(-1, len(columns)),
+                np.repeat(V, n_limits, axis=1),
+                np.repeat(U, n_limits, axis=1),
+                state.contributions[cells].reshape(len(columns), -1),
+                members.reshape(len(columns), -1),
                 n.reshape(-1),
             )
             estimates = estimates.reshape(len(rows), n_limits, len(ALL_RULES))
             fallback = fallback.reshape(len(rows), n_limits)
             totals = totals.reshape(len(rows), n_limits)
+            # each member of a row with two or more gives a leave-one-out term: its
+            # cell, forecast, row EWM numerator and row size, row by row
+            sized = np.where(n >= 2, n, 0)
+            termed = members.transpose(1, 2, 0) & (sized > 0)[:, :, None]
+            term_bounds = [0, *sized.sum(axis=1).cumsum().tolist()]
+            term_inputs = (
+                cells.transpose(1, 2, 0)[termed],
+                np.repeat(V.T[:, None], n_limits, axis=1)[termed],
+                np.repeat(totals.reshape(-1), sized.reshape(-1)),
+                np.repeat(n.reshape(-1), sized.reshape(-1)),
+            )
             for i, k in enumerate(rows.tolist()):
                 row_at[k] = i
 
@@ -410,7 +414,7 @@ def _run_variable(
             out = collected[k]
             if i < 0:
                 out.unestimated += 1
-                fold = (None,) * 5
+                fold = _NO_MEMBERS
             else:
                 out.positions.append(idx)
                 out.estimates.append(estimates[i])
@@ -418,8 +422,8 @@ def _run_variable(
                 out.scored.append(realization is not None)
                 out.realized.append(math.nan if realization is None else realization[0])
                 if unrestricted is not None:
-                    out.p_hats.append(state.p_hat[k * width + columns[members[i, unrestricted]]])
-                fold = (columns, members[i], V[i], totals[i], n[i])
+                    out.p_hats.append(state.p_hat[k * width + columns[members[:, i, unrestricted]]])
+                fold = tuple(a[term_bounds[i]:term_bounds[i + 1]] for a in term_inputs)
             if realization is not None:
                 # stamped after the target quarter ends, so after this survey: a later bucket
                 known = bisect.bisect_left(end_months, realization[1])

@@ -130,6 +130,7 @@ def _parse_rules(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
 
 
 def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    rules = _parse_rules(args.rules, parser)
     out_paths = {
         name: os.path.join(args.out_dir, name)
         for name in ("rmse.csv", "dm.csv", "diagnostics.csv")
@@ -138,7 +139,6 @@ def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     for path in out_paths.values():
         _check_output(path, args.force)
     panel, calib = _load_inputs(args, parser)
-    rules = _parse_rules(args.rules, parser)
     report = bt.run_backtest(panel, rules, calib, window=args.window, hln=args.hln)
     bt.write_rmse_csv(report.cells, out_paths["rmse.csv"])
     bt.write_dm_csv(report.dm, out_paths["dm.csv"])
@@ -149,11 +149,11 @@ def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         parser.error(f"invalid subset range {args.n_min}..{args.n_max}")
+    rules = _parse_rules(args.rules, parser)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "sweep.csv")
     _check_output(out_path, args.force)
     panel, calib = _load_inputs(args, parser)
-    rules = _parse_rules(args.rules, parser)
     held = sorted({h for variable in panel.variables for h in panel.horizons(variable)})
     horizons = tuple(held)
     if args.horizons:

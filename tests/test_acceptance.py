@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from crowdfuse.aggregation import ALL_RULES, fold_survey, rule_estimates
+from crowdfuse.aggregation import ALL_RULES, contribution_terms, rule_estimates
 from crowdfuse.backtest import dm_test, run_backtest
 from crowdfuse.gaps import (
     GapKind,
@@ -216,17 +216,20 @@ def test_criterion_6_cwm_oracle_equivalence():
             active = rng.sample(ids, rng.randint(2, n_f))
             forecasts = {j: rng.uniform(-5.0, 5.0) for j in active}
             history.append((forecasts, rng.uniform(-5.0, 5.0)))
-        # one kernel row per realized survey, over the forecasters in sorted order
-        C = np.zeros((1, n_f))
-        K = np.zeros((1, n_f), dtype=np.intp)
+        # one kernel row per realized survey, over the forecasters in sorted
+        # order; its members' terms folded into the running means
+        C = np.zeros((n_f, 1))
+        K = np.zeros((n_f, 1), dtype=np.intp)
         for forecasts, realized in history:
-            V = np.array([[forecasts.get(j, 0.0) for j in ids]])
-            M = np.array([[j in forecasts for j in ids]])
-            n = M.sum(axis=1)
+            V = np.array([[forecasts.get(j, 0.0)] for j in ids])
+            M = np.array([[j in forecasts] for j in ids])
+            n = M.sum(axis=0)
             _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C, M, n)
-            fold_survey(C, K, V, M, totals, n, np.array([realized]))
-        contributions = {j: C[0, i] for i, j in enumerate(ids) if K[0, i]}
-        contribution_counts = {j: int(K[0, i]) for i, j in enumerate(ids) if K[0, i]}
+            terms = contribution_terms(V[M], totals[0], n[0], realized)
+            K[M] += 1
+            C[M] += (terms - C[M]) / K[M]
+        contributions = {j: C[i, 0] for i, j in enumerate(ids) if K[i, 0]}
+        contribution_counts = {j: int(K[i, 0]) for i, j in enumerate(ids) if K[i, 0]}
 
         # independent recomputation with per-survey lists
         sums: dict[str, float] = {}
@@ -254,7 +257,7 @@ def test_criterion_6_cwm_oracle_equivalence():
             expected = sum(w / total * current[j] for j, w in positive.items())
         else:
             expected = sum(current[j] for j in ids) / len(ids)
-        V = np.array([[current[j] for j in ids]])
+        V = np.array([[current[j]] for j in ids])
         got, _, _ = rule_estimates(V, np.full(V.shape, 0.25), C, np.ones(V.shape, dtype=bool),
                                    np.array([n_f]))
         cw = got[0, 2]

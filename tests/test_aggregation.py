@@ -10,7 +10,8 @@ from crowdfuse.aggregation import (
     _contribution_weights,
     _equal_weights,
     _inverse_variance_weights,
-    fold_survey,
+    _member_sums,
+    contribution_terms,
     rank_by_reliability,
     rule_estimates,
 )
@@ -54,11 +55,16 @@ def members(forecasts):
     return ids, [forecasts[j] for j in ids]
 
 
+def column(values):
+    """One kernel row, member-major: a members x 1 array."""
+    return np.array(values, dtype=float)[:, None]
+
+
 def one_row(values, noises=None, scores=None):
-    """A single kernel row whose members are all its columns, in the order given."""
-    V = np.array([values], dtype=float)
-    U = np.array([noises if noises is not None else [0.25] * len(values)], dtype=float)
-    C = np.array([scores if scores is not None else [0.0] * len(values)], dtype=float)
+    """A single kernel row whose members are all the forecasters, in the order given."""
+    V = column(values)
+    U = column(noises if noises is not None else [0.25] * len(values))
+    C = column(scores if scores is not None else [0.0] * len(values))
     return V, U, C, np.ones(V.shape, dtype=bool), np.array([len(values)])
 
 
@@ -99,26 +105,36 @@ def expected_kf(forecasts, mses, calib):
     return inverse_noise_mean({j: forecasts[j] for j in mses}, noise)
 
 
+def fold_terms(C, K, cells, terms):
+    """The backtest's running-mean update of the contributions at ``cells``, in place."""
+    count = K[cells] + 1
+    mean = C[cells]
+    K[cells] = count
+    C[cells] = mean + (terms - mean) / count
+
+
 def fold_history(history):
     """Fold realized surveys one row each, in order; the terms' running means and counts.
 
-    The columns are every forecaster of the history in sorted order, and
+    The members are every forecaster of the history in sorted order, and
     each survey's EWM numerator comes from the rule kernel, as in the
     backtest.
     """
     ids = sorted({j for forecasts, _ in history for j in forecasts})
-    C = np.zeros((1, len(ids)))
-    K = np.zeros((1, len(ids)), dtype=np.intp)
+    C = np.zeros(len(ids))
+    K = np.zeros(len(ids), dtype=np.intp)
     for forecasts, realized in history:
         if not forecasts:
             continue
-        V = np.array([[forecasts.get(j, 0.0) for j in ids]])
-        M = np.array([[j in forecasts for j in ids]])
-        n = M.sum(axis=1)
-        _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C, M, n)
-        fold_survey(C, K, V, M, totals, n, np.array([realized]))
-    folded = [i for i in range(len(ids)) if K[0, i]]
-    return {ids[i]: float(C[0, i]) for i in folded}, {ids[i]: int(K[0, i]) for i in folded}
+        V = column([forecasts.get(j, 0.0) for j in ids])
+        M = np.array([[j in forecasts] for j in ids])
+        n = M.sum(axis=0)
+        _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C[:, None], M, n)
+        if n[0] >= 2:
+            cells = np.flatnonzero(M[:, 0])
+            fold_terms(C, K, cells, contribution_terms(V[cells, 0], totals[0], n[0], realized))
+    folded = [i for i in range(len(ids)) if K[i]]
+    return {ids[i]: float(C[i]) for i in folded}, {ids[i]: int(K[i]) for i in folded}
 
 
 def brute_force_contributions(history):
@@ -158,6 +174,56 @@ def brute_force_rules(forecasts, noise, contributions):
         return mean, kf, mean, mean, True
     cw = brute_force_cwm(forecasts, contributions)
     return mean, kf, cw, inverse_noise_mean(subset, noise), False
+
+
+def left_to_right(a):
+    """Each entry's sum over the first axis, added one Python float at a time."""
+    sums = np.empty(a.shape[1:])
+    for index in np.ndindex(*a.shape[1:]):
+        total = float(a[(0, *index)])
+        for k in range(1, a.shape[0]):
+            total += float(a[(k, *index)])
+        sums[index] = total
+    return sums
+
+
+def laid_out(a, layout):
+    """``a``'s values in the given memory layout, as the same logical array."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "transposed":  # the member axis innermost in memory
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    # strided: every other member and every other entry of a larger C array
+    big = np.zeros((2 * a.shape[0], *(2 * d for d in a.shape[1:])))
+    view = big[(slice(None, None, 2),) * a.ndim]
+    view[...] = a
+    return view
+
+
+class TestMemberSums:
+    """The exact-sum helper adds member by member, whatever the layout."""
+
+    @given(
+        K=st.one_of(st.sampled_from([1, 2, 7, 8, 9]), st.integers(1, 64)),
+        tail=st.sampled_from([(1,), (1, 1), (2,), (37,), (3, 1), (1, 5), (4, 13)]),
+        layout=st.sampled_from(["C", "F", "transposed", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(K=9, tail=(2,), layout="F", seed=0)
+    @example(K=40, tail=(4, 13), layout="transposed", seed=1)
+    def test_equals_a_left_to_right_loop(self, K, tail, layout, seed):
+        rng = np.random.default_rng(seed)
+        shape = (K, *tail)
+        # magnitudes over many decades, so that any other order rounds differently
+        values = rng.normal(size=shape) * np.exp(rng.normal(0.0, 8.0, size=shape))
+        a = laid_out(values, layout)
+        assert np.array_equal(a, values)
+        got = _member_sums(a)
+        assert got.shape == tail
+        assert (got == left_to_right(values)).all()
 
 
 class TestStateUpdates:
@@ -206,18 +272,17 @@ class TestStateUpdates:
         assert trail != full
 
     def test_contribution_running_mean(self):
-        # columns a, b, c; the first survey's members are a and b
-        C = np.zeros((1, 3))
-        K = np.zeros((1, 3), dtype=np.intp)
+        # forecasters a, b, c; the first survey's members are a and b
+        C = np.zeros(3)
+        K = np.zeros(3, dtype=np.intp)
         # a alone beside the truth: its term is (1 - 0)^2 - 0^2 = 1
-        first = np.array([[True, True, False]])
-        fold_survey(C, K, np.array([[-1.0, 1.0, 0.0]]), first, np.array([0.0]), np.array([2]),
-                    np.array([0.0]))
+        terms = contribution_terms(np.array([-1.0, 1.0]), 0.0, 2, 0.0)
+        assert terms.tolist() == [1.0, 1.0]
+        fold_terms(C, K, np.array([0, 1]), terms)
         # a on the crowd mean: its term is 0
-        fold_survey(C, K, np.array([[2.0, 1.0, 3.0]]), np.ones((1, 3), dtype=bool),
-                    np.array([6.0]), np.array([3]), np.array([5.0]))
-        assert C[0, 0] == pytest.approx(0.5)
-        assert K.tolist() == [[2, 2, 1]]
+        fold_terms(C, K, np.arange(3), contribution_terms(np.array([2.0, 1.0, 3.0]), 6.0, 3, 5.0))
+        assert C[0] == pytest.approx(0.5)
+        assert K.tolist() == [2, 2, 1]
 
 
 class TestContributionTerms:
@@ -267,7 +332,7 @@ class TestEwm:
     def test_mean(self):
         ew, *_ = estimates({"a": 2.0, "b": 4.0}, {})
         assert ew == 3.0
-        assert _equal_weights(np.ones((1, 2), dtype=bool), np.array([2])).tolist() == [[0.5, 0.5]]
+        assert _equal_weights(np.ones((2, 1), dtype=bool), np.array([2])).tolist() == [[0.5], [0.5]]
 
     def test_single(self):
         ew, *_ = estimates({"a": 2.0}, {})
@@ -291,8 +356,8 @@ class TestKfCrowd:
     def test_pinned_two_forecaster_case(self):
         _, kf, *_ = estimates({"a": 1.0, "b": 0.0}, {}, {"a": 0.9, "b": 0.6})
         assert kf == pytest.approx(8.0 / 11.0, abs=1e-12)
-        noise = np.array([[Judge(0.9).noise, Judge(0.6).noise]])
-        weights = _inverse_variance_weights(noise, np.ones((1, 2), dtype=bool))
+        noise = column([Judge(0.9).noise, Judge(0.6).noise])
+        weights = _inverse_variance_weights(noise, np.ones((2, 1), dtype=bool))
         assert weights[0, 0] == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     def test_ordering_invariance(self):
@@ -325,11 +390,11 @@ class TestKfCrowd:
 
     def test_perfect_forecasters_share_weight(self):
         ps = {"a": 1.0, "b": 1.0, "c": 0.7}
-        noises = np.array([[Judge(ps[j]).noise for j in "abc"]])
+        noises = column([Judge(ps[j]).noise for j in "abc"])
         _, kf, *_ = estimates({"a": 3.0, "b": 3.0, "c": 9.0}, {}, ps)
         assert kf == 3.0
-        weights = _inverse_variance_weights(noises, np.ones((1, 3), dtype=bool))
-        assert weights.tolist() == [[0.5, 0.5, 0.0]]
+        weights = _inverse_variance_weights(noises, np.ones((3, 1), dtype=bool))
+        assert weights.tolist() == [[0.5], [0.5], [0.0]]
         # perfect members that disagree share the weight too
         _, kf, *_ = estimates({"a": 3.0, "b": 4.0, "c": 9.0}, {}, ps)
         assert kf == 3.5
@@ -349,9 +414,9 @@ class TestCwm:
         contributions = {"a": 0.3, "b": 0.1, "c": -0.5}
         _, _, cw, *_ = estimates({"a": 1.0, "b": 5.0, "c": 100.0}, contributions)
         assert cw == pytest.approx(2.0, abs=1e-12)
-        keep = np.array([[True, True, False]])
-        weights = _contribution_weights(np.array([[0.3, 0.1, -0.5]]), keep)
-        assert weights[0] == pytest.approx([0.75, 0.25, 0.0])
+        keep = np.array([[True], [True], [False]])
+        weights = _contribution_weights(column([0.3, 0.1, -0.5]), keep)
+        assert weights[:, 0] == pytest.approx([0.75, 0.25, 0.0])
         # c has a negative contribution: its forecast has no effect
         _, _, moved, *_ = estimates({"a": 1.0, "b": 5.0, "c": -100.0}, contributions)
         assert moved == cw
@@ -473,16 +538,16 @@ class TestWeightNormalization:
         rng = random.Random(47)
         for _ in range(20):
             n = rng.randint(2, 7)
-            noises = np.array([[Judge(rng.uniform(0.5, 1.0)).noise for _ in range(n)]])
-            scores = np.array([[rng.uniform(-1, 1) for _ in range(n)]])
-            mask = np.ones((1, n), dtype=bool)
+            noises = column([Judge(rng.uniform(0.5, 1.0)).noise for _ in range(n)])
+            scores = column([rng.uniform(-1, 1) for _ in range(n)])
+            mask = np.ones((n, 1), dtype=bool)
             keep = scores > 0.0
             weights = [_equal_weights(mask, np.array([n])), _inverse_variance_weights(noises, mask)]
             if keep.any():
                 weights.append(_contribution_weights(scores, keep))
                 weights.append(_inverse_variance_weights(noises, keep))
             for rule_weights in weights:
-                assert abs(sum(rule_weights[0].tolist()) - 1.0) <= 1e-9
+                assert abs(sum(rule_weights[:, 0].tolist()) - 1.0) <= 1e-9
 
 
 values = st.floats(-10.0, 10.0, allow_nan=False)
@@ -544,30 +609,35 @@ class TestRuleKernel:
         # the surveys stacked as rows over the union of their forecasters
         # give each survey's single-row results exactly
         ids = sorted({j for forecasts, *_ in stacked for j in forecasts})
-        shape = (len(stacked), len(ids))
+        shape = (len(ids), len(stacked))
         V, U, C = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
         M = np.zeros(shape, dtype=bool)
         singles = []
         for r, (forecasts, eligible, ps, contributions) in enumerate(stacked):
             for c, j in enumerate(ids):
                 if j in eligible:
-                    M[r, c] = True
-                    V[r, c] = forecasts[j]
-                    U[r, c] = (1.0 - ps[j]) * ps[j]
-                    C[r, c] = contributions.get(j, 0.0)
+                    M[c, r] = True
+                    V[c, r] = forecasts[j]
+                    U[c, r] = (1.0 - ps[j]) * ps[j]
+                    C[c, r] = contributions.get(j, 0.0)
             current = {j: forecasts[j] for j in eligible}
             singles.append(kernel(current, {j: (1.0 - p) * p for j, p in ps.items()},
                                   contributions))
-        got, fallback, totals = rule_estimates(V, U, C, M, M.sum(axis=1))
+        n = M.sum(axis=0)
+        got, fallback, totals = rule_estimates(V, U, C, M, n)
         assert [(*e, bool(f)) for e, f in zip(got.tolist(), fallback)] == singles
+        # the rows' member entries folded flat, in one update, as the backtest folds a round
         realized = np.linspace(-1.0, 1.0, len(stacked))
+        c, r = np.nonzero(M & (n >= 2))
         K = np.zeros(shape, dtype=np.intp)
         folded = np.zeros(shape)
-        fold_survey(folded, K, V, M, totals, M.sum(axis=1), realized)
+        cells = np.ravel_multi_index((c, r), shape)
+        fold_terms(folded.reshape(-1), K.reshape(-1), cells,
+                   contribution_terms(V[c, r], totals[r], n[r], realized[r]))
         for r, (forecasts, eligible, *_) in enumerate(stacked):
             alone, counts = fold_history([({j: forecasts[j] for j in eligible}, realized[r])])
-            assert {ids[c]: float(folded[r, c]) for c in range(len(ids)) if K[r, c]} == alone
-            assert {ids[c]: int(K[r, c]) for c in range(len(ids)) if K[r, c]} == counts
+            assert {ids[c]: float(folded[c, r]) for c in range(len(ids)) if K[c, r]} == alone
+            assert {ids[c]: int(K[c, r]) for c in range(len(ids)) if K[c, r]} == counts
 
     def test_missing_reliability_raises(self):
         # a member whose noise is NaN (no estimate) or negative cannot be weighed
@@ -576,7 +646,7 @@ class TestRuleKernel:
                 rule_estimates(*one_row([1.0, 2.0], [0.16, bad]))
         # a column outside the row's members is never read
         V, U, C, M, _ = one_row([1.0, 2.0], [0.16, float("nan")])
-        M[0, 1] = False
+        M[1, 0] = False
         got, _, _ = rule_estimates(V, U, C, M, np.array([1]))
         assert got[0].tolist() == [1.0, 1.0, 1.0, 1.0]
 

@@ -132,6 +132,23 @@ class TestDmTest:
         b = rng.normal(0.0, 1.0, 60)
         assert dm_test(a, b, 1) != dm_test(a, b, 4)
 
+    def test_scale_free_and_finite_for_huge_errors(self):
+        # one forecaster at 1e153 makes the squared-loss products overflow
+        # unless both series are first scaled by one power of two
+        rng = np.random.default_rng(65)
+        b = rng.normal(0.0, 1.0, 40)
+        a = b.copy()
+        a[5] = 1e153
+        for horizon in (1, 2, 4):
+            stat, p = dm_test(a, b, horizon, hln=True)
+            assert math.isfinite(stat) and stat > 0.0
+            assert 0.5 < p < 1.0
+            # a power-of-two scale is exact, so it leaves every bit of the result
+            assert dm_test(a * 2.0**-600, b * 2.0**-600, horizon, hln=True) == (stat, p)
+        a = rng.normal(0.0, 0.9, 40)
+        for k in (-900, -40, 40, 508, 900):
+            assert dm_test(a * 2.0**k, b * 2.0**k, 3) == dm_test(a, b, 3)
+
     def test_uniform_under_equal_accuracy(self):
         # reduced replication count here; the full calibration run is an
         # acceptance criterion

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from crowdfuse import cli
 from crowdfuse.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,3 +296,26 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "horizons 1,2" in capsys.readouterr().err
         assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("inputs", ["files", "synthetic"])
+    def test_unknown_rule_before_any_work(self, tmp_path, capsys, monkeypatch, command, inputs):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("input read before the rules were checked")
+
+        monkeypatch.setattr(cli, "load_panel", no_reading)
+        monkeypatch.setattr(cli, "load_synth_config", no_reading)
+        out_dir = tmp_path / "r"
+        missing = str(tmp_path / "absent.csv")
+        if inputs == "files":
+            argv = ["--forecasts", missing, "--realizations", missing, "--vintages", missing]
+        else:
+            argv = ["--synthetic", missing, "--seed", "1"]
+        argv = [command, *argv, "--rules", "bogus", "--out-dir", str(out_dir)]
+        if command == "sweep":
+            argv += ["--n-min", "1", "--n-max", "3"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unknown rule 'bogus'" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -153,6 +153,8 @@ def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None)
         if not forecasts:
             continue
         eligible = sorted(j for j in forecasts if len(history.get(j, ())) >= 2)
+        if stats is not None:
+            stats["widest"] = max(stats.get("widest", 0), len(eligible))
         ranked = sorted(eligible, key=lambda j: (-p_hats[j], mse[j], j))
         realization = panel.realization(variable, add_quarters(survey, horizon - 1))
         members = {}
@@ -321,7 +323,33 @@ def panels(draw):
     return panel, Calibration(1, dict.fromkeys(variables, unit))
 
 
+def wide_panel():
+    """44 forecasters over two horizons, with turnover and spread-out errors.
+
+    Eligible sets reach 40 and more members, past the eight terms from
+    which numpy sums a fast axis pairwise, so a sum that is not added
+    member by member shows in the last bits.
+    """
+    rng = np.random.default_rng(12)
+    surveys = [add_quarters("2000Q1", i) for i in range(14)]
+    truth = rng.normal(2.0, 1.5, len(surveys) + 1)
+    scale = np.exp(rng.normal(0.0, 1.0, 44))
+    forecasts = []
+    for s, survey in enumerate(surveys):
+        for j in np.flatnonzero(rng.random(44) < 0.9):
+            for h in (1, 2):
+                miss = rng.normal(0.0, scale[j])
+                forecasts.append((survey, "X", h, f"f{j:02d}", float(truth[s + h - 1] + miss)))
+    realizations = tuple(
+        RealizationRow(add_quarters("2000Q1", t), "X", float(value),
+                       add_quarters("2000Q1", t + 1 + t % 2))
+        for t, value in enumerate(truth)
+    )
+    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
+
+
 LATE = (late_stamp_panel(), Calibration(1, {"X": 2.0}))
+WIDE = (wide_panel(), Calibration(1, {"X": 1.5}))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +389,22 @@ class TestEngineEqualsOracle:
                 got = cell_estimates(panel, variable, horizon, rules, calib, window)
                 assert got == oracle_cell_estimates(panel, variable, horizon, rules, calib, window)
 
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_wide_crowd(self, window):
+        panel, calib = WIDE
+        got = run_backtest(panel, ALL_RULES, calib, window=window, hln=True)
+        assert _reports(got) == _reports(oracle_run_backtest(panel, ALL_RULES, calib, window, True))
+        # limits below, at and above the pairwise threshold and the eligible count
+        sizes = (1, 2, 7, 8, 9, 16, 39, 44, 60)
+        got = subset_sweep(panel, (1, 2), sizes, calib, ALL_RULES, "mean", window)
+        assert got == oracle_subset_sweep(panel, (1, 2), sizes, calib, ALL_RULES, "mean", window)
+        for horizon in (1, 2):
+            got = cell_estimates(panel, "X", horizon, ALL_RULES, calib, window)
+            assert got == oracle_cell_estimates(panel, "X", horizon, ALL_RULES, calib, window)
+        stats = {"together": 0, "widest": 0}
+        oracle_run_cell(panel, "X", 2, calib, (None,), window, stats)
+        assert stats["widest"] >= 40
+
     def test_late_stamps_fold_in_rounds(self, monkeypatch):
         # the fixed example reaches the multi-round maturation path
         panel, calib = LATE
@@ -392,7 +436,7 @@ class TestKernelCalls:
         kernel = backtest.rule_estimates
 
         def counted(V, U, C, M, n):
-            calls.append(M.shape[0])
+            calls.append(M.shape[1])  # member-major: one row per (horizon, limit)
             return kernel(V, U, C, M, n)
 
         monkeypatch.setattr(backtest, "rule_estimates", counted)
