@@ -21,9 +21,15 @@ sorted-id order. Each survey makes one member-major ``rule_estimates`` call
 whose rows are its (horizon, limit) pairs; matured targets, which carry
 their members' flat contribution cells, fold in rounds of at most one per
 horizon: one gather, running-mean update and scatter, and one reliability
-update per round. The reports equal those of a straight-line loop per
-cell to the last bit: every sum adds left to right, every square is
-``d * d``.
+update per round.
+
+Each survey writes its results into the variable's result arrays,
+indexed by (survey, horizon) with trailing (limit, rule) axes: masks,
+estimates, errors (0 where a survey is not scored), fallbacks and
+reliabilities. The reports read their RMSEs, one sum over the survey
+axis, their Diebold-Mariano series and their diagnostics straight from
+these arrays, and equal those of a straight-line loop per cell to the
+last bit: every sum adds left to right, every square is ``d * d``.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +47,7 @@ import numpy as np
 from .aggregation import (
     ALL_RULES,
     RULE_CWM,
+    _member_sums,
     contribution_terms,
     rank_by_reliability,
     rule_estimates,
@@ -82,10 +89,6 @@ class DmCell:
     rule: str
     stat: float
     p_value: float
-
-    @property
-    def direction(self) -> int:
-        return 0 if self.stat == 0.0 else (1 if self.stat > 0.0 else -1)
 
 
 @dataclass(frozen=True)
@@ -162,30 +165,6 @@ def dm_test(
     return float(stat), float(p_value)
 
 
-@dataclass
-class CellTrail:
-    """What one eligible-set limit of a variable-horizon cell produced.
-
-    ``surveys`` are the surveys where the rules estimated; row i of
-    ``estimates`` holds survey i's estimates, one column per rule in the
-    order of ``ALL_RULES``. ``errors`` holds the rows of the surveys with a
-    realization, minus it, so the rules' errors align survey by survey.
-    ``p_hats``, the reliabilities behind the estimates, is collected for
-    the unrestricted (``None``) limit only, whose diagnostics report their
-    median.
-    """
-
-    surveys: list[str]
-    estimates: np.ndarray
-    errors: np.ndarray
-    p_hats: np.ndarray
-    fallback_surveys: int
-    skipped_surveys: int
-
-    def rule_errors(self, rule: str) -> np.ndarray:
-        return self.errors[:, _RULE_ORDER[rule]]
-
-
 class _Target(NamedTuple):
     """A survey's forecasts at one horizon, waiting for their realization.
 
@@ -209,17 +188,38 @@ class _Target(NamedTuple):
 _NO_MEMBERS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
 
 
-@dataclass
-class _Collected:
-    """One horizon's per-survey results, gathered into a ``CellTrail`` per limit at the end."""
+class _Results(NamedTuple):
+    """What one variable's roll produced, indexed by (survey, horizon).
 
-    positions: list[int] = field(default_factory=list)
-    estimates: list[np.ndarray] = field(default_factory=list)
-    fallbacks: list[np.ndarray] = field(default_factory=list)
-    realized: list[float] = field(default_factory=list)
-    scored: list[bool] = field(default_factory=list)
-    p_hats: list[np.ndarray] = field(default_factory=list)
-    unestimated: int = 0
+    ``forecast`` marks the surveys with forecasts at a horizon,
+    ``estimated`` those where the rules estimated and ``scored`` those of
+    them with a first-reported realization. ``estimates`` and ``errors``
+    add (limit, rule) axes, rules in the order of ``ALL_RULES``; an error
+    is 0 where a survey is not scored. ``fallbacks`` marks, per limit, the
+    estimates where the contribution-weighted rule fell back.
+    ``p_hats[k]`` holds the reliabilities behind horizon k's estimates at
+    the unrestricted (``None``) limit, survey by survey; it is empty when no
+    limit is ``None``.
+    """
+
+    forecast: np.ndarray
+    estimated: np.ndarray
+    scored: np.ndarray
+    estimates: np.ndarray
+    errors: np.ndarray
+    fallbacks: np.ndarray
+    p_hats: list[np.ndarray]
+
+    def rmse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per (horizon, limit, rule), the RMSE over the scored surveys; per horizon, their count.
+
+        Each sum adds survey by survey, in which unscored surveys add exact
+        zeros; a horizon without a scored survey has NaN RMSEs.
+        """
+        count = self.scored.sum(axis=0)
+        total = _member_sums(self.errors * self.errors)
+        n = count[:, None, None]
+        return np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0)), count
 
 
 def _rounds(matured: list[_Target]) -> list[list[_Target]]:
@@ -246,10 +246,10 @@ class _State:
 
     def __init__(
         self, n_horizons: int, n_limits: int, width: int,
-        calib: tuple[int, float], window: int | None,
+        unit: float, window: int | None,
     ) -> None:
         size = n_horizons * width
-        self.calib = calib
+        self.unit = unit
         self.errors = np.zeros(size, dtype=np.intp)
         self.total = np.zeros(size)
         self.recent = None if window is None else np.zeros((size, window))
@@ -261,16 +261,11 @@ class _State:
 
     def fold(self, batch: list[_Target]) -> None:
         """Fold one round's leave-one-out terms into the contribution means."""
-        if len(batch) == 1:
-            t = batch[0]
-            cells, values, totals, sizes = t.members, t.member_values, t.totals, t.sizes
-            realized = t.realized
-        else:
-            cells = np.concatenate([t.members for t in batch])
-            values = np.concatenate([t.member_values for t in batch])
-            totals = np.concatenate([t.totals for t in batch])
-            sizes = np.concatenate([t.sizes for t in batch])
-            realized = np.repeat([t.realized for t in batch], [t.members.size for t in batch])
+        cells = np.concatenate([t.members for t in batch])
+        values = np.concatenate([t.member_values for t in batch])
+        totals = np.concatenate([t.totals for t in batch])
+        sizes = np.concatenate([t.sizes for t in batch])
+        realized = np.repeat([t.realized for t in batch], [t.members.size for t in batch])
         if not cells.size:
             return
         terms = contribution_terms(values, totals, sizes, realized)
@@ -281,11 +276,8 @@ class _State:
 
     def observe(self, batch: list[_Target]) -> None:
         """Add one round's squared errors and re-estimate those forecasters' reliabilities."""
-        if len(batch) == 1:
-            cells, d = batch[0].cells, batch[0].values - batch[0].realized
-        else:
-            cells = np.concatenate([t.cells for t in batch])
-            d = np.concatenate([t.values - t.realized for t in batch])
+        cells = np.concatenate([t.cells for t in batch])
+        d = np.concatenate([t.values - t.realized for t in batch])
         squared = d * d
         seen = self.errors[cells] + 1
         self.errors[cells] = seen
@@ -299,7 +291,7 @@ class _State:
             back = seen[:, None] - window + np.arange(window)
             last = np.where(back >= 0, self.recent[cells[:, None], back % window], 0.0)
             mse = np.add.accumulate(last, axis=1)[:, -1] / np.minimum(seen, window)
-        p = p_from_mse(mse, *self.calib)
+        p = p_from_mse(mse, 1, self.unit)  # the element count is 1, as in panel.Calibration
         self.mse[cells] = mse
         self.p_hat[cells] = p
         self.noise[cells] = noise_from_p(p)
@@ -312,7 +304,7 @@ def _run_variable(
     calib: Calibration,
     limits: Sequence[int | None],
     window: int | None,
-) -> dict[tuple[int, int | None], CellTrail]:
+) -> _Results:
     """Roll one variable through the surveys, once for all horizons and limits.
 
     ``horizons`` ascend. A limit n keeps the n most reliable of each
@@ -326,7 +318,10 @@ def _run_variable(
     first later survey whose quarter ends no earlier than their
     realization's stamp; a target that never gets a value never matures.
     Matured targets are folded in rounds with at most one per horizon, so
-    each horizon's state sees them in survey order.
+    each horizon's state sees them in survey order. Each survey writes its
+    estimates, fallbacks and realizations into the :class:`_Results`
+    arrays at its own (survey, horizon) entries; the errors are taken once,
+    at the end, on the scored entries.
     """
     surveys = panel.surveys
     f = panel.forecasts
@@ -339,12 +334,20 @@ def _run_variable(
     width, n_limits = len(names), len(limits)
     if window is not None and window >= len(surveys):
         window = None  # covers every history
-    state = _State(len(horizons), n_limits, width, calib.pair(variable), window)
+    state = _State(len(horizons), n_limits, width, calib[variable], window)
     cut = np.array([width if n is None else n for n in limits])
     unrestricted = limits.index(None) if None in limits else None
     end_months = [period_end_month(s) for s in surveys]
     maturing: dict[int, list[_Target]] = {}
-    collected = [_Collected() for _ in horizons]
+    shape = (len(surveys), len(horizons))
+    forecast = np.zeros(shape, dtype=bool)
+    forecast[f.survey[mine], horizon_at] = True
+    estimated = np.zeros(shape, dtype=bool)
+    reported = np.zeros(shape, dtype=bool)
+    realized = np.zeros(shape)
+    estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
+    fallbacks = np.zeros((*shape, n_limits), dtype=bool)
+    p_hats: list[list[np.ndarray]] = [[] for _ in horizons]
 
     for idx, survey in enumerate(surveys):
         for batch in _rounds(maturing.pop(idx, [])):
@@ -380,15 +383,16 @@ def _run_variable(
             U = state.noise[rows * width + columns[:, None]]
             # each column's contribution cell at each horizon row and limit
             cells = (rows[:, None] * n_limits + np.arange(n_limits)) * width + columns[:, None, None]
-            estimates, fallback, totals = rule_estimates(
+            row_estimates, fallback, totals = rule_estimates(
                 np.repeat(V, n_limits, axis=1),
                 np.repeat(U, n_limits, axis=1),
                 state.contributions[cells].reshape(len(columns), -1),
                 members.reshape(len(columns), -1),
                 n.reshape(-1),
             )
-            estimates = estimates.reshape(len(rows), n_limits, len(ALL_RULES))
-            fallback = fallback.reshape(len(rows), n_limits)
+            estimated[idx, rows] = True
+            estimates[idx, rows] = row_estimates.reshape(len(rows), n_limits, len(ALL_RULES))
+            fallbacks[idx, rows] = fallback.reshape(len(rows), n_limits)
             totals = totals.reshape(len(rows), n_limits)
             # each member of a row with two or more gives a leave-one-out term: its
             # cell, forecast, row EWM numerator and row size, row by row
@@ -403,6 +407,8 @@ def _run_variable(
             )
             for i, k in enumerate(rows.tolist()):
                 row_at[k] = i
+                if unrestricted is not None:
+                    p_hats[k].append(state.p_hat[k * width + columns[members[:, i, unrestricted]]])
 
         start = 0
         for k, horizon in enumerate(horizons):
@@ -410,51 +416,28 @@ def _run_variable(
             if start == stop:
                 continue
             realization = panel.realization(variable, add_quarters(survey, horizon - 1))
-            i = row_at[k]
-            out = collected[k]
-            if i < 0:
-                out.unestimated += 1
-                fold = _NO_MEMBERS
-            else:
-                out.positions.append(idx)
-                out.estimates.append(estimates[i])
-                out.fallbacks.append(fallback[i])
-                out.scored.append(realization is not None)
-                out.realized.append(math.nan if realization is None else realization[0])
-                if unrestricted is not None:
-                    out.p_hats.append(state.p_hat[k * width + columns[members[:, i, unrestricted]]])
-                fold = tuple(a[term_bounds[i]:term_bounds[i + 1]] for a in term_inputs)
             if realization is not None:
+                reported[idx, k] = True
+                realized[idx, k] = realization[0]
                 # stamped after the target quarter ends, so after this survey: a later bucket
                 known = bisect.bisect_left(end_months, realization[1])
                 if known < len(surveys):
+                    i = row_at[k]
+                    fold = _NO_MEMBERS if i < 0 else tuple(
+                        a[term_bounds[i]:term_bounds[i + 1]] for a in term_inputs
+                    )
                     maturing.setdefault(known, []).append(
                         _Target(k, hf[start:stop], xx[start:stop], realization[0], *fold)
                     )
             start = stop
 
-    trails: dict[tuple[int, int | None], CellTrail] = {}
-    for k, horizon in enumerate(horizons):
-        out = collected[k]
-        estimates = np.array(out.estimates).reshape(-1, n_limits, len(ALL_RULES))
-        fallbacks = np.array(out.fallbacks, dtype=bool).reshape(-1, n_limits)
-        realized = np.array(out.realized)
-        scored = np.array(out.scored, dtype=bool)
-        errors = estimates[scored] - realized[scored, None, None]
-        fallback_surveys = fallbacks[scored].sum(axis=0)
-        skipped = out.unestimated + int((~scored).sum())
-        p_hats = np.concatenate(out.p_hats) if out.p_hats else np.empty(0)
-        estimated = [surveys[i] for i in out.positions]
-        for l, limit in enumerate(limits):
-            trails[horizon, limit] = CellTrail(
-                surveys=estimated,
-                estimates=estimates[:, l],
-                errors=errors[:, l],
-                p_hats=p_hats if limit is None else np.empty(0),
-                fallback_surveys=int(fallback_surveys[l]),
-                skipped_surveys=skipped,
-            )
-    return trails
+    scored = estimated & reported
+    errors = np.zeros(estimates.shape)
+    errors[scored] = estimates[scored] - realized[scored][:, None, None]
+    return _Results(
+        forecast, estimated, scored, estimates, errors, fallbacks,
+        [np.concatenate(p) if p else np.empty(0) for p in p_hats],
+    )
 
 
 def cell_estimates(
@@ -467,11 +450,11 @@ def cell_estimates(
 ) -> dict[str, list[tuple[str, float]]]:
     """Per-rule (survey, estimate) trail for one cell; useful for audits."""
     _check_window(window)
-    trail = _run_variable(panel, variable, (horizon,), calib, (None,), window)[horizon, None]
-    return {
-        rule: list(zip(trail.surveys, trail.estimates[:, _RULE_ORDER[rule]].tolist()))
-        for rule in rules
-    }
+    results = _run_variable(panel, variable, (horizon,), calib, (None,), window)
+    estimated = results.estimated[:, 0]
+    surveys = [panel.surveys[i] for i in np.flatnonzero(estimated)]
+    estimates = results.estimates[estimated, 0, 0]
+    return {rule: list(zip(surveys, estimates[:, _RULE_ORDER[rule]].tolist())) for rule in rules}
 
 
 def _check_window(window: int | None) -> None:
@@ -486,13 +469,6 @@ def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> Non
     for rule in rules:
         if rule not in ALL_RULES:
             raise ValueError(f"unknown rule {rule!r}")
-
-
-def _rmse_cell(variable: str, horizon: int, rule: str, errors: np.ndarray) -> RmseCell:
-    if not errors.size:
-        return RmseCell(variable, horizon, rule, math.nan, 0)
-    rmse = math.sqrt(np.add.accumulate(errors * errors)[-1] / errors.size)
-    return RmseCell(variable, horizon, rule, rmse, errors.size)
 
 
 def run_backtest(
@@ -516,23 +492,29 @@ def run_backtest(
     diagnostics: list[CellDiagnostics] = []
     for variable in sorted(panel.variables):
         horizons = panel.horizons(variable)
-        trails = _run_variable(panel, variable, horizons, calib, (None,), window)
-        for horizon in horizons:
-            trail = trails[horizon, None]
+        results = _run_variable(panel, variable, horizons, calib, (None,), window)
+        rmse, count = results.rmse()
+        fallback_surveys = (results.fallbacks[:, :, 0] & results.scored).sum(axis=0).tolist()
+        skipped = (results.forecast & ~results.scored).sum(axis=0).tolist()
+        for k, horizon in enumerate(horizons):
+            p_hats = results.p_hats[k]
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,
-                median_p_hat=float(np.median(trail.p_hats)) if trail.p_hats.size else math.nan,
-                cwm_fallback_surveys=trail.fallback_surveys,
-                skipped_surveys=trail.skipped_surveys,
+                median_p_hat=float(np.median(p_hats)) if p_hats.size else math.nan,
+                cwm_fallback_surveys=fallback_surveys[k],
+                skipped_surveys=skipped[k],
             ))
+            n = int(count[k])
             for rule in rules:
-                cells.append(_rmse_cell(variable, horizon, rule, trail.rule_errors(rule)))
-            if RULE_CWM in rules and len(trail.errors) >= _MIN_DM_LENGTH:
-                cwm = trail.rule_errors(RULE_CWM)
+                rule_rmse = float(rmse[k, 0, _RULE_ORDER[rule]])
+                cells.append(RmseCell(variable, horizon, rule, rule_rmse, n))
+            if RULE_CWM in rules and n >= _MIN_DM_LENGTH:
+                errors = results.errors[results.scored[:, k], k, 0].T  # one row per rule
+                cwm = errors[_RULE_ORDER[RULE_CWM]]
                 for rule in rules:
                     if rule != RULE_CWM:
-                        stat, p_value = dm_test(trail.rule_errors(rule), cwm, horizon, hln)
+                        stat, p_value = dm_test(errors[_RULE_ORDER[rule]], cwm, horizon, hln)
                         dm_cells.append(DmCell(variable, horizon, rule, stat, p_value))
     cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
     dm_cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
@@ -565,31 +547,27 @@ def subset_sweep(
         raise ValueError("subset sizes must be positive")
     _check_inputs(panel, rules, window)
     horizons = sorted(set(horizons))
-    scored: dict[tuple[int, str, int], list[RmseCell]] = {}
+    # per horizon, each variable's (limit x rule) RMSEs and scored-survey count
+    scored: dict[int, list[tuple[np.ndarray, int]]] = {}
     for variable in sorted(panel.variables):
         cell_horizons = [h for h in panel.horizons(variable) if h in horizons]
         if not cell_horizons:
             continue
-        trails = _run_variable(panel, variable, cell_horizons, calib, sizes, window)
-        for (horizon, n), trail in trails.items():
-            for rule in rules:
-                cell = _rmse_cell(variable, horizon, rule, trail.rule_errors(rule))
-                if cell.n_surveys > 0:
-                    scored.setdefault((horizon, rule, n), []).append(cell)
+        rmse, count = _run_variable(panel, variable, cell_horizons, calib, sizes, window).rmse()
+        for k, horizon in enumerate(cell_horizons):
+            if count[k] > 0:
+                scored.setdefault(horizon, []).append((rmse[k], int(count[k])))
     points: list[SweepPoint] = []
-    for n in sizes:
-        for horizon in horizons:
+    for horizon, matched in scored.items():
+        # Python's sum() over the variables adds left to right, entry by entry
+        if aggregate == "mean":
+            curve = sum(r for r, _ in matched) / len(matched)
+        else:
+            total = sum(r * r * c for r, c in matched)
+            curve = np.sqrt(total / sum(c for _, c in matched))
+        for l, n in enumerate(sizes):
             for rule in rules:
-                matched = scored.get((horizon, rule, n))
-                if not matched:
-                    continue
-                if aggregate == "mean":
-                    rmse = sum(c.rmse for c in matched) / len(matched)
-                else:
-                    total = sum(c.rmse * c.rmse * c.n_surveys for c in matched)
-                    count = sum(c.n_surveys for c in matched)
-                    rmse = math.sqrt(total / count)
-                points.append(SweepPoint(horizon, rule, n, rmse))
+                points.append(SweepPoint(horizon, rule, n, float(curve[l, _RULE_ORDER[rule]])))
     points.sort(key=lambda p: (p.horizon, _RULE_ORDER[p.rule], p.n_included))
     return points
 

@@ -326,20 +326,10 @@ def to_yearly_pct_change(levels: Mapping[str, float], target_period: str) -> flo
     return 100.0 * (levels[target_period] / base - 1.0)
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """The (element count, evidence unit) pair per variable.
-
-    The count is 1 under the documented rule; the unit is the largest
-    absolute deviation of the analysis-unit series from its mean, so the
-    maximal-uncertainty bound covers every observed value.
-    """
-
-    count: int
-    unit_by_variable: Mapping[str, float]
-
-    def pair(self, variable: str) -> tuple[int, float]:
-        return self.count, self.unit_by_variable[variable]
+Calibration = Mapping[str, float]
+"""The evidence unit per variable: the largest absolute deviation of the
+analysis-unit series from its mean, so the maximal-uncertainty bound covers
+every observed value. The element count is 1 under the documented rule."""
 
 
 def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibration:
@@ -359,7 +349,7 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
         if unit == 0.0:
             raise CalibrationError(f"{variable}: constant series gives a zero unit")
         units[variable] = unit
-    return Calibration(count=1, unit_by_variable=units)
+    return units
 
 
 def calibration_series(panel: Panel) -> dict[str, list[float]]:

@@ -18,7 +18,6 @@ from crowdfuse.aggregation import (
 from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
 from crowdfuse.panel import (
-    Calibration,
     ForecastTable,
     Panel,
     RealizationRow,
@@ -247,7 +246,7 @@ class TestStateUpdates:
 
     def test_mse_is_running_mean(self):
         panel = cell_panel({"a": lambda r: 1.0, "b": lambda r: 3.0})
-        calib = Calibration(1, {"X": 2.0})
+        calib = {"X": 2.0}
         trail = cell_estimates(panel, "X", 1, ("KF",), calib)["KF"]
         assert [s for s, _ in trail] == SURVEYS[2:]
         for i, (_, estimate) in enumerate(trail, start=2):
@@ -257,12 +256,12 @@ class TestStateUpdates:
 
     def test_reliability_roundtrip(self):
         panel = cell_panel({"a": lambda r: r + 0.6, "b": lambda r: r - 0.6})
-        report = run_backtest(panel, ("EWM",), Calibration(1, {"X": 1.0}))
+        report = run_backtest(panel, ("EWM",), {"X": 1.0})
         assert report.diagnostics[0].median_p_hat == pytest.approx(0.9, abs=1e-12)
 
     def test_window_restricts_history(self):
         panel = cell_panel({"a": lambda r: 1.0, "b": lambda r: 3.0})
-        calib = Calibration(1, {"X": 2.0})
+        calib = {"X": 2.0}
         trail = cell_estimates(panel, "X", 1, ("KF",), calib, window=1)["KF"]
         full = cell_estimates(panel, "X", 1, ("KF",), calib)["KF"]
         for i, (_, estimate) in enumerate(trail, start=2):

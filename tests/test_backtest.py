@@ -23,7 +23,6 @@ from crowdfuse.backtest import (
     write_sweep_csv,
 )
 from crowdfuse.panel import (
-    Calibration,
     ForecastTable,
     Panel,
     RealizationRow,
@@ -169,12 +168,12 @@ class TestRunBacktest:
         panel = Panel(forecasts=ForecastTable.from_rows(()), realizations=(), vintages=(),
                       transform="none")
         with pytest.raises(EmptyPanelError):
-            run_backtest(panel, RULES, Calibration(1, {}))
+            run_backtest(panel, RULES, {})
 
     def test_unknown_rule(self):
         panel = hand_panel()
         with pytest.raises(ValueError):
-            run_backtest(panel, ("EWM", "MAGIC"), Calibration(1, {"X": 1.0}))
+            run_backtest(panel, ("EWM", "MAGIC"), {"X": 1.0})
 
     def test_hand_checked_equal_weight_cell(self):
         panel = hand_panel()

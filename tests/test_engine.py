@@ -34,7 +34,6 @@ from crowdfuse.backtest import (
     subset_sweep,
 )
 from crowdfuse.panel import (
-    Calibration,
     ForecastTable,
     Panel,
     RealizationRow,
@@ -125,7 +124,7 @@ def forecast_cells(panel):
 def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None):
     """Per limit: (estimates [(survey, [4 floats])], errors [[4 floats]], p_hats,
     fallback surveys, skipped surveys)."""
-    count, unit = calib.pair(variable)
+    count, unit = 1, calib[variable]
     cells = forecast_cells(panel)
     surveys = panel.surveys
     end_months = [period_end_month(s) for s in surveys]
@@ -320,7 +319,7 @@ def panels(draw):
                     forecasts.append((survey, variable, h, j, truth[s + h - 1] + miss))
     panel = Panel(ForecastTable.from_rows(forecasts), tuple(realizations), (), transform="none")
     unit = draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
-    return panel, Calibration(1, dict.fromkeys(variables, unit))
+    return panel, dict.fromkeys(variables, unit)
 
 
 def wide_panel():
@@ -348,8 +347,8 @@ def wide_panel():
     return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
 
 
-LATE = (late_stamp_panel(), Calibration(1, {"X": 2.0}))
-WIDE = (wide_panel(), Calibration(1, {"X": 1.5}))
+LATE = (late_stamp_panel(), {"X": 2.0})
+WIDE = (wide_panel(), {"X": 1.5})
 
 
 # ---------------------------------------------------------------------------

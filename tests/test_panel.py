@@ -160,10 +160,7 @@ class TestPctChange:
 class TestCalibration:
     def test_examples(self):
         calib = calibrate_v({"A": [0.0, 10.0], "B": [-2.0, 0.0, 8.0]})
-        assert calib.count == 1
-        assert calib.unit_by_variable["A"] == 5.0
-        assert calib.unit_by_variable["B"] == 6.0
-        assert calib.pair("A") == (1, 5.0)
+        assert calib == {"A": 5.0, "B": 6.0}
 
     def test_degenerate(self):
         with pytest.raises(CalibrationError):
@@ -180,7 +177,7 @@ class TestCalibration:
             best = 0.0
             for x in series:
                 best = max(best, abs(x - norm))
-            assert calib.unit_by_variable["X"] == best
+            assert calib["X"] == best
 
 
 class TestLoadPanel:
@@ -645,7 +642,7 @@ class TestSynthPanel:
         realized = [panel.realization("SYN", s)[0] for s in panel.surveys]
         assert series["SYN"] == pytest.approx(realized)
         calib = calibrate_v(series)
-        assert calib.unit_by_variable["SYN"] > 0.0
+        assert calib["SYN"] > 0.0
 
     @pytest.mark.parametrize("config", [
         SynthConfig(num_forecasters=9, num_surveys=25, seed=11, horizons=3, turnover=0.3),
