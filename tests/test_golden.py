@@ -4,6 +4,8 @@ The stored reports under ``tests/data/golden/<case>/`` pin the output of
 the rolling engine on a small synthetic panel (turnover, three horizons)
 and on a hand-written file panel in which one period of each variable has
 no release and another is stamped late, so some targets never mature.
+They also pin the closed-form ``theory`` grids and two ``simulate`` runs,
+one of them on the degenerate p = 1 walk.
 Regenerate them with ``python tests/test_golden.py`` only when a report
 change is intended, and record it as a contract change.
 """
@@ -37,11 +39,29 @@ CASES = {
     "synth_sweep_pooled": ["sweep"] + SYNTH + [
         "--n-min", "1", "--n-max", "8", "--aggregate", "pooled", "--horizons", "1,3",
     ],
+    "theory_kfu_kfc": ["theory", "--kind", "kfu-kfc", "--resolution", "10"],
+    "theory_ew_kfu": ["theory", "--kind", "ew-kfu", "--resolution", "10"],
+    "theory_sr_kfu": ["theory", "--kind", "sr-kfu", "--resolution", "10"],
+    "simulate": [
+        "simulate", "--p", "0.8", "--C", "20", "--v", "1", "--t", "4",
+        "--samples", "20000", "--seed", "7",
+    ],
+    "simulate_perfect": [
+        "simulate", "--p", "1.0", "--C", "7", "--v", "0.5", "--t", "3", "--norm", "100",
+        "--samples", "20000", "--seed", "7",
+    ],
 }
+# Commands that write one file take ``--out``; the file goes in the case directory.
+OUT_FILES = {"theory": "grid.csv", "simulate": "moments.csv"}
 
 
 def run_case(name, out_dir):
-    assert main(CASES[name] + ["--out-dir", str(out_dir), "--force"]) == 0
+    argv = CASES[name]
+    if argv[0] in OUT_FILES:
+        out = ["--out", os.path.join(out_dir, OUT_FILES[argv[0]])]
+    else:
+        out = ["--out-dir", str(out_dir)]
+    assert main(argv + out + ["--force"]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -56,4 +76,5 @@ def test_reports_match_golden(name, tmp_path):
 
 if __name__ == "__main__":
     for case in sys.argv[1:] or sorted(CASES):
+        os.makedirs(os.path.join(GOLDEN, case), exist_ok=True)
         run_case(case, os.path.join(GOLDEN, case))
