@@ -34,13 +34,11 @@ from .fusion import (
 from .gaps import (
     GapEstimate,
     GapKind,
-    SampleVariance,
-    draw_sample_variance,
     expected_gap_analytic,
     figure_grid,
     gaussian_limit_check,
     monte_carlo_gap,
-    realized_gap,
+    realized_gaps,
 )
 from .panel import (
     Calibration,
@@ -54,7 +52,6 @@ from .panel import (
     write_panel,
 )
 from .quincunx import (
-    DegenerateVarianceError,
     Environment,
     Judge,
     Moments,
@@ -62,7 +59,6 @@ from .quincunx import (
     moments,
     noise_from_p,
     p_from_mse,
-    sample_estimate,
     sample_estimates,
     variance_from_p,
 )

@@ -119,14 +119,10 @@ def kalman_gain_p(a: Judge, b: Judge) -> WeightPair:
 
     w1 = u2 / (u1 + u2) with u_i = (1 - p_i) p_i. Equals
     ``kalman_gain(variance_from_p(p1, C, v), variance_from_p(p2, C, v))``
-    for any element count and evidence unit, since both cancel.
+    for any element count and evidence unit, since both cancel. Two perfect
+    judges (p = 1) raise :class:`DegenerateFusionError`.
     """
-    u1, u2 = a.noise, b.noise
-    if u1 + u2 == 0.0:
-        raise DegenerateFusionError(
-            "both judges are perfect (p = 1); the gain is undefined"
-        )
-    return WeightPair.of(u2 / (u1 + u2))
+    return kalman_gain(a.noise, b.noise)
 
 
 def fuse_pair(b1: Belief, b2: Belief) -> Belief:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .quincunx import Environment, Judge, sample_estimates
+from .quincunx import Environment, Judge, sample_estimates, variance_from_p
 
 MIN_MC_TRIALS = 10_000
 _GRID_P_LO = 0.51
@@ -43,20 +43,6 @@ class GapKind(enum.Enum):
     KFU_VS_KFC = "kfu-kfc"
     EW_VS_KFU = "ew-kfu"
     SR_VS_KFU = "sr-kfu"
-
-
-@dataclass(frozen=True)
-class SampleVariance:
-    """A sample variance together with the observation count behind it."""
-
-    s2: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.s2 < 0.0:
-            raise ValueError(f"sample variance must be nonnegative, got {self.s2!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 observations, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -83,30 +69,14 @@ class GridCell:
     value: float
 
 
-def reliability_variance(p: float) -> float:
-    """Unit-normalized variance 4(1-p)p of the Gaussian-limit walk."""
-    return 4.0 * (1.0 - p) * p
-
-
-def draw_sample_variance(
-    sigma2: float, n: int, rng: np.random.Generator
-) -> SampleVariance:
-    """One sample variance of n Gaussian observations with true variance sigma2.
-
-    Distributed Gamma(shape = (n-1)/2, scale = 2 sigma2 / n), i.e.
-    sigma2 * chi2_{n-1} / n, with mean (n-1) sigma2 / n.
-    """
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
-    return SampleVariance(float(rng.gamma((n - 1) / 2.0, 2.0 * sigma2 / n)), n)
-
-
 def draw_sample_variances(
     sigma2: float, n: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized counterpart of :func:`draw_sample_variance`."""
+    """``size`` sample variances of n Gaussian observations with true variance sigma2.
+
+    Each is distributed Gamma(shape = (n-1)/2, scale = 2 sigma2 / n), i.e.
+    sigma2 * chi2_{n-1} / n, with mean (n-1) sigma2 / n.
+    """
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     if n < 2:
@@ -114,10 +84,18 @@ def draw_sample_variances(
     return rng.gamma((n - 1) / 2.0, 2.0 * sigma2 / n, size=size)
 
 
-def _gap_arrays(
-    kind: GapKind, a: float, b: float, s1: np.ndarray, s2: np.ndarray
+def realized_gaps(
+    kind: GapKind, sigma1_2: float, sigma2_2: float, s1: np.ndarray, s2: np.ndarray
 ) -> np.ndarray:
-    """Realized gaps for arrays of sample variances (a, b are true variances)."""
+    """Realized MSE gaps, one per pair of sample variances in ``s1`` and ``s2``.
+
+    ``sigma1_2`` and ``sigma2_2`` are the true variances. The estimated weight is s2 / (s1 + s2). Should both sample variances be
+    exactly zero (a probability-zero event), the true-variance weight is
+    used instead so the gap stays defined.
+    """
+    a, b = sigma1_2, sigma2_2
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError("true variances must be positive")
     w_star = b / (a + b)
     total = s1 + s2
     w_hat = np.where(total > 0.0, s2 / np.where(total > 0.0, total, 1.0), w_star)
@@ -130,27 +108,6 @@ def _gap_arrays(
     if kind is GapKind.SR_VS_KFU:
         return a - fused
     raise ValueError(f"unknown gap kind {kind!r}")
-
-
-def realized_gap(
-    kind: GapKind,
-    sigma1_2: float,
-    sigma2_2: float,
-    s1: SampleVariance,
-    s2: SampleVariance,
-) -> float:
-    """Realized MSE gap for one draw of the two sample variances.
-
-    The estimated weight is s2 / (s1 + s2). Should both sample variances be
-    exactly zero (a probability-zero event), the true-variance weight is
-    used instead so the gap stays defined.
-    """
-    if not (sigma1_2 > 0.0 and sigma2_2 > 0.0):
-        raise ValueError("true variances must be positive")
-    out = _gap_arrays(
-        kind, sigma1_2, sigma2_2, np.asarray([s1.s2]), np.asarray([s2.s2])
-    )
-    return float(out[0])
 
 
 def expected_gap_analytic(kind: GapKind, sigma1_2: float, sigma2_2: float) -> float:
@@ -176,20 +133,6 @@ def expected_gap_analytic(kind: GapKind, sigma1_2: float, sigma2_2: float) -> fl
     raise ValueError(f"unknown gap kind {kind!r}")
 
 
-def _mc_chunk(
-    kind: GapKind,
-    a: float,
-    b: float,
-    n: int,
-    size: int,
-    rng: np.random.Generator,
-) -> tuple[float, float, int]:
-    s1 = draw_sample_variances(a, n, size, rng)
-    s2 = draw_sample_variances(b, n, size, rng)
-    g = _gap_arrays(kind, a, b, s1, s2)
-    return float(g.sum()), float((g * g).sum()), size
-
-
 def monte_carlo_gap(
     kind: GapKind,
     sigma1_2: float,
@@ -209,17 +152,17 @@ def monte_carlo_gap(
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
-    parts = [
-        _mc_chunk(kind, sigma1_2, sigma2_2, n, size, stream)
-        for size, stream in zip(sizes, rng.spawn(len(sizes)))
-    ]
-    total = float(sum(p[0] for p in parts))
-    total_sq = float(sum(p[1] for p in parts))
-    count = sum(p[2] for p in parts)
-    mean = total / count
-    var = max(total_sq - total * total / count, 0.0) / (count - 1)
-    stderr = math.sqrt(var / count)
-    return GapEstimate(monte_carlo_mean=mean, monte_carlo_stderr=stderr, trials=count)
+    total = total_sq = 0.0
+    for size, stream in zip(sizes, rng.spawn(len(sizes))):
+        s1 = draw_sample_variances(sigma1_2, n, size, stream)
+        s2 = draw_sample_variances(sigma2_2, n, size, stream)
+        g = realized_gaps(kind, sigma1_2, sigma2_2, s1, s2)
+        total += float(g.sum())
+        total_sq += float((g * g).sum())
+    mean = total / trials
+    var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
+    stderr = math.sqrt(var / trials)
+    return GapEstimate(monte_carlo_mean=mean, monte_carlo_stderr=stderr, trials=trials)
 
 
 def figure_grid(kind: GapKind, resolution: int) -> list[GridCell]:
@@ -231,12 +174,11 @@ def figure_grid(kind: GapKind, resolution: int) -> list[GridCell]:
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
     axis = [float(p) for p in np.linspace(_GRID_P_LO, _GRID_P_HI, resolution)]
+    points = [(p, variance_from_p(p, 1, 1.0)) for p in axis]
     return [
-        GridCell(p1, p2, expected_gap_analytic(
-            kind, reliability_variance(p1), reliability_variance(p2)
-        ))
-        for p1 in axis
-        for p2 in axis
+        GridCell(p1, p2, expected_gap_analytic(kind, a, b))
+        for p1, a in points
+        for p2, b in points
     ]
 
 
@@ -257,7 +199,7 @@ def gaussian_limit_check(
     if judge.p == 1.0:
         warnings.warn("p = 1 walk is degenerate; Gaussian check skipped")
         return []
-    sigma = math.sqrt(reliability_variance(judge.p))
+    sigma = math.sqrt(variance_from_p(judge.p, 1, 1.0))
     out: list[tuple[int, float]] = []
     for c in c_values:
         if c < 2 or c % 2 != 0:

@@ -47,6 +47,16 @@ UNTRANSFORMED_VARIABLES = frozenset({"UNEMP"})
 MIN_HORIZON = 1
 MAX_HORIZON = 5
 
+# The largest magnitude a panel value may have. Reliability estimation forms
+# cap * (cap - mse) with cap = v**2, which grows with the fourth power of the
+# data's magnitude; below this bound it stays finite.
+MAX_MAGNITUDE = 1e50
+
+# The synthetic panel's one variable, its category norm and its first year.
+SYNTH_VARIABLE = "SYN"
+SYNTH_NORM = 100.0
+SYNTH_START_YEAR = 2000
+
 _PERIOD_RE = re.compile(r"^(\d{4})Q([1-4])$")
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
 
@@ -220,8 +230,8 @@ def _analysis_table(
     the period end are dropped with a diagnostic. The yearly change of a
     period is known from the later of its two stamps; a period whose base
     report is missing or zero has no entry, nor has one whose change is not
-    finite (with a diagnostic). UNEMP, and every variable under
-    ``transform="none"``, passes through.
+    finite or exceeds ``MAX_MAGNITUDE`` (each with a diagnostic). UNEMP, and
+    every variable under ``transform="none"``, passes through.
     """
     firsts: dict[str, dict[str, tuple[tuple[int, int], float]]] = {}
     early: set[tuple[str, str]] = set()
@@ -254,6 +264,10 @@ def _analysis_table(
                 continue
             if not math.isfinite(change):
                 log.warning("yearly change of %s %s is not finite; value dropped", variable, period)
+                continue
+            if abs(change) > MAX_MAGNITUDE:
+                log.warning("yearly change of %s %s exceeds %g; value dropped",
+                            variable, period, MAX_MAGNITUDE)
                 continue
             out[period] = (change, max(key, reports[add_quarters(period, -4)][0]))
     return table
@@ -368,10 +382,13 @@ def calibration_series(panel: Panel) -> dict[str, list[float]]:
 # ---------------------------------------------------------------------------
 
 def _finite_float(text: str) -> float:
+    """A panel number: finite and at most ``MAX_MAGNITUDE`` in magnitude."""
     value = float(text)
+    if abs(value) <= MAX_MAGNITUDE:
+        return value
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
-    return value
+    raise ValueError(f"number {text!r} exceeds {MAX_MAGNITUDE:g} in magnitude")
 
 
 def _read_rows(
@@ -519,7 +536,10 @@ class SynthConfig:
     Reliability draws: ``const`` gives every entrant ``p_value``;
     ``uniform`` draws from [p_low, p_high]; ``two_point`` gives ``p_high``
     with probability ``p_share_high`` and ``p_low`` otherwise. Longer
-    horizons subtract ``p_decay`` per step, floored at 0.5.
+    horizons subtract ``p_decay`` per step, floored at 0.5. The panel has
+    one variable, ``SYNTH_VARIABLE``, with norm ``SYNTH_NORM``, and its
+    periods start in ``SYNTH_START_YEAR``; ``count * unit`` may not exceed
+    ``MAX_MAGNITUDE``.
     """
 
     num_forecasters: int
@@ -527,8 +547,6 @@ class SynthConfig:
     seed: int
     turnover: float = 0.0
     horizons: int = 1
-    variable: str = "SYN"
-    norm: float = 100.0
     count: int = 64
     unit: float = 0.125
     p_dist: str = "const"
@@ -537,7 +555,6 @@ class SynthConfig:
     p_high: float = 0.95
     p_share_high: float = 0.5
     p_decay: float = 0.0
-    start_year: int = 2000
 
     def __post_init__(self) -> None:
         if self.num_forecasters < 1 or self.num_surveys < 1:
@@ -558,6 +575,8 @@ class SynthConfig:
             raise ValueError("p_decay must be nonnegative")
         if self.count < 1 or not self.unit > 0.0:
             raise ValueError("count must be >= 1 and unit positive")
+        if not self.count * self.unit <= MAX_MAGNITUDE:
+            raise ValueError(f"count * unit must not exceed {MAX_MAGNITUDE:g}")
 
 
 _SYNTH_FIELD_TYPES = {f.name: f.type for f in fields(SynthConfig)}
@@ -609,7 +628,7 @@ def synth_panel(config: SynthConfig) -> Panel:
     """
     rng = np.random.default_rng(config.seed)
     n_periods = config.num_surveys + config.horizons - 1
-    first = config.start_year * 4
+    first = SYNTH_START_YEAR * 4
     periods = [format_period((first + i) // 4, (first + i) % 4 + 1) for i in range(n_periods + 1)]
 
     deviations = [int(2 * rng.binomial(config.count, 0.5) - config.count) for _ in range(n_periods)]
@@ -645,7 +664,7 @@ def synth_panel(config: SynthConfig) -> Panel:
         p_base = np.array([p for _, p in roster])
         for h in range(1, config.horizons + 1):
             env = Environment(
-                norm=config.norm,
+                norm=SYNTH_NORM,
                 count=config.count,
                 unit=config.unit,
                 deviation=deviations[s + h - 1],
@@ -659,14 +678,14 @@ def synth_panel(config: SynthConfig) -> Panel:
     realizations = []
     vintages = []
     for i, t in enumerate(deviations):
-        value = config.norm + t * config.unit
+        value = SYNTH_NORM + t * config.unit
         stamp = periods[i + 1]
-        realizations.append(RealizationRow(periods[i], config.variable, value, stamp))
-        vintages.append(VintageRow(stamp, config.variable, periods[i], value))
+        realizations.append(RealizationRow(periods[i], SYNTH_VARIABLE, value, stamp))
+        vintages.append(VintageRow(stamp, SYNTH_VARIABLE, periods[i], value))
 
     return Panel(
         forecasts=ForecastTable.from_columns(
-            surveys, [config.variable] * len(values), horizons, ids, values
+            surveys, [SYNTH_VARIABLE] * len(values), horizons, ids, values
         ),
         realizations=tuple(realizations),
         vintages=tuple(vintages),

@@ -28,10 +28,6 @@ from typing import Sequence
 import numpy as np
 
 
-class DegenerateVarianceError(ValueError):
-    """Raised when a shape moment is requested for a zero-variance judge."""
-
-
 @dataclass(frozen=True)
 class Environment:
     """A category instance: norm plus ``count`` elements of +/-``unit`` evidence.
@@ -118,12 +114,11 @@ def moments(judge: Judge, env: Environment) -> Moments:
     """Exact moments of the walk error for one judge in one environment.
 
     At p = 1 the walk is deterministic: variance 0, skewness 0 by
-    convention, kurtosis undefined (``None``); use :func:`kurtosis` to get
-    the error-raising accessor.
+    convention, kurtosis undefined (``None``).
     """
     p, c, v, t = judge.p, env.count, env.unit, env.deviation
     mean = (2.0 * p - 1.0) * t * v
-    variance = 4.0 * c * (1.0 - p) * p * v * v
+    variance = variance_from_p(p, c, v)
     if variance == 0.0:
         return Moments(mean=mean, variance=0.0, skewness=0.0, kurtosis=None)
     sigma = math.sqrt(variance)
@@ -132,34 +127,18 @@ def moments(judge: Judge, env: Environment) -> Moments:
     return Moments(mean=mean, variance=variance, skewness=skew, kurtosis=kurt)
 
 
-def kurtosis(judge: Judge, env: Environment) -> float:
-    """Kurtosis of the walk error; errors out when the variance is zero."""
-    m = moments(judge, env)
-    if m.kurtosis is None:
-        raise DegenerateVarianceError(
-            "kurtosis is undefined at zero variance (p = 1)"
-        )
-    return m.kurtosis
-
-
-def sample_estimate(judge: Judge, env: Environment, rng: np.random.Generator) -> float:
-    """One estimate: norm + unit * sum of detected element signs.
-
-    The first ``(count + deviation) / 2`` elements carry +1 and the rest -1;
-    each is detected correctly with probability p, independently, and a
-    wrong detection flips the element's contribution.
-    """
-    return sample_estimate_each([judge.p], env, rng)[0]
-
-
 def sample_estimate_each(
     ps: Sequence[float], env: Environment, rng: np.random.Generator
 ) -> list[float]:
-    """One :func:`sample_estimate` per reliability in ``ps`` (each in [0.5, 1]).
+    """One estimate per reliability in ``ps`` (each in [0.5, 1]).
 
-    The uniforms for all of them come from one ``rng.random((len(ps),
-    count))`` draw, which consumes the stream exactly as ``len(ps)``
-    successive :func:`sample_estimate` calls do, so the values are the same.
+    An estimate is norm + unit * sum of detected element signs. The first
+    ``(count + deviation) / 2`` elements carry +1 and the rest -1; each is
+    detected correctly with probability p, independently, and a wrong
+    detection flips the element's contribution. The uniforms come from one
+    ``rng.random((len(ps), count))`` draw, which consumes the stream exactly
+    as ``len(ps)`` successive one-element calls do, so the values are the
+    same.
     """
     signs = np.ones(env.count)
     signs[env.positive_elements:] = -1.0
@@ -171,7 +150,7 @@ def sample_estimate_each(
 def sample_estimates(
     judge: Judge, env: Environment, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draws with the same distribution as :func:`sample_estimate`.
+    """Vectorized draws with the distribution of :func:`sample_estimate_each`.
 
     Grouping the walk by true element sign, the sum of detections over the
     n+ positive elements is Binomial(n+, p) and likewise for the negative

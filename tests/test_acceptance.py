@@ -19,7 +19,6 @@ from crowdfuse.gaps import (
     GapKind,
     figure_grid,
     monte_carlo_gap,
-    reliability_variance,
     expected_gap_analytic,
 )
 from crowdfuse.fusion import fuse_sequence
@@ -122,7 +121,7 @@ def test_criterion_3_analytic_gap_validation():
         for _ in range(20):
             while True:
                 p1, p2 = rng.uniform(0.51, 0.99, 2)
-                a, b = reliability_variance(p1), reliability_variance(p2)
+                a, b = variance_from_p(p1, 1, 1.0), variance_from_p(p2, 1, 1.0)
                 if abs(a - b) > 1e-3:
                     break
             est = monte_carlo_gap(kind, a, b, 2, 10_000_000, rng)
@@ -163,7 +162,7 @@ def test_criterion_4_figure_sign_structure():
     assert all(c.p1 >= 0.83 and c.p2 < c.p1 for c in negatives)
     assert all(c.value > 0.0 for c in sr if c.p2 >= c.p1)
     assert expected_gap_analytic(
-        GapKind.SR_VS_KFU, reliability_variance(0.95), reliability_variance(0.6)
+        GapKind.SR_VS_KFU, variance_from_p(0.95, 1, 1.0), variance_from_p(0.6, 1, 1.0)
     ) < 0.0
     elapsed = time.monotonic() - started
     report("4", f"three closed-form 50x50 grids in {elapsed:.2f}s")

@@ -26,6 +26,35 @@ def write_config(tmp_path, text=SYNTH_CFG):
     return str(path)
 
 
+def edited_golden_panel(tmp_path, edits):
+    """Input flags for a copy of the golden file panel with whole lines replaced.
+
+    ``edits`` maps a file name to (old line, new line) pairs; each old line
+    must be in the file.
+    """
+    golden = ROOT / "tests" / "data" / "golden" / "files"
+    inputs = []
+    for name in ("forecasts.csv", "realizations.csv", "vintages.csv"):
+        text = (golden / name).read_text(encoding="utf-8")
+        for old, new in edits.get(name, ()):
+            assert old + "\n" in text
+            text = text.replace(old + "\n", new + "\n")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        inputs += [f"--{name[:-5]}", str(tmp_path / name)]
+    return inputs
+
+
+def assert_reports_finite(out_dir):
+    """Every number in every report CSV of ``out_dir`` is finite."""
+    names = sorted(os.listdir(out_dir))
+    assert names
+    for name in names:
+        for line in (out_dir / name).read_text().splitlines()[1:]:
+            for field in line.split(",")[1:]:
+                if field not in ("", "EWM", "KF", "CWM", "KFplus"):
+                    assert math.isfinite(float(field)), (name, line)
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         # scipy is a test-only oracle; importing it would cost every command's start-up
@@ -193,28 +222,17 @@ class TestBacktest:
     def test_tiny_base_level_drops_the_overflowing_change(self, tmp_path, caplog):
         # a base level of 1e-307 makes the next year's change overflow to inf;
         # the period is dropped with a warning instead of failing the run
-        golden = ROOT / "tests" / "data" / "golden" / "files"
-        edits = {"realizations.csv": "2000Q1,GDP,{},2000Q2\n", "vintages.csv": "2000Q2,GDP,2000Q1,{}\n"}
-        inputs = []
-        for name in ("forecasts.csv", "realizations.csv", "vintages.csv"):
-            text = (golden / name).read_text(encoding="utf-8")
-            if name in edits:
-                line = edits[name]
-                assert line.format("100.0") in text
-                text = text.replace(line.format("100.0"), line.format("1e-307"))
-            (tmp_path / name).write_text(text, encoding="utf-8")
-            inputs += [f"--{name[:-5]}", str(tmp_path / name)]
+        inputs = edited_golden_panel(tmp_path, {
+            "realizations.csv": [("2000Q1,GDP,100.0,2000Q2", "2000Q1,GDP,1e-307,2000Q2")],
+            "vintages.csv": [("2000Q2,GDP,2000Q1,100.0", "2000Q2,GDP,2000Q1,1e-307")],
+        })
         out_dir = tmp_path / "reports"
         with caplog.at_level("WARNING"):
             assert main(["backtest"] + inputs + ["--out-dir", str(out_dir)]) == 0
         dropped = [r.getMessage() for r in caplog.records if "not finite" in r.getMessage()]
         # once from the realizations' table, once from the vintages' calibration table
         assert dropped == ["yearly change of GDP 2001Q1 is not finite; value dropped"] * 2
-        for name in ("rmse.csv", "dm.csv", "diagnostics.csv"):
-            for line in (out_dir / name).read_text().splitlines()[1:]:
-                for field in line.split(",")[1:]:
-                    if field not in ("", "EWM", "KF", "CWM", "KFplus"):
-                        assert math.isfinite(float(field)), (name, line)
+        assert_reports_finite(out_dir)
 
     def test_file_mode_missing_inputs(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -247,6 +265,42 @@ class TestBacktest:
         ])
         assert rc == 1
         assert "header" in capsys.readouterr().err
+
+
+class TestMagnitudeBound:
+    """Values whose squared errors would overflow never reach the engine.
+
+    The loader rejects a forecast of 1e155, and the first-report table drops
+    the yearly change of about 1e202 that a base level of 1e-200 gives. Both
+    runs finish, with every reported number finite.
+    """
+
+    CASES = {
+        "huge_forecast": (
+            {"forecasts.csv": [("2001Q1,GDP,1,B,4.3", "2001Q1,GDP,1,B,1e155")]},
+            "forecasts.csv:3: number '1e155' exceeds 1e+50 in magnitude; row rejected",
+        ),
+        "tiny_base_level": (
+            {"realizations.csv": [("2000Q1,GDP,100.0,2000Q2", "2000Q1,GDP,1e-200,2000Q2")],
+             "vintages.csv": [("2000Q2,GDP,2000Q1,100.0", "2000Q2,GDP,2000Q1,1e-200")]},
+            "yearly change of GDP 2001Q1 exceeds 1e+50; value dropped",
+        ),
+    }
+    COMMANDS = {
+        "backtest": ["backtest"],
+        "sweep": ["sweep", "--n-min", "1", "--n-max", "6"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finishes_with_finite_reports(self, tmp_path, caplog, case, command):
+        edits, message = self.CASES[case]
+        inputs = edited_golden_panel(tmp_path, edits)
+        out_dir = tmp_path / "reports"
+        with caplog.at_level("WARNING"):
+            assert main(self.COMMANDS[command] + inputs + ["--out-dir", str(out_dir)]) == 0
+        assert any(r.getMessage().endswith(message) for r in caplog.records)
+        assert_reports_finite(out_dir)
 
 
 class TestSweep:

@@ -7,20 +7,17 @@ from scipy import integrate, stats
 from crowdfuse.gaps import (
     GapKind,
     _normal_cdf,
-    SampleVariance,
-    draw_sample_variance,
     draw_sample_variances,
     expected_gap_analytic,
     figure_grid,
     gaussian_limit_check,
     ks_distance,
     monte_carlo_gap,
-    realized_gap,
-    reliability_variance,
+    realized_gaps,
     write_convergence_csv,
     write_grid_csv,
 )
-from crowdfuse.quincunx import Judge
+from crowdfuse.quincunx import Judge, variance_from_p
 
 
 def quadrature_expected_gap(kind, a, b):
@@ -64,51 +61,56 @@ class TestSampleVarianceDraws:
         # the sample variance underestimates by sigma^2 / n on average
         rng = np.random.default_rng(23)
         for p in (0.6, 0.75, 0.9):
-            sigma2 = reliability_variance(p)
+            sigma2 = variance_from_p(p, 1, 1.0)
             for n in (2, 5):
                 draws = draw_sample_variances(sigma2, n, 400_000, rng)
                 gap = sigma2 - draws.mean()
                 stderr = draws.std() / math.sqrt(draws.size)
                 assert abs(gap - sigma2 / n) < 4 * stderr
 
-    def test_scalar_wrapper(self):
+    def test_argument_checks(self):
         rng = np.random.default_rng(24)
-        sv = draw_sample_variance(2.0, 3, rng)
-        assert sv.n == 3 and sv.s2 >= 0.0
+        draws = draw_sample_variances(2.0, 3, 1, rng)
+        assert draws.shape == (1,) and draws[0] >= 0.0
         with pytest.raises(ValueError):
-            draw_sample_variance(0.0, 2, rng)
+            draw_sample_variances(0.0, 2, 1, rng)
         with pytest.raises(ValueError):
-            draw_sample_variance(1.0, 1, rng)
-        with pytest.raises(ValueError):
-            SampleVariance(-0.1, 2)
+            draw_sample_variances(1.0, 1, 1, rng)
+
+
+def one_gap(kind, a, b, s1, s2):
+    """The realized gap of one pair of sample variances, through one-element arrays."""
+    gaps = realized_gaps(kind, a, b, np.array([s1]), np.array([s2]))
+    assert gaps.shape == (1,)
+    return float(gaps[0])
 
 
 class TestRealizedGap:
     def test_exact_sample_variances_close_no_gap(self):
-        gap = realized_gap(
-            GapKind.KFU_VS_KFC, 1.0, 3.0, SampleVariance(1.0, 2), SampleVariance(3.0, 2)
-        )
+        gap = one_gap(GapKind.KFU_VS_KFC, 1.0, 3.0, 1.0, 3.0)
         assert gap == pytest.approx(0.0, abs=1e-15)
 
     def test_estimated_weights_never_beat_true_weights(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
             a, b = rng.uniform(0.1, 2.0, 2)
-            s1 = draw_sample_variance(a, 2, rng)
-            s2 = draw_sample_variance(b, 2, rng)
-            assert realized_gap(GapKind.KFU_VS_KFC, a, b, s1, s2) >= -1e-15
+            s1 = draw_sample_variances(a, 2, 1, rng)
+            s2 = draw_sample_variances(b, 2, 1, rng)
+            assert realized_gaps(GapKind.KFU_VS_KFC, a, b, s1, s2)[0] >= -1e-15
 
     def test_equal_everything_equal_weights(self):
-        gap = realized_gap(
-            GapKind.EW_VS_KFU, 2.0, 2.0, SampleVariance(1.3, 2), SampleVariance(1.3, 2)
-        )
+        gap = one_gap(GapKind.EW_VS_KFU, 2.0, 2.0, 1.3, 1.3)
         assert gap == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_draws_fall_back_to_true_weights(self):
-        gap = realized_gap(
-            GapKind.KFU_VS_KFC, 1.0, 3.0, SampleVariance(0.0, 2), SampleVariance(0.0, 2)
-        )
+        gap = one_gap(GapKind.KFU_VS_KFC, 1.0, 3.0, 0.0, 0.0)
         assert gap == 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)])
+    def test_rejects_nonpositive_true_variances(self, a, b):
+        for kind in GapKind:
+            with pytest.raises(ValueError, match="true variances must be positive"):
+                one_gap(kind, a, b, 1.0, 1.0)
 
 
 class TestAnalyticForms:
@@ -116,14 +118,14 @@ class TestAnalyticForms:
         rng = np.random.default_rng(26)
         for _ in range(25):
             p1, p2 = rng.uniform(0.51, 0.99, 2)
-            a, b = reliability_variance(p1), reliability_variance(p2)
+            a, b = variance_from_p(p1, 1, 1.0), variance_from_p(p2, 1, 1.0)
             for kind in GapKind:
                 assert expected_gap_analytic(kind, a, b) == pytest.approx(
                     quadrature_expected_gap(kind, a, b), abs=1e-9
                 )
         # on and next to the diagonal, where the forms used to cancel
         for p in (0.51, 0.7, 0.9, 0.995):
-            b = reliability_variance(p)
+            b = variance_from_p(p, 1, 1.0)
             for d in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
                 for a in (b + d, b - d):
                     for kind in GapKind:
@@ -137,12 +139,12 @@ class TestAnalyticForms:
             0.1271510204081637, abs=1e-13
         )
         ew = expected_gap_analytic(
-            GapKind.EW_VS_KFU, reliability_variance(0.99), reliability_variance(0.7)
+            GapKind.EW_VS_KFU, variance_from_p(0.99, 1, 1.0), variance_from_p(0.7, 1, 1.0)
         )
         assert ew == pytest.approx(0.10197626200771921, abs=1e-13)
         assert ew > 0.0
         sr = expected_gap_analytic(
-            GapKind.SR_VS_KFU, reliability_variance(0.95), reliability_variance(0.6)
+            GapKind.SR_VS_KFU, variance_from_p(0.95, 1, 1.0), variance_from_p(0.6, 1, 1.0)
         )
         assert sr == pytest.approx(-0.11455197851061963, abs=1e-13)
         assert sr < 0.0
@@ -233,7 +235,7 @@ class TestFigureGrid:
         diag = [c for c in cells if c.p1 == c.p2]
         assert len(diag) == 10
         for c in diag:
-            assert c.value == pytest.approx(reliability_variance(c.p2) / 4.0, rel=1e-15)
+            assert c.value == pytest.approx(variance_from_p(c.p2, 1, 1.0) / 4.0, rel=1e-15)
 
     def test_equal_weight_surface_signs(self):
         cells = figure_grid(GapKind.EW_VS_KFU, 10)
@@ -243,7 +245,7 @@ class TestFigureGrid:
             if max(c.p1, c.p2) >= 0.99 and min(c.p1, c.p2) <= 0.9:
                 assert c.value > 0.0
             if c.p1 == c.p2:
-                assert c.value == pytest.approx(-reliability_variance(c.p2) / 4.0, rel=1e-15)
+                assert c.value == pytest.approx(-variance_from_p(c.p2, 1, 1.0) / 4.0, rel=1e-15)
 
     def test_subset_surface_signs(self):
         cells = figure_grid(GapKind.SR_VS_KFU, 10)

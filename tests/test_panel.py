@@ -38,7 +38,7 @@ from crowdfuse.panel import (
     to_yearly_pct_change,
     write_panel,
 )
-from crowdfuse.quincunx import Judge, sample_estimate
+from crowdfuse.quincunx import sample_estimate_each
 
 FORECASTS = """survey,variable,horizon,forecaster_id,value
 2000Q1,RGDP,1,alice,2.5
@@ -303,35 +303,40 @@ class TestLoadPanel:
         bad = FORECASTS + (
             "2000Q3,RGDP,7,dave,1.0\n2000Q9,RGDP,1,dave,1.0\n2000Q3,RGDP,1,dave,oops\n"
             "2000Q3,RGDP,1,erin,nan\n2000Q3,RGDP,1,frank,inf\n2000Q3,RGDP,1,grace,-inf\n"
+            "2000Q3,RGDP,1,heidi,1.0000001e50\n2000Q3,RGDP,1,ivan,-1e50\n"
         )
         bad_r = REALIZATIONS + (
             "2000Q3,RGDP,nan,2000Q4\n2000Q4,RGDP,inf,2001Q1\n2001Q1,RGDP,-inf,2001Q2\n"
             "2001Q2,RGDP,1.0,2001-13-01\n2001Q2,RGDP,1.0,2001-07-99\n"
+            "2001Q2,RGDP,-1e300,2001Q3\n2001Q3,RGDP,1e50,2001Q4\n"
         )
         bad_v = VINTAGES + (
             "2000Q3,RGDP,1999Q3,nan\n2000Q3,RGDP,1999Q4,inf\n2000Q3,RGDP,2000Q3,-inf\n"
             "2000-00-15,RGDP,1999Q3,1.0\n2000-99,RGDP,1999Q3,1.0\n"
+            "2000Q3,RGDP,1998Q3,-1e51\n2000Q3,RGDP,1998Q4,1e-300\n"
         )
         with caplog.at_level(logging.WARNING):
             panel = load_panel(*write_inputs(tmp_path, bad, bad_r, bad_v))
-        assert len(panel.forecasts) == 6
-        assert len(panel.realizations) == 4
-        assert len(panel.vintages) == 4
+        # values up to MAX_MAGNITUDE in magnitude are read, larger ones rejected
+        assert len(panel.forecasts) == 7
+        assert len(panel.realizations) == 5
+        assert len(panel.vintages) == 5
         messages = "\n".join(r.message for r in caplog.records)
-        for line in range(8, 14):
+        for line in range(8, 15):
             assert f"forecasts.csv:{line}:" in messages
         for name in ("realizations.csv", "vintages.csv"):
-            for line in (6, 7, 8, 9, 10):
+            for line in (6, 7, 8, 9, 10, 11):
                 assert f"{name}:{line}:" in messages
         assert messages.count("non-finite number") == 9
+        assert messages.count("exceeds 1e+50 in magnitude") == 3
         assert messages.count("bad vintage stamp") == 4
-        assert messages.count("row rejected") == 16
+        assert messages.count("row rejected") == 19
 
 
 # survey, horizon and value strings that repeat across rows, valid and not
 ORACLE_SURVEYS = ["2000Q1", "2000Q2", "2001Q4", "1999Q3", "2000Q5", "2000q1", "00Q1"]
 ORACLE_HORIZONS = ["1", "2", "5", " 3", "0", "6", "-1", "x", "1.5"]
-ORACLE_VALUES = ["1.5", "-0.25", "3", "1e-3", "nan", "inf", "-inf", "oops", ""]
+ORACLE_VALUES = ["1.5", "-0.25", "3", "1e-3", "nan", "inf", "-inf", "oops", "", "-1e50", "1e51"]
 
 oracle_lines = st.one_of(
     st.tuples(
@@ -392,6 +397,8 @@ def oracle_load(path):
             else:
                 if not math.isfinite(value):
                     reason = f"non-finite number {value_s!r}"
+                elif abs(value) > 1e50:
+                    reason = f"number {value_s!r} exceeds 1e+50 in magnitude"
                 elif not 1 <= horizon <= 5:
                     reason = f"horizon {horizon} outside 1..5"
         if reason is not None:
@@ -503,11 +510,12 @@ class TestOnePassLoader:
 
 
 # periods two years wide, so lag-4 joins happen; stamps that tie in a month
-# (2000Q2 and 2000-06-30, 2000Q4 and 2000-12) and values with a zero base
+# (2000Q2 and 2000-06-30, 2000Q4 and 2000-12), values with a zero base and a
+# tiny base whose yearly changes exceed the magnitude bound
 TABLE_PERIODS = ["1999Q1", "1999Q2", "1999Q3", "1999Q4", "2000Q1", "2000Q2", "2000Q3", "2000Q4"]
 TABLE_STAMPS = ["1999Q2", "1999-07-15", "1999Q4", "2000-01", "2000Q2", "2000-06-30", "2000-06",
                 "2000Q3", "2000-12", "2000Q4", "2001-01-03", "2001Q1"]
-TABLE_VALUES = [0.0, 100.0, 101.5, 98.25, -3.0, 4.4]
+TABLE_VALUES = [0.0, 100.0, 101.5, 98.25, -3.0, 4.4, 1e-200]
 
 table_rows = st.lists(
     st.tuples(
@@ -537,19 +545,26 @@ def first_report_oracle(rows, transform):
         base = first.get((variable, add_quarters(period, -4)))
         if base is None or base[0] == 0.0:
             continue
-        table[variable][period] = (100.0 * (value / base[0] - 1.0), max(known_by, base[1]))
+        change = 100.0 * (value / base[0] - 1.0)
+        if abs(change) > 1e50:
+            continue
+        table[variable][period] = (change, max(known_by, base[1]))
     return table
 
 
 TIE_ROWS = [("RGDP", "2000Q1", "2000Q2", 101.5), ("RGDP", "2000Q1", "2000-06-30", 98.25),
             ("RGDP", "1999Q1", "1999Q2", 100.0), ("UNEMP", "2000Q1", "2000-06", 4.4),
             ("UNEMP", "2000Q1", "2000Q2", -3.0)]
+# a yearly change of about 1e202, beyond the magnitude bound, beside one of -100
+TINY_BASE_ROWS = [("RGDP", "1999Q1", "1999Q2", 1e-200), ("RGDP", "2000Q1", "2000Q2", 101.5),
+                  ("RGDP", "1999Q2", "1999-07-15", 100.0), ("RGDP", "2000Q2", "2000Q3", 1e-200)]
 
 
 class TestFirstReportTable:
     @given(realized=table_rows, levels=table_rows, transform=st.sampled_from(["yearly_pct", "none"]))
     @example(realized=TIE_ROWS, levels=TIE_ROWS[::-1], transform="yearly_pct")
     @example(realized=TIE_ROWS[::-1], levels=TIE_ROWS, transform="none")
+    @example(realized=TINY_BASE_ROWS, levels=TINY_BASE_ROWS[::-1], transform="yearly_pct")
     @settings(max_examples=300, deadline=None)
     def test_matches_straight_line_oracle(self, realized, levels, transform):
         panel = Panel(
@@ -653,12 +668,12 @@ class TestSynthPanel:
     ], ids=["const", "uniform", "two_point"])
     def test_roster_draws_match_per_row_reference(self, config, monkeypatch):
         # one rng.random((roster, count)) per (survey, horizon) consumes the
-        # stream as one sample_estimate per row did, so the panels are equal
+        # stream as one single-row draw per forecaster did, so the panels are equal
         batched = synth_panel(config)
         monkeypatch.setattr(
             panel_module,
             "sample_estimate_each",
-            lambda ps, env, rng: [sample_estimate(Judge(p), env, rng) for p in ps],
+            lambda ps, env, rng: [sample_estimate_each([p], env, rng)[0] for p in ps],
         )
         per_row = synth_panel(config)
         assert batched.forecasts == per_row.forecasts
@@ -673,6 +688,10 @@ class TestSynthPanel:
             SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_value=0.4)
         with pytest.raises(ValueError):
             SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_dist="beta")
+        # a panel whose values pass MAX_MAGNITUDE would overflow the reliability estimate
+        with pytest.raises(ValueError, match="count \\* unit must not exceed 1e\\+50"):
+            SynthConfig(num_forecasters=4, num_surveys=20, seed=3, unit=1e100)
+        SynthConfig(num_forecasters=4, num_surveys=20, seed=3, count=4, unit=2.5e49)
 
 
 class TestSynthConfigFile:
@@ -709,3 +728,9 @@ class TestSynthConfigFile:
         path.write_text("numforecasters = 3\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_synth_config(str(path))
+        # the variable name, norm and start year are fixed, not settings
+        for line in ("variable = GDP", "norm = 50", "start_year = 1990"):
+            path.write_text(f"num_forecasters = 3\nnum_surveys = 4\nseed = 1\n{line}\n",
+                            encoding="utf-8")
+            with pytest.raises(SchemaError, match="unknown key"):
+                load_synth_config(str(path))
