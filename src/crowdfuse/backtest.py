@@ -471,6 +471,16 @@ def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> Non
             raise ValueError(f"unknown rule {rule!r}")
 
 
+def _median(values: np.ndarray) -> float:
+    """The median of a nonempty array: its middle value, or the mean of the two middle values.
+
+    Sorts instead of calling ``np.median``, whose first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def run_backtest(
     panel: Panel,
     rules: Sequence[str],
@@ -501,7 +511,7 @@ def run_backtest(
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,
-                median_p_hat=float(np.median(p_hats)) if p_hats.size else math.nan,
+                median_p_hat=_median(p_hats) if p_hats.size else math.nan,
                 cwm_fallback_surveys=fallback_surveys[k],
                 skipped_surveys=skipped[k],
             ))

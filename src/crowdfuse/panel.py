@@ -28,7 +28,6 @@ import functools
 import logging
 import math
 import re
-import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,9 +46,10 @@ UNTRANSFORMED_VARIABLES = frozenset({"UNEMP"})
 MIN_HORIZON = 1
 MAX_HORIZON = 5
 
-# The largest magnitude a panel value may have. Reliability estimation forms
-# cap * (cap - mse) with cap = v**2, which grows with the fourth power of the
-# data's magnitude; below this bound it stays finite.
+# The largest magnitude a panel value may have, and the inverse of the
+# smallest evidence unit. Reliability estimation forms cap * (cap - mse) with
+# cap = v**2, which goes with the fourth power of the data's magnitude;
+# within these bounds it neither overflows nor underflows.
 MAX_MAGNITUDE = 1e50
 
 # The synthetic panel's one variable, its category norm and its first year.
@@ -145,11 +145,10 @@ def asof_key(text: str) -> tuple[int, int]:
 # Rows and the panel
 # ---------------------------------------------------------------------------
 
-def _encode(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """A column's distinct strings in sorted order, and each entry's position among them."""
-    names = sorted(set(column))
-    at = {name: i for i, name in enumerate(names)}
-    return tuple(names), np.array([at[x] for x in column], dtype=np.intp)
+def _ranks(values: Sequence) -> np.ndarray:
+    """Each value's position among the sorted distinct values."""
+    at = {x: i for i, x in enumerate(sorted(set(values)))}
+    return np.array([at[x] for x in values], dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +172,34 @@ class ForecastTable:
     value: np.ndarray
 
     @classmethod
-    def from_columns(cls, survey: Sequence[str], variable: Sequence[str], horizon: Sequence[int],
-                     forecaster: Sequence[str], value: Sequence[float]) -> ForecastTable:
-        """Encode parallel columns of forecasts and sort them into table order."""
-        (surveys, s), (variables, v), (forecasters, f) = map(_encode, (survey, variable, forecaster))
-        h = np.array(horizon, dtype=np.intp)
-        x = np.array(value, dtype=np.float64)
+    def from_codes(cls, surveys: Sequence[str], variables: Sequence[str], forecasters: Sequence[str],
+                   survey: Sequence[int], variable: Sequence[int], horizon: Sequence[int],
+                   forecaster: Sequence[int], value: Sequence[float]) -> ForecastTable:
+        """The table of forecasts given as codes into lists of distinct names.
+
+        ``surveys``, ``variables`` and ``forecasters`` list distinct names in
+        any order, each used by some forecast; ``survey``, ``variable`` and
+        ``forecaster`` hold each forecast's position in them. The names are
+        sorted, the codes moved to the sorted positions and the entries put
+        in table order.
+        """
+        names = (surveys, variables, forecasters)
+        s, v, f = (_ranks(n)[np.asarray(c, dtype=np.intp)]
+                   for n, c in zip(names, (survey, variable, forecaster)))
+        h = np.asarray(horizon, dtype=np.intp)
+        x = np.asarray(value, dtype=np.float64)
         order = np.lexsort((f, h, s, v))
-        return cls(surveys, variables, forecasters, s[order], v[order], h[order], f[order], x[order])
+        return cls(*(tuple(sorted(n)) for n in names),
+                   s[order], v[order], h[order], f[order], x[order])
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[str, str, int, str, float]]) -> ForecastTable:
         """The table of (survey, variable, horizon, forecaster id, value) rows."""
-        return cls.from_columns(*(zip(*rows) if rows else [()] * 5))
+        survey, variable, horizon, forecaster, value = zip(*rows) if rows else [()] * 5
+        columns = (survey, variable, forecaster)
+        codes = [{name: i for i, name in enumerate(dict.fromkeys(column))} for column in columns]
+        s, v, f = ([at[x] for x in column] for at, column in zip(codes, columns))
+        return cls.from_codes(*map(tuple, codes), s, v, horizon, f, value)
 
     def rows(self) -> list[tuple[str, str, int, str, float]]:
         """Each entry as a (survey, variable, horizon, forecaster id, value) row, in table order."""
@@ -295,9 +309,11 @@ class Panel:
         f = self.forecasts
         self.surveys = f.surveys
         self.variables = frozenset(f.variables)
+        # a presence grid, not np.unique, which would import numpy.ma on every run
+        present = np.zeros((len(f.variables), int(f.horizon.max(initial=0)) + 1), dtype=bool)
+        present[f.variable, f.horizon] = True
         self._horizons = {
-            name: tuple(np.unique(f.horizon[f.variable == v]).tolist())
-            for v, name in enumerate(f.variables)
+            name: tuple(np.flatnonzero(row).tolist()) for name, row in zip(f.variables, present)
         }
         self._realized = _analysis_table(
             ((r.variable, r.target, r.vintage, r.value) for r in self.realizations),
@@ -351,7 +367,8 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
 
     The norm of each variable is its arithmetic mean (summed in input
     order, for cross-platform determinism); the unit is the maximum
-    absolute deviation from the norm.
+    absolute deviation from the norm. A unit below ``1 / MAX_MAGNITUDE``
+    is rejected, as a zero unit is.
     """
     units: dict[str, float] = {}
     for variable in sorted(series_by_variable):
@@ -362,6 +379,10 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
         unit = max(abs(x - norm) for x in series)
         if unit == 0.0:
             raise CalibrationError(f"{variable}: constant series gives a zero unit")
+        if unit < 1.0 / MAX_MAGNITUDE:
+            raise CalibrationError(
+                f"{variable}: evidence unit {unit:g} is below {1.0 / MAX_MAGNITUDE:g}"
+            )
         units[variable] = unit
     return units
 
@@ -391,24 +412,66 @@ def _finite_float(text: str) -> float:
     raise ValueError(f"number {text!r} exceeds {MAX_MAGNITUDE:g} in magnitude")
 
 
-def _read_rows(
-    path: str,
-    header: list[str],
-    parse: Callable[[list[str]], tuple[tuple, str, object]],
-    what: str,
-) -> tuple:
-    """The accepted rows of one panel file, in file order, from one pass.
+def _period(text: str) -> str:
+    parse_period(text)
+    return text
 
-    ``parse(record)`` returns a row's ``(cell, member, row)``; the key
-    ``cell + (member,)`` must be unique, and a repeat raises
-    :class:`DuplicateRowError` naming both lines. A record of the wrong
-    width, or one that ``parse`` fails on, is rejected with a line-numbered
-    warning; a blank line is skipped silently. A file with no record of the
-    right width warns that it holds no rows.
+
+def _stamp(text: str) -> str:
+    asof_key(text)
+    return text
+
+
+def _in_horizon_range(horizon: int) -> int:
+    if not MIN_HORIZON <= horizon <= MAX_HORIZON:
+        raise PanelError(f"horizon {horizon} outside {MIN_HORIZON}..{MAX_HORIZON}")
+    return horizon
+
+
+def _admit(record: list[str], memos: list[dict[str, int]], distinct: list[list],
+           checks: Sequence[tuple[int, Callable]]) -> list[int]:
+    """A record's codes, parsing its new strings in check order and then memoising them."""
+    parsed: dict[int, object] = {}
+    for column, check in checks:
+        text = record[column]
+        if text not in memos[column]:
+            parsed[column] = check(parsed.get(column, text))
+    codes = []
+    for column, text in enumerate(record):
+        code = memos[column].get(text)
+        if code is None:
+            code = memos[column][text] = len(distinct[column])
+            distinct[column].append(parsed.get(column, text))
+        codes.append(code)
+    return codes
+
+
+def _read_codes(
+    path: str, header: list[str], checks: Sequence[tuple[int, Callable]], key: Sequence[int],
+    what: str,
+) -> tuple[list[list], np.ndarray]:
+    """The accepted records of one panel file as codes, in file order, from one pass.
+
+    Each column maps its strings to codes in first-seen order, and
+    ``distinct[j][c]`` is the parsed value of column j's code c. ``checks``
+    lists ``(column, check)`` steps in the order they run; a step gets the
+    string, or the column's last step's result, and raises to reject the
+    record. The strings of an accepted record are memoised, so a record of
+    known strings costs one lookup per field; a string that fails is not.
+
+    A record of the wrong width, or one that a step fails on, is rejected
+    with a line-numbered warning; a blank line is skipped silently. Two
+    records whose parsed ``key`` columns agree raise
+    :class:`DuplicateRowError` naming both lines, after the warnings of the
+    lines before. A file with no record of the right width warns that it
+    holds no rows.
     """
-    rows: list = []
-    seen: dict[tuple, dict[str, int]] = {}
     width = len(header)
+    memos: list[dict[str, int]] = [{} for _ in header]
+    distinct: list[list] = [[] for _ in header]
+    codes: list[int] = []
+    lines: list[int] = []
+    rejects: list[tuple[int, str]] = []
     rejected = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -423,28 +486,52 @@ def _read_rows(
         for line_no, record in enumerate(reader, start=2):
             if len(record) != width:
                 if record:
-                    log.warning("%s:%d: expected %d columns, got %d; row rejected",
-                                path, line_no, width, len(record))
+                    rejects.append((line_no, f"expected {width} columns, got {len(record)}"))
                 continue
             try:
-                cell, member, row = parse(record)
-            except (PanelError, ValueError) as exc:
-                log.warning("%s:%d: %s; row rejected", path, line_no, exc)
-                rejected += 1
-                continue
-            lines = seen.get(cell)
-            if lines is None:
-                lines = seen[cell] = {}
-            elif member in lines:
-                raise DuplicateRowError(
-                    f"{path}: duplicate {what} {cell + (member,)} at lines "
-                    f"{lines[member]} and {line_no}"
-                )
-            lines[member] = line_no
-            rows.append(row)
-    if not rows and not rejected:
+                codes += map(dict.__getitem__, memos, record)
+            except KeyError:
+                del codes[len(lines) * width:]
+                try:
+                    codes += _admit(record, memos, distinct, checks)
+                except (PanelError, ValueError) as exc:
+                    rejects.append((line_no, str(exc)))
+                    rejected += 1
+                    continue
+            lines.append(line_no)
+    table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
+    repeat = _first_repeat(lines, [_ranks(distinct[j])[table[:, j]] for j in key])
+    for line_no, reason in rejects:
+        if repeat is not None and line_no > repeat[1]:
+            break
+        log.warning("%s:%d: %s; row rejected", path, line_no, reason)
+    if repeat is not None:
+        first, second, row = repeat
+        raise DuplicateRowError(
+            f"{path}: duplicate {what} {tuple(distinct[j][table[row, j]] for j in key)} "
+            f"at lines {first} and {second}"
+        )
+    if not lines and not rejected:
         log.warning("%s: no %s rows", path, what)
-    return tuple(rows)
+    return distinct, table
+
+
+def _first_repeat(lines: list[int], key: list[np.ndarray]) -> tuple[int, int, int] | None:
+    """(earlier line, line, row) of the first line whose key, one rank column per field, repeats."""
+    order = np.lexsort(key[::-1])
+    ranked = [k[order] for k in key]
+    repeats = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in ranked]))
+    if not repeats.size:
+        return None
+    at = np.array(lines, dtype=np.intp)[order]
+    i = repeats[np.argmin(at[repeats + 1])]
+    return int(at[i]), int(at[i + 1]), int(order[i])
+
+
+def _records(kind: type, distinct: list[list], table: np.ndarray) -> tuple:
+    """Each accepted record of a code matrix as a ``kind`` of its parsed values."""
+    return tuple(map(kind, *(map(values.__getitem__, table[:, j].tolist())
+                             for j, values in enumerate(distinct))))
 
 
 def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> Panel:
@@ -453,52 +540,31 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
     Rows that fail invariants (bad periods or stamps, horizons outside
     1..5, unparseable or non-finite numbers) are rejected with
     line-numbered diagnostics, in line order; duplicate keys raise
-    :class:`DuplicateRowError` naming both lines. Each distinct survey
-    string of the forecast file is parsed once and each distinct horizon
-    string converted once; a string that fails is not memoized, so every
-    line that holds it is rejected with the same message. Variable and
-    forecaster strings are interned, so the accepted rows share one copy
-    of each on their way into the panel's :class:`ForecastTable`.
+    :class:`DuplicateRowError` naming both lines. Keys compare parsed
+    values, so horizons written ``3`` and ``03`` are one key. Each file is
+    read by one per-row reader that turns every field into a code with one
+    lookup, parsing each distinct string once; the forecast codes go
+    straight into the panel's :class:`ForecastTable`.
     """
-    periods: dict[str, str] = {}
-    horizons: dict[str, int] = {}
-
-    def forecast(record: list[str]) -> tuple[tuple[str, str, int], str, tuple]:
-        survey_s, variable, horizon_s, forecaster, value_s = record
-        survey = periods.get(survey_s)
-        if survey is None:
-            parse_period(survey_s)
-            survey = periods[survey_s] = survey_s
-        horizon = horizons.get(horizon_s)
-        if horizon is None:
-            horizon = horizons[horizon_s] = int(horizon_s)
-        value = _finite_float(value_s)
-        if not MIN_HORIZON <= horizon <= MAX_HORIZON:
-            raise PanelError(f"horizon {horizon} outside {MIN_HORIZON}..{MAX_HORIZON}")
-        cell = (survey, sys.intern(variable), horizon)
-        return cell, forecaster, cell + (sys.intern(forecaster), value)
-
-    def realization(record: list[str]) -> tuple[tuple[str, str], str, RealizationRow]:
-        target, variable, value_s, vintage = record
-        parse_period(target)
-        asof_key(vintage)
-        value = _finite_float(value_s)
-        return (target, variable), vintage, RealizationRow(target, variable, value, vintage)
-
-    def vintage(record: list[str]) -> tuple[tuple[str, str], str, VintageRow]:
-        asof, variable, period, level_s = record
-        asof_key(asof)
-        parse_period(period)
-        level = _finite_float(level_s)
-        return (asof, variable), period, VintageRow(asof, variable, period, level)
-
-    return Panel(
-        forecasts=ForecastTable.from_rows(
-            _read_rows(forecast_path, FORECAST_HEADER, forecast, "forecast")
-        ),
-        realizations=_read_rows(realization_path, REALIZATION_HEADER, realization, "realization"),
-        vintages=_read_rows(vintage_path, VINTAGE_HEADER, vintage, "vintage"),
+    (surveys, variables, horizons, forecasters, values), codes = _read_codes(
+        forecast_path, FORECAST_HEADER,
+        ((0, _period), (2, int), (4, _finite_float), (2, _in_horizon_range)),
+        (0, 1, 2, 3), "forecast",
     )
+    forecasts = ForecastTable.from_codes(
+        surveys, variables, forecasters, codes[:, 0], codes[:, 1],
+        np.array(horizons, dtype=np.intp)[codes[:, 2]], codes[:, 3],
+        np.array(values, dtype=np.float64)[codes[:, 4]],
+    )
+    realizations = _records(RealizationRow, *_read_codes(
+        realization_path, REALIZATION_HEADER,
+        ((0, _period), (3, _stamp), (2, _finite_float)), (0, 1, 3), "realization",
+    ))
+    vintages = _records(VintageRow, *_read_codes(
+        vintage_path, VINTAGE_HEADER,
+        ((0, _stamp), (2, _period), (3, _finite_float)), (0, 1, 2), "vintage",
+    ))
+    return Panel(forecasts=forecasts, realizations=realizations, vintages=vintages)
 
 
 def write_panel(
@@ -624,7 +690,7 @@ def synth_panel(config: SynthConfig) -> Panel:
     Entrants replace leavers one for one, keeping the roster size constant.
     Each (survey, horizon) draws the whole roster's estimates in one block,
     which consumes the stream as one draw per forecaster would, and the
-    columns go into the forecast table as they are.
+    columns go into the forecast table as codes.
     """
     rng = np.random.default_rng(config.seed)
     n_periods = config.num_surveys + config.horizons - 1
@@ -640,19 +706,18 @@ def synth_panel(config: SynthConfig) -> Panel:
             return float(rng.uniform(config.p_low, config.p_high))
         return config.p_high if rng.random() < config.p_share_high else config.p_low
 
-    next_id = 0
+    names: list[str] = []
 
-    def new_forecaster() -> tuple[str, float]:
-        nonlocal next_id
-        next_id += 1
-        return f"F{next_id:04d}", draw_p()
+    def new_forecaster() -> tuple[int, float]:
+        names.append(f"F{len(names) + 1:04d}")
+        return len(names) - 1, draw_p()
 
     roster = [new_forecaster() for _ in range(config.num_forecasters)]
     exit_prob = 1.0 - (1.0 - config.turnover) ** 0.25
 
-    surveys: list[str] = []
+    surveys: list[int] = []
     horizons: list[int] = []
-    ids: list[str] = []
+    ids: list[int] = []
     values: list[float] = []
     for s in range(config.num_surveys):
         if s > 0 and exit_prob > 0.0:
@@ -672,7 +737,7 @@ def synth_panel(config: SynthConfig) -> Panel:
             ps = np.clip(p_base - config.p_decay * (h - 1), 0.5, 1.0)
             values.extend(sample_estimate_each(ps, env, rng))
             ids.extend(roster_ids)
-            surveys.extend([periods[s]] * len(roster))
+            surveys.extend([s] * len(roster))
             horizons.extend([h] * len(roster))
 
     realizations = []
@@ -684,8 +749,9 @@ def synth_panel(config: SynthConfig) -> Panel:
         vintages.append(VintageRow(stamp, SYNTH_VARIABLE, periods[i], value))
 
     return Panel(
-        forecasts=ForecastTable.from_columns(
-            surveys, [SYNTH_VARIABLE] * len(values), horizons, ids, values
+        forecasts=ForecastTable.from_codes(
+            periods[:config.num_surveys], (SYNTH_VARIABLE,), names,
+            surveys, np.zeros(len(values), dtype=np.intp), horizons, ids, values,
         ),
         realizations=tuple(realizations),
         vintages=tuple(vintages),

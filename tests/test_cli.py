@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,25 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", [["backtest"], ["sweep", "--n-min", "1", "--n-max", "6"]])
+    def test_commands_load_no_numpy_ma(self, tmp_path, command):
+        # numpy.ma takes tens of milliseconds to import, and no command needs it
+        golden = ROOT / "tests" / "data" / "golden" / "files"
+        argv = command + [
+            arg for name in ("forecasts", "realizations", "vintages")
+            for arg in (f"--{name}", str(golden / f"{name}.csv"))
+        ] + ["--out-dir", str(tmp_path / "reports")]
+        probe = (
+            "import sys; from crowdfuse.cli import main; "
+            f"rc = main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 False"
 
 
 class TestHelp:
@@ -267,12 +287,26 @@ class TestBacktest:
         assert "header" in capsys.readouterr().err
 
 
+def scaled_unemp(scale):
+    """Edits of the golden file panel that multiply every UNEMP value by ``scale``."""
+    golden = ROOT / "tests" / "data" / "golden" / "files"
+    edits = {}
+    for name, column in (("forecasts.csv", 4), ("realizations.csv", 2), ("vintages.csv", 3)):
+        for line in (golden / name).read_text(encoding="utf-8").splitlines()[1:]:
+            fields = line.split(",")
+            if fields[1] == "UNEMP":
+                fields[column] = repr(float(fields[column]) * scale)
+                edits.setdefault(name, []).append((line, ",".join(fields)))
+    return edits
+
+
 class TestMagnitudeBound:
-    """Values whose squared errors would overflow never reach the engine.
+    """Values whose squared errors would overflow or underflow never reach the engine.
 
     The loader rejects a forecast of 1e155, and the first-report table drops
     the yearly change of about 1e202 that a base level of 1e-200 gives. Both
-    runs finish, with every reported number finite.
+    runs finish, with every reported number finite. A variable whose
+    evidence unit is below 1e-50 fails calibration with a message naming it.
     """
 
     CASES = {
@@ -301,6 +335,16 @@ class TestMagnitudeBound:
             assert main(self.COMMANDS[command] + inputs + ["--out-dir", str(out_dir)]) == 0
         assert any(r.getMessage().endswith(message) for r in caplog.records)
         assert_reports_finite(out_dir)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170])
+    def test_tiny_unit_fails_calibration(self, tmp_path, capsys, scale, command):
+        inputs = edited_golden_panel(tmp_path, scaled_unemp(scale))
+        argv = self.COMMANDS[command] + inputs + ["--out-dir", str(tmp_path / "reports")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"crowdfuse: error: UNEMP: evidence unit \S+ is below 1e-50\n", err)
 
 
 class TestSweep:

@@ -335,7 +335,7 @@ class TestLoadPanel:
 
 # survey, horizon and value strings that repeat across rows, valid and not
 ORACLE_SURVEYS = ["2000Q1", "2000Q2", "2001Q4", "1999Q3", "2000Q5", "2000q1", "00Q1"]
-ORACLE_HORIZONS = ["1", "2", "5", " 3", "0", "6", "-1", "x", "1.5"]
+ORACLE_HORIZONS = ["1", "2", "5", "3", "03", " 3", "0", "6", "-1", "x", "1.5"]
 ORACLE_VALUES = ["1.5", "-0.25", "3", "1e-3", "nan", "inf", "-inf", "oops", "", "-1e50", "1e51"]
 
 oracle_lines = st.one_of(
@@ -348,11 +348,12 @@ oracle_lines = st.one_of(
 )
 
 
-def oracle_text(lines, unique_ids):
+def oracle_text(lines, unique_ids, crlf=False, quoted=False):
     """A forecast file: each tuple is a row, () a blank line, an int a record that wide.
 
     With ``unique_ids`` every row has its own forecaster, so no key repeats;
-    otherwise ids come from two, and duplicates are likely.
+    otherwise ids come from two, and duplicates are likely. ``crlf`` ends
+    lines with CRLF, and ``quoted`` puts each row's survey in double quotes.
     """
     out = ["survey,variable,horizon,forecaster_id,value"]
     for i, line in enumerate(lines):
@@ -363,8 +364,11 @@ def oracle_text(lines, unique_ids):
         else:
             survey, variable, horizon, value = line
             forecaster = f"f{i}" if unique_ids else "ab"[i % 2]
+            if quoted:
+                survey = f'"{survey}"'
             out.append(f"{survey},{variable},{horizon},{forecaster},{value}")
-    return "\n".join(out) + "\n"
+    end = "\r\n" if crlf else "\n"
+    return end.join(out) + end
 
 
 def oracle_load(path):
@@ -439,11 +443,15 @@ def load_logged(paths):
 
 
 class TestOnePassLoader:
-    @given(lines=st.lists(oracle_lines, max_size=30), unique_ids=st.booleans())
+    @given(lines=st.lists(oracle_lines, max_size=30), unique_ids=st.booleans(),
+           crlf=st.booleans(), quoted=st.booleans())
+    # two spellings of one horizon are one key
+    @example(lines=[("2000Q1", "X", "3", "1.5"), (), ("2000Q1", "X", "03", "2.5")],
+             unique_ids=False, crlf=True, quoted=True)
     @settings(max_examples=200, deadline=None)
-    def test_matches_row_by_row_oracle(self, lines, unique_ids):
+    def test_matches_row_by_row_oracle(self, lines, unique_ids, crlf, quoted):
         with tempfile.TemporaryDirectory() as tmp:
-            paths = write_inputs(tmp, oracle_text(lines, unique_ids))
+            paths = write_inputs(tmp, oracle_text(lines, unique_ids, crlf, quoted))
             expected_rows, expected_messages, duplicate = oracle_load(paths[0])
             got, messages = load_logged(paths)
         assert messages == expected_messages

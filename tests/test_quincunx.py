@@ -175,6 +175,8 @@ class TestVarianceCorrespondence:
         assert p_from_mse(0.0, 1, 1.0) == 1.0
         assert p_from_mse(0.36, 1, 1.0) == pytest.approx(0.9, abs=1e-12)
         assert p_from_mse(5.0, 1, 1.0) == 0.5
+        # the smallest unit calibration accepts keeps cap * (cap - mse) a normal number
+        assert p_from_mse(0.0, 1, 1e-50) == 1.0
         assert type(p_from_mse(0.36, 1, 1.0)) is float
         for mse, count, unit in ((-0.1, 1, 1.0), (math.nan, 1, 1.0), (math.inf, 1, 1.0),
                                  (0.1, 0, 1.0), (0.1, 1, 0.0)):
