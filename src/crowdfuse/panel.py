@@ -431,17 +431,16 @@ def _in_horizon_range(horizon: int) -> int:
 def _admit(record: list[str], memos: list[dict[str, int]], distinct: list[list],
            checks: Sequence[tuple[int, Callable]]) -> list[int]:
     """A record's codes, parsing its new strings in check order and then memoising them."""
-    parsed: dict[int, object] = {}
+    parsed = list(record)
     for column, check in checks:
-        text = record[column]
-        if text not in memos[column]:
-            parsed[column] = check(parsed.get(column, text))
+        if record[column] not in memos[column]:
+            parsed[column] = check(parsed[column])
     codes = []
-    for column, text in enumerate(record):
-        code = memos[column].get(text)
+    for memo, values, text, value in zip(memos, distinct, record, parsed):
+        code = memo.get(text)
         if code is None:
-            code = memos[column][text] = len(distinct[column])
-            distinct[column].append(parsed.get(column, text))
+            code = memo[text] = len(values)
+            values.append(value)
         codes.append(code)
     return codes
 
