@@ -18,8 +18,9 @@ forecaster) the error count, the squared-error sum (or, under a window,
 the last errors), MSE, reliability and noise; per (horizon, limit,
 forecaster) the contribution mean and count. Forecasters are indexed in
 sorted-id order. Each survey makes one member-major ``rule_estimates`` call
-whose rows are its (horizon, limit) pairs; matured targets, which carry
-their members' flat contribution cells, fold in rounds of at most one per
+whose rows are its (horizon, limit) pairs. A pending target carries its
+settled update: squared errors, and its members' flat contribution cells
+and leave-one-out terms. Matured targets fold in rounds of at most one per
 horizon: one gather, running-mean update and scatter, and one reliability
 update per round.
 
@@ -52,13 +53,14 @@ from .aggregation import (
     rank_by_reliability,
     rule_estimates,
 )
-from .panel import Calibration, Panel, add_quarters, period_end_month
+from .panel import Calibration, Panel, add_quarters, period_end_month, write_csv
 from .quincunx import noise_from_p, p_from_mse
 
-RMSE_CSV_HEADER = "variable,horizon,rule,rmse,n_surveys"
-DM_CSV_HEADER = "variable,horizon,rule,stat,p_value"
-SWEEP_CSV_HEADER = "horizon,rule,n_included,rmse"
-DIAGNOSTICS_CSV_HEADER = "variable,horizon,median_p_hat,cwm_fallback_surveys,skipped_surveys"
+RMSE_CSV_HEADER = ("variable", "horizon", "rule", "rmse", "n_surveys")
+DM_CSV_HEADER = ("variable", "horizon", "rule", "stat", "p_value")
+SWEEP_CSV_HEADER = ("horizon", "rule", "n_included", "rmse")
+DIAGNOSTICS_CSV_HEADER = ("variable", "horizon", "median_p_hat",
+                          "cwm_fallback_surveys", "skipped_surveys")
 
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
 _UNRANKED = np.iinfo(np.intp).max  # the rank of a column outside a row's eligible set
@@ -166,26 +168,22 @@ def dm_test(
 
 
 class _Target(NamedTuple):
-    """A survey's forecasts at one horizon, waiting for their realization.
+    """A survey's forecasts at one horizon, settled against their realization.
 
-    ``cells`` are the forecasters' (horizon, forecaster) state positions.
-    ``members`` are the contribution cells of the members of that horizon's
-    rows (one per limit) with two or more members, and ``member_values``,
-    ``totals`` and ``sizes`` give each one's forecast, row EWM numerator and
-    row member count, for the leave-one-out terms.
+    ``cells`` are the forecasters' (horizon, forecaster) state positions
+    and ``squared`` their squared errors. ``members`` are the contribution
+    cells of the members of that horizon's rows (one per limit) with two or
+    more members, and ``terms`` their leave-one-out terms.
     """
 
     horizon: int
     cells: np.ndarray
-    values: np.ndarray
-    realized: float
+    squared: np.ndarray
     members: np.ndarray
-    member_values: np.ndarray
-    totals: np.ndarray
-    sizes: np.ndarray
+    terms: np.ndarray
 
 
-_NO_MEMBERS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+_NO_MEMBERS = (np.empty(0, dtype=np.intp), np.empty(0))
 
 
 class _Results(NamedTuple):
@@ -262,13 +260,9 @@ class _State:
     def fold(self, batch: list[_Target]) -> None:
         """Fold one round's leave-one-out terms into the contribution means."""
         cells = np.concatenate([t.members for t in batch])
-        values = np.concatenate([t.member_values for t in batch])
-        totals = np.concatenate([t.totals for t in batch])
-        sizes = np.concatenate([t.sizes for t in batch])
-        realized = np.repeat([t.realized for t in batch], [t.members.size for t in batch])
         if not cells.size:
             return
-        terms = contribution_terms(values, totals, sizes, realized)
+        terms = np.concatenate([t.terms for t in batch])
         K = self.counts[cells] + 1
         C = self.contributions[cells]
         self.counts[cells] = K
@@ -277,8 +271,7 @@ class _State:
     def observe(self, batch: list[_Target]) -> None:
         """Add one round's squared errors and re-estimate those forecasters' reliabilities."""
         cells = np.concatenate([t.cells for t in batch])
-        d = np.concatenate([t.values - t.realized for t in batch])
-        squared = d * d
+        squared = np.concatenate([t.squared for t in batch])
         seen = self.errors[cells] + 1
         self.errors[cells] = seen
         if self.recent is None:
@@ -399,8 +392,8 @@ def _run_variable(
             sized = np.where(n >= 2, n, 0)
             termed = members.transpose(1, 2, 0) & (sized > 0)[:, :, None]
             term_bounds = [0, *sized.sum(axis=1).cumsum().tolist()]
+            term_cells = cells.transpose(1, 2, 0)[termed]
             term_inputs = (
-                cells.transpose(1, 2, 0)[termed],
                 np.repeat(V.T[:, None], n_limits, axis=1)[termed],
                 np.repeat(totals.reshape(-1), sized.reshape(-1)),
                 np.repeat(n.reshape(-1), sized.reshape(-1)),
@@ -423,12 +416,14 @@ def _run_variable(
                 known = bisect.bisect_left(end_months, realization[1])
                 if known < len(surveys):
                     i = row_at[k]
-                    fold = _NO_MEMBERS if i < 0 else tuple(
-                        a[term_bounds[i]:term_bounds[i + 1]] for a in term_inputs
-                    )
-                    maturing.setdefault(known, []).append(
-                        _Target(k, hf[start:stop], xx[start:stop], realization[0], *fold)
-                    )
+                    if i < 0:
+                        fold = _NO_MEMBERS
+                    else:
+                        part = slice(term_bounds[i], term_bounds[i + 1])
+                        terms = contribution_terms(*(a[part] for a in term_inputs), realization[0])
+                        fold = term_cells[part], terms
+                    d = xx[start:stop] - realization[0]
+                    maturing.setdefault(known, []).append(_Target(k, hf[start:stop], d * d, *fold))
             start = stop
 
     scored = estimated & reported
@@ -495,8 +490,11 @@ def run_backtest(
     rule's errors against the contribution-weighted rule's on those
     surveys, when there are at least eight. A ``window`` n (at least 1)
     estimates each forecaster's reliability from their last n errors only.
+    Each report lists its cells by variable, then horizon, then rule in the
+    order of ``ALL_RULES``, each requested rule once.
     """
     _check_inputs(panel, rules, window)
+    rules = [rule for rule in ALL_RULES if rule in rules]
     cells: list[RmseCell] = []
     dm_cells: list[DmCell] = []
     diagnostics: list[CellDiagnostics] = []
@@ -526,9 +524,6 @@ def run_backtest(
                     if rule != RULE_CWM:
                         stat, p_value = dm_test(errors[_RULE_ORDER[rule]], cwm, horizon, hln)
                         dm_cells.append(DmCell(variable, horizon, rule, stat, p_value))
-    cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
-    dm_cells.sort(key=lambda c: (c.variable, c.horizon, _RULE_ORDER[c.rule]))
-    diagnostics.sort(key=lambda c: (c.variable, c.horizon))
     return BacktestReport(cells=cells, dm=dm_cells, diagnostics=diagnostics)
 
 
@@ -590,37 +585,23 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else f"{x:.6f}"
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_rmse_csv(cells: Sequence[RmseCell], path: str) -> None:
-    lines = [RMSE_CSV_HEADER]
-    for c in cells:
-        lines.append(f"{c.variable},{c.horizon},{c.rule},{_fmt(c.rmse)},{c.n_surveys}")
-    _write_lines(path, lines)
+    write_csv(path, RMSE_CSV_HEADER,
+              ((c.variable, c.horizon, c.rule, _fmt(c.rmse), c.n_surveys) for c in cells))
 
 
 def write_dm_csv(cells: Sequence[DmCell], path: str) -> None:
-    lines = [DM_CSV_HEADER]
-    for c in cells:
-        lines.append(f"{c.variable},{c.horizon},{c.rule},{_fmt(c.stat)},{_fmt(c.p_value)}")
-    _write_lines(path, lines)
+    write_csv(path, DM_CSV_HEADER,
+              ((c.variable, c.horizon, c.rule, _fmt(c.stat), _fmt(c.p_value)) for c in cells))
 
 
 def write_diagnostics_csv(cells: Sequence[CellDiagnostics], path: str) -> None:
-    lines = [DIAGNOSTICS_CSV_HEADER]
-    for c in cells:
-        lines.append(
-            f"{c.variable},{c.horizon},{_fmt(c.median_p_hat)},"
-            f"{c.cwm_fallback_surveys},{c.skipped_surveys}"
-        )
-    _write_lines(path, lines)
+    write_csv(path, DIAGNOSTICS_CSV_HEADER, (
+        (c.variable, c.horizon, _fmt(c.median_p_hat), c.cwm_fallback_surveys, c.skipped_surveys)
+        for c in cells
+    ))
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path: str) -> None:
-    lines = [SWEEP_CSV_HEADER]
-    for p in points:
-        lines.append(f"{p.horizon},{p.rule},{p.n_included},{_fmt(p.rmse)}")
-    _write_lines(path, lines)
+    write_csv(path, SWEEP_CSV_HEADER,
+              ((p.horizon, p.rule, p.n_included, _fmt(p.rmse)) for p in points))

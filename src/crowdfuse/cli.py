@@ -35,6 +35,7 @@ from .panel import (
     load_panel,
     load_synth_config,
     synth_panel,
+    write_csv,
 )
 from .quincunx import Environment, Judge, moments, sample_estimates
 
@@ -46,7 +47,7 @@ _RULE_FLAGS = {
 }
 _KINDS = {kind.value: kind for kind in gaps.GapKind}
 
-SIMULATE_CSV_HEADER = "moment,analytic,sample,abs_error,tolerance"
+SIMULATE_CSV_HEADER = ("moment", "analytic", "sample", "abs_error", "tolerance")
 
 
 def _check_output(path: str, force: bool) -> None:
@@ -85,13 +86,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
              max(0.1 * m.kurtosis, 5.0 * math.sqrt(24.0 / n)))
         )
 
-    lines = [SIMULATE_CSV_HEADER]
-    for name, analytic, sample, tolerance in rows:
-        lines.append(
-            f"{name},{analytic!r},{sample!r},{abs(sample - analytic)!r},{tolerance!r}"
-        )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(args.out, SIMULATE_CSV_HEADER, (
+        (name, analytic, sample, abs(sample - analytic), tolerance)
+        for name, analytic, sample, tolerance in rows
+    ))
     return 0
 
 

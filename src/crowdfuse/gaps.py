@@ -225,6 +225,7 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     return float(max(upper.max(), lower.max()))
 
 
+# Joined by hand, not panel.write_csv: repr floats, "" and 0 never need quoting, and csv.writer slows the grid write.
 def write_grid_csv(cells: Iterable[GridCell], path: str) -> None:
     """Write grid records as UTF-8 CSV.
 

@@ -28,7 +28,7 @@ import functools
 import logging
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,9 +37,9 @@ from .quincunx import Environment, sample_estimate_each
 
 log = logging.getLogger(__name__)
 
-FORECAST_HEADER = ["survey", "variable", "horizon", "forecaster_id", "value"]
-REALIZATION_HEADER = ["target", "variable", "value", "vintage"]
-VINTAGE_HEADER = ["asof", "variable", "period", "level"]
+FORECAST_HEADER = ("survey", "variable", "horizon", "forecaster_id", "value")
+REALIZATION_HEADER = ("target", "variable", "value", "vintage")
+VINTAGE_HEADER = ("asof", "variable", "period", "level")
 
 UNTRANSFORMED_VARIABLES = frozenset({"UNEMP"})
 
@@ -446,7 +446,7 @@ def _admit(record: list[str], memos: list[dict[str, int]], distinct: list[list],
 
 
 def _read_codes(
-    path: str, header: list[str], checks: Sequence[tuple[int, Callable]], key: Sequence[int],
+    path: str, header: tuple[str, ...], checks: Sequence[tuple[int, Callable]], key: Sequence[int],
     what: str,
 ) -> tuple[list[list], np.ndarray]:
     """The accepted records of one panel file as codes, in file order, from one pass.
@@ -458,12 +458,13 @@ def _read_codes(
     record. The strings of an accepted record are memoised, so a record of
     known strings costs one lookup per field; a string that fails is not.
 
-    A record of the wrong width, or one that a step fails on, is rejected
-    with a line-numbered warning; a blank line is skipped silently. Two
-    records whose parsed ``key`` columns agree raise
-    :class:`DuplicateRowError` naming both lines, after the warnings of the
-    lines before. A file with no record of the right width warns that it
-    holds no rows.
+    A record is named by the physical line it ends on, so one holding a
+    quoted line break is named by its last line. A record of the wrong
+    width, or one that a step fails on, is rejected with a line-numbered
+    warning; a blank line is skipped silently. Two records whose parsed
+    ``key`` columns agree raise :class:`DuplicateRowError` naming both
+    lines, after the warnings of the lines before. A file with no record of
+    the right width warns that it holds no rows.
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
@@ -478,14 +479,14 @@ def _read_codes(
             got = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-        if got != header:
+        if tuple(got) != header:
             raise SchemaError(
                 f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
             )
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             if len(record) != width:
                 if record:
-                    rejects.append((line_no, f"expected {width} columns, got {len(record)}"))
+                    rejects.append((reader.line_num, f"expected {width} columns, got {len(record)}"))
                 continue
             try:
                 codes += map(dict.__getitem__, memos, record)
@@ -494,10 +495,10 @@ def _read_codes(
                 try:
                     codes += _admit(record, memos, distinct, checks)
                 except (PanelError, ValueError) as exc:
-                    rejects.append((line_no, str(exc)))
+                    rejects.append((reader.line_num, str(exc)))
                     rejected += 1
                     continue
-            lines.append(line_no)
+            lines.append(reader.line_num)
     table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
     repeat = _first_repeat(lines, [_ranks(distinct[j])[table[:, j]] for j in key])
     for line_no, reason in rejects:
@@ -566,6 +567,30 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
     return Panel(forecasts=forecasts, realizations=realizations, vintages=vintages)
 
 
+class _LineFeedEnds:
+    """A text file that receives ``\\r\\n``-ended lines and writes them ``\\n``-ended."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+
+    def write(self, line: str) -> int:
+        return self.fh.write(line[:-2] + "\n")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV with ``\\n`` line ends.
+
+    Floats are written as ``repr``, and a field holding ``,``, ``"``, ``\\n``
+    or ``\\r`` is quoted, so :func:`load_panel` reads it back. ``csv`` quotes
+    only the characters of its line terminator: lines end in ``\\r\\n``
+    and lose the ``\\r`` on the way to the file.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(_LineFeedEnds(fh), lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_panel(
     panel: Panel, forecast_path: str, realization_path: str, vintage_path: str
 ) -> None:
@@ -574,18 +599,9 @@ def write_panel(
     Forecasts are written in table order, by (variable, survey, horizon,
     forecaster id); realizations and vintages in their row order.
     """
-    with open(forecast_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(FORECAST_HEADER) + "\n")
-        for survey, variable, horizon, forecaster, value in panel.forecasts.rows():
-            fh.write(f"{survey},{variable},{horizon},{forecaster},{value!r}\n")
-    with open(realization_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(REALIZATION_HEADER) + "\n")
-        for r in panel.realizations:
-            fh.write(f"{r.target},{r.variable},{r.value!r},{r.vintage}\n")
-    with open(vintage_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(VINTAGE_HEADER) + "\n")
-        for r in panel.vintages:
-            fh.write(f"{r.asof},{r.variable},{r.period},{r.level!r}\n")
+    write_csv(forecast_path, FORECAST_HEADER, panel.forecasts.rows())
+    write_csv(realization_path, REALIZATION_HEADER, map(astuple, panel.realizations))
+    write_csv(vintage_path, VINTAGE_HEADER, map(astuple, panel.vintages))
 
 
 # ---------------------------------------------------------------------------

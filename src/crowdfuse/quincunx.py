@@ -129,22 +129,23 @@ def moments(judge: Judge, env: Environment) -> Moments:
 
 def sample_estimate_each(
     ps: Sequence[float], env: Environment, rng: np.random.Generator
-) -> list[float]:
+) -> np.ndarray:
     """One estimate per reliability in ``ps`` (each in [0.5, 1]).
 
     An estimate is norm + unit * sum of detected element signs. The first
     ``(count + deviation) / 2`` elements carry +1 and the rest -1; each is
     detected correctly with probability p, independently, and a wrong
-    detection flips the element's contribution. The uniforms come from one
-    ``rng.random((len(ps), count))`` draw, which consumes the stream exactly
-    as ``len(ps)`` successive one-element calls do, so the values are the
-    same.
+    detection flips the element's contribution. With ``c+`` and ``c-`` the
+    correct detections among the positive and the negative elements, the
+    sum is 2 * (c+ - c-) - deviation, an exact integer. The uniforms come
+    from one ``rng.random((len(ps), count))`` draw, which consumes the
+    stream exactly as ``len(ps)`` successive one-element calls do, so the
+    values are the same.
     """
-    signs = np.ones(env.count)
-    signs[env.positive_elements:] = -1.0
     correct = rng.random((len(ps), env.count)) < np.asarray(ps, dtype=np.float64)[:, None]
-    steps = np.where(correct, signs, -signs)
-    return [env.norm + env.unit * float(total) for total in steps.sum(axis=1)]
+    c_pos = correct[:, :env.positive_elements].sum(axis=1)
+    c_neg = correct[:, env.positive_elements:].sum(axis=1)
+    return env.norm + env.unit * (2 * (c_pos - c_neg) - env.deviation)
 
 
 def sample_estimates(

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -253,6 +254,25 @@ class TestBacktest:
         # once from the realizations' table, once from the vintages' calibration table
         assert dropped == ["yearly change of GDP 2001Q1 is not finite; value dropped"] * 2
         assert_reports_finite(out_dir)
+
+    def test_quoted_variable_keeps_report_widths(self, tmp_path):
+        # a variable named G,DP is quoted in every report row, so each row parses
+        # to its header's width
+        golden = ROOT / "tests" / "data" / "golden" / "files"
+        edits = {
+            name: [(line, line.replace(",GDP,", ',"G,DP",'))
+                   for line in (golden / name).read_text(encoding="utf-8").splitlines()
+                   if ",GDP," in line]
+            for name in ("forecasts.csv", "realizations.csv", "vintages.csv")
+        }
+        out_dir = tmp_path / "reports"
+        inputs = edited_golden_panel(tmp_path, edits)
+        assert main(["backtest"] + inputs + ["--out-dir", str(out_dir)]) == 0
+        for name in ("rmse.csv", "dm.csv", "diagnostics.csv"):
+            with open(out_dir / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert {len(row) for row in rows} == {len(header)}, name
+            assert {row[0] for row in rows} == {"G,DP", "UNEMP"}, name
 
     def test_file_mode_missing_inputs(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -488,6 +488,21 @@ class TestOnePassLoader:
         assert "('2000Q1', 'X', 1, 'a') at lines 2 and 7" in str(got)
         assert [m.split(":")[1] for m in messages] == ["3", "4", "5"]
 
+    def test_names_physical_lines(self, tmp_path):
+        # a record holding a quoted line break is named by the line it ends on
+        text = (
+            "survey,variable,horizon,forecaster_id,value\n"
+            '2000Q1,X,1,"c\nd",1.0\n'     # lines 2-3
+            "2000Q1,X,2,a,1.0\n"           # line 4
+            "2000Q1,X,9,a,1.0\n"           # line 5: horizon out of range
+            '2000Q1,X,1,"c\nd",2.0\n'     # lines 6-7 repeat lines 2-3
+        )
+        paths = write_inputs(tmp_path, forecasts=text)
+        got, messages = load_logged(paths)
+        assert messages == [f"{paths[0]}:5: horizon 9 outside 1..5; row rejected"]
+        assert isinstance(got, DuplicateRowError)
+        assert str(got).endswith("('2000Q1', 'X', 1, 'c\\nd') at lines 3 and 7")
+
     def test_parses_each_survey_string_once(self, tmp_path, monkeypatch):
         # 1,980 rows over 4 surveys, then 20 rejected rows whose strings repeat
         lines = ["survey,variable,horizon,forecaster_id,value"]
@@ -592,6 +607,39 @@ class TestFirstReportTable:
         }
 
 
+# forecaster ids and variable names that need quoting in a CSV field
+quoting_text = st.text(
+    st.sampled_from(',"\n\r ') | st.characters(blacklist_categories=("Cs",)), max_size=5
+)
+# a few periods, stamps and values that the loader accepts
+ROUNDTRIP_PERIODS = ["1999Q4", "2000Q1", "2000Q2"]
+ROUNDTRIP_STAMPS = ["2000Q1", "2000-05-15", "2000-08"]
+roundtrip_values = st.floats(min_value=-1e50, max_value=1e50, allow_nan=False)
+
+
+@st.composite
+def quoting_panels(draw):
+    """A panel whose forecaster ids and variable names hold CSV-special characters."""
+    ids = draw(st.lists(quoting_text, min_size=1, max_size=4, unique=True))
+    variables = draw(st.lists(quoting_text, min_size=1, max_size=3, unique=True))
+    forecasts = draw(st.lists(
+        st.tuples(st.sampled_from(ROUNDTRIP_PERIODS), st.sampled_from(variables),
+                  st.integers(1, 5), st.sampled_from(ids), roundtrip_values),
+        max_size=12, unique_by=lambda row: row[:4],
+    ))
+    realizations = draw(st.lists(
+        st.builds(RealizationRow, st.sampled_from(ROUNDTRIP_PERIODS), st.sampled_from(variables),
+                  roundtrip_values, st.sampled_from(ROUNDTRIP_STAMPS)),
+        max_size=6, unique_by=lambda row: (row.target, row.variable, row.vintage),
+    ))
+    vintages = draw(st.lists(
+        st.builds(VintageRow, st.sampled_from(ROUNDTRIP_STAMPS), st.sampled_from(variables),
+                  st.sampled_from(ROUNDTRIP_PERIODS), roundtrip_values),
+        max_size=6, unique_by=lambda row: (row.asof, row.variable, row.period),
+    ))
+    return Panel(ForecastTable.from_rows(forecasts), tuple(realizations), tuple(vintages))
+
+
 class TestRoundtrip:
     def test_canonical_fixture_reproduced_byte_identically(self, tmp_path):
         # the fixtures above are already in canonical form (repr floats),
@@ -622,6 +670,22 @@ class TestRoundtrip:
         assert loaded.forecasts == panel.forecasts
         assert loaded.realizations == panel.realizations
         assert loaded.vintages == panel.vintages
+
+    @given(panel=quoting_panels())
+    @example(panel=Panel(
+        ForecastTable.from_rows([("2000Q1", "G,DP", 1, "a,b", 1.5),
+                                 ("2000Q1", "G,DP", 1, "c\nd", 2.5),
+                                 ("2000Q1", "G,DP", 1, "e\rf", 3.5)]),
+        (RealizationRow("2000Q1", "G,DP", 3.0, "2000-05-15"),),
+        (VintageRow("2000Q2", "G,DP", "2000Q1", 3.0),),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_load_of_write_is_identity(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("f.csv", "r.csv", "v.csv")]
+            write_panel(panel, *paths)
+            loaded, _ = load_logged(paths)
+        assert loaded == panel
 
 
 class TestSynthPanel:

@@ -102,7 +102,7 @@ class TestSampler:
             correct = rng.random(env.count) < p
             assert value == env.norm + env.unit * float(np.where(correct, signs, -signs).sum())
         again = np.random.default_rng(5)
-        assert [sample_estimate_each([p], env, again)[0] for p in ps] == rows
+        assert [sample_estimate_each([p], env, again)[0] for p in ps] == rows.tolist()
         assert again.random() == rng.random()
 
     def test_symmetric_walk_mean(self):
