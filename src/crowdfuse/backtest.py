@@ -1,36 +1,49 @@
 """Rolling backtest of aggregation rules over a panel.
 
-Surveys are processed in order, in one rolling pass per variable that
-serves all of its horizons and, for the sweep, every top-n size at once.
-At each survey the engine first matures realized errors whose first
-report is stamped by then (never earlier) and updates forecaster
-reliabilities and contributions from them; then it builds each horizon's
-eligible set (two matured errors required), lets every rule estimate, and
-scores the estimates against the first-reported realization. State
-updates always happen after the estimates that would use them, so an
-estimate at survey i is a pure function of forecasts at i and of
-realizations stamped by i.
+One rolling pass per variable serves all of its horizons and, for the
+sweep, every top-n size at once. A survey's forecasts mature, as realized
+errors, at the first survey whose quarter ends no earlier than their
+first report's stamp (never earlier); a forecaster is eligible at a
+survey once two errors at that horizon have matured by it. Every rule
+estimates from the eligible set, and the estimates are scored against
+the first-reported realization. An estimate at survey i is a pure
+function of forecasts at i and of realizations stamped by i.
 
 The panel's forecast table is sorted by (variable, survey, horizon,
-forecaster id), so a survey's forecasts of one variable are one slice of
-it, horizon by horizon. The state lives in plain arrays: per (horizon,
-forecaster) the error count, the squared-error sum (or, under a window,
-the last errors), MSE, reliability and noise; per (horizon, limit,
-forecaster) the contribution mean and count. Forecasters are indexed in
-sorted-id order. Each survey makes one member-major ``rule_estimates`` call
-whose rows are its (horizon, limit) pairs. A pending target carries its
-settled update: squared errors, and its members' flat contribution cells
-and leave-one-out terms. Matured targets fold in rounds of at most one per
-horizon: one gather, running-mean update and scatter, and one reliability
-update per round.
+forecaster id), so a variable's forecasts are one slice of it and
+forecasters are indexed in sorted-id order. Squared errors, MSEs,
+reliabilities, eligibility, ranks, members, EWM numerators and
+leave-one-out terms depend on forecasts and realizations alone; only the
+contribution means, running means of the terms read at every survey,
+need the surveys in turn. So the pass has two phases:
 
-Each survey writes its results into the variable's result arrays,
-indexed by (survey, horizon) with trailing (limit, rule) axes: masks,
-estimates, errors (0 where a survey is not scored), fallbacks and
-reliabilities. The reports read their RMSEs, one sum over the survey
-axis, their Diebold-Mariano series and their diagnostics straight from
-these arrays, and equal those of a straight-line loop per cell to the
-last bit: every sum adds left to right, every square is ``d * d``.
+* Up front, in whole-variable array operations: each (survey, horizon)'s
+  realization and maturation survey, every forecast's squared error, and
+  each (horizon, forecaster)'s reliability trajectory, the MSE and p
+  after each matured error in maturation order. Each forecast reads
+  its state as of its survey off that trajectory with one
+  ``searchsorted``, which gives eligibility, and the eligible sets are
+  ranked per (survey, horizon).
+* Then the surveys go in blocks. A block builds its members, EWM
+  numerators and leave-one-out terms in arrays, walks its surveys to fold
+  in the terms that mature at each (in rounds of at most one target per
+  horizon, so each horizon's means see them in survey order) and to read
+  the contribution means its estimates use, and makes one member-major
+  ``rule_estimates`` call whose rows are its (survey, horizon, limit)
+  triples. ``_BLOCK_ENTRIES`` bounds a call's members x rows, and with it
+  a block's memory, so that a sweep's 195 rows a survey make blocks of
+  about two surveys. numpy's per-call overhead is what the blocks save:
+  a backtest call per survey would hold about five rows. On SPF-shaped
+  panels of about 40 members, 16,384 entries ran the sweep about a tenth
+  faster than 8,192, and 32,768 grew its memory.
+
+The results go into the variable's result arrays, indexed by (survey,
+horizon) with trailing (limit, rule) axes: masks, estimates, errors (0
+where a survey is not scored), fallbacks and reliabilities. The reports
+read their RMSEs, one sum over the survey axis, their Diebold-Mariano
+series and their diagnostics straight from these arrays, and equal those
+of a straight-line loop per cell to the last bit: every sum adds left to
+right, every square is ``d * d``.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
@@ -53,7 +66,14 @@ from .aggregation import (
     rank_by_reliability,
     rule_estimates,
 )
-from .panel import Calibration, Panel, add_quarters, period_end_month, write_csv
+from .panel import (
+    Calibration,
+    Panel,
+    format_period,
+    period_end_month,
+    period_key,
+    write_csv,
+)
 from .quincunx import noise_from_p, p_from_mse
 
 RMSE_CSV_HEADER = ("variable", "horizon", "rule", "rmse", "n_surveys")
@@ -63,7 +83,7 @@ DIAGNOSTICS_CSV_HEADER = ("variable", "horizon", "median_p_hat",
                           "cwm_fallback_surveys", "skipped_surveys")
 
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
-_UNRANKED = np.iinfo(np.intp).max  # the rank of a column outside a row's eligible set
+_BLOCK_ENTRIES = 16384  # members x rows of one rule-kernel call (see the module docstring)
 _MIN_DM_LENGTH = 8
 
 
@@ -167,25 +187,6 @@ def dm_test(
     return float(stat), float(p_value)
 
 
-class _Target(NamedTuple):
-    """A survey's forecasts at one horizon, settled against their realization.
-
-    ``cells`` are the forecasters' (horizon, forecaster) state positions
-    and ``squared`` their squared errors. ``members`` are the contribution
-    cells of the members of that horizon's rows (one per limit) with two or
-    more members, and ``terms`` their leave-one-out terms.
-    """
-
-    horizon: int
-    cells: np.ndarray
-    squared: np.ndarray
-    members: np.ndarray
-    terms: np.ndarray
-
-
-_NO_MEMBERS = (np.empty(0, dtype=np.intp), np.empty(0))
-
-
 class _Results(NamedTuple):
     """What one variable's roll produced, indexed by (survey, horizon).
 
@@ -220,74 +221,183 @@ class _Results(NamedTuple):
         return np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0)), count
 
 
-def _rounds(matured: list[_Target]) -> list[list[_Target]]:
-    """Matured targets in rounds of at most one per horizon, each horizon's in order."""
-    rounds: list[list[_Target]] = []
+def _rounds(horizons: Sequence[int]) -> list[list[int]]:
+    """Targets maturing together, by position, in rounds of at most one per horizon.
+
+    ``horizons`` are the targets' horizons in survey order; each horizon's
+    targets keep that order across the rounds.
+    """
+    rounds: list[list[int]] = []
     taken: dict[int, int] = {}
-    for target in matured:
-        k = taken.get(target.horizon, 0)
-        taken[target.horizon] = k + 1
+    for i, horizon in enumerate(horizons):
+        k = taken.get(horizon, 0)
+        taken[horizon] = k + 1
         if k == len(rounds):
             rounds.append([])
-        rounds[k].append(target)
+        rounds[k].append(i)
     return rounds
 
 
-class _State:
-    """The rolling state of one variable, in flat arrays.
+def _targets(
+    panel: Panel, variable: str, horizons: Sequence[int], forecast: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (survey, horizon), flat: whether its target has a first report, its value
+    and the survey at which it matures, the survey count if never.
 
-    Per (horizon, forecaster), at ``h * width + f``: error counts, squared
-    error sums (or, under a window, the last errors), MSEs, reliabilities
-    and noises. Per (horizon, limit, forecaster), at ``(h * limits + l) *
-    width + f``: contribution means and counts.
+    Only the pairs marked in ``forecast``, flat, are looked up, each target
+    period once. A target matures at the first survey whose quarter ends no
+    earlier than its realization's stamp; a target that never gets a value
+    never matures.
+    """
+    surveys = panel.surveys
+    end_months = [period_end_month(p) for p in surveys]
+    quarters = np.array([period_key(p) for p in surveys], dtype=np.intp)
+    at = np.flatnonzero(forecast)
+    s, k = np.divmod(at, len(horizons))
+    periods, target = np.unique(quarters[s] + np.asarray(horizons)[k] - 1, return_inverse=True)
+    found = []
+    for q in periods.tolist():
+        realization = panel.realization(variable, format_period(q // 4, q % 4 + 1))
+        # stamped after the target quarter ends, so after every survey that forecasts it
+        found.append((False, 0.0, len(surveys)) if realization is None else
+                     (True, realization[0], bisect.bisect_left(end_months, realization[1])))
+    reported = np.zeros(forecast.size, dtype=bool)
+    realized = np.zeros(forecast.size)
+    matures = np.full(forecast.size, len(surveys))
+    for column, out in zip(zip(*found), (reported, realized, matures)):
+        out[at] = np.array(column)[target]
+    return reported, realized, matures
+
+
+def _mse_trajectories(
+    cell: np.ndarray, squared: np.ndarray, history: np.ndarray, window: int | None
+) -> np.ndarray:
+    """Each matured error's MSE: the mean of its cell's errors up to it, or of the last ``window``.
+
+    The errors come sorted by cell, each cell's in maturation order;
+    ``history`` counts them per cell. A block of cells at a time, of about
+    ``_BLOCK_ENTRIES`` entries, they lie along a padded events axis,
+    one row per cell, and every sum adds oldest first, left to right: a
+    running ``np.add.accumulate``, or a window's errors added one after
+    another.
+    """
+    seen = np.arange(len(cell)) - (np.cumsum(history) - history)[cell]  # earlier errors of the cell
+    lead = 0 if window is None else window - 1  # zeros before a cell's first error
+    depth = lead + int(history.max(initial=0))
+    step = max(1, _BLOCK_ENTRIES // max(depth, 1))
+    sums = np.empty(len(cell))
+    for first in range(0, len(history), step):
+        a, b = np.searchsorted(cell, (first, first + step))
+        row, column = cell[a:b] - first, seen[a:b]
+        padded = np.zeros((step, depth))
+        padded[row, lead + column] = squared[a:b]
+        if window is None:
+            np.add.accumulate(padded, axis=1, out=padded)
+            sums[a:b] = padded[row, column]
+        else:
+            total = padded[:, :depth - lead].copy()
+            for i in range(1, window):
+                total += padded[:, i:i + depth - lead]
+            sums[a:b] = total[row, column]
+    seen += 1
+    return sums / (seen if window is None else np.minimum(seen, window))
+
+
+def _states(
+    cell: np.ndarray, survey: np.ndarray, matures: np.ndarray, error: np.ndarray,
+    n_surveys: int, size: int, unit: float, window: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eligible forecasts, and their forecasters' MSE and reliability as of their survey.
+
+    Per forecast: its (horizon, forecaster) ``cell`` (one of ``size``),
+    ``survey``, the survey at which it ``matures`` (``n_surveys``: never)
+    and its ``error``. The matured errors form each cell's trajectory, in
+    maturation order (:func:`_mse_trajectories`), and each forecast reads
+    its cell's state off it with one ``searchsorted``: after the last error
+    matured by its survey. It is eligible from two such errors on.
+    """
+    event = np.flatnonzero(matures < n_surveys)
+    event = event[np.lexsort((matures[event], cell[event]))]  # stable: survey order at a tie
+    # error and matures are the caller's temporaries, freed here once read
+    d, at, matured = error[event], matures[event], cell[event]
+    del error, matures, event
+    history = np.bincount(matured, minlength=size)  # matured errors per cell
+    mse = _mse_trajectories(matured, d * d, history, window)
+    del d
+    p_hat = p_from_mse(mse, 1, unit)  # the element count is 1, as in panel.Calibration
+    key = matured * (n_surveys + 1) + at
+    del matured, at
+    last = np.searchsorted(key, cell * (n_surveys + 1) + survey, side="right") - 1
+    del key
+    eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)
+    last = last[eligible]
+    return eligible, p_hat[last], mse[last]
+
+
+class _Inputs(NamedTuple):
+    """What one variable's estimates need, all of it from forecasts and realizations.
+
+    Per (survey, horizon), flat: ``forecast`` marks those with forecasts,
+    ``reported``, ``realized`` and ``matures`` are as :func:`_targets` gives
+    them and ``sizes`` counts the eligible forecasts. Per eligible forecast,
+    in table order: its ``survey``, ``horizon`` (a position in the
+    horizons), ``column`` (its forecaster's place among the variable's
+    ``width`` forecasters, in sorted-id order) and ``value``, its
+    forecaster's ``p_hat`` as of the survey (see :func:`_states`), and its
+    ``rank`` by reliability within its (survey, horizon), 0 for all where
+    no limit cuts an eligible set.
     """
 
-    def __init__(
-        self, n_horizons: int, n_limits: int, width: int,
-        unit: float, window: int | None,
-    ) -> None:
-        size = n_horizons * width
-        self.unit = unit
-        self.errors = np.zeros(size, dtype=np.intp)
-        self.total = np.zeros(size)
-        self.recent = None if window is None else np.zeros((size, window))
-        self.mse = np.full(size, np.nan)
-        self.p_hat = np.full(size, np.nan)
-        self.noise = np.full(size, np.nan)
-        self.contributions = np.zeros(size * n_limits)
-        self.counts = np.zeros(size * n_limits, dtype=np.intp)
+    width: int
+    forecast: np.ndarray
+    reported: np.ndarray
+    realized: np.ndarray
+    matures: np.ndarray
+    sizes: np.ndarray
+    survey: np.ndarray
+    horizon: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+    p_hat: np.ndarray
+    rank: np.ndarray
 
-    def fold(self, batch: list[_Target]) -> None:
-        """Fold one round's leave-one-out terms into the contribution means."""
-        cells = np.concatenate([t.members for t in batch])
-        if not cells.size:
-            return
-        terms = np.concatenate([t.terms for t in batch])
-        K = self.counts[cells] + 1
-        C = self.contributions[cells]
-        self.counts[cells] = K
-        self.contributions[cells] = C + (terms - C) / K
 
-    def observe(self, batch: list[_Target]) -> None:
-        """Add one round's squared errors and re-estimate those forecasters' reliabilities."""
-        cells = np.concatenate([t.cells for t in batch])
-        squared = np.concatenate([t.squared for t in batch])
-        seen = self.errors[cells] + 1
-        self.errors[cells] = seen
-        if self.recent is None:
-            total = self.total[cells] + squared
-            self.total[cells] = total
-            mse = total / seen
-        else:
-            window = self.recent.shape[1]
-            self.recent[cells, (seen - 1) % window] = squared
-            back = seen[:, None] - window + np.arange(window)
-            last = np.where(back >= 0, self.recent[cells[:, None], back % window], 0.0)
-            mse = np.add.accumulate(last, axis=1)[:, -1] / np.minimum(seen, window)
-        p = p_from_mse(mse, 1, self.unit)  # the element count is 1, as in panel.Calibration
-        self.mse[cells] = mse
-        self.p_hat[cells] = p
-        self.noise[cells] = noise_from_p(p)
+def _inputs(
+    panel: Panel, variable: str, horizons: Sequence[int], unit: float,
+    limits: Sequence[int | None], window: int | None,
+) -> _Inputs:
+    """The eligible forecasts of one variable, their forecasters' states and ranks, up front."""
+    n_surveys, n_horizons = len(panel.surveys), len(horizons)
+    f = panel.forecasts
+    v = f.variables.index(variable) if variable in f.variables else -1
+    lo, hi = np.searchsorted(f.variable, (v, v + 1))
+    keep = np.isin(f.horizon[lo:hi], horizons)
+    mine = slice(lo, hi) if keep.all() else lo + np.flatnonzero(keep)  # views where it can
+    survey, value = f.survey[mine], f.value[mine]
+    # the variable's forecasters, in sorted-id order
+    present = np.zeros(len(f.forecasters), dtype=bool)
+    present[f.forecaster[mine]] = True
+    width = int(present.sum())
+    column = (np.cumsum(present) - 1)[f.forecaster[mine]]
+    horizon_at = np.searchsorted(horizons, f.horizon[mine])
+    pair = survey * n_horizons + horizon_at  # each forecast's (survey, horizon)
+    forecast = np.zeros(n_surveys * n_horizons, dtype=bool)
+    forecast[pair] = True
+    reported, realized, matures = _targets(panel, variable, horizons, forecast)
+    eligible, p_hat, mse = _states(
+        horizon_at * width + column, survey, matures[pair], value - realized[pair],
+        n_surveys, n_horizons * width, unit, window,
+    )
+    pair, column = pair[eligible], column[eligible]
+    sizes = np.bincount(pair, minlength=len(forecast))
+    if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
+        rank = rank_by_reliability(pair, column, p_hat, mse)
+    else:
+        rank = np.broadcast_to(np.intp(0), pair.shape)
+    return _Inputs(
+        width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
+        survey[eligible], horizon_at[eligible], column, value[eligible], p_hat, rank,
+    )
 
 
 def _run_variable(
@@ -303,136 +413,121 @@ def _run_variable(
     ``horizons`` ascend. A limit n keeps the n most reliable of each
     survey's eligible set and ``None`` keeps all of it. Error histories,
     MSEs and reliabilities depend on the horizon; contribution means also
-    on the limit. Each survey's forecasts are one slice of the variable's
-    rows of the forecast table, and each survey makes one
-    :func:`rule_estimates` call, whose members are the forecasters eligible
-    at any of its horizons, in sorted-id order, and whose rows are its
-    (horizon, limit) pairs. A survey's forecasts at a horizon mature at the
-    first later survey whose quarter ends no earlier than their
-    realization's stamp; a target that never gets a value never matures.
-    Matured targets are folded in rounds with at most one per horizon, so
-    each horizon's state sees them in survey order. Each survey writes its
-    estimates, fallbacks and realizations into the :class:`_Results`
-    arrays at its own (survey, horizon) entries; the errors are taken once,
-    at the end, on the scored entries.
+    on the limit.
+
+    Up front, :func:`_inputs` gives the eligible forecasts, their
+    forecasters' states and their ranks. Then the surveys go in blocks
+    (see :func:`_blocks`). A block
+    builds its members, EWM numerators and leave-one-out terms at once,
+    walks its surveys to fold in the terms that mature at each and to read
+    the contribution means it estimates with, and makes one
+    :func:`rule_estimates` call. A kernel row is a (survey, horizon,
+    limit); the members along the first axis are the survey's forecasters
+    eligible at any of its horizons, in sorted-id order. Terms fold in
+    rounds of at most one target per horizon, so each horizon's means see
+    them in survey order. The errors are taken once, at the end, and set to
+    0 where a survey is not scored.
     """
-    surveys = panel.surveys
-    f = panel.forecasts
-    v = f.variables.index(variable) if variable in f.variables else -1
-    mine = np.flatnonzero((f.variable == v) & np.isin(f.horizon, horizons))
-    names, column = np.unique(f.forecaster[mine], return_inverse=True)
-    horizon_at = np.searchsorted(horizons, f.horizon[mine])
-    value = f.value[mine]
-    bounds = np.searchsorted(f.survey[mine], np.arange(len(surveys) + 1)).tolist()
-    width, n_limits = len(names), len(limits)
-    if window is not None and window >= len(surveys):
+    n_surveys, n_horizons, n_limits = len(panel.surveys), len(horizons), len(limits)
+    if window is not None and window >= n_surveys:
         window = None  # covers every history
-    state = _State(len(horizons), n_limits, width, calib[variable], window)
+    data = _inputs(panel, variable, horizons, calib[variable], limits, window)
+    width, matures, realized, sizes = data.width, data.matures, data.realized, data.sizes
     cut = np.array([width if n is None else n for n in limits])
-    unrestricted = limits.index(None) if None in limits else None
-    end_months = [period_end_month(s) for s in surveys]
-    maturing: dict[int, list[_Target]] = {}
-    shape = (len(surveys), len(horizons))
-    forecast = np.zeros(shape, dtype=bool)
-    forecast[f.survey[mine], horizon_at] = True
+    # each eligible forecast's member slot: its forecaster's place among the survey's eligible ones
+    slots, slot = np.unique(data.survey * width + data.column, return_inverse=True)
+    slot -= np.searchsorted(slots, data.survey * width)
+    widths = np.bincount(slots // max(width, 1), minlength=n_surveys).tolist()
+    rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
+    row_of = np.cumsum(sizes > 0) - 1
+    row_counts = (np.bincount(rows // n_horizons, minlength=n_surveys) * n_limits).tolist()
+    targets = np.flatnonzero(matures < n_surveys)
+    targets = targets[np.argsort(matures[targets], kind="stable")]  # by maturation, in survey order
+    due = np.searchsorted(matures[targets], np.arange(n_surveys + 1)).tolist()
+
+    contributions = np.zeros(n_horizons * n_limits * width)
+    counts = np.zeros(len(contributions), dtype=np.intp)
+    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by target: cells and terms to fold
+    shape = data.forecast.shape
     estimated = np.zeros(shape, dtype=bool)
-    reported = np.zeros(shape, dtype=bool)
-    realized = np.zeros(shape)
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
     fallbacks = np.zeros((*shape, n_limits), dtype=bool)
-    p_hats: list[list[np.ndarray]] = [[] for _ in horizons]
-
-    for idx, survey in enumerate(surveys):
-        for batch in _rounds(maturing.pop(idx, [])):
-            state.fold(batch)
-            state.observe(batch)
-
-        first, last = bounds[idx], bounds[idx + 1]
-        if first == last:
+    for first, stop in _blocks(widths, row_counts):
+        lo, hi = np.searchsorted(data.survey, (first, stop))
+        low, high = np.searchsorted(rows, (first * n_horizons, stop * n_horizons))
+        block = rows[low:high]
+        if not len(block):  # a variable without estimates, so without terms to fold
             continue
-        hh, ff, xx = horizon_at[first:last], column[first:last], value[first:last]
-        sizes = np.bincount(hh, minlength=len(horizons)).tolist()
-        hf = hh * width + ff
-        eligible = state.errors[hf] >= 2
-        row_at = [-1] * len(horizons)
-        if eligible.any():
-            eh, ef, ehf = hh[eligible], ff[eligible], hf[eligible]
-            per_horizon = np.bincount(eh, minlength=len(horizons))
-            rows = np.flatnonzero(per_horizon)
-            present = np.zeros(width, dtype=bool)
-            present[ef] = True
-            columns = np.flatnonzero(present)
-            # each eligible entry's (column, horizon row) in the estimate call
-            at = np.searchsorted(columns, ef), (np.cumsum(per_horizon > 0) - 1)[eh]
-            ranks = np.full((len(columns), len(rows)), _UNRANKED)
-            if cut.min() < per_horizon.max():  # some limit cuts an eligible set
-                ranks[at] = rank_by_reliability(eh, ef, state.p_hat[ehf], state.mse[ehf])
-            else:
-                ranks[at] = 0
-            members = ranks[:, :, None] < cut  # columns x horizon rows x limits
-            n = np.minimum(per_horizon[rows][:, None], cut)
-            V = np.zeros(ranks.shape)
-            V[at] = xx[eligible]
-            U = state.noise[rows * width + columns[:, None]]
-            # each column's contribution cell at each horizon row and limit
-            cells = (rows[:, None] * n_limits + np.arange(n_limits)) * width + columns[:, None, None]
-            row_estimates, fallback, totals = rule_estimates(
-                np.repeat(V, n_limits, axis=1),
-                np.repeat(U, n_limits, axis=1),
-                state.contributions[cells].reshape(len(columns), -1),
-                members.reshape(len(columns), -1),
-                n.reshape(-1),
-            )
-            estimated[idx, rows] = True
-            estimates[idx, rows] = row_estimates.reshape(len(rows), n_limits, len(ALL_RULES))
-            fallbacks[idx, rows] = fallback.reshape(len(rows), n_limits)
-            totals = totals.reshape(len(rows), n_limits)
-            # each member of a row with two or more gives a leave-one-out term: its
-            # cell, forecast, row EWM numerator and row size, row by row
-            sized = np.where(n >= 2, n, 0)
-            termed = members.transpose(1, 2, 0) & (sized > 0)[:, :, None]
-            term_bounds = [0, *sized.sum(axis=1).cumsum().tolist()]
-            term_cells = cells.transpose(1, 2, 0)[termed]
-            term_inputs = (
-                np.repeat(V.T[:, None], n_limits, axis=1)[termed],
-                np.repeat(totals.reshape(-1), sized.reshape(-1)),
-                np.repeat(n.reshape(-1), sized.reshape(-1)),
-            )
-            for i, k in enumerate(rows.tolist()):
-                row_at[k] = i
-                if unrestricted is not None:
-                    p_hats[k].append(state.p_hat[k * width + columns[members[:, i, unrestricted]]])
+        pair = data.survey[lo:hi] * n_horizons + data.horizon[lo:hi]
+        entry = slot[lo:hi], row_of[pair] - low  # each eligible forecast's (slot, row)
+        shape3 = (max(widths[first:stop]), len(block), n_limits)
+        members = np.zeros(shape3, dtype=bool)
+        members[entry] = data.rank[lo:hi, None] < cut
+        # each slot's contribution cell per row and limit: (horizon, limit, forecaster)
+        cells = np.zeros(shape3, dtype=np.intp)
+        cells[entry] = (data.horizon[lo:hi, None] * n_limits + np.arange(n_limits)) * width \
+            + data.column[lo:hi, None]
+        flat = (shape3[0], len(block) * n_limits)  # slots x (row, limit)
+        members, cells = members.reshape(flat), cells.reshape(flat)
+        V, U = np.zeros((2, *shape3[:2]))
+        V[entry], U[entry] = data.value[lo:hi], noise_from_p(data.p_hat[lo:hi])
+        V, U = np.repeat(V, n_limits, axis=1), np.repeat(U, n_limits, axis=1)
+        n = np.minimum(sizes[block][:, None], cut).reshape(-1)
+        # each member of a row with two or more, of a target that matures, gives a
+        # leave-one-out term from its forecast and the row's EWM numerator and size
+        totals = _member_sums(np.where(members, V, 0.0))
+        j, i = np.nonzero((members & (n >= 2) & np.repeat(matures[block] < n_surveys, n_limits)).T)
+        terms = contribution_terms(V[i, j], totals[j], n[j], realized[block[j // n_limits]])
+        term_cells = cells[i, j]
+        ends = np.cumsum(np.bincount(j // n_limits, minlength=len(block))).tolist()
+        for target, a, b in zip(block.tolist(), [0, *ends], ends):
+            if a < b:
+                pending[target] = term_cells[a:b], terms[a:b]
 
+        C = np.empty(V.shape)
         start = 0
-        for k, horizon in enumerate(horizons):
-            stop = start + sizes[k]
-            if start == stop:
-                continue
-            realization = panel.realization(variable, add_quarters(survey, horizon - 1))
-            if realization is not None:
-                reported[idx, k] = True
-                realized[idx, k] = realization[0]
-                # stamped after the target quarter ends, so after this survey: a later bucket
-                known = bisect.bisect_left(end_months, realization[1])
-                if known < len(surveys):
-                    i = row_at[k]
-                    if i < 0:
-                        fold = _NO_MEMBERS
-                    else:
-                        part = slice(term_bounds[i], term_bounds[i + 1])
-                        terms = contribution_terms(*(a[part] for a in term_inputs), realization[0])
-                        fold = term_cells[part], terms
-                    d = xx[start:stop] - realization[0]
-                    maturing.setdefault(known, []).append(_Target(k, hf[start:stop], d * d, *fold))
-            start = stop
+        for idx in range(first, stop):
+            matured = targets[due[idx]:due[idx + 1]].tolist()
+            for batch in _rounds([t % n_horizons for t in matured]):
+                folds = [pending.pop(matured[m]) for m in batch if matured[m] in pending]
+                if folds:
+                    where = np.concatenate([c for c, _ in folds])
+                    K = counts[where] + 1
+                    mean = contributions[where]
+                    counts[where] = K
+                    contributions[where] = mean + (np.concatenate([t for _, t in folds]) - mean) / K
+            end = start + row_counts[idx]
+            C[:, start:end] = contributions[cells[:, start:end]]
+            start = end
+        row_estimates, fallback, _ = rule_estimates(V, U, C, members, n)
+        estimated.flat[block] = True
+        estimates.reshape(-1, n_limits, len(ALL_RULES))[block] = \
+            row_estimates.reshape(len(block), n_limits, -1)
+        fallbacks.reshape(-1, n_limits)[block] = fallback.reshape(len(block), n_limits)
 
-    scored = estimated & reported
-    errors = np.zeros(estimates.shape)
-    errors[scored] = estimates[scored] - realized[scored][:, None, None]
-    return _Results(
-        forecast, estimated, scored, estimates, errors, fallbacks,
-        [np.concatenate(p) if p else np.empty(0) for p in p_hats],
-    )
+    scored = estimated & data.reported.reshape(shape)
+    errors = estimates - realized.reshape(shape)[:, :, None, None]
+    errors[~scored] = 0.0
+    p_hats = [data.p_hat[data.horizon == k] if None in limits else np.empty(0)
+              for k in range(n_horizons)]
+    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, p_hats)
+
+
+def _blocks(widths: list[int], row_counts: list[int]) -> list[tuple[int, int]]:
+    """Consecutive runs of surveys whose kernel call stays within ``_BLOCK_ENTRIES``.
+
+    A block's call holds its widest survey's eligible forecasters times all
+    of its rows; a survey that alone exceeds the bound is a block of its own.
+    """
+    blocks: list[tuple[int, int]] = []
+    first = widest = rows = 0
+    for idx, (w, r) in enumerate(zip(widths, row_counts)):
+        if rows and max(widest, w) * (rows + r) > _BLOCK_ENTRIES:
+            blocks.append((first, idx))
+            first, widest, rows = idx, 0, 0
+        widest, rows = max(widest, w), rows + r
+    blocks.append((first, len(widths)))
+    return blocks
 
 
 def cell_estimates(
@@ -543,7 +638,8 @@ def subset_sweep(
     top n. Each rule's RMSE is aggregated across variables, by default as
     the mean of per-variable RMSEs (``aggregate="pooled"`` pools the
     squared errors instead). A size at or above the largest eligible set
-    reproduces the plain backtest.
+    reproduces the plain backtest. The points come by horizon, then rule in
+    the order of ``ALL_RULES``, each requested rule once, then size.
     """
     if aggregate not in ("mean", "pooled"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
@@ -551,6 +647,7 @@ def subset_sweep(
     if not sizes or sizes[0] < 1:
         raise ValueError("subset sizes must be positive")
     _check_inputs(panel, rules, window)
+    rules = [rule for rule in ALL_RULES if rule in rules]
     horizons = sorted(set(horizons))
     # per horizon, each variable's (limit x rule) RMSEs and scored-survey count
     scored: dict[int, list[tuple[np.ndarray, int]]] = {}
@@ -563,17 +660,19 @@ def subset_sweep(
             if count[k] > 0:
                 scored.setdefault(horizon, []).append((rmse[k], int(count[k])))
     points: list[SweepPoint] = []
-    for horizon, matched in scored.items():
+    for horizon in horizons:
+        matched = scored.get(horizon)
+        if not matched:
+            continue
         # Python's sum() over the variables adds left to right, entry by entry
         if aggregate == "mean":
             curve = sum(r for r, _ in matched) / len(matched)
         else:
             total = sum(r * r * c for r, c in matched)
             curve = np.sqrt(total / sum(c for _, c in matched))
-        for l, n in enumerate(sizes):
-            for rule in rules:
-                points.append(SweepPoint(horizon, rule, n, float(curve[l, _RULE_ORDER[rule]])))
-    points.sort(key=lambda p: (p.horizon, _RULE_ORDER[p.rule], p.n_included))
+        for rule in rules:
+            points.extend(SweepPoint(horizon, rule, n, float(curve[l, _RULE_ORDER[rule]]))
+                          for l, n in enumerate(sizes))
     return points
 
 

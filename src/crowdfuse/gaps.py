@@ -234,8 +234,13 @@ def write_grid_csv(cells: Iterable[GridCell], path: str) -> None:
     empty, with zero trials.
     """
     lines = [GRID_CSV_HEADER]
+    # a grid repeats each axis value on many rows, so each value's repr is taken once,
+    # keyed by identity: the entry holds the value, so its id stays its own
+    texts: dict[int, tuple[float, str]] = {}
     for c in cells:
-        lines.append(f"{c.p1!r},{c.p2!r},{float(c.value)!r},,,0")
+        p1 = texts.get(id(c.p1)) or texts.setdefault(id(c.p1), (c.p1, repr(c.p1)))
+        p2 = texts.get(id(c.p2)) or texts.setdefault(id(c.p2), (c.p2, repr(c.p2)))
+        lines.append(f"{p1[1]},{p2[1]},{float(c.value)!r},,,0")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

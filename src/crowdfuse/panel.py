@@ -174,21 +174,24 @@ class ForecastTable:
     @classmethod
     def from_codes(cls, surveys: Sequence[str], variables: Sequence[str], forecasters: Sequence[str],
                    survey: Sequence[int], variable: Sequence[int], horizon: Sequence[int],
-                   forecaster: Sequence[int], value: Sequence[float]) -> ForecastTable:
+                   forecaster: Sequence[int], value: Sequence[float],
+                   order: np.ndarray | None = None) -> ForecastTable:
         """The table of forecasts given as codes into lists of distinct names.
 
         ``surveys``, ``variables`` and ``forecasters`` list distinct names in
         any order, each used by some forecast; ``survey``, ``variable`` and
         ``forecaster`` hold each forecast's position in them. The names are
         sorted, the codes moved to the sorted positions and the entries put
-        in table order.
+        in table order, or in ``order`` where a caller has already sorted
+        them by (variable, survey, horizon, forecaster id).
         """
         names = (surveys, variables, forecasters)
         s, v, f = (_ranks(n)[np.asarray(c, dtype=np.intp)]
                    for n, c in zip(names, (survey, variable, forecaster)))
         h = np.asarray(horizon, dtype=np.intp)
         x = np.asarray(value, dtype=np.float64)
-        order = np.lexsort((f, h, s, v))
+        if order is None:
+            order = np.lexsort((f, h, s, v))
         return cls(*(tuple(sorted(n)) for n in names),
                    s[order], v[order], h[order], f[order], x[order])
 
@@ -448,8 +451,9 @@ def _admit(record: list[str], memos: list[dict[str, int]], distinct: list[list],
 def _read_codes(
     path: str, header: tuple[str, ...], checks: Sequence[tuple[int, Callable]], key: Sequence[int],
     what: str,
-) -> tuple[list[list], np.ndarray]:
-    """The accepted records of one panel file as codes, in file order, from one pass.
+) -> tuple[list[list], np.ndarray, np.ndarray]:
+    """The accepted records of one panel file as codes, in file order, from one pass,
+    and the order that sorts them by their parsed ``key`` columns, ``key[0]`` first.
 
     Each column maps its strings to codes in first-seen order, and
     ``distinct[j][c]`` is the parsed value of column j's code c. ``checks``
@@ -463,8 +467,9 @@ def _read_codes(
     width, or one that a step fails on, is rejected with a line-numbered
     warning; a blank line is skipped silently. Two records whose parsed
     ``key`` columns agree raise :class:`DuplicateRowError` naming both
-    lines, after the warnings of the lines before. A file with no record of
-    the right width warns that it holds no rows.
+    lines and the key, in column order, after the warnings of the lines
+    before; the repeats are found on the sorted order. A file with no
+    record of the right width warns that it holds no rows.
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
@@ -500,7 +505,9 @@ def _read_codes(
                     continue
             lines.append(reader.line_num)
     table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
-    repeat = _first_repeat(lines, [_ranks(distinct[j])[table[:, j]] for j in key])
+    ranks = [_ranks(distinct[j])[table[:, j]] for j in key]
+    order = np.lexsort(ranks[::-1])
+    repeat = _first_repeat(lines, order, ranks)
     for line_no, reason in rejects:
         if repeat is not None and line_no > repeat[1]:
             break
@@ -508,17 +515,21 @@ def _read_codes(
     if repeat is not None:
         first, second, row = repeat
         raise DuplicateRowError(
-            f"{path}: duplicate {what} {tuple(distinct[j][table[row, j]] for j in key)} "
+            f"{path}: duplicate {what} {tuple(distinct[j][table[row, j]] for j in sorted(key))} "
             f"at lines {first} and {second}"
         )
     if not lines and not rejected:
         log.warning("%s: no %s rows", path, what)
-    return distinct, table
+    return distinct, table, order
 
 
-def _first_repeat(lines: list[int], key: list[np.ndarray]) -> tuple[int, int, int] | None:
-    """(earlier line, line, row) of the first line whose key, one rank column per field, repeats."""
-    order = np.lexsort(key[::-1])
+def _first_repeat(
+    lines: list[int], order: np.ndarray, key: list[np.ndarray]
+) -> tuple[int, int, int] | None:
+    """(earlier line, line, row) of the first line whose key, one rank column per field, repeats.
+
+    ``order`` sorts the records by their key, stably.
+    """
     ranked = [k[order] for k in key]
     repeats = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in ranked]))
     if not repeats.size:
@@ -546,24 +557,25 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
     lookup, parsing each distinct string once; the forecast codes go
     straight into the panel's :class:`ForecastTable`.
     """
-    (surveys, variables, horizons, forecasters, values), codes = _read_codes(
+    # keyed in table order, so the sort that finds repeats also orders the table
+    (surveys, variables, horizons, forecasters, values), codes, order = _read_codes(
         forecast_path, FORECAST_HEADER,
         ((0, _period), (2, int), (4, _finite_float), (2, _in_horizon_range)),
-        (0, 1, 2, 3), "forecast",
+        (1, 0, 2, 3), "forecast",
     )
     forecasts = ForecastTable.from_codes(
         surveys, variables, forecasters, codes[:, 0], codes[:, 1],
         np.array(horizons, dtype=np.intp)[codes[:, 2]], codes[:, 3],
-        np.array(values, dtype=np.float64)[codes[:, 4]],
+        np.array(values, dtype=np.float64)[codes[:, 4]], order,
     )
     realizations = _records(RealizationRow, *_read_codes(
         realization_path, REALIZATION_HEADER,
         ((0, _period), (3, _stamp), (2, _finite_float)), (0, 1, 3), "realization",
-    ))
+    )[:2])
     vintages = _records(VintageRow, *_read_codes(
         vintage_path, VINTAGE_HEADER,
         ((0, _stamp), (2, _period), (3, _finite_float)), (0, 1, 2), "vintage",
-    ))
+    )[:2])
     return Panel(forecasts=forecasts, realizations=realizations, vintages=vintages)
 
 

@@ -297,6 +297,35 @@ def test_criterion_7_dm_calibration():
     report("7", f"KS {ks:.3f} < {critical:.3f}; median p {median_p:.5f}; {elapsed:.0f}s")
 
 
+HEADLINE_PANELS = [
+    dict(p_dist="uniform", p_low=0.6, p_high=0.95),
+    dict(p_dist="two_point", p_low=0.7, p_high=0.95, p_share_high=0.5),
+]
+
+
+def test_criterion_9_kf_on_the_cwm_subset_beats_cwm():
+    """The headline claim on synthetic panels: KFplus beats CWM at every horizon."""
+    started = time.monotonic()
+    details = []
+    for spread in HEADLINE_PANELS:
+        for seed in (1, 2, 3):
+            panel = synth_panel(SynthConfig(
+                num_forecasters=40, num_surveys=200, seed=seed, horizons=5, turnover=0.1,
+                p_decay=0.02, **spread,
+            ))
+            report_ = run_backtest(panel, ALL_RULES, calibrate_v(calibration_series(panel)),
+                                   hln=True)
+            rmse = {(c.horizon, c.rule): c.rmse for c in report_.cells}
+            p_values = {c.horizon: c.p_value for c in report_.dm if c.rule == "KFplus"}
+            for horizon in range(1, 6):
+                ratio = rmse[(horizon, "KFplus")] / rmse[(horizon, "CWM")]
+                assert ratio < 1.0, (spread["p_dist"], seed, horizon, ratio)
+                details.append(f"{spread['p_dist']} s{seed} h{horizon}: {ratio:.3f} "
+                               f"(DM p {p_values[horizon]:.3g})")
+    elapsed = time.monotonic() - started
+    report("9", "KFplus/CWM RMSE " + "; ".join(details) + f"; {elapsed:.0f}s")
+
+
 def _spf_paths():
     base = os.environ.get("CROWDFUSE_SPF_DIR", os.path.join("data", "spf"))
     paths = {name: os.path.join(base, f"{name}.csv")

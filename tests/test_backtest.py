@@ -374,6 +374,18 @@ class TestSubsetSweep:
         sizes = [p.n_included for p in points if p.rule == "EWM"]
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
+    def test_rule_named_twice_reported_once(self):
+        panel, calib = synth_calibrated(
+            SynthConfig(num_forecasters=5, num_surveys=14, seed=79, horizons=2)
+        )
+        once = subset_sweep(panel, (1, 2), [2, 3], calib, rules=("EWM",))
+        assert len(once) == 4
+        assert subset_sweep(panel, (1, 2), [2, 3], calib, rules=("EWM", "EWM")) == once
+        # built in report order whatever the order asked for
+        points = subset_sweep(panel, (2, 1), [3, 2], calib, rules=("KFplus", "EWM"))
+        assert points == sorted(points, key=lambda p: (p.horizon, ALL_RULES.index(p.rule),
+                                                       p.n_included))
+
     def test_bad_sizes(self):
         panel, calib = synth_calibrated(
             SynthConfig(num_forecasters=4, num_surveys=10, seed=78)

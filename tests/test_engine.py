@@ -266,9 +266,9 @@ def _reports(report):
 
 
 def late_stamp_panel():
-    """Two horizons, three forecasters (c always exact), and realizations
-    stamped late so that three targets of horizon 1 mature at 2000Q4 and
-    again at 2001Q3, after the members are eligible."""
+    """Two horizons, four forecasters (c always exact, d on odd surveys), and
+    realizations stamped late so that three targets of horizon 1 mature at
+    2000Q4 and again at 2001Q4, after the members are eligible."""
     surveys = [add_quarters("2000Q1", i) for i in range(10)]
     truth = [1.0, 2.5, 0.5, -1.0, 2.0, 1.5, 0.0, 3.0, 1.0, 2.0, 0.5]
     stamps = {0: 3, 1: 2, 2: 1, 3: 3, 4: 3, 5: 2, 6: 1, 7: 1, 8: 2, 9: 1, 10: 1}
@@ -420,32 +420,70 @@ class TestEngineEqualsOracle:
 
         monkeypatch.setattr(backtest, "_rounds", counted)
         report = run_backtest(panel, ALL_RULES, calib)
-        # three targets of horizon 1 mature together at 2000Q4 and at 2001Q3
+        # three targets of horizon 1 mature together at 2000Q4 and at 2001Q4
         assert rounds_at.count(3) == 2
         assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
         assert sum(c.n_surveys for c in report.cells) > 0
 
 
 class TestKernelCalls:
-    def test_one_rule_call_per_survey_with_an_eligible_member(self, monkeypatch):
+    @pytest.mark.parametrize("entries", [None, 500])
+    def test_each_estimated_row_in_one_call_per_block(self, monkeypatch, entries):
+        if entries is not None:  # a bound of about two surveys
+            monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", entries)
         panel = synth_panel(SynthConfig(num_forecasters=10, num_surveys=24, seed=5, horizons=3,
                                         turnover=0.5, p_dist="uniform"))
         calib = calibrate_v(calibration_series(panel))
+        sizes = range(1, 9)
         calls = []
         kernel = backtest.rule_estimates
 
         def counted(V, U, C, M, n):
-            calls.append(M.shape[1])  # member-major: one row per (horizon, limit)
-            return kernel(V, U, C, M, n)
+            got = kernel(V, U, C, M, n)
+            calls.append(got[0])  # member-major: one row per (survey, horizon, limit)
+            return got
 
         monkeypatch.setattr(backtest, "rule_estimates", counted)
-        points = subset_sweep(panel, (1, 2, 3), range(1, 9), calib)
+        points = subset_sweep(panel, (1, 2, 3), sizes, calib)
         assert points
-        estimated = set()
+        expected, estimated = [], set()
         for horizon in (1, 2, 3):
-            trail = oracle_cell_estimates(panel, "SYN", horizon, ("EWM",), calib)["EWM"]
-            estimated.update(s for s, _ in trail)
-        assert len(calls) == len(estimated)
-        # every call carries a row per (horizon, limit), never one per limit
-        assert max(calls) == 3 * 8
-        assert all(rows % 8 == 0 for rows in calls)
+            trails = oracle_run_cell(panel, "SYN", horizon, calib, sizes, None)
+            for n in sizes:
+                expected += [tuple(rules) for _, rules in trails[n][0]]
+            estimated.update(s for s, _ in trails[1][0])  # every limit estimates alike
+        # every estimated survey's rows appear once, one per (horizon, limit)
+        rows = [tuple(row) for estimates in calls for row in estimates.tolist()]
+        assert sorted(rows) == sorted(expected)
+        assert all(len(estimates) % len(sizes) == 0 for estimates in calls)
+        assert len(calls) < len(estimated)
+        assert entries is None or len(calls) > len(estimated) // 3
+
+    def test_targets_fold_across_blocks(self, monkeypatch):
+        # blocks [0, 5), [5, 7), [7, 9) and [9, 10): three targets of horizon 1,
+        # made in the first two blocks, mature together at the third block's
+        # first survey, and the one made at its first survey matures at its second
+        panel, calib = LATE
+        monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 16)
+        made = []
+        blocks = backtest._blocks
+
+        def recorded(widths, row_counts):
+            made.append(blocks(widths, row_counts))
+            return made[-1]
+
+        monkeypatch.setattr(backtest, "_blocks", recorded)
+        report = run_backtest(panel, ALL_RULES, calib)
+        assert made[0] == [(0, 5), (5, 7), (7, 9), (9, 10)]
+        end_months = [period_end_month(s) for s in panel.surveys]
+        matures = [bisect.bisect_left(end_months, panel.realization("X", s)[1])
+                   for s in panel.surveys]  # horizon 1 targets its own survey's quarter
+        assert [s for s in range(7) if matures[s] == 7] == [4, 5, 6]
+        assert matures[7] == 8
+        assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
+        sizes = (1, 2, 3)
+        got = subset_sweep(panel, (1, 2), sizes, calib, ALL_RULES, "mean", None)
+        assert got == oracle_subset_sweep(panel, (1, 2), sizes, calib, ALL_RULES, "mean", None)
+        for horizon in (1, 2):
+            got = cell_estimates(panel, "X", horizon, ALL_RULES, calib)
+            assert got == oracle_cell_estimates(panel, "X", horizon, ALL_RULES, calib)

@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from crowdfuse.gaps import (
     GapKind,
+    GridCell,
     _normal_cdf,
     draw_sample_variances,
     expected_gap_analytic,
@@ -293,6 +294,12 @@ class TestGaussianLimit:
         assert len(lines) == 101
         for line, cell in zip(lines[1:], cells):
             assert line == f"{cell.p1!r},{cell.p2!r},{cell.value!r},,,0"
+        # equal values with different reprs keep their own, from a one-pass iterator too
+        cells = [GridCell(0.0, -0.0, 1.0), GridCell(-0.0, 0.0, 2.0),
+                 GridCell(0.5, np.float64(0.5), 3.0)]
+        write_grid_csv(iter(cells), str(grid_path))
+        lines = grid_path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [f"{c.p1!r},{c.p2!r},{c.value!r},,,0" for c in cells]
         conv_path = tmp_path / "conv.csv"
         write_convergence_csv([(4, 0.2), (16, 0.1)], str(conv_path))
         assert conv_path.read_text(encoding="utf-8").splitlines()[0] == "C,ks_distance"
