@@ -322,7 +322,7 @@ def _states(
     d, at, matured = error[event], matures[event], cell[event]
     del error, matures, event
     history = np.bincount(matured, minlength=size)  # matured errors per cell
-    mse = _mse_trajectories(matured, d * d, history, window)
+    mse = _mse_trajectories(matured, np.multiply(d, d, out=d), history, window)  # d * d, in place
     del d
     p_hat = p_from_mse(mse, 1, unit)  # the element count is 1, as in panel.Calibration
     key = matured * (n_surveys + 1) + at
@@ -340,12 +340,14 @@ class _Inputs(NamedTuple):
     Per (survey, horizon), flat: ``forecast`` marks those with forecasts,
     ``reported``, ``realized`` and ``matures`` are as :func:`_targets` gives
     them and ``sizes`` counts the eligible forecasts. Per eligible forecast,
-    in table order: its ``survey``, ``horizon`` (a position in the
-    horizons), ``column`` (its forecaster's place among the variable's
-    ``width`` forecasters, in sorted-id order) and ``value``, its
-    forecaster's ``p_hat`` as of the survey (see :func:`_states`), and its
-    ``rank`` by reliability within its (survey, horizon), 0 for all where
-    no limit cuts an eligible set.
+    in table order: its ``pair`` (survey x horizons + the horizon's
+    position), ``column`` (its forecaster's place among the variable's
+    ``width`` forecasters, in sorted-id order), ``slot`` (its forecaster's
+    place among those eligible at any horizon of the survey, whose number
+    ``widths`` gives per survey) and ``value``, its forecaster's ``p_hat``
+    as of the survey (see :func:`_states`), and its ``rank`` by reliability
+    within its (survey, horizon), 0 for all where no limit cuts an
+    eligible set.
     """
 
     width: int
@@ -354,9 +356,10 @@ class _Inputs(NamedTuple):
     realized: np.ndarray
     matures: np.ndarray
     sizes: np.ndarray
-    survey: np.ndarray
-    horizon: np.ndarray
+    pair: np.ndarray
     column: np.ndarray
+    slot: np.ndarray
+    widths: list[int]
     value: np.ndarray
     p_hat: np.ndarray
     rank: np.ndarray
@@ -379,24 +382,28 @@ def _inputs(
     present[f.forecaster[mine]] = True
     width = int(present.sum())
     column = (np.cumsum(present) - 1)[f.forecaster[mine]]
-    horizon_at = np.searchsorted(horizons, f.horizon[mine])
-    pair = survey * n_horizons + horizon_at  # each forecast's (survey, horizon)
+    pair = survey * n_horizons + np.searchsorted(horizons, f.horizon[mine])  # (survey, horizon)
     forecast = np.zeros(n_surveys * n_horizons, dtype=bool)
     forecast[pair] = True
     reported, realized, matures = _targets(panel, variable, horizons, forecast)
     eligible, p_hat, mse = _states(
-        horizon_at * width + column, survey, matures[pair], value - realized[pair],
+        pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
         n_surveys, n_horizons * width, unit, window,
     )
-    pair, column = pair[eligible], column[eligible]
+    pair, column, value = pair[eligible], column[eligible], value[eligible]
     sizes = np.bincount(pair, minlength=len(forecast))
+    # member slots: each forecaster's place among the survey's eligible ones
+    first_slot = pair // n_horizons * width
+    slots, slot = np.unique(first_slot + column, return_inverse=True)
+    slot -= np.searchsorted(slots, first_slot)
     if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
         rank = rank_by_reliability(pair, column, p_hat, mse)
     else:
-        rank = np.broadcast_to(np.intp(0), pair.shape)
+        rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     return _Inputs(
         width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
-        survey[eligible], horizon_at[eligible], column, value[eligible], p_hat, rank,
+        pair, column, slot, np.bincount(slots // max(width, 1), minlength=n_surveys).tolist(),
+        value, p_hat, rank,
     )
 
 
@@ -433,11 +440,8 @@ def _run_variable(
         window = None  # covers every history
     data = _inputs(panel, variable, horizons, calib[variable], limits, window)
     width, matures, realized, sizes = data.width, data.matures, data.realized, data.sizes
+    widths = data.widths
     cut = np.array([width if n is None else n for n in limits])
-    # each eligible forecast's member slot: its forecaster's place among the survey's eligible ones
-    slots, slot = np.unique(data.survey * width + data.column, return_inverse=True)
-    slot -= np.searchsorted(slots, data.survey * width)
-    widths = np.bincount(slots // max(width, 1), minlength=n_surveys).tolist()
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
     row_counts = (np.bincount(rows // n_horizons, minlength=n_surveys) * n_limits).tolist()
@@ -453,25 +457,24 @@ def _run_variable(
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
     fallbacks = np.zeros((*shape, n_limits), dtype=bool)
     for first, stop in _blocks(widths, row_counts):
-        lo, hi = np.searchsorted(data.survey, (first, stop))
+        lo, hi = np.searchsorted(data.pair, (first * n_horizons, stop * n_horizons))
         low, high = np.searchsorted(rows, (first * n_horizons, stop * n_horizons))
         block = rows[low:high]
         if not len(block):  # a variable without estimates, so without terms to fold
             continue
-        pair = data.survey[lo:hi] * n_horizons + data.horizon[lo:hi]
-        entry = slot[lo:hi], row_of[pair] - low  # each eligible forecast's (slot, row)
+        pair = data.pair[lo:hi]
+        entry = data.slot[lo:hi], row_of[pair] - low  # each eligible forecast's (slot, row)
         shape3 = (max(widths[first:stop]), len(block), n_limits)
         members = np.zeros(shape3, dtype=bool)
         members[entry] = data.rank[lo:hi, None] < cut
         # each slot's contribution cell per row and limit: (horizon, limit, forecaster)
         cells = np.zeros(shape3, dtype=np.intp)
-        cells[entry] = (data.horizon[lo:hi, None] * n_limits + np.arange(n_limits)) * width \
+        cells[entry] = ((pair % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
             + data.column[lo:hi, None]
+        V, U = np.zeros((2, *shape3))  # forecasts and noises, alike at every limit
+        V[entry], U[entry] = data.value[lo:hi, None], noise_from_p(data.p_hat[lo:hi])[:, None]
         flat = (shape3[0], len(block) * n_limits)  # slots x (row, limit)
-        members, cells = members.reshape(flat), cells.reshape(flat)
-        V, U = np.zeros((2, *shape3[:2]))
-        V[entry], U[entry] = data.value[lo:hi], noise_from_p(data.p_hat[lo:hi])
-        V, U = np.repeat(V, n_limits, axis=1), np.repeat(U, n_limits, axis=1)
+        members, cells, V, U = (a.reshape(flat) for a in (members, cells, V, U))
         n = np.minimum(sizes[block][:, None], cut).reshape(-1)
         # each member of a row with two or more, of a target that matures, gives a
         # leave-one-out term from its forecast and the row's EWM numerator and size
@@ -508,7 +511,7 @@ def _run_variable(
     scored = estimated & data.reported.reshape(shape)
     errors = estimates - realized.reshape(shape)[:, :, None, None]
     errors[~scored] = 0.0
-    p_hats = [data.p_hat[data.horizon == k] if None in limits else np.empty(0)
+    p_hats = [data.p_hat[data.pair % n_horizons == k] if None in limits else np.empty(0)
               for k in range(n_horizons)]
     return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, p_hats)
 
