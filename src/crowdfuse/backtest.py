@@ -329,7 +329,7 @@ def _states(
     del matured, at
     last = np.searchsorted(key, cell * (n_surveys + 1) + survey, side="right") - 1
     del key
-    eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)
+    eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)  # two or more
     last = last[eligible]
     return eligible, p_hat[last], mse[last]
 
@@ -424,11 +424,10 @@ def _run_variable(
 
     Up front, :func:`_inputs` gives the eligible forecasts, their
     forecasters' states and their ranks. Then the surveys go in blocks
-    (see :func:`_blocks`). A block
-    builds its members, EWM numerators and leave-one-out terms at once,
-    walks its surveys to fold in the terms that mature at each and to read
-    the contribution means it estimates with, and makes one
-    :func:`rule_estimates` call. A kernel row is a (survey, horizon,
+    (see :func:`_blocks`). A block builds its members, EWM numerators and
+    leave-one-out terms at once, walks its surveys to fold in the terms
+    that mature at each and to read the contribution means it estimates
+    with, and makes one :func:`rule_estimates` call. A kernel row is a (survey, horizon,
     limit); the members along the first axis are the survey's forecasters
     eligible at any of its horizons, in sorted-id order. Terms fold in
     rounds of at most one target per horizon, so each horizon's means see
@@ -439,8 +438,8 @@ def _run_variable(
     if window is not None and window >= n_surveys:
         window = None  # covers every history
     data = _inputs(panel, variable, horizons, calib[variable], limits, window)
-    width, matures, realized, sizes = data.width, data.matures, data.realized, data.sizes
-    widths = data.widths
+    width, widths, sizes = data.width, data.widths, data.sizes
+    matures, realized = data.matures, data.realized
     cut = np.array([width if n is None else n for n in limits])
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
