@@ -35,10 +35,10 @@ def main() -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     for kind in GapKind:
-        cells = figure_grid(kind, args.resolution)
+        grid = figure_grid(kind, args.resolution)
         path = os.path.join(args.out_dir, f"grid_{kind.value}.csv")
-        write_grid_csv(cells, path)
-        print(f"wrote {path} ({len(cells)} cells)")
+        write_grid_csv(grid, path)
+        print(f"wrote {path} ({grid.values.size} cells)")
 
     rng = np.random.default_rng(args.seed)
     points = gaussian_limit_check(Judge(0.75), [4, 16, 64, 256], 100_000, rng)

@@ -34,6 +34,7 @@ from .fusion import (
 from .gaps import (
     GapEstimate,
     GapKind,
+    Grid,
     expected_gap_analytic,
     figure_grid,
     gaussian_limit_check,

@@ -55,7 +55,19 @@ def _check_output(path: str, force: bool) -> None:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _sample_moment(centered: np.ndarray, sample_var: float, k: int) -> float | None:
+    """The k-th standardized sample moment, or None where it has no value in doubles.
+
+    That is a sample with zero variance (all draws agree), or one whose
+    powers underflow to zero or overflow.
+    """
+    try:
+        return float((centered**k).mean()) / sample_var ** (k / 2)
+    except ArithmeticError:
+        return None
+
+
+def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_output(args.out, args.force)
     judge = Judge(args.p)
     env = Environment(norm=args.norm, count=args.C, unit=args.v, deviation=args.t)
@@ -65,6 +77,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n = args.samples
 
     centered = draws - draws.mean()
+    if draws.min() == draws.max():
+        centered[:] = 0.0  # draws that all agree have no spread, whatever the mean's rounding
     sample_mean = float(draws.mean())
     sample_var = float((centered**2).mean())
     rows = [
@@ -75,28 +89,39 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         var_stderr = m.variance * math.sqrt(max(m.kurtosis - 1.0, 0.0) / n)
         rows.append(("variance", m.variance, sample_var, 4.0 * var_stderr))
-        sample_skew = float((centered**3).mean()) / sample_var**1.5
-        sample_kurt = float((centered**4).mean()) / sample_var**2
         rows.append(
-            ("skewness", m.skewness, sample_skew,
+            ("skewness", m.skewness, _sample_moment(centered, sample_var, 3),
              max(0.1 * abs(m.skewness), 5.0 * math.sqrt(6.0 / n)))
         )
         rows.append(
-            ("kurtosis", m.kurtosis, sample_kurt,
+            ("kurtosis", m.kurtosis, _sample_moment(centered, sample_var, 4),
              max(0.1 * m.kurtosis, 5.0 * math.sqrt(24.0 / n)))
         )
 
+    # a moment the sample cannot give leaves its sample and abs_error fields empty
     write_csv(args.out, SIMULATE_CSV_HEADER, (
-        (name, analytic, sample, abs(sample - analytic), tolerance)
+        (name, analytic, sample, None if sample is None else abs(sample - analytic), tolerance)
         for name, analytic, sample, tolerance in rows
     ))
     return 0
 
 
-def _cmd_theory(args: argparse.Namespace) -> int:
+def _cmd_theory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_output(args.out, args.force)
     gaps.write_grid_csv(gaps.figure_grid(_KINDS[args.kind], args.resolution), args.out)
     return 0
+
+
+def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Reject input flags that conflict or would be ignored, before any work."""
+    files = (args.forecasts, args.realizations, args.vintages)
+    if args.synthetic:
+        if any(files):
+            parser.error("--synthetic cannot be combined with --forecasts/--realizations/--vintages")
+    elif not all(files):
+        parser.error("either --synthetic or all of --forecasts/--realizations/--vintages")
+    elif args.seed is not None:
+        parser.error("--seed seeds the generator and needs --synthetic")
 
 
 def _load_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Panel, Calibration]:
@@ -107,8 +132,6 @@ def _load_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
             parser.error(str(exc))
         panel = synth_panel(config)
     else:
-        if not (args.forecasts and args.realizations and args.vintages):
-            parser.error("either --synthetic or all of --forecasts/--realizations/--vintages")
         panel = load_panel(args.forecasts, args.realizations, args.vintages)
     series = calibration_series(panel)
     missing = sorted(panel.variables - set(series))
@@ -128,6 +151,7 @@ def _parse_rules(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
 
 
 def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_inputs(args, parser)
     rules = _parse_rules(args.rules, parser)
     out_paths = {
         name: os.path.join(args.out_dir, name)
@@ -147,6 +171,7 @@ def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         parser.error(f"invalid subset range {args.n_min}..{args.n_max}")
+    _check_inputs(args, parser)
     rules = _parse_rules(args.rules, parser)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "sweep.csv")
@@ -212,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--v", type=float, required=True, help="evidence unit per element")
     sim.add_argument("--t", type=int, required=True, help="net signed deviation")
     sim.add_argument("--norm", type=float, default=0.0, help="category norm (default 0)")
-    sim.add_argument("--samples", type=int, required=True, help="number of draws")
+    sim.add_argument("--samples", type=_positive_int, required=True, help="number of draws (>= 1)")
     sim.add_argument("--seed", type=int, required=True, help="random seed")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--force", action="store_true", help="overwrite an existing output")
@@ -238,26 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "theory": _cmd_theory,
+    "backtest": _cmd_backtest,
+    "sweep": _cmd_sweep,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "theory":
-            return _cmd_theory(args)
-        if args.command == "backtest":
-            return _cmd_backtest(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, parser)
     except (PanelError, ValueError) as exc:
         print(f"crowdfuse: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"crowdfuse: io error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

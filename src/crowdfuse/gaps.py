@@ -25,7 +25,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,13 +60,11 @@ class GapEstimate:
             raise ValueError("trials must be positive")
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One plot-ready grid record: the two reliabilities and the closed-form gap."""
+class Grid(NamedTuple):
+    """One gap surface: ``values[i, j]`` is the gap at reliabilities ``(axis[i], axis[j])``."""
 
-    p1: float
-    p2: float
-    value: float
+    axis: np.ndarray
+    values: np.ndarray
 
 
 def draw_sample_variances(
@@ -110,27 +108,33 @@ def realized_gaps(
     raise ValueError(f"unknown gap kind {kind!r}")
 
 
-def expected_gap_analytic(kind: GapKind, sigma1_2: float, sigma2_2: float) -> float:
+def expected_gap_analytic(kind: GapKind, sigma1_2, sigma2_2):
     """Closed-form expected gap for weights estimated from n = 2 observations.
 
-    Written in x = sqrt(a / b) so that each form is one rational function
-    with no cancellation: regular over the whole domain, including the
-    diagonal a = b, where the three gaps are b/4, -b/4 and b/4.
+    Elementwise over arrays of true variances a = ``sigma1_2`` and
+    b = ``sigma2_2``, broadcast together (a float for floats). Written in
+    x = sqrt(a / b) so that each form is one rational function with no
+    cancellation: regular over the whole domain, including the diagonal
+    a = b, where the three gaps are b/4, -b/4 and b/4.
     """
-    a, b = sigma1_2, sigma2_2
-    if not (a > 0.0 and b > 0.0):
+    a = np.asarray(sigma1_2, dtype=np.float64)
+    b = np.asarray(sigma2_2, dtype=np.float64)
+    if not ((a > 0.0) & (b > 0.0)).all():
         raise ValueError("true variances must be positive")
-    x = math.sqrt(a / b)
+    x = np.sqrt(a / b)
+    x1 = x + 1.0
     x2 = x * x
     if kind is GapKind.KFU_VS_KFC:
-        return b * x * (x2 * x2 + 2.0 * x2 * x - 2.0 * x2 + 2.0 * x + 1.0) / (
-            2.0 * (x + 1.0) ** 2 * (x2 + 1.0)
+        gap = b * x * (x2 * x2 + 2.0 * x2 * x - 2.0 * x2 + 2.0 * x + 1.0) / (
+            2.0 * (x1 * x1) * (x2 + 1.0)
         )
-    if kind is GapKind.EW_VS_KFU:
-        return b * (x2 - 2.0 * x - 1.0) * (x2 + 2.0 * x - 1.0) / (4.0 * (x + 1.0) ** 2)
-    if kind is GapKind.SR_VS_KFU:
-        return b * x * (2.0 * x2 * x + 3.0 * x2 - 2.0 * x - 1.0) / (2.0 * (x + 1.0) ** 2)
-    raise ValueError(f"unknown gap kind {kind!r}")
+    elif kind is GapKind.EW_VS_KFU:
+        gap = b * (x2 - 2.0 * x - 1.0) * (x2 + 2.0 * x - 1.0) / (4.0 * (x1 * x1))
+    elif kind is GapKind.SR_VS_KFU:
+        gap = b * x * (2.0 * x2 * x + 3.0 * x2 - 2.0 * x - 1.0) / (2.0 * (x1 * x1))
+    else:
+        raise ValueError(f"unknown gap kind {kind!r}")
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def monte_carlo_gap(
@@ -165,21 +169,18 @@ def monte_carlo_gap(
     return GapEstimate(monte_carlo_mean=mean, monte_carlo_stderr=stderr, trials=trials)
 
 
-def figure_grid(kind: GapKind, resolution: int) -> list[GridCell]:
+def figure_grid(kind: GapKind, resolution: int) -> Grid:
     """Evaluate one gap surface over a reliability grid.
 
-    The axes are reliabilities p1, p2 in [0.51, 0.995], mapped to the
-    variances 4(1-p)p; every cell is the closed form.
+    The axis holds ``resolution`` reliabilities in [0.51, 0.995], each mapped
+    to the variance 4(1-p)p; every value is the closed form, from one call
+    over the mesh of those variances.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
-    axis = [float(p) for p in np.linspace(_GRID_P_LO, _GRID_P_HI, resolution)]
-    points = [(p, variance_from_p(p, 1, 1.0)) for p in axis]
-    return [
-        GridCell(p1, p2, expected_gap_analytic(kind, a, b))
-        for p1, a in points
-        for p2, b in points
-    ]
+    axis = np.linspace(_GRID_P_LO, _GRID_P_HI, resolution)
+    var = np.array([variance_from_p(p, 1, 1.0) for p in axis.tolist()])
+    return Grid(axis, expected_gap_analytic(kind, var[:, None], var))
 
 
 def gaussian_limit_check(
@@ -226,21 +227,17 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 
 
 # Joined by hand, not panel.write_csv: repr floats, "" and 0 never need quoting, and csv.writer slows the grid write.
-def write_grid_csv(cells: Iterable[GridCell], path: str) -> None:
-    """Write grid records as UTF-8 CSV.
+def write_grid_csv(grid: Grid, path: str) -> None:
+    """Write a grid as UTF-8 CSV, one row per (p1, p2), p1-major.
 
     Every row is ``p1,p2,value,,,0``: the gap sits in the ``analytic``
     column, and the Monte Carlo columns of the six-column header stay
     empty, with zero trials.
     """
+    texts = [repr(p) for p in grid.axis.tolist()]
     lines = [GRID_CSV_HEADER]
-    # a grid repeats each axis value on many rows, so each value's repr is taken once,
-    # keyed by identity: the entry holds the value, so its id stays its own
-    texts: dict[int, tuple[float, str]] = {}
-    for c in cells:
-        p1 = texts.get(id(c.p1)) or texts.setdefault(id(c.p1), (c.p1, repr(c.p1)))
-        p2 = texts.get(id(c.p2)) or texts.setdefault(id(c.p2), (c.p2, repr(c.p2)))
-        lines.append(f"{p1[1]},{p2[1]},{float(c.value)!r},,,0")
+    for p1, row in zip(texts, grid.values.tolist()):
+        lines.extend(f"{p1},{p2},{value!r},,,0" for p2, value in zip(texts, row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -139,28 +139,25 @@ def test_criterion_4_figure_sign_structure():
     started = time.monotonic()
 
     cost = figure_grid(GapKind.KFU_VS_KFC, 50)
-    assert all(c.value >= 0.0 for c in cost)
-    by_col: dict[float, list] = {}
-    for c in cost:
-        by_col.setdefault(c.p2, []).append(c)
-    for column in by_col.values():
-        values = [c.value for c in sorted(column, key=lambda c: c.p1)]
-        assert all(b < a for a, b in zip(values, values[1:]))
+    p1, p2 = np.meshgrid(cost.axis, cost.axis, indexing="ij")
+    assert (cost.values >= 0.0).all()
+    # down each column (p2 fixed) the gap falls strictly as p1 rises
+    assert (np.diff(cost.axis) > 0.0).all()
+    assert (np.diff(cost.values, axis=0) < 0.0).all()
 
     ew = figure_grid(GapKind.EW_VS_KFU, 50)
-    for c in ew:
-        if c.p1 == c.p2:
-            assert c.value < 0.0, (c.p1, c.p2)
-        elif max(c.p1, c.p2) <= 0.951:
-            assert c.value < 0.0, (c.p1, c.p2)
-        if max(c.p1, c.p2) >= 0.99 and min(c.p1, c.p2) <= 0.955:
-            assert c.value > 0.0, (c.p1, c.p2)
+    assert (ew.axis == cost.axis).all()
+    hi, lo = np.maximum(p1, p2), np.minimum(p1, p2)
+    assert (ew.values[p1 == p2] < 0.0).all()
+    assert (ew.values[hi <= 0.951] < 0.0).all()
+    assert (ew.values[(hi >= 0.99) & (lo <= 0.955)] > 0.0).all()
 
     sr = figure_grid(GapKind.SR_VS_KFU, 50)
-    negatives = [c for c in sr if c.value < 0.0]
-    assert negatives
-    assert all(c.p1 >= 0.83 and c.p2 < c.p1 for c in negatives)
-    assert all(c.value > 0.0 for c in sr if c.p2 >= c.p1)
+    assert (sr.axis == cost.axis).all()
+    negative = sr.values < 0.0
+    assert negative.any()
+    assert ((p1 >= 0.83) & (p2 < p1))[negative].all()
+    assert (sr.values[p2 >= p1] > 0.0).all()
     assert expected_gap_analytic(
         GapKind.SR_VS_KFU, variance_from_p(0.95, 1, 1.0), variance_from_p(0.6, 1, 1.0)
     ) < 0.0

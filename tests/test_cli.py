@@ -133,6 +133,44 @@ class TestSimulate:
         for row in rows:
             assert float(row[3]) < float(row[4])
 
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_samples_below_one_usage_error(self, tmp_path, capsys, samples):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as err:
+            main([
+                "simulate", "--p", "0.8", "--C", "5", "--v", "1", "--t", "1",
+                "--samples", samples, "--seed", "1", "--out", str(out),
+            ])
+        assert err.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, empty", [
+        # one draw, and fifty draws that all agree (exactly, and only up to the mean's rounding)
+        (["--p", "0.75", "--C", "4", "--v", "1", "--t", "0", "--samples", "1"],
+         {"skewness", "kurtosis"}),
+        (["--p", "0.999", "--C", "2", "--v", "1", "--t", "0", "--samples", "50"],
+         {"skewness", "kurtosis"}),
+        (["--p", "0.999", "--C", "2", "--v", "0.1", "--t", "0", "--norm", "0.3", "--samples", "50"],
+         {"skewness", "kurtosis"}),
+        # the fourth power of a 1e-100 spread underflows; the third does not
+        (["--p", "0.75", "--C", "4", "--v", "1e-100", "--t", "0", "--samples", "100"],
+         {"kurtosis"}),
+    ])
+    def test_sample_without_shape_leaves_fields_empty(self, tmp_path, flags, empty):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *flags, "--seed", "1", "--out", str(out)]) == 0
+        rows = {r[0]: r[1:] for r in csv.reader(out.read_text().splitlines()[1:])}
+        assert list(rows) == ["mean", "variance", "skewness", "kurtosis"]
+        for name, (analytic, sample, abs_error, tolerance) in rows.items():
+            assert math.isfinite(float(analytic)) and math.isfinite(float(tolerance))
+            if name in empty:
+                assert (sample, abs_error) == ("", ""), name
+            else:
+                assert abs(float(sample) - float(analytic)) == float(abs_error), name
+        if "skewness" in empty:
+            assert float(rows["variance"][1]) == 0.0
+
     def test_missing_seed_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main([
@@ -279,6 +317,15 @@ class TestBacktest:
             main(["backtest", "--out-dir", str(tmp_path / "r")])
         assert err.value.code == 2
 
+    def test_variable_without_vintages_exits_one(self, tmp_path, capsys):
+        inputs = edited_golden_panel(tmp_path, {})
+        vintages = tmp_path / "vintages.csv"
+        lines = vintages.read_text(encoding="utf-8").splitlines(keepends=True)
+        vintages.write_text("".join(line for line in lines if ",UNEMP," not in line),
+                            encoding="utf-8")
+        assert main(["backtest", *inputs, "--out-dir", str(tmp_path / "r")]) == 1
+        assert "no vintage data to calibrate variables: ['UNEMP']" in capsys.readouterr().err
+
     def test_rules_subset_and_unknown(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "r"
@@ -413,6 +460,33 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "horizons 1,2" in capsys.readouterr().err
         assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--forecasts", "F", "--realizations", "F", "--vintages", "F", "--seed", "1"],
+         "--seed seeds the generator and needs --synthetic"),
+        (["--synthetic", "F", "--seed", "1", "--forecasts", "F"], "--synthetic cannot be combined"),
+        (["--synthetic", "F", "--realizations", "F"], "--synthetic cannot be combined"),
+        (["--synthetic", "F", "--vintages", "F"], "--synthetic cannot be combined"),
+        (["--forecasts", "F", "--realizations", "F"], "either --synthetic or all of"),
+    ])
+    def test_ignored_input_flags_before_any_work(self, tmp_path, capsys, monkeypatch, command,
+                                                 flags, message):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("input read before the input flags were checked")
+
+        monkeypatch.setattr(cli, "load_panel", no_reading)
+        monkeypatch.setattr(cli, "load_synth_config", no_reading)
+        out_dir = tmp_path / "r"
+        missing = str(tmp_path / "absent.csv")
+        argv = [command, *[missing if f == "F" else f for f in flags], "--out-dir", str(out_dir)]
+        if command == "sweep":
+            argv += ["--n-min", "1", "--n-max", "3"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["backtest", "sweep"])
     @pytest.mark.parametrize("inputs", ["files", "synthetic"])

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from crowdfuse.gaps import (
     GapKind,
-    GridCell,
+    Grid,
     _normal_cdf,
     draw_sample_variances,
     expected_gap_analytic,
@@ -166,6 +166,8 @@ class TestAnalyticForms:
                         assert abs(expected_gap_analytic(kind, a, b) - value) <= d
         with pytest.raises(ValueError):
             expected_gap_analytic(GapKind.SR_VS_KFU, 0.0, 1.0)
+        with pytest.raises(ValueError, match="true variances must be positive"):
+            expected_gap_analytic(GapKind.KFU_VS_KFC, np.array([1.0, math.nan]), 1.0)
 
 
 class TestMonteCarloGap:
@@ -224,36 +226,48 @@ class TestMonteCarloGap:
         assert one.trials == 2_000_000
 
 
+def mesh(grid):
+    """The p1 and p2 of every grid value, as arrays shaped like ``grid.values``."""
+    return np.meshgrid(grid.axis, grid.axis, indexing="ij")
+
+
 class TestFigureGrid:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             figure_grid(GapKind.KFU_VS_KFC, 9)
 
     def test_uncertainty_cost_surface(self):
-        cells = figure_grid(GapKind.KFU_VS_KFC, 10)
-        assert len(cells) == 100
-        assert all(c.value >= 0.0 for c in cells)
-        diag = [c for c in cells if c.p1 == c.p2]
-        assert len(diag) == 10
-        for c in diag:
-            assert c.value == pytest.approx(variance_from_p(c.p2, 1, 1.0) / 4.0, rel=1e-15)
+        grid = figure_grid(GapKind.KFU_VS_KFC, 10)
+        assert grid.axis.shape == (10,) and grid.values.shape == (10, 10)
+        assert (grid.values >= 0.0).all()
+        p1, p2 = mesh(grid)
+        assert (p1 == p2).sum() == 10
+        for p, value in zip(p2[p1 == p2].tolist(), grid.values[p1 == p2].tolist()):
+            assert value == pytest.approx(variance_from_p(p, 1, 1.0) / 4.0, rel=1e-15)
+
+    def test_values_are_the_closed_form_at_each_point(self):
+        grid = figure_grid(GapKind.SR_VS_KFU, 10)
+        for i, p1 in enumerate(grid.axis.tolist()):
+            for j, p2 in enumerate(grid.axis.tolist()):
+                a, b = variance_from_p(p1, 1, 1.0), variance_from_p(p2, 1, 1.0)
+                assert grid.values[i, j] == expected_gap_analytic(GapKind.SR_VS_KFU, a, b)
 
     def test_equal_weight_surface_signs(self):
-        cells = figure_grid(GapKind.EW_VS_KFU, 10)
-        for c in cells:
-            if max(c.p1, c.p2) <= 0.951:
-                assert c.value < 0.0
-            if max(c.p1, c.p2) >= 0.99 and min(c.p1, c.p2) <= 0.9:
-                assert c.value > 0.0
-            if c.p1 == c.p2:
-                assert c.value == pytest.approx(-variance_from_p(c.p2, 1, 1.0) / 4.0, rel=1e-15)
+        grid = figure_grid(GapKind.EW_VS_KFU, 10)
+        p1, p2 = mesh(grid)
+        hi, lo = np.maximum(p1, p2), np.minimum(p1, p2)
+        assert (grid.values[hi <= 0.951] < 0.0).all()
+        assert (grid.values[(hi >= 0.99) & (lo <= 0.9)] > 0.0).all()
+        for p, value in zip(p2[p1 == p2].tolist(), grid.values[p1 == p2].tolist()):
+            assert value == pytest.approx(-variance_from_p(p, 1, 1.0) / 4.0, rel=1e-15)
 
     def test_subset_surface_signs(self):
-        cells = figure_grid(GapKind.SR_VS_KFU, 10)
-        negatives = [c for c in cells if c.value < 0.0]
-        assert negatives, "the subset rule should win somewhere"
-        assert all(c.p1 >= 0.8 and c.p2 < c.p1 for c in negatives)
-        assert all(c.value > 0.0 for c in cells if c.p1 == c.p2)
+        grid = figure_grid(GapKind.SR_VS_KFU, 10)
+        p1, p2 = mesh(grid)
+        negative = grid.values < 0.0
+        assert negative.any(), "the subset rule should win somewhere"
+        assert ((p1 >= 0.8) & (p2 < p1))[negative].all()
+        assert (grid.values[p1 == p2] > 0.0).all()
 
 
 class TestGaussianLimit:
@@ -287,19 +301,23 @@ class TestGaussianLimit:
 
     def test_csv_writers(self, tmp_path):
         grid_path = tmp_path / "grid.csv"
-        cells = figure_grid(GapKind.SR_VS_KFU, 10)
-        write_grid_csv(cells, str(grid_path))
+        grid = figure_grid(GapKind.SR_VS_KFU, 10)
+        write_grid_csv(grid, str(grid_path))
         lines = grid_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "p1,p2,analytic,mc_mean,mc_stderr,trials"
         assert len(lines) == 101
-        for line, cell in zip(lines[1:], cells):
-            assert line == f"{cell.p1!r},{cell.p2!r},{cell.value!r},,,0"
-        # equal values with different reprs keep their own, from a one-pass iterator too
-        cells = [GridCell(0.0, -0.0, 1.0), GridCell(-0.0, 0.0, 2.0),
-                 GridCell(0.5, np.float64(0.5), 3.0)]
-        write_grid_csv(iter(cells), str(grid_path))
+        axis = grid.axis.tolist()
+        cells = [(p1, p2, grid.values[i, j]) for i, p1 in enumerate(axis) for j, p2 in enumerate(axis)]
+        for line, (p1, p2, value) in zip(lines[1:], cells):
+            assert line == f"{p1!r},{p2!r},{float(value)!r},,,0"
+        # equal axis values with different reprs keep their own, and the float64 axis
+        # is written as float reprs, not np.float64(...)
+        grid = Grid(np.array([0.0, -0.0, 0.5]), np.arange(9.0).reshape(3, 3))
+        write_grid_csv(grid, str(grid_path))
         lines = grid_path.read_text(encoding="utf-8").splitlines()
-        assert lines[1:] == [f"{c.p1!r},{c.p2!r},{c.value!r},,,0" for c in cells]
+        texts = ["0.0", "-0.0", "0.5"]
+        assert lines[1:] == [f"{p1},{p2},{3.0 * i + j!r},,,0"
+                             for i, p1 in enumerate(texts) for j, p2 in enumerate(texts)]
         conv_path = tmp_path / "conv.csv"
         write_convergence_csv([(4, 0.2), (16, 0.1)], str(conv_path))
         assert conv_path.read_text(encoding="utf-8").splitlines()[0] == "C,ks_distance"

@@ -281,6 +281,19 @@ class TestLoadPanel:
             f"does not match {header!r}"
         )
 
+    @pytest.mark.parametrize("name", FILES)
+    def test_zero_byte_file(self, tmp_path, name):
+        paths = write_inputs(tmp_path, **{name: ""})
+        path = paths[list(FILES).index(name)]
+        header = FILES[name].split("\n", 1)[0]
+        with pytest.raises(SchemaError) as err:
+            load_panel(*paths)
+        assert str(err.value) == f"{path}: empty file, expected header {header}"
+
+    def test_unknown_transform(self):
+        with pytest.raises(ValueError, match="unknown transform 'logs'"):
+            Panel(ForecastTable.from_rows(()), (), (), transform="logs")
+
     def test_empty_forecast_file_warns(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             panel = load_panel(
@@ -760,6 +773,17 @@ class TestSynthPanel:
             SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_value=0.4)
         with pytest.raises(ValueError):
             SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_dist="beta")
+        for bad, message in [
+            ({"horizons": 0}, "horizons must lie in"),
+            ({"horizons": 6}, "horizons must lie in"),
+            ({"p_share_high": -0.1}, "p_share_high must lie in"),
+            ({"p_share_high": 1.5}, "p_share_high must lie in"),
+            ({"p_decay": -0.01}, "p_decay must be nonnegative"),
+            ({"count": 0}, "count must be >= 1 and unit positive"),
+            ({"unit": 0.0}, "count must be >= 1 and unit positive"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SynthConfig(num_forecasters=2, num_surveys=5, seed=1, **bad)
         # a panel whose values pass MAX_MAGNITUDE would overflow the reliability estimate
         with pytest.raises(ValueError, match="count \\* unit must not exceed 1e\\+50"):
             SynthConfig(num_forecasters=4, num_surveys=20, seed=3, unit=1e100)
@@ -793,6 +817,12 @@ class TestSynthConfigFile:
         path = tmp_path / "gen.cfg"
         path.write_text("num_forecasters = 3\nnum_surveys = 4\n", encoding="utf-8")
         with pytest.raises(MissingSeedError):
+            load_synth_config(str(path))
+
+    def test_line_without_equals(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        path.write_text("num_forecasters = 3\nnum_surveys 4\nseed = 1\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"{re.escape(str(path))}:2: expected 'key = value'"):
             load_synth_config(str(path))
 
     def test_unknown_key(self, tmp_path):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from crowdfuse.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,4 +39,8 @@ def test_theory_grids(tmp_path):
         rows = (tmp_path / f"grid_{kind}.csv").read_text().splitlines()
         assert rows[0].startswith("p1,p2,")
         assert len(rows) == 1 + 10 * 10
+        # the script and `crowdfuse theory` write the same grid file
+        theory = tmp_path / f"theory_{kind}.csv"
+        assert main(["theory", "--kind", kind, "--resolution", "10", "--out", str(theory)]) == 0
+        assert (tmp_path / f"grid_{kind}.csv").read_bytes() == theory.read_bytes()
     assert (tmp_path / "gaussian_limit.csv").read_text().strip()
