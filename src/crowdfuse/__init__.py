@@ -8,6 +8,7 @@ from .aggregation import (
     RULE_KFPLUS,
     NoEligibleForecastersError,
     contribution_terms,
+    member_forecasts,
     rank_by_reliability,
     rule_estimates,
 )

@@ -23,10 +23,12 @@ The kernels work on rows. A row is one member set of one survey; the
 backtest makes one row per (horizon, eligible-set limit) of a survey.
 Arrays are member-major: forecasters along the first axis, in sorted-id
 order, and rows along the second, with a boolean mask marking each row's
-members. :func:`rule_estimates` returns every row's four estimates, its
-CWM fallback flag and its EWM numerator; :func:`contribution_terms` gives
-realized rows' leave-one-out terms from those numerators, entry by entry,
-for the backtest to fold into its running means; and
+members. :func:`member_forecasts` masks the forecasts to each row's members
+and sums them into the rows' EWM numerators, once for both of their users:
+:func:`rule_estimates` returns every row's four estimates and its CWM
+fallback flag from them, and :func:`contribution_terms` gives realized
+rows' leave-one-out terms, entry by entry, for the backtest to fold into
+its running means; and
 :func:`rank_by_reliability` ranks forecasters for the top-n
 smaller-wiser-crowd runs. Each weight formula lives once, in a private
 helper, and every rule's weights are checked to sum to one on every row.
@@ -98,29 +100,37 @@ def _contribution_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return _normalize(np.where(keep, scores, 0.0))
 
 
+def member_forecasts(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forecasts ``V`` on each row's members ``M`` and 0 elsewhere, and their
+    sums per row, the EWM numerators; both members x rows but the sums."""
+    X = np.where(M, V, 0.0)
+    return X, _member_sums(X)
+
+
 def rule_estimates(
-    V: np.ndarray, U: np.ndarray, C: np.ndarray, M: np.ndarray, n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X: np.ndarray, totals: np.ndarray, U: np.ndarray, C: np.ndarray, M: np.ndarray,
+    n: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """The EWM, KF, CWM and KFplus estimates of every row.
 
-    ``V`` holds the forecasts, ``U`` each forecaster's noise (1 - p) p of
-    their estimated reliability and ``C`` their mean leave-one-out term,
-    all members x rows; ``M`` marks each row's members and ``n`` counts
-    them. Entries outside ``M`` are never read, so they may hold anything.
+    ``X`` holds the forecasts on each row's members and 0 elsewhere, and
+    ``totals`` their sums, as :func:`member_forecasts` gives them; ``U``
+    holds each forecaster's noise (1 - p) p of their estimated reliability
+    and ``C`` their mean leave-one-out term, all members x rows; ``M``
+    marks each row's members and ``n`` counts them. Entries of ``U`` and
+    ``C`` outside ``M`` are never read, so they may hold anything.
 
-    Returns the estimates (rows x 4, in the order of ``ALL_RULES``), the
+    Returns the estimates (rows x 4, in the order of ``ALL_RULES``) and the
     CWM fallback flags (true where no member has a positive contribution,
-    so that CWM and KFplus fall back to the equal-weight mean) and the EWM
-    numerators, the sums of each row's forecasts. Every rule's weights are
-    checked to sum to one, on every row where the rule weighs.
+    so that CWM and KFplus fall back to the equal-weight mean). Every
+    rule's weights are checked to sum to one, on every row where the rule
+    weighs.
     """
     if not (n > 0).all():
         raise NoEligibleForecastersError("nobody eligible")
     invalid = M & ~(U >= 0.0)  # true for NaN, the noise of a forecaster without an estimate
     if invalid.any():
         raise ValueError(f"a member has no reliability estimate: noise {float(U[invalid][0])!r}")
-    X = np.where(M, V, 0.0)
-    totals = _member_sums(X)
     keep = M & (C > 0.0)
     fallback = ~keep.any(axis=0)
     fused = _inverse_variance_weights(U[:, None], np.stack((M, keep), axis=1))  # KF, KFplus
@@ -137,7 +147,7 @@ def rule_estimates(
     kf, kp = _member_sums(fused)
     cw = _member_sums(scored)
     estimates = np.stack((ew, kf, np.where(fallback, ew, cw), np.where(fallback, ew, kp)), axis=1)
-    return estimates, fallback, totals
+    return estimates, fallback
 
 
 def contribution_terms(
@@ -146,8 +156,8 @@ def contribution_terms(
     """Each member entry's leave-one-out term for a realized row.
 
     The arrays align entry by entry: a member's forecast, their row's EWM
-    numerator and member count (at least two), as :func:`rule_estimates`
-    gave them, and the row's realization. The term is the squared error of
+    numerator (as :func:`member_forecasts` gives it) and member count (at
+    least two), and the row's realization. The term is the squared error of
     the row's mean without the member minus that of the mean with them.
     """
     d_all = totals / n - realized

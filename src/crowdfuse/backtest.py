@@ -63,6 +63,7 @@ from .aggregation import (
     RULE_CWM,
     _member_sums,
     contribution_terms,
+    member_forecasts,
     rank_by_reliability,
     rule_estimates,
 )
@@ -317,16 +318,17 @@ def _states(
     matured by its survey. It is eligible from two such errors on.
     """
     event = np.flatnonzero(matures < n_surveys)
-    event = event[np.lexsort((matures[event], cell[event]))]  # stable: survey order at a tie
+    key = cell[event] * (n_surveys + 1) + matures[event]  # by cell, then maturation
+    order = np.argsort(key, kind="stable")  # stable: survey order at a tie
+    key, event = key[order], event[order]
     # error and matures are the caller's temporaries, freed here once read
-    d, at, matured = error[event], matures[event], cell[event]
-    del error, matures, event
+    del matures, order
+    d, matured = error[event], cell[event]
+    del error, event
     history = np.bincount(matured, minlength=size)  # matured errors per cell
     mse = _mse_trajectories(matured, np.multiply(d, d, out=d), history, window)  # d * d, in place
-    del d
+    del d, matured
     p_hat = p_from_mse(mse, 1, unit)  # the element count is 1, as in panel.Calibration
-    key = matured * (n_surveys + 1) + at
-    del matured, at
     last = np.searchsorted(key, cell * (n_surveys + 1) + survey, side="right") - 1
     del key
     eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)  # two or more
@@ -393,17 +395,19 @@ def _inputs(
     pair, column, value = pair[eligible], column[eligible], value[eligible]
     sizes = np.bincount(pair, minlength=len(forecast))
     # member slots: each forecaster's place among the survey's eligible ones
-    first_slot = pair // n_horizons * width
-    slots, slot = np.unique(first_slot + column, return_inverse=True)
-    slot -= np.searchsorted(slots, first_slot)
+    at = pair // n_horizons * width + column  # (survey, forecaster)
+    present = np.zeros((n_surveys, width), dtype=bool)
+    present.flat[at] = True
+    slot = np.cumsum(present, axis=1).reshape(-1)[at] - 1
+    widths = np.count_nonzero(present, axis=1).tolist()
+    del at, present
     if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
         rank = rank_by_reliability(pair, column, p_hat, mse)
     else:
         rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     return _Inputs(
         width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
-        pair, column, slot, np.bincount(slots // max(width, 1), minlength=n_surveys).tolist(),
-        value, p_hat, rank,
+        pair, column, slot, widths, value, p_hat, rank,
     )
 
 
@@ -475,18 +479,21 @@ def _run_variable(
         flat = (shape3[0], len(block) * n_limits)  # slots x (row, limit)
         members, cells, V, U = (a.reshape(flat) for a in (members, cells, V, U))
         n = np.minimum(sizes[block][:, None], cut).reshape(-1)
+        X, totals = member_forecasts(V, members)  # for the terms and the kernel alike
+        del V
         # each member of a row with two or more, of a target that matures, gives a
-        # leave-one-out term from its forecast and the row's EWM numerator and size
-        totals = _member_sums(np.where(members, V, 0.0))
-        j, i = np.nonzero((members & (n >= 2) & np.repeat(matures[block] < n_surveys, n_limits)).T)
-        terms = contribution_terms(V[i, j], totals[j], n[j], realized[block[j // n_limits]])
+        # leave-one-out term from its forecast and the row's EWM numerator and size,
+        # row by row (a C-ordered mask, where np.nonzero is fast)
+        j, i = np.nonzero(np.ascontiguousarray(
+            (members & (n >= 2) & np.repeat(matures[block] < n_surveys, n_limits)).T))
+        terms = contribution_terms(X[i, j], totals[j], n[j], realized[block[j // n_limits]])
         term_cells = cells[i, j]
         ends = np.cumsum(np.bincount(j // n_limits, minlength=len(block))).tolist()
         for target, a, b in zip(block.tolist(), [0, *ends], ends):
             if a < b:
                 pending[target] = term_cells[a:b], terms[a:b]
 
-        C = np.empty(V.shape)
+        C = np.empty(X.shape)
         start = 0
         for idx in range(first, stop):
             matured = targets[due[idx]:due[idx + 1]].tolist()
@@ -501,7 +508,7 @@ def _run_variable(
             end = start + row_counts[idx]
             C[:, start:end] = contributions[cells[:, start:end]]
             start = end
-        row_estimates, fallback, _ = rule_estimates(V, U, C, members, n)
+        row_estimates, fallback = rule_estimates(X, totals, U, C, members, n)
         estimated.flat[block] = True
         estimates.reshape(-1, n_limits, len(ALL_RULES))[block] = \
             row_estimates.reshape(len(block), n_limits, -1)

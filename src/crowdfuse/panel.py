@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quincunx import Environment, sample_estimate_each
+from .quincunx import MAX_MAGNITUDE, Environment, sample_estimate_each
 
 log = logging.getLogger(__name__)
 
@@ -46,19 +46,14 @@ UNTRANSFORMED_VARIABLES = frozenset({"UNEMP"})
 MIN_HORIZON = 1
 MAX_HORIZON = 5
 
-# The largest magnitude a panel value may have, and the inverse of the
-# smallest evidence unit. Reliability estimation forms cap * (cap - mse) with
-# cap = v**2, which goes with the fourth power of the data's magnitude;
-# within these bounds it neither overflows nor underflows.
-MAX_MAGNITUDE = 1e50
-
 # The synthetic panel's one variable, its category norm and its first year.
 SYNTH_VARIABLE = "SYN"
 SYNTH_NORM = 100.0
 SYNTH_START_YEAR = 2000
 
 _PERIOD_RE = re.compile(r"^(\d{4})Q([1-4])$")
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
+# a vintage stamp: YYYYQn, or YYYY-MM with an optional -DD
+_STAMP_RE = re.compile(r"^(\d{4})(?:Q([1-4])|-(\d{2})(?:-(\d{2}))?)$")
 
 
 class PanelError(ValueError):
@@ -128,16 +123,21 @@ def period_end_month(period: str) -> tuple[int, int]:
     return year, 3 * quarter
 
 
+@functools.lru_cache(maxsize=4096)
 def asof_key(text: str) -> tuple[int, int]:
-    """(year, month) ordering key for a vintage stamp (YYYYQn or ISO date)."""
-    m = _PERIOD_RE.match(text)
+    """(year, month) ordering key for a vintage stamp (YYYYQn or ISO date).
+
+    Memoized like :func:`parse_period`: the loader checks each distinct
+    stamp and the first-report table orders every row by it, so each
+    stamp meets the regex once. A string that fails is not cached.
+    """
+    m = _STAMP_RE.match(text)
     if m:
-        return int(m.group(1)), 3 * int(m.group(2))
-    m = _DATE_RE.match(text)
-    if m:
-        year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)
-        if 1 <= month <= 12 and 1 <= day <= 31:
-            return year, month
+        year, quarter, month, day = m.groups()
+        if quarter:
+            return int(year), 3 * int(quarter)
+        if 1 <= int(month) <= 12 and 1 <= int(day or 1) <= 31:
+            return int(year), int(month)
     raise PanelError(f"bad vintage stamp {text!r}, expected YYYYQn or YYYY-MM[-DD]")
 
 
@@ -448,6 +448,28 @@ def _admit(record: list[str], memos: list[dict[str, int]], distinct: list[list],
     return codes
 
 
+def _encoder(memos: list[dict[str, int]]) -> Callable[[list[str]], tuple[int, ...]]:
+    """A record's codes, one subscript of a memo per field, for records of ``len(memos)`` fields.
+
+    Unpacking a record of another width raises ``ValueError``, and a string
+    not yet memoised raises ``KeyError``; the reader tells the two apart.
+    The schemas have four and five columns.
+    """
+    if len(memos) == 5:
+        m0, m1, m2, m3, m4 = memos
+
+        def encode(record: list[str]) -> tuple[int, ...]:
+            a, b, c, d, e = record
+            return m0[a], m1[b], m2[c], m3[d], m4[e]
+    else:
+        m0, m1, m2, m3 = memos
+
+        def encode(record: list[str]) -> tuple[int, ...]:
+            a, b, c, d = record
+            return m0[a], m1[b], m2[c], m3[d]
+    return encode
+
+
 def _read_codes(
     path: str, header: tuple[str, ...], checks: Sequence[tuple[int, Callable]], key: Sequence[int],
     what: str,
@@ -460,7 +482,8 @@ def _read_codes(
     lists ``(column, check)`` steps in the order they run; a step gets the
     string, or the column's last step's result, and raises to reject the
     record. The strings of an accepted record are memoised, so a record of
-    known strings costs one lookup per field; a string that fails is not.
+    known strings costs one unpacking and one subscript per field
+    (:func:`_encoder`); a string that fails is not memoised.
 
     A record is named by the physical line it ends on, so one holding a
     quoted line break is named by its last line. A record of the wrong
@@ -473,6 +496,7 @@ def _read_codes(
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
+    encode = _encoder(memos)
     distinct: list[list] = [[] for _ in header]
     codes: list[int] = []
     lines: list[int] = []
@@ -489,14 +513,13 @@ def _read_codes(
                 f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
             )
         for record in reader:
-            if len(record) != width:
+            try:
+                codes += encode(record)
+            except ValueError:  # the wrong width
                 if record:
                     rejects.append((reader.line_num, f"expected {width} columns, got {len(record)}"))
                 continue
-            try:
-                codes += map(dict.__getitem__, memos, record)
-            except KeyError:
-                del codes[len(lines) * width:]
+            except KeyError:  # a string not seen yet
                 try:
                     codes += _admit(record, memos, distinct, checks)
                 except (PanelError, ValueError) as exc:
@@ -506,6 +529,12 @@ def _read_codes(
             lines.append(reader.line_num)
     table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
     ranks = [_ranks(distinct[j])[table[:, j]] for j in key]
+    spans = [int(r.max(initial=-1)) + 1 for r in ranks]
+    if math.prod(spans) <= np.iinfo(np.int64).max:  # one mixed-radix column sorts faster
+        packed = ranks[0]
+        for r, span in zip(ranks[1:], spans[1:]):
+            packed = packed * span + r
+        ranks = [packed]
     order = np.lexsort(ranks[::-1])
     repeat = _first_repeat(lines, order, ranks)
     for line_no, reason in rejects:
@@ -526,9 +555,10 @@ def _read_codes(
 def _first_repeat(
     lines: list[int], order: np.ndarray, key: list[np.ndarray]
 ) -> tuple[int, int, int] | None:
-    """(earlier line, line, row) of the first line whose key, one rank column per field, repeats.
+    """(earlier line, line, row) of the first line whose key repeats.
 
-    ``order`` sorts the records by their key, stably.
+    ``key`` holds rank columns, one per field or one packing the whole key,
+    and ``order`` sorts the records by them, stably.
     """
     ranked = [k[order] for k in key]
     repeats = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in ranked]))
@@ -554,7 +584,7 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
     :class:`DuplicateRowError` naming both lines. Keys compare parsed
     values, so horizons written ``3`` and ``03`` are one key. Each file is
     read by one per-row reader that turns every field into a code with one
-    lookup, parsing each distinct string once; the forecast codes go
+    subscript, parsing each distinct string once; the forecast codes go
     straight into the panel's :class:`ForecastTable`.
     """
     # keyed in table order, so the sort that finds repeats also orders the table

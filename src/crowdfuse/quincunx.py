@@ -27,6 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
+# The largest magnitude a panel value, an environment's norm or its span
+# count * unit may have, and the inverse of the smallest evidence unit of a
+# panel. Reliability estimation forms cap * (cap - mse) with cap = v**2, and
+# a walk's fourth moment goes with (count * unit)**4; within these bounds
+# neither overflows nor underflows.
+MAX_MAGNITUDE = 1e50
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -34,7 +41,9 @@ class Environment:
 
     ``deviation`` is the signed sum of the element signs, so the true
     magnitude is ``norm + deviation * unit``. It must satisfy
-    ``|deviation| <= count`` and share the parity of ``count``.
+    ``|deviation| <= count`` and share the parity of ``count``, and
+    ``|norm|`` and ``count * unit`` may not exceed ``MAX_MAGNITUDE``, so
+    that every moment of the walk is finite in doubles.
     """
 
     norm: float
@@ -49,8 +58,13 @@ class Environment:
             raise ValueError(f"deviation must be an integer, got {self.deviation!r}")
         if not (self.unit > 0.0 and math.isfinite(self.unit)):
             raise ValueError(f"unit must be a positive finite real, got {self.unit!r}")
-        if not math.isfinite(self.norm):
-            raise ValueError(f"norm must be finite, got {self.norm!r}")
+        # a count past the bound is refused before it can overflow the product
+        if self.count > MAX_MAGNITUDE or not self.count * self.unit <= MAX_MAGNITUDE:
+            raise ValueError(f"count * unit must not exceed {MAX_MAGNITUDE:g}, "
+                             f"got count {self.count!r} and unit {self.unit!r}")
+        if not abs(self.norm) <= MAX_MAGNITUDE:
+            raise ValueError(f"norm must be finite and at most {MAX_MAGNITUDE:g} in magnitude, "
+                             f"got {self.norm!r}")
         if abs(self.deviation) > self.count:
             raise ValueError(
                 f"|deviation| = {abs(self.deviation)} exceeds count = {self.count}"

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from crowdfuse.aggregation import ALL_RULES, contribution_terms, rule_estimates
+from crowdfuse.aggregation import ALL_RULES, contribution_terms, member_forecasts, rule_estimates
 from crowdfuse.backtest import dm_test, run_backtest
 from crowdfuse.gaps import (
     GapKind,
@@ -220,7 +220,7 @@ def test_criterion_6_cwm_oracle_equivalence():
             V = np.array([[forecasts.get(j, 0.0)] for j in ids])
             M = np.array([[j in forecasts] for j in ids])
             n = M.sum(axis=0)
-            _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C, M, n)
+            _, totals = member_forecasts(V, M)
             terms = contribution_terms(V[M], totals[0], n[0], realized)
             K[M] += 1
             C[M] += (terms - C[M]) / K[M]
@@ -254,8 +254,9 @@ def test_criterion_6_cwm_oracle_equivalence():
         else:
             expected = sum(current[j] for j in ids) / len(ids)
         V = np.array([[current[j]] for j in ids])
-        got, _, _ = rule_estimates(V, np.full(V.shape, 0.25), C, np.ones(V.shape, dtype=bool),
-                                   np.array([n_f]))
+        M = np.ones(V.shape, dtype=bool)
+        got, _ = rule_estimates(*member_forecasts(V, M), np.full(V.shape, 0.25), C, M,
+                                np.array([n_f]))
         cw = got[0, 2]
         assert abs(cw - expected) < 1e-10
     elapsed = time.monotonic() - started

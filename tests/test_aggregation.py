@@ -12,6 +12,7 @@ from crowdfuse.aggregation import (
     _inverse_variance_weights,
     _member_sums,
     contribution_terms,
+    member_forecasts,
     rank_by_reliability,
     rule_estimates,
 )
@@ -67,6 +68,11 @@ def one_row(values, noises=None, scores=None):
     return V, U, C, np.ones(V.shape, dtype=bool), np.array([len(values)])
 
 
+def estimate_rows(V, U, C, M, n):
+    """The rule kernel on the forecasts masked to each row's members, as the backtest calls it."""
+    return rule_estimates(*member_forecasts(V, M), U, C, M, n)
+
+
 def kernel(forecasts, noise, contributions):
     """The kernel's (EWM, KF, CWM, KFplus, fallback) for one survey, as one row.
 
@@ -75,7 +81,7 @@ def kernel(forecasts, noise, contributions):
     """
     ids, values = members(forecasts)
     row = one_row(values, [noise[j] for j in ids], [contributions.get(j, 0.0) for j in ids])
-    got, fallback, _ = rule_estimates(*row)
+    got, fallback = estimate_rows(*row)
     return (*got[0].tolist(), bool(fallback[0]))
 
 
@@ -116,7 +122,7 @@ def fold_history(history):
     """Fold realized surveys one row each, in order; the terms' running means and counts.
 
     The members are every forecaster of the history in sorted order, and
-    each survey's EWM numerator comes from the rule kernel, as in the
+    each survey's EWM numerator comes from ``member_forecasts``, as in the
     backtest.
     """
     ids = sorted({j for forecasts, _ in history for j in forecasts})
@@ -128,7 +134,7 @@ def fold_history(history):
         V = column([forecasts.get(j, 0.0) for j in ids])
         M = np.array([[j in forecasts] for j in ids])
         n = M.sum(axis=0)
-        _, _, totals = rule_estimates(V, np.full(V.shape, 0.25), C[:, None], M, n)
+        _, totals = member_forecasts(V, M)
         if n[0] >= 2:
             cells = np.flatnonzero(M[:, 0])
             fold_terms(C, K, cells, contribution_terms(V[cells, 0], totals[0], n[0], realized))
@@ -374,7 +380,7 @@ class TestKfCrowd:
             assert again == base
             # the columns in another order sum in another order: equal to rounding
             row = one_row([forecasts[j] for j in order], [Judge(ps[j]).noise for j in order])
-            permuted = rule_estimates(*row)[0][0, 1]
+            permuted = estimate_rows(*row)[0][0, 1]
             assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_matches_recursive_fold(self):
@@ -401,7 +407,7 @@ class TestKfCrowd:
     def test_missing_reliability_raises(self):
         # even a member whose weight would be zero beside a perfect one needs an estimate
         with pytest.raises(ValueError):
-            rule_estimates(*one_row([1.0, 2.0], [0.0, float("nan")]))
+            estimate_rows(*one_row([1.0, 2.0], [0.0, float("nan")]))
 
 
 class TestCwm:
@@ -623,7 +629,8 @@ class TestRuleKernel:
             singles.append(kernel(current, {j: (1.0 - p) * p for j, p in ps.items()},
                                   contributions))
         n = M.sum(axis=0)
-        got, fallback, totals = rule_estimates(V, U, C, M, n)
+        X, totals = member_forecasts(V, M)
+        got, fallback = rule_estimates(X, totals, U, C, M, n)
         assert [(*e, bool(f)) for e, f in zip(got.tolist(), fallback)] == singles
         # the rows' member entries folded flat, in one update, as the backtest folds a round
         realized = np.linspace(-1.0, 1.0, len(stacked))
@@ -642,17 +649,17 @@ class TestRuleKernel:
         # a member whose noise is NaN (no estimate) or negative cannot be weighed
         for bad in (float("nan"), -0.1):
             with pytest.raises(ValueError, match="no reliability estimate"):
-                rule_estimates(*one_row([1.0, 2.0], [0.16, bad]))
+                estimate_rows(*one_row([1.0, 2.0], [0.16, bad]))
         # a column outside the row's members is never read
         V, U, C, M, _ = one_row([1.0, 2.0], [0.16, float("nan")])
         M[1, 0] = False
-        got, _, _ = rule_estimates(V, U, C, M, np.array([1]))
+        got, _ = estimate_rows(V, U, C, M, np.array([1]))
         assert got[0].tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_empty_raises(self):
         V, U, C, M, _ = one_row([1.0, 2.0])
         with pytest.raises(NoEligibleForecastersError):
-            rule_estimates(V, U, C, M & False, np.array([0]))
+            estimate_rows(V, U, C, M & False, np.array([0]))
 
     @given(histories)
     @settings(max_examples=200, deadline=None)

@@ -171,6 +171,28 @@ class TestSimulate:
         if "skewness" in empty:
             assert float(rows["variance"][1]) == 0.0
 
+    @pytest.mark.parametrize("flags, reason", [
+        # an evidence unit whose walk variance would overflow doubles
+        (["--p", "0.75", "--C", "4", "--v", "1e200", "--t", "0"], "count * unit must not exceed"),
+        (["--p", "0.75", "--C", "4", "--v", "2.5e49", "--t", "0", "--norm=-1e51"],
+         "norm must be finite and at most 1e+50"),
+        (["--p", "0.75", "--C", "4", "--v", "1", "--t", "0", "--norm", "nan"],
+         "norm must be finite"),
+    ])
+    def test_magnitude_past_bound_exits_one(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *flags, "--samples", "100", "--seed", "1", "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_magnitude_at_bound_is_finite(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--p", "0.75", "--C", "4", "--v", "2.5e49", "--t", "0",
+                     "--norm", "1e50", "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()[1:]))
+        assert [r[0] for r in rows] == ["mean", "variance", "skewness", "kurtosis"]
+        assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
+
     def test_missing_seed_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main([

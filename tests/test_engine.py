@@ -438,8 +438,8 @@ class TestKernelCalls:
         calls = []
         kernel = backtest.rule_estimates
 
-        def counted(V, U, C, M, n):
-            got = kernel(V, U, C, M, n)
+        def counted(X, totals, U, C, M, n):
+            got = kernel(X, totals, U, C, M, n)
             calls.append(got[0])  # member-major: one row per (survey, horizon, limit)
             return got
 

@@ -544,6 +544,63 @@ class TestOnePassLoader:
         assert len(calls) <= distinct + rejected
         assert calls.count("2000Q5") == 10
 
+    @pytest.mark.parametrize("tail, warned", [
+        # a record one field short and one a field long, both of strings already
+        # memoised, a blank line, then a record with a new string after known ones
+        (["2000Q1,X,1,a", "2000Q1,X,1,a,1.5,1.5", "", "2000Q1,X,2,b,1.5", "2000Q2,X,1,a,9.5"],
+         [(5, "expected 5 columns, got 4"), (6, "expected 5 columns, got 6")]),
+        # a new string that fails its check right after known ones, then the same row fixed
+        (["2000Q1,X,2,a,1.5", "2000Q3,X,7,a,1.5", "", "2000Q3,X,2,a,1.5"],
+         [(6, "horizon 7 outside 1..5")]),
+    ])
+    def test_encoder_rejections_match_oracle(self, tmp_path, tail, warned):
+        head = ["survey,variable,horizon,forecaster_id,value", "2000Q1,X,1,a,1.5",
+                "2000Q1,X,1,b,1.5", "2000Q2,X,2,a,1.5"]
+        paths = write_inputs(tmp_path, forecasts="\n".join(head + tail) + "\n")
+        expected_rows, expected_messages, duplicate = oracle_load(paths[0])
+        got, messages = load_logged(paths)
+        assert duplicate is None
+        assert messages == expected_messages == [
+            f"{paths[0]}:{line}: {reason}; row rejected" for line, reason in warned
+        ]
+        assert got.forecasts.rows() == sorted(expected_rows, key=canonical)
+
+    def test_parses_each_stamp_once(self, tmp_path, monkeypatch):
+        # load_panel and calibration_series on the golden files: each distinct
+        # stamp meets the stamp regex once, though both the loader's check and
+        # the first-report tables read it
+        calls = []
+        pattern = panel_module._STAMP_RE
+
+        class Counted:
+            def match(self, text):
+                calls.append(text)
+                return pattern.match(text)
+
+        monkeypatch.setattr(panel_module, "_STAMP_RE", Counted())
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden", "files")
+        paths = [os.path.join(golden, f"{name}.csv")
+                 for name in ("forecasts", "realizations", "vintages")]
+        asof_key.cache_clear()
+        panel = load_panel(*paths)
+        assert calibration_series(panel)
+        stamps = {r.vintage for r in panel.realizations} | {v.asof for v in panel.vintages}
+        assert len(stamps) > 1
+        assert sorted(calls) == sorted(stamps)
+        # a bad stamp is not memoised: every row that holds it meets the regex and is rejected
+        calls.clear()
+        vintages = VINTAGES + "2000-13,RGDP,1999Q3,1.0\n2000Q3,RGDP,1999Q4,1.0\n" \
+            "2000-13,RGDP,2000Q3,1.0\n"
+        paths = write_inputs(tmp_path, vintages=vintages)
+        asof_key.cache_clear()
+        panel, messages = load_logged(paths)
+        assert calls.count("2000-13") == 2
+        assert messages == [
+            f"{paths[2]}:{line}: bad vintage stamp '2000-13', expected YYYYQn or YYYY-MM[-DD]; "
+            "row rejected" for line in (6, 8)
+        ]
+        assert len(panel.vintages) == 5
+
 
 # periods two years wide, so lag-4 joins happen; stamps that tie in a month
 # (2000Q2 and 2000-06-30, 2000Q4 and 2000-12), values with a zero base and a

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdfuse.quincunx import (
+    MAX_MAGNITUDE,
     Environment,
     Judge,
     Moments,
@@ -49,6 +50,12 @@ class TestValidation:
             Environment(norm=0.0, count=4, unit=0.0, deviation=0)
         with pytest.raises(ValueError):
             Environment(norm=0.0, count=0, unit=1.0, deviation=0)
+        # |norm| and count * unit up to MAX_MAGNITUDE, no further
+        Environment(norm=-MAX_MAGNITUDE, count=4, unit=MAX_MAGNITUDE / 4, deviation=0)
+        for norm, count, unit in ((0.0, 4, MAX_MAGNITUDE / 2), (0.0, 10**400, 1e-300),
+                                  (1.0000001e50, 4, 1.0), (math.inf, 4, 1.0)):
+            with pytest.raises(ValueError, match="must not exceed|at most"):
+                Environment(norm=norm, count=count, unit=unit, deviation=0)
 
     def test_moments_kurtosis_floor(self):
         with pytest.raises(ValueError):
