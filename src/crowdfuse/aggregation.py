@@ -101,8 +101,11 @@ def _contribution_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def member_forecasts(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forecasts ``V`` on each row's members ``M`` and 0 elsewhere, and their
-    sums per row, the EWM numerators; both members x rows but the sums."""
+    """Each row's forecasts on its members and 0 elsewhere, and their sums, the EWM numerators.
+
+    ``V`` holds the forecasts and ``M`` marks each row's members, both
+    members x rows.
+    """
     X = np.where(M, V, 0.0)
     return X, _member_sums(X)
 

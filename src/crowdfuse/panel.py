@@ -491,15 +491,16 @@ def _read_codes(
     warning; a blank line is skipped silently. Two records whose parsed
     ``key`` columns agree raise :class:`DuplicateRowError` naming both
     lines and the key, in column order, after the warnings of the lines
-    before; the repeats are found on the sorted order. A file with no
-    record of the right width warns that it holds no rows.
+    before; the repeats are found on the sorted order, and only then is the
+    file read again, up to the repeat, for the lines of its records
+    (:func:`_accepted_lines`). A file with no record of the right width
+    warns that it holds no rows.
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
     encode = _encoder(memos)
     distinct: list[list] = [[] for _ in header]
     codes: list[int] = []
-    lines: list[int] = []
     rejects: list[tuple[int, str]] = []
     rejected = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -526,7 +527,6 @@ def _read_codes(
                     rejects.append((reader.line_num, str(exc)))
                     rejected += 1
                     continue
-            lines.append(reader.line_num)
     table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
     ranks = [_ranks(distinct[j])[table[:, j]] for j in key]
     spans = [int(r.max(initial=-1)) + 1 for r in ranks]
@@ -536,26 +536,27 @@ def _read_codes(
             packed = packed * span + r
         ranks = [packed]
     order = np.lexsort(ranks[::-1])
-    repeat = _first_repeat(lines, order, ranks)
+    repeat = _first_repeat(order, ranks)
+    if repeat is not None:
+        earlier, later = repeat
+        lines = _accepted_lines(path, encode, later)
+        first, second = lines[earlier], lines[later]
     for line_no, reason in rejects:
-        if repeat is not None and line_no > repeat[1]:
+        if repeat is not None and line_no > second:
             break
         log.warning("%s:%d: %s; row rejected", path, line_no, reason)
     if repeat is not None:
-        first, second, row = repeat
         raise DuplicateRowError(
-            f"{path}: duplicate {what} {tuple(distinct[j][table[row, j]] for j in sorted(key))} "
+            f"{path}: duplicate {what} {tuple(distinct[j][table[earlier, j]] for j in sorted(key))} "
             f"at lines {first} and {second}"
         )
-    if not lines and not rejected:
+    if not len(table) and not rejected:
         log.warning("%s: no %s rows", path, what)
     return distinct, table, order
 
 
-def _first_repeat(
-    lines: list[int], order: np.ndarray, key: list[np.ndarray]
-) -> tuple[int, int, int] | None:
-    """(earlier line, line, row) of the first line whose key repeats.
+def _first_repeat(order: np.ndarray, key: list[np.ndarray]) -> tuple[int, int] | None:
+    """(earlier record, record), by place in the file, of the first record whose key repeats.
 
     ``key`` holds rank columns, one per field or one packing the whole key,
     and ``order`` sorts the records by them, stably.
@@ -564,9 +565,32 @@ def _first_repeat(
     repeats = np.flatnonzero(np.logical_and.reduce([k[1:] == k[:-1] for k in ranked]))
     if not repeats.size:
         return None
-    at = np.array(lines, dtype=np.intp)[order]
-    i = repeats[np.argmin(at[repeats + 1])]
-    return int(at[i]), int(at[i + 1]), int(order[i])
+    i = repeats[np.argmin(order[repeats + 1])]
+    return int(order[i]), int(order[i + 1])
+
+
+def _accepted_lines(path: str, encode: Callable, last: int) -> list[int]:
+    """The physical line each accepted record of a file ends on, up to record ``last``, read again.
+
+    A record was accepted exactly when it has the file's width and every
+    string of it is memoised: a string is memoised once an accepted record
+    holds it, and a string that fails its checks fails them in every
+    record. So ``encode``, over the final memos, picks out the same records
+    as the reading pass, which keeps no line per record.
+    """
+    lines: list[int] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for record in reader:
+            try:
+                encode(record)
+            except (ValueError, KeyError):
+                continue
+            lines.append(reader.line_num)
+            if len(lines) > last:
+                break
+    return lines
 
 
 def _records(kind: type, distinct: list[list], table: np.ndarray) -> tuple:
