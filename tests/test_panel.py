@@ -501,6 +501,26 @@ class TestOnePassLoader:
         assert "('2000Q1', 'X', 1, 'a') at lines 2 and 7" in str(got)
         assert [m.split(":")[1] for m in messages] == ["3", "4", "5"]
 
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_key_columns_unpacked_where_packing_would_overflow(self, tmp_path, monkeypatch, repeat):
+        # the reader sorts on one packed key column unless the product of the
+        # columns' distinct counts passes int64; both ways give the same result
+        lines = ["survey,variable,horizon,forecaster_id,value"]
+        lines += [f"200{i % 3}Q{i % 4 + 1},{'XY'[i % 2]},{i % 5 + 1},f{i % 7},{i}.5" for i in range(60)]
+        lines += ["2000Q5,X,1,a,1.0", "2000Q1,X,01,f0,9.5" if repeat else "2000Q1,X,01,g,9.5"]
+        paths = write_inputs(tmp_path, forecasts="\n".join(lines) + "\n")
+        packed = load_logged(paths)
+        monkeypatch.setattr(panel_module.math, "prod", lambda spans: 2**63)
+        unpacked = load_logged(paths)
+        assert unpacked[1] == packed[1] and len(packed[1]) == 1
+        if repeat:
+            assert isinstance(packed[0], DuplicateRowError)
+            assert str(unpacked[0]) == str(packed[0])
+            assert str(packed[0]).endswith("('2000Q1', 'X', 1, 'f0') at lines 2 and 63")
+        else:
+            assert unpacked[0].forecasts.rows() == packed[0].forecasts.rows()
+            assert len(packed[0].forecasts) == 61
+
     def test_names_physical_lines(self, tmp_path):
         # a record holding a quoted line break is named by the line it ends on
         text = (
