@@ -550,7 +550,7 @@ def _read_codes(
             f"{path}: duplicate {what} {tuple(distinct[j][table[earlier, j]] for j in sorted(key))} "
             f"at lines {first} and {second}"
         )
-    if not len(table) and not rejected:
+    if not codes and not rejected:
         log.warning("%s: no %s rows", path, what)
     return distinct, table, order
 
