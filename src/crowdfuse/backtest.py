@@ -397,7 +397,7 @@ def _inputs(
     # member slots: each forecaster's place among the survey's eligible ones
     at = pair // n_horizons * width + column  # (survey, forecaster)
     present = np.zeros((n_surveys, width), dtype=bool)
-    present.flat[at] = True
+    present.reshape(-1)[at] = True  # a view: .flat assigns about ten times slower
     slot = np.cumsum(present, axis=1).reshape(-1)[at] - 1
     widths = np.count_nonzero(present, axis=1).tolist()
     del at, present
