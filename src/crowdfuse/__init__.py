@@ -59,7 +59,6 @@ from .quincunx import (
     Moments,
     fuse_p,
     moments,
-    noise_from_p,
     p_from_mse,
     sample_estimates,
     variance_from_p,

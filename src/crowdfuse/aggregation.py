@@ -4,10 +4,10 @@ Four ways to turn one survey's forecasts into a point estimate, in the
 order of ``ALL_RULES``:
 
 * EWM: the plain mean of the eligible forecasts.
-* KF: inverse-variance fusion, each forecast weighted by 1 / ((1 - p) p)
-  for the reliability p estimated from the forecaster's past errors; the
-  estimate equals the recursive fold of ``fusion.fuse_sequence``. Members
-  at p = 1 share the whole weight equally, whatever their forecasts.
+* KF: inverse-variance fusion, each forecast weighted by 1 / min(MSE, v^2)
+  for the MSE of the forecaster's past errors and the evidence unit v;
+  the estimate equals the recursive fold of ``fusion.fuse_sequence``.
+  Members at MSE 0 share the whole weight equally, whatever their forecasts.
 * CWM: a mean over the members whose running mean leave-one-out
   contribution is strictly positive, weighted by those contributions.
 * KFplus: the KF weights within the CWM subset.
@@ -29,9 +29,10 @@ and sums them into the rows' EWM numerators, once for both of their users:
 fallback flag from them, and :func:`contribution_terms` gives realized
 rows' leave-one-out terms, entry by entry, for the backtest to fold into
 its running means; and
-:func:`rank_by_reliability` ranks forecasters for the top-n
+:func:`rank_by_reliability` ranks forecasters by MSE for the top-n
 smaller-wiser-crowd runs. Each weight formula lives once, in a private
-helper, and every rule's weights are checked to sum to one on every row.
+helper; every row's member count is checked against its mask, and every
+weighted rule's weights are checked to sum to one on every row.
 
 The results are exactly those of a straight-line loop over each row's
 members: every sum runs over the member axis in ``_member_sums``, member
@@ -73,15 +74,10 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _equal_weights(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """1 / n on each row's members."""
-    return mask * (1.0 / n)
-
-
 def _inverse_variance_weights(noise: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Weights proportional to 1 / noise on each row's members.
 
-    In a row with members at zero noise (p = 1), those members share the
+    In a row with members at zero noise (MSE 0), those members share the
     whole weight equally. ``mask`` may stack several member sets over the
     same rows (members x sets x rows), with ``noise`` broadcast to it.
     """
@@ -118,19 +114,24 @@ def rule_estimates(
 
     ``X`` holds the forecasts on each row's members and 0 elsewhere, and
     ``totals`` their sums, as :func:`member_forecasts` gives them; ``U``
-    holds each forecaster's noise (1 - p) p of their estimated reliability
-    and ``C`` their mean leave-one-out term, all members x rows; ``M``
-    marks each row's members and ``n`` counts them. Entries of ``U`` and
-    ``C`` outside ``M`` are never read, so they may hold anything.
+    holds each forecaster's noise, min(MSE, v^2) in the backtest (0 only
+    for a perfect forecaster), and ``C`` their mean leave-one-out term,
+    all members x rows; ``M`` marks each row's members and ``n`` counts
+    them. Entries of ``U`` and ``C`` outside ``M`` are never read, so they
+    may hold anything.
 
     Returns the estimates (rows x 4, in the order of ``ALL_RULES``) and the
     CWM fallback flags (true where no member has a positive contribution,
     so that CWM and KFplus fall back to the equal-weight mean). Every
-    rule's weights are checked to sum to one, on every row where the rule
-    weighs.
+    row's ``n`` is checked against its mask, and the other rules' weights
+    are checked to sum to one, on every row where the rule weighs.
     """
     if not (n > 0).all():
         raise NoEligibleForecastersError("nobody eligible")
+    counted = np.count_nonzero(M, axis=0)
+    if (counted != n).any():
+        row = np.flatnonzero(counted != n)[0]
+        raise ValueError(f"row {row} has {counted[row]} members, but n counts {n[row]}")
     invalid = M & ~(U >= 0.0)  # true for NaN, the noise of a forecaster without an estimate
     if invalid.any():
         raise ValueError(f"a member has no reliability estimate: noise {float(U[invalid][0])!r}")
@@ -138,10 +139,9 @@ def rule_estimates(
     fallback = ~keep.any(axis=0)
     fused = _inverse_variance_weights(U[:, None], np.stack((M, keep), axis=1))  # KF, KFplus
     scored = _contribution_weights(C, keep)
-    sums = np.stack((_member_sums(_equal_weights(M, n)), *_member_sums(fused),
-                     _member_sums(scored)))
+    sums = np.stack((*_member_sums(fused), _member_sums(scored)))
     off = np.abs(sums - 1.0) > 1e-9
-    off[2:, fallback] = False  # KFplus and CWM weigh nothing where they fall back
+    off[1:, fallback] = False  # KFplus and CWM weigh nothing where they fall back
     if off.any():
         raise ValueError(f"weights sum to {float(sums[off][0])!r}, expected 1")
     ew = totals / n
@@ -168,20 +168,18 @@ def contribution_terms(
     return d * d - d_all * d_all
 
 
-def rank_by_reliability(
-    groups: np.ndarray, ids: np.ndarray, p_hats: np.ndarray, mse: np.ndarray
-) -> np.ndarray:
+def rank_by_reliability(groups: np.ndarray, ids: np.ndarray, mse: np.ndarray) -> np.ndarray:
     """Each entry's rank within its group, from the most reliable (0) down.
 
-    ``groups`` labels each entry's group (in the backtest, its horizon),
-    ``ids`` its forecaster's position in sorted-id order, ``p_hats`` its
-    estimated reliability p and ``mse`` its current MSE. Ties in p break
-    toward lower MSE, then the lower id, so the top n of each group is
-    deterministic.
+    ``groups`` labels each entry's group (in the backtest, its (survey,
+    horizon)), ``ids`` its forecaster's position in sorted-id order and
+    ``mse`` its current MSE. Entries rank by MSE, lowest first, then by
+    the lower id, so the top n of each group is deterministic; p does not
+    increase with the MSE, so this is also the order of descending p.
     """
-    if np.isnan(p_hats).any() or np.isnan(mse).any():
+    if np.isnan(mse).any():
         raise ValueError("a forecaster without a reliability estimate cannot be ranked")
-    order = np.lexsort((ids, mse, -p_hats, groups))
+    order = np.lexsort((ids, mse, groups))
     ordered = groups[order]
     ranks = np.empty(len(order), dtype=np.intp)
     ranks[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)

@@ -6,24 +6,31 @@ errors, at the first survey whose quarter ends no earlier than their
 first report's stamp (never earlier); a forecaster is eligible at a
 survey once two errors at that horizon have matured by it. Every rule
 estimates from the eligible set, and the estimates are scored against
-the first-reported realization. An estimate at survey i is a pure
-function of forecasts at i and of realizations stamped by i.
+the first-reported realization.
+
+A forecaster's MSE is the engine's one reliability state: eligible sets
+rank by it, and the kernel weighs by 1 / min(MSE, v^2), the inverse of
+the quincunx variance 4Cv^2 (1 - p) p at C = 1 for the p that the MSE
+implies (a positive MSE below ``_NOISE_FLOOR`` weighs as the floor).
+``p_from_mse`` forms p only for the diagnostics' median. So the unit v
+reaches estimates only through that clamp, and given v, an estimate at
+survey i is a pure function of forecasts at i and realizations stamped
+by i.
 
 The panel's forecast table is sorted by (variable, survey, horizon,
 forecaster id), so a variable's forecasts are one slice of it and
 forecasters are indexed in sorted-id order. Squared errors, MSEs,
-reliabilities, eligibility, ranks, members, EWM numerators and
-leave-one-out terms depend on forecasts and realizations alone; only the
-contribution means, running means of the terms read at every survey,
-need the surveys in turn. So the pass has two phases:
+eligibility, ranks, members, EWM numerators and leave-one-out terms
+depend on forecasts and realizations alone; only the contribution means,
+running means of the terms read at every survey, need the surveys in
+turn. So the pass has two phases:
 
 * Up front, in whole-variable array operations: each (survey, horizon)'s
   realization and maturation survey, every forecast's squared error, and
-  each (horizon, forecaster)'s reliability trajectory, the MSE and p
-  after each matured error in maturation order. Each forecast reads
-  its state as of its survey off that trajectory with one
-  ``searchsorted``, which gives eligibility, and the eligible sets are
-  ranked per (survey, horizon).
+  each (horizon, forecaster)'s MSE trajectory, the MSE after each matured
+  error in maturation order. Each forecast reads its MSE as of its
+  survey off that trajectory with one ``searchsorted``, which gives
+  eligibility, and the eligible sets are ranked per (survey, horizon).
 * Then the surveys go in blocks. A block builds its members, EWM
   numerators and leave-one-out terms in arrays, walks its surveys to fold
   in the terms that mature at each (in rounds of at most one target per
@@ -39,7 +46,7 @@ need the surveys in turn. So the pass has two phases:
 
 The results go into the variable's result arrays, indexed by (survey,
 horizon) with trailing (limit, rule) axes: masks, estimates, errors (0
-where a survey is not scored), fallbacks and reliabilities. The reports
+where a survey is not scored), fallbacks and MSEs. The reports
 read their RMSEs, one sum over the survey axis, their Diebold-Mariano
 series and their diagnostics straight from these arrays, and equal those
 of a straight-line loop per cell to the last bit: every sum adds left to
@@ -75,7 +82,7 @@ from .panel import (
     period_key,
     write_csv,
 )
-from .quincunx import noise_from_p, p_from_mse
+from .quincunx import p_from_mse
 
 RMSE_CSV_HEADER = ("variable", "horizon", "rule", "rmse", "n_surveys")
 DM_CSV_HEADER = ("variable", "horizon", "rule", "stat", "p_value")
@@ -86,6 +93,7 @@ DIAGNOSTICS_CSV_HEADER = ("variable", "horizon", "median_p_hat",
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
 _BLOCK_ENTRIES = 16384  # members x rows of one rule-kernel call (see the module docstring)
 _MIN_DM_LENGTH = 8
+_NOISE_FLOOR = 2.0 ** -1000  # the least positive noise: 1 / noise, and a row's sum, stay finite
 
 
 class EmptyPanelError(ValueError):
@@ -197,8 +205,8 @@ class _Results(NamedTuple):
     add (limit, rule) axes, rules in the order of ``ALL_RULES``; an error
     is 0 where a survey is not scored. ``fallbacks`` marks, per limit, the
     estimates where the contribution-weighted rule fell back.
-    ``p_hats[k]`` holds the reliabilities behind horizon k's estimates at
-    the unrestricted (``None``) limit, survey by survey; it is empty when no
+    ``mses[k]`` holds the MSEs behind horizon k's estimates at the
+    unrestricted (``None``) limit, survey by survey; it is empty when no
     limit is ``None``.
     """
 
@@ -208,7 +216,7 @@ class _Results(NamedTuple):
     estimates: np.ndarray
     errors: np.ndarray
     fallbacks: np.ndarray
-    p_hats: list[np.ndarray]
+    mses: list[np.ndarray]
 
     def rmse(self) -> tuple[np.ndarray, np.ndarray]:
         """Per (horizon, limit, rule), the RMSE over the scored surveys; per horizon, their count.
@@ -306,15 +314,15 @@ def _mse_trajectories(
 
 def _states(
     cell: np.ndarray, survey: np.ndarray, matures: np.ndarray, error: np.ndarray,
-    n_surveys: int, size: int, unit: float, window: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eligible forecasts, and their forecasters' MSE and reliability as of their survey.
+    n_surveys: int, size: int, window: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eligible forecasts, and their forecasters' MSE as of their survey.
 
     Per forecast: its (horizon, forecaster) ``cell`` (one of ``size``),
     ``survey``, the survey at which it ``matures`` (``n_surveys``: never)
     and its ``error``. The matured errors form each cell's trajectory, in
     maturation order (:func:`_mse_trajectories`), and each forecast reads
-    its cell's state off it with one ``searchsorted``: after the last error
+    its cell's MSE off it with one ``searchsorted``: after the last error
     matured by its survey. It is eligible from two such errors on.
     """
     event = np.flatnonzero(matures < n_surveys)
@@ -328,12 +336,10 @@ def _states(
     history = np.bincount(matured, minlength=size)  # matured errors per cell
     mse = _mse_trajectories(matured, np.multiply(d, d, out=d), history, window)  # d * d, in place
     del d, matured
-    p_hat = p_from_mse(mse, 1, unit)  # the element count is 1, as in panel.Calibration
     last = np.searchsorted(key, cell * (n_surveys + 1) + survey, side="right") - 1
     del key
     eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)  # two or more
-    last = last[eligible]
-    return eligible, p_hat[last], mse[last]
+    return eligible, mse[last[eligible]]
 
 
 class _Inputs(NamedTuple):
@@ -346,8 +352,8 @@ class _Inputs(NamedTuple):
     position), ``column`` (its forecaster's place among the variable's
     ``width`` forecasters, in sorted-id order), ``slot`` (its forecaster's
     place among those eligible at any horizon of the survey, whose number
-    ``widths`` gives per survey) and ``value``, its forecaster's ``p_hat``
-    as of the survey (see :func:`_states`), and its ``rank`` by reliability
+    ``widths`` gives per survey) and ``value``, its forecaster's ``mse``
+    as of the survey (see :func:`_states`), and its ``rank`` by that MSE
     within its (survey, horizon), 0 for all where no limit cuts an
     eligible set.
     """
@@ -363,13 +369,13 @@ class _Inputs(NamedTuple):
     slot: np.ndarray
     widths: list[int]
     value: np.ndarray
-    p_hat: np.ndarray
+    mse: np.ndarray
     rank: np.ndarray
 
 
 def _inputs(
-    panel: Panel, variable: str, horizons: Sequence[int], unit: float,
-    limits: Sequence[int | None], window: int | None,
+    panel: Panel, variable: str, horizons: Sequence[int], limits: Sequence[int | None],
+    window: int | None,
 ) -> _Inputs:
     """The eligible forecasts of one variable, their forecasters' states and ranks, up front."""
     n_surveys, n_horizons = len(panel.surveys), len(horizons)
@@ -388,9 +394,9 @@ def _inputs(
     forecast = np.zeros(n_surveys * n_horizons, dtype=bool)
     forecast[pair] = True
     reported, realized, matures = _targets(panel, variable, horizons, forecast)
-    eligible, p_hat, mse = _states(
+    eligible, mse = _states(
         pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
-        n_surveys, n_horizons * width, unit, window,
+        n_surveys, n_horizons * width, window,
     )
     pair, column, value = pair[eligible], column[eligible], value[eligible]
     sizes = np.bincount(pair, minlength=len(forecast))
@@ -402,12 +408,12 @@ def _inputs(
     widths = np.count_nonzero(present, axis=1).tolist()
     del at, present
     if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
-        rank = rank_by_reliability(pair, column, p_hat, mse)
+        rank = rank_by_reliability(pair, column, mse)
     else:
         rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     return _Inputs(
         width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
-        pair, column, slot, widths, value, p_hat, rank,
+        pair, column, slot, widths, value, mse, rank,
     )
 
 
@@ -421,13 +427,12 @@ def _run_variable(
 ) -> _Results:
     """Roll one variable through the surveys, once for all horizons and limits.
 
-    ``horizons`` ascend. A limit n keeps the n most reliable of each
-    survey's eligible set and ``None`` keeps all of it. Error histories,
-    MSEs and reliabilities depend on the horizon; contribution means also
-    on the limit.
+    ``horizons`` ascend. A limit n keeps the n of each survey's eligible
+    set with the lowest MSEs and ``None`` keeps all of it. Error histories
+    and MSEs depend on the horizon; contribution means also on the limit.
 
     Up front, :func:`_inputs` gives the eligible forecasts, their
-    forecasters' states and their ranks. Then the surveys go in blocks
+    forecasters' MSEs and their ranks. Then the surveys go in blocks
     (see :func:`_blocks`). A block builds its members, EWM numerators and
     leave-one-out terms at once, walks its surveys to fold in the terms
     that mature at each and to read the contribution means it estimates
@@ -441,7 +446,8 @@ def _run_variable(
     n_surveys, n_horizons, n_limits = len(panel.surveys), len(horizons), len(limits)
     if window is not None and window >= n_surveys:
         window = None  # covers every history
-    data = _inputs(panel, variable, horizons, calib[variable], limits, window)
+    data = _inputs(panel, variable, horizons, limits, window)
+    cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
     width, widths, sizes = data.width, data.widths, data.sizes
     matures, realized = data.matures, data.realized
     cut = np.array([width if n is None else n for n in limits])
@@ -475,7 +481,9 @@ def _run_variable(
         cells[entry] = ((pair % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
             + data.column[lo:hi, None]
         V, U = np.zeros((2, *shape3))  # forecasts and noises, alike at every limit
-        V[entry], U[entry] = data.value[lo:hi, None], noise_from_p(data.p_hat[lo:hi])[:, None]
+        mse = data.mse[lo:hi, None]  # noise min(MSE, v^2), floored, and 0 exactly at MSE 0
+        V[entry], U[entry] = data.value[lo:hi, None], np.where(
+            mse > 0.0, np.clip(mse, _NOISE_FLOOR, cap), 0.0)
         flat = (shape3[0], len(block) * n_limits)  # slots x (row, limit)
         members, cells, V, U = (a.reshape(flat) for a in (members, cells, V, U))
         n = np.minimum(sizes[block][:, None], cut).reshape(-1)
@@ -517,9 +525,9 @@ def _run_variable(
     scored = estimated & data.reported.reshape(shape)
     errors = estimates - realized.reshape(shape)[:, :, None, None]
     errors[~scored] = 0.0
-    p_hats = [data.p_hat[data.pair % n_horizons == k] if None in limits else np.empty(0)
-              for k in range(n_horizons)]
-    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, p_hats)
+    mses = [data.mse[data.pair % n_horizons == k] if None in limits else np.empty(0)
+            for k in range(n_horizons)]
+    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, mses)
 
 
 def _blocks(widths: list[int], row_counts: list[int]) -> list[tuple[int, int]]:
@@ -609,7 +617,7 @@ def run_backtest(
         fallback_surveys = (results.fallbacks[:, :, 0] & results.scored).sum(axis=0).tolist()
         skipped = (results.forecast & ~results.scored).sum(axis=0).tolist()
         for k, horizon in enumerate(horizons):
-            p_hats = results.p_hats[k]
+            p_hats = p_from_mse(results.mses[k], 1, calib[variable])  # the element count is 1
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,
@@ -643,7 +651,7 @@ def subset_sweep(
     """RMSE curves as the eligible set shrinks to the best n forecasters.
 
     One rolling pass per variable serves every horizon and size n: each
-    survey's eligible set is ranked by estimated reliability and cut to its
+    survey's eligible set is ranked by MSE, lowest first, and cut to its
     top n. Each rule's RMSE is aggregated across variables, by default as
     the mean of per-variable RMSEs (``aggregate="pooled"`` pools the
     squared errors instead). A size at or above the largest eligible set

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .panel import write_csv
 from .quincunx import Environment, Judge, sample_estimates, variance_from_p
 
 MIN_MC_TRIALS = 10_000
@@ -244,8 +245,4 @@ def write_grid_csv(grid: Grid, path: str) -> None:
 
 def write_convergence_csv(points: Iterable[tuple[int, float]], path: str) -> None:
     """Write (element count, KS distance) pairs as UTF-8 CSV."""
-    lines = ["C,ks_distance"]
-    for c, d in points:
-        lines.append(f"{c},{repr(float(d))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("C", "ks_distance"), ((c, float(d)) for c, d in points))

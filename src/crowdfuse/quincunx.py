@@ -75,10 +75,6 @@ class Environment:
             )
 
     @property
-    def true_value(self) -> float:
-        return self.norm + self.deviation * self.unit
-
-    @property
     def positive_elements(self) -> int:
         """Number of elements carrying +unit; the first ones by convention."""
         return (self.count + self.deviation) // 2
@@ -101,7 +97,7 @@ class Judge:
     @property
     def noise(self) -> float:
         """The unit-free variance factor (1 - p) * p."""
-        return noise_from_p(self.p)
+        return (1.0 - self.p) * self.p
 
 
 @dataclass(frozen=True)
@@ -192,11 +188,6 @@ def variance_from_p(p: float, count: int, unit: float) -> float:
     if not unit > 0.0:
         raise ValueError(f"unit must be positive, got {unit!r}")
     return 4.0 * count * (1.0 - p) * p * unit * unit
-
-
-def noise_from_p(p: float) -> float:
-    """The unit-free variance factor (1 - p) * p of reliability p."""
-    return (1.0 - p) * p
 
 
 def p_from_mse(mse, count: int, unit: float):

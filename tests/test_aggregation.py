@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crowdfuse.aggregation import (
     NoEligibleForecastersError,
     _contribution_weights,
-    _equal_weights,
     _inverse_variance_weights,
     _member_sums,
     contribution_terms,
@@ -26,7 +25,7 @@ from crowdfuse.panel import (
     calibrate_v,
     calibration_series,
 )
-from crowdfuse.quincunx import Judge, noise_from_p, p_from_mse
+from crowdfuse.quincunx import Judge, p_from_mse
 
 SURVEYS = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
 REALIZED = [2.0, 2.4, 1.8, 2.2, 2.0]
@@ -106,7 +105,7 @@ def inverse_noise_mean(forecasts, noise):
 
 def expected_kf(forecasts, mses, calib):
     """Inverse-variance estimate for reliabilities implied by the given MSEs."""
-    noise = {j: noise_from_p(p_from_mse(m, *calib)) for j, m in mses.items()}
+    noise = {j: Judge(p_from_mse(m, *calib)).noise for j, m in mses.items()}
     return inverse_noise_mean({j: forecasts[j] for j in mses}, noise)
 
 
@@ -337,7 +336,6 @@ class TestEwm:
     def test_mean(self):
         ew, *_ = estimates({"a": 2.0, "b": 4.0}, {})
         assert ew == 3.0
-        assert _equal_weights(np.ones((2, 1), dtype=bool), np.array([2])).tolist() == [[0.5], [0.5]]
 
     def test_single(self):
         ew, *_ = estimates({"a": 2.0}, {})
@@ -506,36 +504,52 @@ class TestKfPlus:
 
 class TestTopN:
     @staticmethod
-    def ranks(ids, p_hats, mse, groups=None):
+    def ranks(ids, mse, groups=None):
         groups = np.zeros(len(ids), dtype=np.intp) if groups is None else np.array(groups)
-        return rank_by_reliability(
-            groups, np.array(ids), np.array(p_hats, dtype=float), np.array(mse, dtype=float)
-        ).tolist()
+        return rank_by_reliability(groups, np.array(ids), np.array(mse, dtype=float)).tolist()
 
     def test_covering_population_is_identity(self):
-        ranks = self.ranks([0, 1], [0.7, 0.7], [0.5, 0.5])
+        ranks = self.ranks([0, 1], [0.5, 0.5])
         assert sorted(ranks) == [0, 1]
         assert all(r < 5 for r in ranks)
 
     def test_top_two_by_reliability(self):
         # entries c, b, a: the order of the entries does not matter
-        ranks = self.ranks([2, 1, 0], [0.7, 0.8, 0.9], [0.5, 0.5, 0.5])
+        ranks = self.ranks([2, 1, 0], [0.9, 0.4, 0.1])
         assert ranks == [2, 1, 0]
 
     def test_tie_breaks_deterministic(self):
-        # equal clamped reliability: lower MSE wins, then the id
-        ranks = self.ranks([0, 1, 2], [0.5, 0.5, 0.5], [3.0, 2.0, 2.0])
+        # MSEs above the cap, where p clamps at 0.5: lower MSE wins, then the id
+        ranks = self.ranks([0, 1, 2], [3.0, 2.0, 2.0])
         assert ranks == [2, 0, 1]
 
     def test_groups_rank_apart(self):
-        ranks = self.ranks([0, 1, 0, 1], [0.9, 0.8, 0.6, 0.7], [0.1, 0.2, 0.3, 0.3],
-                           groups=[0, 0, 1, 1])
+        ranks = self.ranks([0, 1, 0, 1], [0.1, 0.2, 0.3, 0.25], groups=[0, 0, 1, 1])
         assert ranks == [0, 1, 1, 0]
 
     def test_rejects_bad_arguments(self):
         # a forecaster without a reliability estimate cannot be ranked
         with pytest.raises(ValueError, match="reliability estimate"):
-            self.ranks([0, 1], [0.7, float("nan")], [0.5, 0.5])
+            self.ranks([0, 1], [0.5, float("nan")])
+
+    def test_mse_order_is_reliability_order(self):
+        # ranking by MSE, then id, is the lexsort by (-p, MSE, id) for the p of
+        # every unit: p_from_mse does not increase with the MSE
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            size = int(rng.integers(1, 40))
+            unit = float(np.exp(rng.normal(0.0, 2.0)))
+            groups = rng.integers(0, 4, size)
+            ids = rng.permutation(size)
+            # spread over the cap, with exact zeros, ties and MSEs that round p to 1
+            mse = unit * unit * rng.choice([0.0, 1e-18, 0.3, 0.3, 1.0, 2.5], size) \
+                * np.where(rng.random(size) < 0.5, 1.0, rng.random(size) * 4.0)
+            p = p_from_mse(mse, 1, unit)
+            order = np.lexsort((ids, mse, -p, groups))
+            expected = np.empty(size, dtype=np.intp)
+            expected[order] = np.arange(size) - np.searchsorted(groups[order], groups[order])
+            got = rank_by_reliability(groups, ids, mse)
+            assert got.tolist() == expected.tolist()
 
 
 class TestWeightNormalization:
@@ -547,7 +561,7 @@ class TestWeightNormalization:
             scores = column([rng.uniform(-1, 1) for _ in range(n)])
             mask = np.ones((n, 1), dtype=bool)
             keep = scores > 0.0
-            weights = [_equal_weights(mask, np.array([n])), _inverse_variance_weights(noises, mask)]
+            weights = [_inverse_variance_weights(noises, mask)]
             if keep.any():
                 weights.append(_contribution_weights(scores, keep))
                 weights.append(_inverse_variance_weights(noises, keep))
@@ -660,6 +674,20 @@ class TestRuleKernel:
         V, U, C, M, _ = one_row([1.0, 2.0])
         with pytest.raises(NoEligibleForecastersError):
             estimate_rows(V, U, C, M & False, np.array([0]))
+
+    def test_member_count_must_match_mask(self):
+        # n names more or fewer members than the row's mask holds
+        for n in (1, 3):
+            with pytest.raises(ValueError):
+                estimate_rows(*one_row([1.0, 2.0])[:4], np.array([n]))
+        # a second row miscounted beside a right one
+        V, U, C, M, _ = one_row([1.0, 2.0, 4.0])
+        V, U, C, M = (np.repeat(a, 2, axis=1) for a in (V, U, C, M))
+        M[2, 1] = False
+        with pytest.raises(ValueError):
+            estimate_rows(V, U, C, M, np.array([3, 3]))
+        M[2, 1] = True
+        assert estimate_rows(V, U, C, M, np.array([3, 3]))[0][:, 0].tolist() == [7 / 3] * 2
 
     @given(histories)
     @settings(max_examples=200, deadline=None)

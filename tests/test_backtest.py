@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdfuse import backtest
 from crowdfuse.aggregation import ALL_RULES
 from crowdfuse.backtest import (
     CellDiagnostics,
@@ -28,6 +29,7 @@ from crowdfuse.panel import (
     RealizationRow,
     SynthConfig,
     VintageRow,
+    add_quarters,
     asof_key,
     calibrate_v,
     calibration_series,
@@ -315,6 +317,81 @@ class TestWindow:
             subset_sweep(panel, (1,), range(1, 3), calib, window=window)
         with pytest.raises(ValueError, match="window"):
             cell_estimates(panel, "X", 1, RULES, calib, window=window)
+
+
+def miss_panel(truth, misses):
+    """One cell of five surveys: forecaster j always says the realization plus ``misses[j]``.
+
+    Each survey's realization is stamped the next quarter.
+    """
+    surveys = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
+    forecasts = [(s, "X", 1, j, value + miss)
+                 for s, value in zip(surveys, truth) for j, miss in misses.items()]
+    realizations = tuple(RealizationRow(s, "X", value, stamp)
+                         for s, value, stamp in zip(surveys, truth, [*surveys[1:], "2001Q2"]))
+    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
+
+
+class TestReliabilityState:
+    """The MSE is the engine's one reliability state; p is formed only for the diagnostic."""
+
+    def test_unit_scales_out_below_the_clamp(self):
+        # KF weighs by 1 / min(MSE, v^2), so a unit above every MSE state cancels
+        compared = 0
+        for seed in range(1, 11):
+            panel, calib = synth_calibrated(
+                SynthConfig(num_forecasters=12, num_surveys=40, seed=seed, horizons=2,
+                            turnover=0.1, p_dist="uniform", p_low=0.6, p_high=0.95))
+            v = calib["SYN"]
+            worst = 0.0  # an MSE state is a mean of squared errors, so at most the largest
+            for survey, variable, horizon, _, x in panel.forecasts.rows():
+                realization = panel.realization(variable, add_quarters(survey, horizon - 1))
+                if realization is not None:
+                    worst = max(worst, (x - realization[0]) ** 2)
+            assert worst < 9.0 * v * v
+            for horizon in (1, 2):
+                trails = [cell_estimates(panel, "SYN", horizon, RULES, {"SYN": k * v})
+                          for k in (3.0, 5.0)]
+                assert trails[0] == trails[1]
+                compared += len(trails[0]["KF"])
+        assert compared == 750
+
+    def test_only_zero_mse_is_perfect(self):
+        # b's MSE is about 1e-18 v^2 > 0: p rounds to 1, but b is not perfect beside a
+        truth = [2.0, 2.4, 1.8, 2.2, 2.0]
+        panel = miss_panel(truth, {"a": 0.0, "b": 1e-9})
+        trail = cell_estimates(panel, "X", 1, ("KF",), {"X": 1.0})["KF"]
+        assert trail == list(zip(panel.surveys[2:], truth[2:]))
+        report = run_backtest(panel, RULES, {"X": 1.0})
+        assert report.diagnostics[0].median_p_hat == 1.0
+
+    def test_subnormal_mse_keeps_estimates_finite(self):
+        # squared misses of 1e-320 would overflow 1 / noise; they weigh as the floor
+        panel = miss_panel([0.0] * 5, {"a": 1e-160, "b": -1e-160, "c": 1.0})
+        trail = cell_estimates(panel, "X", 1, ("KF",), {"X": 1.0})["KF"]
+        assert len(trail) == 3
+        assert all(abs(estimate) < 1e-150 for _, estimate in trail)
+        report = run_backtest(panel, RULES, {"X": 1.0})
+        assert all(math.isfinite(cell.rmse) for cell in report.cells)
+
+    def test_p_from_mse_only_for_the_diagnostic(self, monkeypatch):
+        panel, calib = synth_calibrated(
+            SynthConfig(num_forecasters=8, num_surveys=20, seed=81, horizons=2, turnover=0.2))
+        calls = []
+        p_from_mse = backtest.p_from_mse
+
+        def counted(*args):
+            calls.append(args)
+            return p_from_mse(*args)
+
+        monkeypatch.setattr(backtest, "p_from_mse", counted)
+        assert subset_sweep(panel, (1, 2), range(1, 6), calib)
+        cell_estimates(panel, "SYN", 1, RULES, calib)
+        assert calls == []
+        report = run_backtest(panel, RULES, calib)
+        assert len(calls) == len(report.diagnostics) == 2
+        medians = [float(np.median(p_from_mse(*args))) for args in calls]
+        assert medians == [d.median_p_hat for d in report.diagnostics]
 
 
 synth_configs = st.builds(

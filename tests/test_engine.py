@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from operator import mul
 
 import numpy as np
@@ -39,9 +39,11 @@ from crowdfuse.panel import (
     RealizationRow,
     SynthConfig,
     add_quarters,
+    asof_key,
     calibrate_v,
     calibration_series,
     period_end_month,
+    period_key,
     synth_panel,
 )
 
@@ -146,8 +148,8 @@ def oracle_run_cell(panel, variable, horizon, calib, limits, window, stats=None)
                 errors.append(d * d)
                 scored = errors if window is None else errors[-window:]
                 mse[j] = sum(scored) / len(scored)
-                p = p_hats[j] = oracle_p_from_mse(mse[j], count, unit)
-                noise[j] = (1.0 - p) * p
+                p_hats[j] = oracle_p_from_mse(mse[j], count, unit)
+                noise[j] = min(max(mse[j], 2.0 ** -1000), count * unit * unit) if mse[j] else 0.0
         forecasts = cells.get((survey, variable, horizon), {})
         if not forecasts:
             continue
@@ -351,6 +353,60 @@ LATE = (late_stamp_panel(), {"X": 2.0})
 WIDE = (wide_panel(), {"X": 1.5})
 
 
+@st.composite
+def lookahead_cases(draw):
+    """A generated panel's config, a window, sweep limits, the realization and
+    vintage rows to stamp a quarter late, and a cutoff survey."""
+    config = draw(st.builds(
+        SynthConfig,
+        num_forecasters=st.integers(2, 10),
+        num_surveys=st.integers(4, 20),
+        seed=st.integers(0, 2**32 - 1),
+        turnover=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+        horizons=st.integers(1, 3),
+        p_dist=st.sampled_from(["const", "uniform", "two_point"]),
+        p_low=st.floats(0.5, 0.8),
+        p_high=st.floats(0.8, 1.0),
+        p_decay=st.sampled_from([0.0, 0.05]),
+    ))
+    window = draw(st.one_of(st.none(), st.integers(1, 4)))
+    limits = tuple(draw(st.lists(st.one_of(st.none(), st.integers(1, 10)),
+                                 min_size=1, max_size=4, unique=True)))
+    late = draw(st.frozensets(st.integers(0, config.num_surveys + config.horizons)))
+    # most cutoffs fall where members are eligible, some before
+    cutoff = draw(st.integers(min(4, config.num_surveys - 1) * draw(st.booleans()),
+                              config.num_surveys - 1))
+    return config, window, limits, late, cutoff
+
+
+def stamped_late(panel, late):
+    """``panel`` with the realizations and vintages at the positions in ``late``
+    stamped one quarter later."""
+    return Panel(
+        panel.forecasts,
+        tuple(replace(r, vintage=add_quarters(r.vintage, 1)) if i in late else r
+              for i, r in enumerate(panel.realizations)),
+        tuple(replace(v, asof=add_quarters(v.asof, 1)) if i in late else v
+              for i, v in enumerate(panel.vintages)),
+        transform=panel.transform,
+    )
+
+
+def mutated_after(panel, cutoff):
+    """``panel`` with every forecast of a survey after ``cutoff``, and every
+    realization and vintage stamped after its quarter's end, changed."""
+    last, bound = period_key(cutoff), period_end_month(cutoff)
+    return Panel(
+        ForecastTable.from_rows([(s, v, h, j, x + 77.7 if period_key(s) > last else x)
+                                 for s, v, h, j, x in panel.forecasts.rows()]),
+        tuple(replace(r, value=r.value - 55.5) if asof_key(r.vintage) > bound else r
+              for r in panel.realizations),
+        tuple(replace(v, level=v.level * 3.0) if asof_key(v.asof) > bound else v
+              for v in panel.vintages),
+        transform=panel.transform,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -424,6 +480,33 @@ class TestEngineEqualsOracle:
         assert rounds_at.count(3) == 2
         assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
         assert sum(c.n_surveys for c in report.cells) > 0
+
+
+class TestNoLookahead:
+    @given(case=lookahead_cases())
+    # the panel of test_backtest's TestRunBacktest::test_anti_lookahead
+    @example(case=(SynthConfig(num_forecasters=6, num_surveys=16, seed=73, horizons=2,
+                               p_dist="uniform", p_low=0.6, p_high=0.95),
+                   None, (None,), frozenset(), 6))
+    @settings(max_examples=100, deadline=None)
+    def test_estimates_given_the_unit(self, case):
+        # the unit comes from the unmutated panel: given it, an estimate at or
+        # before the cutoff reads nothing forecast or stamped after it
+        config, window, limits, late, cutoff = case
+        panel = stamped_late(synth_panel(config), late)
+        calib = calibrate_v(calibration_series(panel))
+        mutated = mutated_after(panel, panel.surveys[cutoff])
+        horizons = panel.horizons("SYN")
+        base, after = (backtest._run_variable(p, "SYN", horizons, calib, limits, window)
+                       for p in (panel, mutated))
+        head = slice(0, cutoff + 1)
+        assert np.array_equal(base.estimated[head], after.estimated[head])
+        assert np.array_equal(base.estimates[head], after.estimates[head], equal_nan=True)
+        assert np.array_equal(base.fallbacks[head], after.fallbacks[head])
+        if base.estimated[head].any():
+            event("estimates at or before the cutoff")
+        if not np.array_equal(base.estimates, after.estimates, equal_nan=True):
+            event("the mutation moves a later estimate")
 
 
 class TestKernelCalls:

@@ -320,4 +320,4 @@ class TestGaussianLimit:
                              for i, p1 in enumerate(texts) for j, p2 in enumerate(texts)]
         conv_path = tmp_path / "conv.csv"
         write_convergence_csv([(4, 0.2), (16, 0.1)], str(conv_path))
-        assert conv_path.read_text(encoding="utf-8").splitlines()[0] == "C,ks_distance"
+        assert conv_path.read_text(encoding="utf-8") == "C,ks_distance\n4,0.2\n16,0.1\n"

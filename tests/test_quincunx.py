@@ -13,7 +13,6 @@ from crowdfuse.quincunx import (
     Moments,
     fuse_p,
     moments,
-    noise_from_p,
     p_from_mse,
     sample_estimate_each,
     sample_estimates,
@@ -190,9 +189,9 @@ class TestVarianceCorrespondence:
             with pytest.raises(ValueError):
                 p_from_mse(mse, count, unit)
 
-    def test_noise_from_p_is_judge_noise(self):
+    def test_judge_noise(self):
         for p in (0.5, 0.6, 0.9, 1.0):
-            assert noise_from_p(p) == Judge(p).noise == (1.0 - p) * p
+            assert Judge(p).noise == (1.0 - p) * p
 
     @given(p=probabilities, count=counts, unit=units)
     @example(p=0.5000000000000001, count=3, unit=1.0)
