@@ -31,18 +31,19 @@ turn. So the pass has two phases:
   error in maturation order. Each forecast reads its MSE as of its
   survey off that trajectory with one ``searchsorted``, which gives
   eligibility, and the eligible sets are ranked per (survey, horizon).
-* Then the surveys go in blocks. A block builds its members, EWM
-  numerators and leave-one-out terms in arrays, walks its surveys to fold
-  in the terms that mature at each (in rounds of at most one target per
-  horizon, so each horizon's means see them in survey order) and to read
-  the contribution means its estimates use, and makes one member-major
-  ``rule_estimates`` call whose rows are its (survey, horizon, limit)
-  triples. ``_BLOCK_ENTRIES`` bounds a call's members x rows, and with it
-  a block's memory, so that a sweep's 195 rows a survey make blocks of
-  about two surveys. numpy's per-call overhead is what the blocks save:
-  a backtest call per survey would hold about five rows. On SPF-shaped
-  panels of about 40 members, 16,384 entries ran the sweep about a tenth
-  faster than 8,192, and 32,768 grew its memory.
+* Then the surveys go in blocks of a fixed step. A block builds its
+  members, EWM numerators and leave-one-out terms in arrays, walks its
+  surveys to fold in the terms that mature at each (in rounds of at most
+  one target per horizon, so each horizon's means see them in survey
+  order) and to read the contribution means its estimates use, and makes
+  one member-major ``rule_estimates`` call whose rows are its (survey,
+  horizon, limit) triples. The step is ``_BLOCK_ENTRIES`` over the
+  largest eligible set times a survey's rows, so it bounds a call's
+  members x rows, and with it a block's memory: a sweep's 195 rows a
+  survey make blocks of about two surveys. numpy's per-call overhead is
+  what the blocks save: a backtest call per survey would hold about five
+  rows. On SPF-shaped panels of about 40 members, 16,384 entries ran the
+  sweep about a tenth faster than 8,192, and 32,768 grew its memory.
 
 The results go into the variable's result arrays, indexed by (survey,
 horizon) with trailing (limit, rule) axes: masks, estimates, errors (0
@@ -61,6 +62,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -230,23 +232,6 @@ class _Results(NamedTuple):
         return np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0)), count
 
 
-def _rounds(horizons: Sequence[int]) -> list[list[int]]:
-    """Targets maturing together, by position, in rounds of at most one per horizon.
-
-    ``horizons`` are the targets' horizons in survey order; each horizon's
-    targets keep that order across the rounds.
-    """
-    rounds: list[list[int]] = []
-    taken: dict[int, int] = {}
-    for i, horizon in enumerate(horizons):
-        k = taken.get(horizon, 0)
-        taken[horizon] = k + 1
-        if k == len(rounds):
-            rounds.append([])
-        rounds[k].append(i)
-    return rounds
-
-
 def _targets(
     panel: Panel, variable: str, horizons: Sequence[int], forecast: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,11 +335,10 @@ class _Inputs(NamedTuple):
     them and ``sizes`` counts the eligible forecasts. Per eligible forecast,
     in table order: its ``pair`` (survey x horizons + the horizon's
     position), ``column`` (its forecaster's place among the variable's
-    ``width`` forecasters, in sorted-id order), ``slot`` (its forecaster's
-    place among those eligible at any horizon of the survey, whose number
-    ``widths`` gives per survey) and ``value``, its forecaster's ``mse``
-    as of the survey (see :func:`_states`), and its ``rank`` by that MSE
-    within its (survey, horizon), 0 for all where no limit cuts an
+    ``width`` forecasters, in sorted-id order), ``place`` (its place in
+    its pair's eligible set, in sorted-id order) and ``value``, its
+    forecaster's ``mse`` as of the survey (see :func:`_states`), and its
+    ``rank`` by that MSE within its pair, 0 for all where no limit cuts an
     eligible set.
     """
 
@@ -366,8 +350,7 @@ class _Inputs(NamedTuple):
     sizes: np.ndarray
     pair: np.ndarray
     column: np.ndarray
-    slot: np.ndarray
-    widths: list[int]
+    place: np.ndarray
     value: np.ndarray
     mse: np.ndarray
     rank: np.ndarray
@@ -400,20 +383,14 @@ def _inputs(
     )
     pair, column, value = pair[eligible], column[eligible], value[eligible]
     sizes = np.bincount(pair, minlength=len(forecast))
-    # member slots: each forecaster's place among the survey's eligible ones
-    at = pair // n_horizons * width + column  # (survey, forecaster)
-    present = np.zeros((n_surveys, width), dtype=bool)
-    present.reshape(-1)[at] = True  # a view: .flat assigns about ten times slower
-    slot = np.cumsum(present, axis=1).reshape(-1)[at] - 1
-    widths = np.count_nonzero(present, axis=1).tolist()
-    del at, present
+    place = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
     if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
         rank = rank_by_reliability(pair, column, mse)
     else:
         rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     return _Inputs(
         width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
-        pair, column, slot, widths, value, mse, rank,
+        pair, column, place, value, mse, rank,
     )
 
 
@@ -432,51 +409,52 @@ def _run_variable(
     and MSEs depend on the horizon; contribution means also on the limit.
 
     Up front, :func:`_inputs` gives the eligible forecasts, their
-    forecasters' MSEs and their ranks. Then the surveys go in blocks
-    (see :func:`_blocks`). A block builds its members, EWM numerators and
-    leave-one-out terms at once, walks its surveys to fold in the terms
-    that mature at each and to read the contribution means it estimates
-    with, and makes one :func:`rule_estimates` call. A kernel row is a (survey, horizon,
-    limit); the members along the first axis are the survey's forecasters
-    eligible at any of its horizons, in sorted-id order. Terms fold in
-    rounds of at most one target per horizon, so each horizon's means see
-    them in survey order. The errors are taken once, at the end, and set to
-    0 where a survey is not scored.
+    forecasters' MSEs and their ranks. Then the surveys go in blocks of a
+    fixed step (see the module docstring). A block builds its members, EWM
+    numerators and leave-one-out terms at once, walks its surveys to fold
+    in the terms that mature at each and to read the contribution means it
+    estimates with, and makes one :func:`rule_estimates` call. A kernel row
+    is a (survey, horizon, limit); its members lie along the first axis at
+    their places in the (survey, horizon)'s eligible set, in sorted-id
+    order. A target's terms wait by (maturation survey, horizon), and each
+    survey folds its targets in rounds of at most one per horizon, so each
+    horizon's means see them in survey order; a block without estimates
+    leaves its surveys' folds to the next block's walk. The errors are
+    taken once, at the end, and set to 0 where a survey is not scored.
     """
     n_surveys, n_horizons, n_limits = len(panel.surveys), len(horizons), len(limits)
     if window is not None and window >= n_surveys:
         window = None  # covers every history
     data = _inputs(panel, variable, horizons, limits, window)
     cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
-    width, widths, sizes = data.width, data.widths, data.sizes
-    matures, realized = data.matures, data.realized
+    width, sizes, matures, realized = data.width, data.sizes, data.matures, data.realized
     cut = np.array([width if n is None else n for n in limits])
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
-    row_counts = (np.bincount(rows // n_horizons, minlength=n_surveys) * n_limits).tolist()
-    targets = np.flatnonzero(matures < n_surveys)
-    targets = targets[np.argsort(matures[targets], kind="stable")]  # by maturation, in survey order
-    due = np.searchsorted(matures[targets], np.arange(n_surveys + 1)).tolist()
+    step = max(1, _BLOCK_ENTRIES // (int(sizes.max(initial=1)) * n_horizons * n_limits))
 
     contributions = np.zeros(n_horizons * n_limits * width)
     counts = np.zeros(len(contributions), dtype=np.intp)
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by target: cells and terms to fold
+    # by (maturation survey, horizon): each target's cells and terms to fold, in survey order
+    pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    walked = 0  # the surveys whose terms are folded
     shape = data.forecast.shape
     estimated = np.zeros(shape, dtype=bool)
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
     fallbacks = np.zeros((*shape, n_limits), dtype=bool)
-    for first, stop in _blocks(widths, row_counts):
+    for first in range(0, n_surveys, step):
+        stop = min(first + step, n_surveys)
         lo, hi = np.searchsorted(data.pair, (first * n_horizons, stop * n_horizons))
         low, high = np.searchsorted(rows, (first * n_horizons, stop * n_horizons))
         block = rows[low:high]
-        if not len(block):  # a variable without estimates, so without terms to fold
+        if not len(block):  # nothing to estimate: its surveys' terms fold with the next block's
             continue
         pair = data.pair[lo:hi]
-        entry = data.slot[lo:hi], row_of[pair] - low  # each eligible forecast's (slot, row)
-        shape3 = (max(widths[first:stop]), len(block), n_limits)
+        entry = data.place[lo:hi], row_of[pair] - low  # each eligible forecast's (place, row)
+        shape3 = (int(sizes[block].max()), len(block), n_limits)
         members = np.zeros(shape3, dtype=bool)
         members[entry] = data.rank[lo:hi, None] < cut
-        # each slot's contribution cell per row and limit: (horizon, limit, forecaster)
+        # each place's contribution cell per row and limit: (horizon, limit, forecaster)
         cells = np.zeros(shape3, dtype=np.intp)
         cells[entry] = ((pair % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
             + data.column[lo:hi, None]
@@ -484,7 +462,7 @@ def _run_variable(
         mse = data.mse[lo:hi, None]  # noise min(MSE, v^2), floored, and 0 exactly at MSE 0
         V[entry], U[entry] = data.value[lo:hi, None], np.where(
             mse > 0.0, np.clip(mse, _NOISE_FLOOR, cap), 0.0)
-        flat = (shape3[0], len(block) * n_limits)  # slots x (row, limit)
+        flat = (shape3[0], len(block) * n_limits)  # places x (row, limit)
         members, cells, V, U = (a.reshape(flat) for a in (members, cells, V, U))
         n = np.minimum(sizes[block][:, None], cut).reshape(-1)
         X, totals = member_forecasts(V, members)  # for the terms and the kernel alike
@@ -497,25 +475,25 @@ def _run_variable(
         terms = contribution_terms(X[i, j], totals[j], n[j], realized[block[j // n_limits]])
         term_cells = cells[i, j]
         ends = np.cumsum(np.bincount(j // n_limits, minlength=len(block))).tolist()
-        for target, a, b in zip(block.tolist(), [0, *ends], ends):
+        for target, due, a, b in zip(block.tolist(), matures[block].tolist(), [0, *ends], ends):
             if a < b:
-                pending[target] = term_cells[a:b], terms[a:b]
+                pending.setdefault((due, target % n_horizons), []).append(
+                    (term_cells[a:b], terms[a:b]))
 
+        # each walked survey's columns: rows in survey order, limits within
+        bounds = (np.searchsorted(block, np.arange(walked, stop + 1) * n_horizons)
+                  * n_limits).tolist()
         C = np.empty(X.shape)
-        start = 0
-        for idx in range(first, stop):
-            matured = targets[due[idx]:due[idx + 1]].tolist()
-            for batch in _rounds([t % n_horizons for t in matured]):
-                folds = [pending.pop(matured[m]) for m in batch if matured[m] in pending]
-                if folds:
-                    where = np.concatenate([c for c, _ in folds])
-                    K = counts[where] + 1
-                    mean = contributions[where]
-                    counts[where] = K
-                    contributions[where] = mean + (np.concatenate([t for _, t in folds]) - mean) / K
-            end = start + row_counts[idx]
+        for idx, start, end in zip(range(walked, stop), bounds, bounds[1:]):
+            # rounds of at most one target per horizon, each horizon's in survey order
+            for folds in zip_longest(*(pending.pop((idx, k), ()) for k in range(n_horizons))):
+                where, folded = (np.concatenate(a) for a in zip(*filter(None, folds)))
+                K = counts[where] + 1
+                mean = contributions[where]
+                counts[where] = K
+                contributions[where] = mean + (folded - mean) / K
             C[:, start:end] = contributions[cells[:, start:end]]
-            start = end
+        walked = stop
         row_estimates, fallback = rule_estimates(X, totals, U, C, members, n)
         estimated.flat[block] = True
         estimates.reshape(-1, n_limits, len(ALL_RULES))[block] = \
@@ -528,23 +506,6 @@ def _run_variable(
     mses = [data.mse[data.pair % n_horizons == k] if None in limits else np.empty(0)
             for k in range(n_horizons)]
     return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, mses)
-
-
-def _blocks(widths: list[int], row_counts: list[int]) -> list[tuple[int, int]]:
-    """Consecutive runs of surveys whose kernel call stays within ``_BLOCK_ENTRIES``.
-
-    A block's call holds its widest survey's eligible forecasters times all
-    of its rows; a survey that alone exceeds the bound is a block of its own.
-    """
-    blocks: list[tuple[int, int]] = []
-    first = widest = rows = 0
-    for idx, (w, r) in enumerate(zip(widths, row_counts)):
-        if rows and max(widest, w) * (rows + r) > _BLOCK_ENTRIES:
-            blocks.append((first, idx))
-            first, widest, rows = idx, 0, 0
-        widest, rows = max(widest, w), rows + r
-    blocks.append((first, len(widths)))
-    return blocks
 
 
 def cell_estimates(

@@ -1,15 +1,27 @@
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from crowdfuse import cli
 from crowdfuse.cli import main
+from crowdfuse.panel import (
+    FORECAST_HEADER,
+    REALIZATION_HEADER,
+    VINTAGE_HEADER,
+    add_quarters,
+    period_end_month,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,22 +40,38 @@ def write_config(tmp_path, text=SYNTH_CFG):
     return str(path)
 
 
-def edited_golden_panel(tmp_path, edits):
-    """Input flags for a copy of the golden file panel with whole lines replaced.
+PANEL_FILES = ("forecasts.csv", "realizations.csv", "vintages.csv")
+
+
+def edited_golden_texts(edits):
+    """The golden file panel's three texts, by file name, with whole lines replaced.
 
     ``edits`` maps a file name to (old line, new line) pairs; each old line
     must be in the file.
     """
     golden = ROOT / "tests" / "data" / "golden" / "files"
-    inputs = []
-    for name in ("forecasts.csv", "realizations.csv", "vintages.csv"):
+    texts = {}
+    for name in PANEL_FILES:
         text = (golden / name).read_text(encoding="utf-8")
         for old, new in edits.get(name, ()):
             assert old + "\n" in text
             text = text.replace(old + "\n", new + "\n")
-        (tmp_path / name).write_text(text, encoding="utf-8")
-        inputs += [f"--{name[:-5]}", str(tmp_path / name)]
+        texts[name] = text
+    return texts
+
+
+def panel_inputs(directory, texts):
+    """Input flags for the panel files of ``texts``, written into ``directory``."""
+    inputs = []
+    for name in PANEL_FILES:
+        (Path(directory) / name).write_text(texts[name], encoding="utf-8")
+        inputs += [f"--{name[:-5]}", str(Path(directory) / name)]
     return inputs
+
+
+def edited_golden_panel(tmp_path, edits):
+    """Input flags for a copy of the golden file panel with whole lines replaced."""
+    return panel_inputs(tmp_path, edited_golden_texts(edits))
 
 
 def assert_reports_finite(out_dir):
@@ -532,3 +560,138 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "unknown rule 'bogus'" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# File-level totality
+# ---------------------------------------------------------------------------
+
+# magnitudes from 1e-300 to 1e300, of both signs; the loader rejects those past 1e50
+MAGNITUDES = st.builds(
+    lambda sign, mantissa, exponent: float(f"{sign}{mantissa}e{exponent}"),
+    st.sampled_from("+-"), st.integers(1, 9), st.integers(-300, 300),
+)
+NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.just(0.0), MAGNITUDES)
+LEVELS = st.one_of(st.floats(50.0, 150.0), NUMBERS)  # zero and tiny bases among them
+# a stamp by its place around its period's end: inside, on it (two spellings, a
+# tie), in the next quarter (its first month, or its end in two spellings, a tie),
+# two quarters on
+STAMPS = ("inside", "end", "end-month", "next-month", "next", "next-end", "late")
+RARELY = st.sampled_from([False] * 9 + [True])
+# a period's reports, most often one or two after its end, rarely none
+REPORTS = st.one_of(
+    st.lists(st.sampled_from(STAMPS[3:]), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from(STAMPS), max_size=3, unique=True),
+)
+
+
+def stamp(period, kind):
+    """A vintage stamp of ``period``, of one of the ``STAMPS`` kinds."""
+    year, month = period_end_month(period)
+    later = add_quarters(period, 1)
+    next_year, next_end = period_end_month(later)
+    return {
+        "inside": f"{year:04d}-{month - 1:02d}",
+        "end": period,
+        "end-month": f"{year:04d}-{month:02d}-30",
+        "next-month": f"{next_year:04d}-{next_end - 2:02d}-01",
+        "next": later,
+        "next-end": f"{next_year:04d}-{next_end:02d}",
+        "late": add_quarters(period, 2),
+    }[kind]
+
+
+def csv_text(header, rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+@st.composite
+def corrupted(draw, rows):
+    """``rows`` with rows of the wrong width between them, each cut from or grown
+    out of an earlier row so that its strings are memoised, and maybe one repeated key."""
+    rows = list(rows)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        at = draw(st.integers(1, len(rows)))
+        row = rows[draw(st.integers(0, at - 1))]
+        rows.insert(at, row[:-1] if draw(st.booleans()) else row + row[-1:])
+    if rows and draw(RARELY):
+        row = list(draw(st.sampled_from(rows)))
+        if len(row) == 5:  # a forecast's key with a new value
+            row[-1] = repr(draw(NUMBERS))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@st.composite
+def panel_texts(draw):
+    """Three panel files of one or two variables (quoted names among them) over
+    surveys from 2000Q1: levels and forecasts of any magnitude, zero and missing
+    bases, stamps before, on and after the period end with ties, constant vintage
+    series, rows of the wrong width and repeated keys."""
+    names = draw(st.lists(st.sampled_from(["GDP", "UNEMP", "G,DP", 'Q"T']),
+                          min_size=1, max_size=2, unique=True))
+    n_surveys = draw(st.integers(1, 10))
+    horizons = range(1, draw(st.integers(1, 3)) + 1)
+    pool = [f"F{i}" for i in range(draw(st.integers(1, 4)))]
+    forecasts, realizations, vintages = [], [], []
+    for name in names:
+        constant = draw(LEVELS) if draw(RARELY) else None
+        for t in range(n_surveys + len(horizons) + 3):  # four quarters of bases first
+            period = add_quarters("1999Q1", t)
+            level = draw(LEVELS)
+            for kind in draw(REPORTS):
+                realizations.append([period, name, repr(level), stamp(period, kind)])
+            for kind in draw(REPORTS):
+                revised = level if constant is None else constant
+                vintages.append([stamp(period, kind), name, period, repr(revised)])
+        for s in range(n_surveys):
+            for h in horizons:
+                for j in draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)):
+                    value = draw(st.one_of(st.floats(-20.0, 20.0), NUMBERS))
+                    forecasts.append([add_quarters("2000Q1", s), name, str(h), j, repr(value)])
+    return {
+        "forecasts.csv": csv_text(FORECAST_HEADER, draw(corrupted(forecasts))),
+        "realizations.csv": csv_text(REALIZATION_HEADER, draw(corrupted(realizations))),
+        "vintages.csv": csv_text(VINTAGE_HEADER, draw(corrupted(vintages))),
+    }
+
+
+def assert_report_numbers_finite(out_dir):
+    """Every number field of every report CSV of ``out_dir`` is finite or empty."""
+    for name in sorted(os.listdir(out_dir)):
+        with open(Path(out_dir) / name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        numbers = [i for i, column in enumerate(header) if column not in ("variable", "rule")]
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            for i in numbers:
+                assert row[i] == "" or math.isfinite(float(row[i])), (name, row)
+
+
+class TestFileTotality:
+    COMMANDS = (["backtest"], ["sweep", "--n-min", "1", "--n-max", "3"])
+
+    @given(texts=panel_texts())
+    @example(texts=edited_golden_texts(TestMagnitudeBound.CASES["huge_forecast"][0]))
+    @example(texts=edited_golden_texts(TestMagnitudeBound.CASES["tiny_base_level"][0]))
+    @example(texts=edited_golden_texts(scaled_unemp(1e-150)))
+    @example(texts=edited_golden_texts(scaled_unemp(1e-170)))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_reports_or_an_error_message(self, texts):
+        # a run exits 0 with finite reports or 1 with a message; a traceback fails
+        with tempfile.TemporaryDirectory() as directory:
+            inputs = panel_inputs(directory, texts)
+            for command in self.COMMANDS:
+                out_dir = os.path.join(directory, command[0])
+                err = io.StringIO()
+                with redirect_stderr(err):
+                    rc = main(command + inputs + ["--out-dir", out_dir])
+                if rc == 0:
+                    assert_report_numbers_finite(out_dir)
+                    event(f"{command[0]} finishes")
+                else:
+                    assert rc == 1 and err.getvalue().startswith("crowdfuse: error: "), \
+                        err.getvalue()
+                    event(f"{command[0]} exits 1")

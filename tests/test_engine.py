@@ -13,7 +13,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import astuple, replace
+from itertools import zip_longest
 from operator import mul
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -290,6 +292,15 @@ def late_stamp_panel():
     return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
 
 
+def idle_survey_panel():
+    """The late-stamp panel with only a newcomer, e, at 2001Q4, where six targets
+    mature: nobody is eligible there, so their terms fold before 2002Q1 reads them."""
+    panel = late_stamp_panel()
+    forecasts = [(s, v, h, "e" if s == "2001Q4" else j, x)
+                 for s, v, h, j, x in panel.forecasts.rows() if s != "2001Q4" or j == "a"]
+    return Panel(ForecastTable.from_rows(forecasts), panel.realizations, (), transform="none")
+
+
 VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
                    st.floats(-4.0, 4.0, allow_nan=False))
 
@@ -350,6 +361,7 @@ def wide_panel():
 
 
 LATE = (late_stamp_panel(), {"X": 2.0})
+IDLE = (idle_survey_panel(), {"X": 2.0})
 WIDE = (wide_panel(), {"X": 1.5})
 
 
@@ -418,11 +430,14 @@ class TestEngineEqualsOracle:
         hln=st.booleans(),
         rules=st.sampled_from([ALL_RULES, ("EWM", "KF"), ("KFplus", "CWM", "EWM")]),
         aggregate=st.sampled_from(["mean", "pooled"]),
+        # block bounds of one survey a block, of a few surveys, and the default
+        entries=st.sampled_from([8, 64, backtest._BLOCK_ENTRIES]),
     )
-    @example(case=LATE, window=None, hln=False, rules=ALL_RULES, aggregate="mean")
-    @example(case=LATE, window=1, hln=True, rules=ALL_RULES, aggregate="pooled")
+    @example(case=LATE, window=None, hln=False, rules=ALL_RULES, aggregate="mean", entries=8)
+    @example(case=LATE, window=1, hln=True, rules=ALL_RULES, aggregate="pooled", entries=64)
+    @example(case=IDLE, window=None, hln=False, rules=ALL_RULES, aggregate="mean", entries=8)
     @settings(max_examples=120, deadline=None)
-    def test_reports_sweeps_and_trails(self, case, window, hln, rules, aggregate):
+    def test_reports_sweeps_and_trails(self, case, window, hln, rules, aggregate, entries):
         panel, calib = case
         stats = {"together": 0}
         for variable in panel.variables:
@@ -431,18 +446,21 @@ class TestEngineEqualsOracle:
         if stats["together"]:
             event("two targets of one cell mature at one survey")
 
-        got = run_backtest(panel, rules, calib, window=window, hln=hln)
-        assert _reports(got) == _reports(oracle_run_backtest(panel, rules, calib, window, hln))
+        with patch.object(backtest, "_BLOCK_ENTRIES", entries):  # hypothesis refuses monkeypatch
+            got = run_backtest(panel, rules, calib, window=window, hln=hln)
+            assert _reports(got) == _reports(oracle_run_backtest(panel, rules, calib, window, hln))
 
-        horizons = sorted({h for v in panel.variables for h in panel.horizons(v)})
-        sizes = range(1, 9)
-        got = subset_sweep(panel, horizons, sizes, calib, rules, aggregate, window)
-        assert got == oracle_subset_sweep(panel, horizons, sizes, calib, rules, aggregate, window)
+            horizons = sorted({h for v in panel.variables for h in panel.horizons(v)})
+            sizes = range(1, 9)
+            got = subset_sweep(panel, horizons, sizes, calib, rules, aggregate, window)
+            assert got == oracle_subset_sweep(panel, horizons, sizes, calib, rules, aggregate,
+                                              window)
 
-        for variable in panel.variables:
-            for horizon in panel.horizons(variable):
-                got = cell_estimates(panel, variable, horizon, rules, calib, window)
-                assert got == oracle_cell_estimates(panel, variable, horizon, rules, calib, window)
+            for variable in panel.variables:
+                for horizon in panel.horizons(variable):
+                    got = cell_estimates(panel, variable, horizon, rules, calib, window)
+                    assert got == oracle_cell_estimates(panel, variable, horizon, rules, calib,
+                                                        window)
 
     @pytest.mark.parametrize("window", [None, 3])
     def test_wide_crowd(self, window):
@@ -466,18 +484,20 @@ class TestEngineEqualsOracle:
         stats = {"together": 0}
         oracle_run_cell(panel, "X", 1, calib, (None,), None, stats)
         assert stats["together"] == 2
-        rounds_at = []
-        rounds = backtest._rounds
+        folded = []
 
-        def counted(matured):
-            split = rounds(matured)
-            rounds_at.append(len(split))
-            return split
+        def counted(*targets):  # one sequence of pending targets per horizon
+            folded.append([len(t) for t in targets])
+            return zip_longest(*targets)
 
-        monkeypatch.setattr(backtest, "_rounds", counted)
+        monkeypatch.setattr(backtest, "zip_longest", counted)
         report = run_backtest(panel, ALL_RULES, calib)
-        # three targets of horizon 1 mature together at 2000Q4 and at 2001Q4
-        assert rounds_at.count(3) == 2
+        # one call per survey. Only targets that carry terms are pending: the three
+        # of each horizon made at 2000Q4-2001Q3 fold at 2001Q4 in three rounds, and
+        # those of horizon 1 maturing at 2000Q4 were made before anyone was eligible
+        assert len(folded) == len(panel.surveys)
+        assert folded[7] == [3, 3]
+        assert sum(max(f, default=0) >= 2 for f in folded) == 1
         assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
         assert sum(c.n_surveys for c in report.cells) > 0
 
@@ -543,26 +563,32 @@ class TestKernelCalls:
         assert entries is None or len(calls) > len(estimated) // 3
 
     def test_targets_fold_across_blocks(self, monkeypatch):
-        # blocks [0, 5), [5, 7), [7, 9) and [9, 10): three targets of horizon 1,
-        # made in the first two blocks, mature together at the third block's
-        # first survey, and the one made at its first survey matures at its second
+        # 4 members x 2 horizons x 1 limit: one survey a block, so every target made
+        # folds at a later block's survey. Three targets of horizon 1, made at
+        # surveys 4, 5 and 6, mature together at survey 7, and the one made at 7
+        # matures at 8
         panel, calib = LATE
-        monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 16)
-        made = []
-        blocks = backtest._blocks
+        monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 8)
+        means = []
+        kernel = backtest.rule_estimates
 
-        def recorded(widths, row_counts):
-            made.append(blocks(widths, row_counts))
-            return made[-1]
+        def recorded(X, totals, U, C, M, n):
+            means.append(C[2].tolist())  # c's contribution means: place 2 in every set
+            return kernel(X, totals, U, C, M, n)
 
-        monkeypatch.setattr(backtest, "_blocks", recorded)
+        monkeypatch.setattr(backtest, "rule_estimates", recorded)
         report = run_backtest(panel, ALL_RULES, calib)
-        assert made[0] == [(0, 5), (5, 7), (7, 9), (9, 10)]
         end_months = [period_end_month(s) for s in panel.surveys]
         matures = [bisect.bisect_left(end_months, panel.realization("X", s)[1])
                    for s in panel.surveys]  # horizon 1 targets its own survey's quarter
         assert [s for s in range(7) if matures[s] == 7] == [4, 5, 6]
-        assert matures[7] == 8
+        assert matures[3] == 6 and matures[7] == 8
+        # one call per survey from 3 on, each row's means as of its survey: the
+        # means move at surveys 6, 7 and 8 only, by terms made in earlier blocks
+        assert len(means) == 7
+        assert means[0] == [0.0, 0.0]
+        assert [s for s in range(4, 10) if means[s - 3] != means[s - 4]] == [6, 7, 8]
+        assert means[3][0] != 0.0 and means[4][1] != 0.0  # both horizons fold
         assert _reports(report) == _reports(oracle_run_backtest(panel, ALL_RULES, calib))
         sizes = (1, 2, 3)
         got = subset_sweep(panel, (1, 2), sizes, calib, ALL_RULES, "mean", None)
