@@ -437,7 +437,7 @@ def _run_variable(
     counts = np.zeros(len(contributions), dtype=np.intp)
     # by (maturation survey, horizon): each target's cells and terms to fold, in survey order
     pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    walked = 0  # the surveys whose terms are folded
+    walked = 0  # the surveys before it have folded their matured terms
     shape = data.forecast.shape
     estimated = np.zeros(shape, dtype=bool)
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
