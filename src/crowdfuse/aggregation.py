@@ -22,9 +22,11 @@ no terms.
 The kernels work on rows. A row is one member set of one survey; the
 backtest makes one row per (horizon, eligible-set limit) of a survey.
 Arrays are member-major: forecasters along the first axis, in sorted-id
-order, and rows along the second, with a boolean mask marking each row's
-members. :func:`member_forecasts` masks the forecasts to each row's members
-and sums them into the rows' EWM numerators, once for both of their users:
+order, and rows along the others, in any shape (the backtest's are
+(survey, horizon) pairs by limits), with a boolean mask marking each
+row's members. :func:`member_forecasts` masks the forecasts to each row's
+members and sums them into the rows' EWM numerators, once for both of
+their users:
 :func:`rule_estimates` returns every row's four estimates and its CWM
 fallback flag from them, and :func:`contribution_terms` gives realized
 rows' leave-one-out terms, entry by entry, for the backtest to fold into
@@ -99,8 +101,8 @@ def _contribution_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def member_forecasts(V: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's forecasts on its members and 0 elsewhere, and their sums, the EWM numerators.
 
-    ``V`` holds the forecasts and ``M`` marks each row's members, both
-    members x rows.
+    ``V`` holds the forecasts and ``M`` marks each row's members, members
+    x rows; ``V`` broadcasts to ``M``'s shape.
     """
     X = np.where(M, V, 0.0)
     return X, _member_sums(X)
@@ -115,10 +117,10 @@ def rule_estimates(
     ``X`` holds the forecasts on each row's members and 0 elsewhere, and
     ``totals`` their sums, as :func:`member_forecasts` gives them; ``U``
     holds each forecaster's noise, min(MSE, v^2) in the backtest (0 only
-    for a perfect forecaster), and ``C`` their mean leave-one-out term,
-    all members x rows; ``M`` marks each row's members and ``n`` counts
-    them. Entries of ``U`` and ``C`` outside ``M`` are never read, so they
-    may hold anything.
+    for a perfect forecaster), and ``C`` their mean leave-one-out term;
+    ``M`` marks each row's members, members x rows, ``U`` and ``C``
+    broadcast to its shape, and ``n`` counts them, one per row. Entries of
+    ``U`` and ``C`` outside ``M`` are never read, so they may hold anything.
 
     Returns the estimates (rows x 4, in the order of ``ALL_RULES``) and the
     CWM fallback flags (true where no member has a positive contribution,
@@ -130,11 +132,12 @@ def rule_estimates(
         raise NoEligibleForecastersError("nobody eligible")
     counted = np.count_nonzero(M, axis=0)
     if (counted != n).any():
-        row = np.flatnonzero(counted != n)[0]
-        raise ValueError(f"row {row} has {counted[row]} members, but n counts {n[row]}")
+        row = np.flatnonzero(counted != n)[0]  # in the rows' flat order
+        raise ValueError(f"row {row} has {counted.flat[row]} members, but n counts {n.flat[row]}")
     invalid = M & ~(U >= 0.0)  # true for NaN, the noise of a forecaster without an estimate
     if invalid.any():
-        raise ValueError(f"a member has no reliability estimate: noise {float(U[invalid][0])!r}")
+        noise = float(np.broadcast_to(U, M.shape)[invalid][0])
+        raise ValueError(f"a member has no reliability estimate: noise {noise!r}")
     keep = M & (C > 0.0)
     fallback = ~keep.any(axis=0)
     fused = _inverse_variance_weights(U[:, None], np.stack((M, keep), axis=1))  # KF, KFplus
@@ -149,7 +152,7 @@ def rule_estimates(
     scored *= X
     kf, kp = _member_sums(fused)
     cw = _member_sums(scored)
-    estimates = np.stack((ew, kf, np.where(fallback, ew, cw), np.where(fallback, ew, kp)), axis=1)
+    estimates = np.stack((ew, kf, np.where(fallback, ew, cw), np.where(fallback, ew, kp)), axis=-1)
     return estimates, fallback
 
 

@@ -31,22 +31,24 @@ turn. So the pass has two phases:
   error in maturation order. Each forecast reads its MSE as of its
   survey off that trajectory with one ``searchsorted``, which gives
   eligibility, and the eligible sets are ranked per (survey, horizon).
-* Then the surveys go in blocks of a fixed step. A block builds its
-  members, EWM numerators and leave-one-out terms in arrays, walks its
-  surveys to fold in the terms that mature at each (in rounds of at most
-  one target per horizon, so each horizon's means see them in survey
-  order) and to read the contribution means its estimates use, and makes
-  one member-major ``rule_estimates`` call whose rows are its (survey,
-  horizon, limit) triples. The step is ``_BLOCK_ENTRIES`` over the
-  largest eligible set times a survey's rows, so it bounds a call's
-  members x rows, and with it a block's memory: a sweep's 195 rows a
-  survey make blocks of about two surveys. numpy's per-call overhead is
-  what the blocks save: a backtest call per survey would hold about five
-  rows. On SPF-shaped panels of about 40 members, 16,384 entries ran the
-  sweep about a tenth faster than 8,192, and 32,768 grew its memory.
+* Then the surveys go in blocks of a fixed step. A block lays out its
+  eligible forecasts once, places x (survey, horizon) rows, with each
+  distinct cut broadcast along a third axis. It builds its members, EWM
+  numerators and leave-one-out terms in arrays, walks its surveys to
+  fold in the terms that mature at each (in rounds of at most one target
+  per horizon, so each horizon's means see them in survey order) and to
+  read the contribution means its estimates use, and makes one
+  member-major ``rule_estimates`` call on places x rows x cuts. The step
+  is ``_BLOCK_ENTRIES`` over the largest eligible set times a survey's
+  rows and cuts, so it bounds a call's members x rows, and with it a
+  block's memory: a sweep's 195 rows a survey make blocks of about two
+  surveys. numpy's per-call overhead is what the blocks save: a backtest
+  call per survey would hold about five rows. On SPF-shaped panels of
+  about 40 members, 16,384 entries ran the sweep about a tenth faster
+  than 8,192, and 32,768 grew its memory.
 
 The results go into the variable's result arrays, indexed by (survey,
-horizon) with trailing (limit, rule) axes: masks, estimates, errors (0
+horizon) with trailing (cut, rule) axes: masks, estimates, errors (0
 where a survey is not scored), fallbacks and MSEs. The reports
 read their RMSEs, one sum over the survey axis, their Diebold-Mariano
 series and their diagnostics straight from these arrays, and equal those
@@ -206,10 +208,11 @@ class _Results(NamedTuple):
     them with a first-reported realization. ``estimates`` and ``errors``
     add (limit, rule) axes, rules in the order of ``ALL_RULES``; an error
     is 0 where a survey is not scored. ``fallbacks`` marks, per limit, the
-    estimates where the contribution-weighted rule fell back.
-    ``mses[k]`` holds the MSEs behind horizon k's estimates at the
-    unrestricted (``None``) limit, survey by survey; it is empty when no
-    limit is ``None``.
+    estimates where the contribution-weighted rule fell back. Their limits
+    are the distinct cuts, and ``limit_of`` maps each requested limit to
+    its cut. ``mses[k]`` holds the MSEs behind horizon k's estimates at
+    the unrestricted (``None``) limit, survey by survey; it is empty when
+    no limit is ``None``.
     """
 
     forecast: np.ndarray
@@ -219,17 +222,20 @@ class _Results(NamedTuple):
     errors: np.ndarray
     fallbacks: np.ndarray
     mses: list[np.ndarray]
+    limit_of: np.ndarray
 
     def rmse(self) -> tuple[np.ndarray, np.ndarray]:
         """Per (horizon, limit, rule), the RMSE over the scored surveys; per horizon, their count.
 
         Each sum adds survey by survey, in which unscored surveys add exact
-        zeros; a horizon without a scored survey has NaN RMSEs.
+        zeros; a horizon without a scored survey has NaN RMSEs. The limits
+        are the requested ones, each read off its cut.
         """
         count = self.scored.sum(axis=0)
         total = _member_sums(self.errors * self.errors)
         n = count[:, None, None]
-        return np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0)), count
+        rmse = np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0))
+        return rmse[:, self.limit_of], count
 
 
 def _targets(
@@ -405,33 +411,38 @@ def _run_variable(
     """Roll one variable through the surveys, once for all horizons and limits.
 
     ``horizons`` ascend. A limit n keeps the n of each survey's eligible
-    set with the lowest MSEs and ``None`` keeps all of it. Error histories
-    and MSEs depend on the horizon; contribution means also on the limit.
+    set with the lowest MSEs and ``None`` keeps all of it; each distinct
+    cut, a limit capped at the largest eligible set, runs once. MSEs
+    depend on the horizon; contribution means also on the limit.
 
     Up front, :func:`_inputs` gives the eligible forecasts, their
     forecasters' MSEs and their ranks. Then the surveys go in blocks of a
-    fixed step (see the module docstring). A block builds its members, EWM
-    numerators and leave-one-out terms at once, walks its surveys to fold
-    in the terms that mature at each and to read the contribution means it
-    estimates with, and makes one :func:`rule_estimates` call. A kernel row
-    is a (survey, horizon, limit); its members lie along the first axis at
-    their places in the (survey, horizon)'s eligible set, in sorted-id
-    order. A target's terms wait by (maturation survey, horizon), and each
-    survey folds its targets in rounds of at most one per horizon, so each
-    horizon's means see them in survey order; a block without estimates
-    leaves its surveys' folds to the next block's walk. The errors are
-    taken once, at the end, and set to 0 where a survey is not scored.
+    fixed step (see the module docstring). A block lays out its forecasts'
+    ranks, columns, values and noises once, places x rows, each at its
+    place in its (survey, horizon)'s eligible set, in sorted-id order, with
+    the cuts along a third axis. It builds its members, EWM numerators and
+    leave-one-out terms at once, walks its surveys to fold in the terms
+    that mature at each and to read the contribution means it estimates
+    with, and makes one :func:`rule_estimates` call. A target's terms wait
+    by (maturation survey, horizon), and each survey folds its targets in
+    rounds of at most one per horizon, so each horizon's means see them in
+    survey order; a block without estimates leaves its surveys' folds to
+    the next block's walk. The errors are taken once, at the end, and set
+    to 0 where a survey is not scored.
     """
-    n_surveys, n_horizons, n_limits = len(panel.surveys), len(horizons), len(limits)
+    n_surveys, n_horizons = len(panel.surveys), len(horizons)
     if window is not None and window >= n_surveys:
         window = None  # covers every history
     data = _inputs(panel, variable, horizons, limits, window)
     cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
     width, sizes, matures, realized = data.width, data.sizes, data.matures, data.realized
-    cut = np.array([width if n is None else n for n in limits])
+    largest = int(sizes.max(initial=0))
+    cut, limit_of = np.unique(np.minimum([width if n is None else n for n in limits], largest),
+                              return_inverse=True)
+    n_limits = len(cut)
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
-    step = max(1, _BLOCK_ENTRIES // (int(sizes.max(initial=1)) * n_horizons * n_limits))
+    step = max(1, _BLOCK_ENTRIES // (max(largest, 1) * n_horizons * n_limits))
 
     contributions = np.zeros(n_horizons * n_limits * width)
     counts = np.zeros(len(contributions), dtype=np.intp)
@@ -449,40 +460,36 @@ def _run_variable(
         block = rows[low:high]
         if not len(block):  # nothing to estimate: its surveys' terms fold with the next block's
             continue
-        pair = data.pair[lo:hi]
-        entry = data.place[lo:hi], row_of[pair] - low  # each eligible forecast's (place, row)
-        shape3 = (int(sizes[block].max()), len(block), n_limits)
-        members = np.zeros(shape3, dtype=bool)
-        members[entry] = data.rank[lo:hi, None] < cut
-        # each place's contribution cell per row and limit: (horizon, limit, forecaster)
-        cells = np.zeros(shape3, dtype=np.intp)
-        cells[entry] = ((pair % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
-            + data.column[lo:hi, None]
-        V, U = np.zeros((2, *shape3))  # forecasts and noises, alike at every limit
-        mse = data.mse[lo:hi, None]  # noise min(MSE, v^2), floored, and 0 exactly at MSE 0
-        V[entry], U[entry] = data.value[lo:hi, None], np.where(
+        entry = data.place[lo:hi], row_of[data.pair[lo:hi]] - low  # each forecast's (place, row)
+        # places x rows, alike at every limit; a padding place ranks where no cut reaches
+        rank = np.full((int(sizes[block].max()), len(block)), cut[-1])
+        column = np.zeros(rank.shape, dtype=np.intp)
+        V, U = np.zeros((2, *rank.shape))  # forecasts and noises
+        mse = data.mse[lo:hi]  # noise min(MSE, v^2), floored, and 0 exactly at MSE 0
+        rank[entry], column[entry] = data.rank[lo:hi], data.column[lo:hi]
+        V[entry], U[entry] = data.value[lo:hi], np.where(
             mse > 0.0, np.clip(mse, _NOISE_FLOOR, cap), 0.0)
-        flat = (shape3[0], len(block) * n_limits)  # places x (row, limit)
-        members, cells, V, U = (a.reshape(flat) for a in (members, cells, V, U))
-        n = np.minimum(sizes[block][:, None], cut).reshape(-1)
-        X, totals = member_forecasts(V, members)  # for the terms and the kernel alike
-        del V
-        # each member of a row with two or more, of a target that matures, gives a
-        # leave-one-out term from its forecast and the row's EWM numerator and size,
-        # row by row (a C-ordered mask, where np.nonzero is fast)
-        j, i = np.nonzero(np.ascontiguousarray(
-            (members & (n >= 2) & np.repeat(matures[block] < n_surveys, n_limits)).T))
-        terms = contribution_terms(X[i, j], totals[j], n[j], realized[block[j // n_limits]])
-        term_cells = cells[i, j]
-        ends = np.cumsum(np.bincount(j // n_limits, minlength=len(block))).tolist()
+        members = rank[:, :, None] < cut  # the limits along a third axis
+        # each place's contribution cell per row and limit: (horizon, limit, forecaster)
+        cells = ((block % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
+            + column[:, :, None]
+        n = np.minimum(sizes[block][:, None], cut)
+        X, totals = member_forecasts(V[:, :, None], members)  # for the terms and the kernel alike
+        # members of rows with two or more, of maturing targets, give leave-one-out terms, each
+        # target's one run in rows x limits x places; rows of one member, masked out, take n = 2
+        live = members.transpose(1, 2, 0) & (n >= 2)[:, :, None] \
+            & (matures[block] < n_surveys)[:, None, None]
+        terms = contribution_terms(X.transpose(1, 2, 0), totals[:, :, None],
+                                   np.maximum(n, 2)[:, :, None], realized[block, None, None])[live]
+        term_cells = cells.transpose(1, 2, 0)[live]
+        ends = np.cumsum(np.count_nonzero(live, axis=(1, 2))).tolist()
         for target, due, a, b in zip(block.tolist(), matures[block].tolist(), [0, *ends], ends):
             if a < b:
                 pending.setdefault((due, target % n_horizons), []).append(
                     (term_cells[a:b], terms[a:b]))
 
-        # each walked survey's columns: rows in survey order, limits within
-        bounds = (np.searchsorted(block, np.arange(walked, stop + 1) * n_horizons)
-                  * n_limits).tolist()
+        # each walked survey's rows, in survey order
+        bounds = np.searchsorted(block, np.arange(walked, stop + 1) * n_horizons).tolist()
         C = np.empty(X.shape)
         for idx, start, end in zip(range(walked, stop), bounds, bounds[1:]):
             # rounds of at most one target per horizon, each horizon's in survey order
@@ -494,18 +501,16 @@ def _run_variable(
                 contributions[where] = mean + (folded - mean) / K
             C[:, start:end] = contributions[cells[:, start:end]]
         walked = stop
-        row_estimates, fallback = rule_estimates(X, totals, U, C, members, n)
-        estimated.flat[block] = True
-        estimates.reshape(-1, n_limits, len(ALL_RULES))[block] = \
-            row_estimates.reshape(len(block), n_limits, -1)
-        fallbacks.reshape(-1, n_limits)[block] = fallback.reshape(len(block), n_limits)
+        at = np.divmod(block, n_horizons)  # each row's (survey, horizon)
+        estimated[at] = True
+        estimates[at], fallbacks[at] = rule_estimates(X, totals, U[:, :, None], C, members, n)
 
     scored = estimated & data.reported.reshape(shape)
     errors = estimates - realized.reshape(shape)[:, :, None, None]
     errors[~scored] = 0.0
     mses = [data.mse[data.pair % n_horizons == k] if None in limits else np.empty(0)
             for k in range(n_horizons)]
-    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, mses)
+    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, mses, limit_of)
 
 
 def cell_estimates(
@@ -649,8 +654,8 @@ def subset_sweep(
             total = sum(r * r * c for r, c in matched)
             curve = np.sqrt(total / sum(c for _, c in matched))
         for rule in rules:
-            points.extend(SweepPoint(horizon, rule, n, float(curve[l, _RULE_ORDER[rule]]))
-                          for l, n in enumerate(sizes))
+            points.extend(SweepPoint(horizon, rule, n, rmse)
+                          for n, rmse in zip(sizes, curve[:, _RULE_ORDER[rule]].tolist()))
     return points
 
 

@@ -682,11 +682,11 @@ class SynthConfig:
     the per-survey exit probability is 1 - (1 - turnover) ** (1/4).
     Reliability draws: ``const`` gives every entrant ``p_value``;
     ``uniform`` draws from [p_low, p_high]; ``two_point`` gives ``p_high``
-    with probability ``p_share_high`` and ``p_low`` otherwise. Longer
-    horizons subtract ``p_decay`` per step, floored at 0.5. The panel has
-    one variable, ``SYNTH_VARIABLE``, with norm ``SYNTH_NORM``, and its
-    periods start in ``SYNTH_START_YEAR``; ``count * unit`` may not exceed
-    ``MAX_MAGNITUDE``.
+    with probability ``p_share_high`` and ``p_low`` otherwise; both need
+    ``p_low <= p_high``. Longer horizons subtract ``p_decay``, finite and
+    nonnegative, per step, floored at 0.5. The panel has one variable,
+    ``SYNTH_VARIABLE``, with norm ``SYNTH_NORM``, and its periods start in
+    ``SYNTH_START_YEAR``; ``count * unit`` may not exceed ``MAX_MAGNITUDE``.
     """
 
     num_forecasters: int
@@ -718,8 +718,10 @@ class SynthConfig:
                 raise ValueError(f"{name} must lie in [0.5, 1], got {value!r}")
         if not 0.0 <= self.p_share_high <= 1.0:
             raise ValueError("p_share_high must lie in [0, 1]")
-        if self.p_decay < 0.0:
-            raise ValueError("p_decay must be nonnegative")
+        if self.p_dist != "const" and self.p_low > self.p_high:
+            raise ValueError(f"p_low must not exceed p_high, got {self.p_low!r} > {self.p_high!r}")
+        if not 0.0 <= self.p_decay < math.inf:  # false for NaN
+            raise ValueError(f"p_decay must be nonnegative and finite, got {self.p_decay!r}")
         if self.count < 1 or not self.unit > 0.0:
             raise ValueError("count must be >= 1 and unit positive")
         if not self.count * self.unit <= MAX_MAGNITUDE:
@@ -749,12 +751,16 @@ def load_synth_config(path: str, seed_override: int | None = None) -> SynthConfi
             if name not in _SYNTH_FIELD_TYPES:
                 raise SchemaError(f"{path}:{line_no}: unknown key {name!r}")
             kind = _SYNTH_FIELD_TYPES[name]
-            if kind == "int":
-                values[name] = int(text)
-            elif kind == "float":
-                values[name] = float(text)
-            else:
-                values[name] = text
+            try:
+                if kind == "int":
+                    values[name] = int(text)
+                elif kind == "float":
+                    values[name] = float(text)
+                else:
+                    values[name] = text
+            except ValueError:
+                raise SchemaError(
+                    f"{path}:{line_no}: {name} = {text!r} is not a valid {kind}") from None
     if seed_override is not None:
         values["seed"] = seed_override
     if "seed" not in values:

@@ -689,6 +689,43 @@ class TestRuleKernel:
         M[2, 1] = True
         assert estimate_rows(V, U, C, M, np.array([3, 3]))[0][:, 0].tolist() == [7 / 3] * 2
 
+    def test_limit_axis_equals_flat_rows(self):
+        # members x rows x limits, with forecasts and noises broadcast along the
+        # limits, gives the flattened members x (row, limit) call bit for bit
+        V = np.array([[1.0, 4.0], [2.0, -1.0], [9.0, 0.5]])
+        U = np.array([[0.0, 0.16], [0.0, 0.21], [0.25, 0.09]])  # row 0: two perfect members
+        rank = np.array([[0, 2], [1, 0], [2, 1]])
+        M = rank[:, :, None] < np.array([1, 2, 3])
+        C = np.zeros(M.shape)
+        C[:, 0] = -0.1  # row 0 falls back at every limit
+        C[:, 1] = [[0.3, 0.2, 0.1], [-0.2, 0.4, 0.0], [0.5, -0.1, 0.2]]
+        n = M.sum(axis=0)
+
+        def flat(U, n):
+            return rule_estimates(*member_forecasts(np.repeat(V, 3, axis=1), M.reshape(3, -1)),
+                                  np.repeat(U, 3, axis=1), C.reshape(3, -1), M.reshape(3, -1),
+                                  n.reshape(-1))
+
+        def stacked(U, n):
+            return rule_estimates(*member_forecasts(V[:, :, None], M), U[:, :, None], C, M, n)
+
+        got, fallback = stacked(U, n)
+        want, want_fallback = flat(U, n)
+        assert got.shape == (2, 3, 4) and fallback.shape == (2, 3)
+        assert got.reshape(-1, 4).tobytes() == want.tobytes()
+        # row 1's best member alone contributes nothing
+        assert fallback.reshape(-1).tolist() == want_fallback.tolist() == [True] * 4 + [False] * 2
+        # a member's NaN noise and a miscounted row raise ValueError, as flat rows do
+        bad = U.copy()
+        bad[2, 1] = np.nan  # a member of row 1 from the limit of two on
+        miscounted = n.copy()
+        miscounted[1, 2] = 2
+        for args, message in [((bad, n), "no reliability estimate: noise nan"),
+                              ((U, miscounted), "row 5 has 3 members, but n counts 2")]:
+            for call in (flat, stacked):
+                with pytest.raises(ValueError, match=message):
+                    call(*args)
+
     @given(histories)
     @settings(max_examples=200, deadline=None)
     def test_fold_equals_brute_force(self, history):

@@ -543,7 +543,7 @@ class TestKernelCalls:
 
         def counted(X, totals, U, C, M, n):
             got = kernel(X, totals, U, C, M, n)
-            calls.append(got[0])  # member-major: one row per (survey, horizon, limit)
+            calls.append(got[0])  # member-major: (survey, horizon) rows x limits x rules
             return got
 
         monkeypatch.setattr(backtest, "rule_estimates", counted)
@@ -556,9 +556,9 @@ class TestKernelCalls:
                 expected += [tuple(rules) for _, rules in trails[n][0]]
             estimated.update(s for s, _ in trails[1][0])  # every limit estimates alike
         # every estimated survey's rows appear once, one per (horizon, limit)
-        rows = [tuple(row) for estimates in calls for row in estimates.tolist()]
+        rows = [tuple(row) for estimates in calls for row in estimates.reshape(-1, 4).tolist()]
         assert sorted(rows) == sorted(expected)
-        assert all(len(estimates) % len(sizes) == 0 for estimates in calls)
+        assert all(estimates.shape[1] == len(sizes) for estimates in calls)
         assert len(calls) < len(estimated)
         assert entries is None or len(calls) > len(estimated) // 3
 
@@ -573,7 +573,7 @@ class TestKernelCalls:
         kernel = backtest.rule_estimates
 
         def recorded(X, totals, U, C, M, n):
-            means.append(C[2].tolist())  # c's contribution means: place 2 in every set
+            means.append(C[2, :, 0].tolist())  # c's contribution means: place 2 in every set
             return kernel(X, totals, U, C, M, n)
 
         monkeypatch.setattr(backtest, "rule_estimates", recorded)
@@ -596,3 +596,30 @@ class TestKernelCalls:
         for horizon in (1, 2):
             got = cell_estimates(panel, "X", horizon, ALL_RULES, calib)
             assert got == oracle_cell_estimates(panel, "X", horizon, ALL_RULES, calib)
+
+    def test_limits_past_the_largest_set_run_once(self, monkeypatch):
+        # sizes up to 10 x the variable's forecasters: every size from the largest
+        # eligible set up keeps the whole set, so the kernel's limit axis, its last,
+        # holds no more cuts than that set has members, and the curves stay flat
+        panel = synth_panel(SynthConfig(num_forecasters=10, num_surveys=24, seed=5, horizons=3,
+                                        turnover=0.5, p_dist="uniform"))
+        calib = calibrate_v(calibration_series(panel))
+        width = len({row[3] for row in panel.forecasts.rows()})
+        shapes, counts = [], []
+        kernel = backtest.rule_estimates
+
+        def recorded(X, totals, U, C, M, n):
+            shapes.append(M.shape)
+            counts.append(int(n.max()))
+            return kernel(X, totals, U, C, M, n)
+
+        monkeypatch.setattr(backtest, "rule_estimates", recorded)
+        points = subset_sweep(panel, (1, 2, 3), range(1, 10 * width + 1), calib)
+        largest = max(counts)
+        assert largest < width
+        assert max(shape[-1] for shape in shapes) <= largest
+        upto = subset_sweep(panel, (1, 2, 3), range(1, largest + 1), calib)
+        assert [p for p in points if p.n_included <= largest] == upto
+        at_largest = {(p.horizon, p.rule): p.rmse for p in upto if p.n_included == largest}
+        assert all(p.rmse == at_largest[p.horizon, p.rule]
+                   for p in points if p.n_included > largest)

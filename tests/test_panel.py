@@ -856,6 +856,11 @@ class TestSynthPanel:
             ({"p_share_high": -0.1}, "p_share_high must lie in"),
             ({"p_share_high": 1.5}, "p_share_high must lie in"),
             ({"p_decay": -0.01}, "p_decay must be nonnegative"),
+            # NaN, and inf through inf * 0 at the first horizon, would draw forecasts at p = NaN
+            ({"p_decay": float("nan")}, "p_decay must be nonnegative and finite"),
+            ({"p_decay": float("inf")}, "p_decay must be nonnegative and finite"),
+            ({"p_dist": "uniform", "p_low": 0.9, "p_high": 0.8}, "p_low must not exceed p_high"),
+            ({"p_dist": "two_point", "p_low": 0.9, "p_high": 0.8}, "p_low must not exceed p_high"),
             ({"count": 0}, "count must be >= 1 and unit positive"),
             ({"unit": 0.0}, "count must be >= 1 and unit positive"),
         ]:
@@ -865,6 +870,8 @@ class TestSynthPanel:
         with pytest.raises(ValueError, match="count \\* unit must not exceed 1e\\+50"):
             SynthConfig(num_forecasters=4, num_surveys=20, seed=3, unit=1e100)
         SynthConfig(num_forecasters=4, num_surveys=20, seed=3, count=4, unit=2.5e49)
+        # a constant reliability reads neither bound
+        SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_low=0.9, p_high=0.8)
 
 
 class TestSynthConfigFile:
@@ -901,6 +908,15 @@ class TestSynthConfigFile:
         path.write_text("num_forecasters = 3\nnum_surveys 4\nseed = 1\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"{re.escape(str(path))}:2: expected 'key = value'"):
             load_synth_config(str(path))
+
+    def test_bad_value_names_its_place(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        for line, kind in (("num_forecasters = abc", "int"), ("turnover = 0.1.", "float")):
+            path.write_text(f"seed = 1\n{line}\n", encoding="utf-8")
+            name, _, text = line.partition(" = ")
+            with pytest.raises(SchemaError, match=re.escape(
+                    f"{path}:2: {name} = {text!r} is not a valid {kind}")):
+                load_synth_config(str(path))
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "gen.cfg"
