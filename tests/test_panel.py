@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 import math
 import os
@@ -840,6 +841,65 @@ class TestSynthPanel:
         per_row = synth_panel(config)
         assert batched.forecasts == per_row.forecasts
         assert batched.realizations == per_row.realizations
+
+    @pytest.mark.parametrize("spread, digest", [
+        ({"p_dist": "const"},
+         "2301f147f07d39bcfd0772fbac17bac71bb056323c596d217a8c129422de1385"),
+        ({"p_dist": "uniform", "p_low": 0.6, "p_high": 0.95},
+         "66101ed9841b4b571fdde26e55b930da4b46656dd0b67243719fe9f1683f1607"),
+        ({"p_dist": "two_point", "p_low": 0.7, "p_high": 0.95, "p_share_high": 0.5},
+         "0b0c2c04758d569d9d36679592100d12c34ebc7bf626d9451392fe52142b5304"),
+    ], ids=["const", "uniform", "two_point"])
+    def test_stream_is_pinned(self, spread, digest):
+        # criterion 9's shape; the golden reports pin only a small uniform panel
+        panel = synth_panel(SynthConfig(num_forecasters=40, num_surveys=200, seed=1, horizons=5,
+                                        turnover=0.1, p_decay=0.02, **spread))
+        table = panel.forecasts
+        h = hashlib.sha256()
+        for names in (table.surveys, table.variables, table.forecasters):
+            h.update("\n".join(names).encode() + b"\0")
+        for column in (table.survey, table.variable, table.horizon, table.forecaster):
+            h.update(column.astype("<i8").tobytes())
+        h.update(table.value.astype("<f8").tobytes())
+        h.update(np.array([r.value for r in panel.realizations], dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    @given(config=st.builds(
+        SynthConfig,
+        num_forecasters=st.integers(1, 8),
+        num_surveys=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        turnover=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+        horizons=st.integers(1, 5),
+        count=st.integers(1, 9),
+        p_dist=st.sampled_from(["const", "uniform", "two_point"]),
+        p_low=st.floats(0.5, 0.8),
+        p_high=st.floats(0.8, 1.0),
+        p_decay=st.sampled_from([0.0, 0.05, 0.3]),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_seats_keep_the_roster(self, config):
+        table = synth_panel(config).forecasts
+        number = np.array([int(name[1:]) for name in table.forecasters])[table.forecaster]
+        rosters = {}
+        for s, h, f in zip(table.survey.tolist(), table.horizon.tolist(), number.tolist()):
+            rosters.setdefault((s, h), []).append(f)
+        assert sorted(rosters) == [(s, h) for s in range(config.num_surveys)
+                                   for h in range(1, config.horizons + 1)]
+        first_seen: dict[int, int] = {}
+        last: set[int] = set()
+        for s in range(config.num_surveys):
+            roster = set(rosters[(s, 1)])
+            # each (survey, horizon) holds one forecast from each seat's forecaster
+            for h in range(1, config.horizons + 1):
+                assert len(rosters[(s, h)]) == len(roster) == config.num_forecasters
+                assert set(rosters[(s, h)]) == roster
+            for f in sorted(roster - last):
+                assert f not in first_seen  # an id that leaves never returns
+                first_seen[f] = s
+            last = roster
+        # new ids first appear in increasing order, from F0001 on
+        assert list(first_seen) == list(range(1, len(first_seen) + 1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
