@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quincunx import MAX_MAGNITUDE, Environment, sample_estimate_each
+from .quincunx import MAX_COUNT, MAX_MAGNITUDE, Environment, sample_estimate_each
 
 log = logging.getLogger(__name__)
 
@@ -686,7 +686,8 @@ class SynthConfig:
     ``p_low <= p_high``. Longer horizons subtract ``p_decay``, finite and
     nonnegative, per step, floored at 0.5. The panel has one variable,
     ``SYNTH_VARIABLE``, with norm ``SYNTH_NORM``, and its periods start in
-    ``SYNTH_START_YEAR``; ``count * unit`` may not exceed ``MAX_MAGNITUDE``.
+    ``SYNTH_START_YEAR``; ``count`` may not exceed ``MAX_COUNT`` = 2**53,
+    nor ``count * unit`` ``MAX_MAGNITUDE``.
     """
 
     num_forecasters: int
@@ -724,6 +725,8 @@ class SynthConfig:
             raise ValueError(f"p_decay must be nonnegative and finite, got {self.p_decay!r}")
         if self.count < 1 or not self.unit > 0.0:
             raise ValueError("count must be >= 1 and unit positive")
+        if self.count > MAX_COUNT:
+            raise ValueError(f"count must be at most 2**53, got {self.count!r}")
         if not self.count * self.unit <= MAX_MAGNITUDE:
             raise ValueError(f"count * unit must not exceed {MAX_MAGNITUDE:g}")
 
@@ -771,20 +774,22 @@ def load_synth_config(path: str, seed_override: int | None = None) -> SynthConfi
 def synth_panel(config: SynthConfig) -> Panel:
     """Generate a reproducible panel of detection-walk forecasts.
 
-    Every period draws a net deviation as a sum of fair element signs; the
-    realized value is the environment's true magnitude; each active
-    forecaster submits a walk estimate at their effective reliability.
-    Entrants replace leavers one for one, keeping the roster size constant.
-    Each (survey, horizon) draws the whole roster's estimates in one block,
-    which consumes the stream as one draw per forecaster would, and the
-    columns go into the forecast table as codes.
+    Each period draws a net deviation as a sum of fair element signs, and
+    the realized value is the environment's true magnitude. The roster is
+    ``num_forecasters`` seats, each holding a forecaster's id and base
+    reliability; an entrant with the next id takes a leaver's seat in place.
+    The stream is drawn in this order: the deviations; the initial
+    reliabilities, seat by seat; at each later survey, for each seat, an exit
+    uniform and, if its forecaster leaves, the entrant's reliability; then
+    one :func:`sample_estimate_each` block over the seats per horizon, at the
+    base reliability less ``p_decay`` per step.
     """
     rng = np.random.default_rng(config.seed)
-    n_periods = config.num_surveys + config.horizons - 1
+    n_surveys, n_horizons, n_seats = config.num_surveys, config.horizons, config.num_forecasters
+    n_periods = n_surveys + n_horizons - 1
     first = SYNTH_START_YEAR * 4
     periods = [format_period((first + i) // 4, (first + i) % 4 + 1) for i in range(n_periods + 1)]
-
-    deviations = [int(2 * rng.binomial(config.count, 0.5) - config.count) for _ in range(n_periods)]
+    deviations = (2 * rng.binomial(config.count, 0.5, size=n_periods) - config.count).tolist()
 
     def draw_p() -> float:
         if config.p_dist == "const":
@@ -793,54 +798,34 @@ def synth_panel(config: SynthConfig) -> Panel:
             return float(rng.uniform(config.p_low, config.p_high))
         return config.p_high if rng.random() < config.p_share_high else config.p_low
 
-    names: list[str] = []
-
-    def new_forecaster() -> tuple[int, float]:
-        names.append(f"F{len(names) + 1:04d}")
-        return len(names) - 1, draw_p()
-
-    roster = [new_forecaster() for _ in range(config.num_forecasters)]
+    seat_id = np.arange(n_seats)
+    seat_p = np.array([draw_p() for _ in range(n_seats)])
     exit_prob = 1.0 - (1.0 - config.turnover) ** 0.25
-
-    surveys: list[int] = []
-    horizons: list[int] = []
-    ids: list[int] = []
-    values: list[float] = []
-    for s in range(config.num_surveys):
+    ids = np.empty((n_surveys, n_horizons, n_seats), dtype=np.intp)
+    values = np.empty(ids.shape)
+    for s in range(n_surveys):
         if s > 0 and exit_prob > 0.0:
-            roster = [
-                member if rng.random() >= exit_prob else new_forecaster()
-                for member in roster
-            ]
-        roster_ids = [fid for fid, _ in roster]
-        p_base = np.array([p for _, p in roster])
-        for h in range(1, config.horizons + 1):
-            env = Environment(
-                norm=SYNTH_NORM,
-                count=config.count,
-                unit=config.unit,
-                deviation=deviations[s + h - 1],
-            )
-            ps = np.clip(p_base - config.p_decay * (h - 1), 0.5, 1.0)
-            values.extend(sample_estimate_each(ps, env, rng))
-            ids.extend(roster_ids)
-            surveys.extend([s] * len(roster))
-            horizons.extend([h] * len(roster))
-
-    realizations = []
-    vintages = []
-    for i, t in enumerate(deviations):
-        value = SYNTH_NORM + t * config.unit
-        stamp = periods[i + 1]
-        realizations.append(RealizationRow(periods[i], SYNTH_VARIABLE, value, stamp))
-        vintages.append(VintageRow(stamp, SYNTH_VARIABLE, periods[i], value))
-
+            for seat in range(n_seats):
+                if rng.random() < exit_prob:
+                    # the newest id always holds a seat, so the next is one past the largest
+                    seat_id[seat], seat_p[seat] = seat_id.max() + 1, draw_p()
+        ids[s] = seat_id
+        for h in range(n_horizons):
+            env = Environment(norm=SYNTH_NORM, count=config.count, unit=config.unit,
+                              deviation=deviations[s + h])
+            values[s, h] = sample_estimate_each(
+                np.clip(seat_p - config.p_decay * h, 0.5, 1.0), env, rng)
+    survey, horizon, _ = np.indices(ids.shape)
+    truth = [SYNTH_NORM + t * config.unit for t in deviations]
     return Panel(
         forecasts=ForecastTable.from_codes(
-            periods[:config.num_surveys], (SYNTH_VARIABLE,), names,
-            surveys, np.zeros(len(values), dtype=np.intp), horizons, ids, values,
+            periods[:n_surveys], (SYNTH_VARIABLE,), [f"F{i + 1:04d}" for i in range(ids.max() + 1)],
+            survey.ravel(), np.zeros(ids.size, dtype=np.intp), horizon.ravel() + 1,
+            ids.ravel(), values.ravel(),
         ),
-        realizations=tuple(realizations),
-        vintages=tuple(vintages),
+        realizations=tuple(RealizationRow(periods[i], SYNTH_VARIABLE, x, periods[i + 1])
+                           for i, x in enumerate(truth)),
+        vintages=tuple(VintageRow(periods[i + 1], SYNTH_VARIABLE, periods[i], x)
+                       for i, x in enumerate(truth)),
         transform="none",
     )

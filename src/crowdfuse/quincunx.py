@@ -34,6 +34,11 @@ import numpy as np
 # neither overflows nor underflows.
 MAX_MAGNITUDE = 1e50
 
+# The largest element count. numpy draws binomial counts only up to
+# 2**63 - 1, and up to 2**53 every walk sum 2 * (c+ - c-) - deviation is an
+# exact double.
+MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -43,7 +48,8 @@ class Environment:
     magnitude is ``norm + deviation * unit``. It must satisfy
     ``|deviation| <= count`` and share the parity of ``count``, and
     ``|norm|`` and ``count * unit`` may not exceed ``MAX_MAGNITUDE``, so
-    that every moment of the walk is finite in doubles.
+    that every moment of the walk is finite in doubles, and ``count`` may
+    not exceed ``MAX_COUNT``.
     """
 
     norm: float
@@ -58,8 +64,10 @@ class Environment:
             raise ValueError(f"deviation must be an integer, got {self.deviation!r}")
         if not (self.unit > 0.0 and math.isfinite(self.unit)):
             raise ValueError(f"unit must be a positive finite real, got {self.unit!r}")
-        # a count past the bound is refused before it can overflow the product
-        if self.count > MAX_MAGNITUDE or not self.count * self.unit <= MAX_MAGNITUDE:
+        # a count past its bound is refused before a huge int can overflow the product
+        if self.count > MAX_COUNT:
+            raise ValueError(f"count must be at most 2**53, got {self.count!r}")
+        if not self.count * self.unit <= MAX_MAGNITUDE:
             raise ValueError(f"count * unit must not exceed {MAX_MAGNITUDE:g}, "
                              f"got count {self.count!r} and unit {self.unit!r}")
         if not abs(self.norm) <= MAX_MAGNITUDE:

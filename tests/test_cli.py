@@ -209,6 +209,9 @@ class TestSimulate:
          "norm must be finite and at most 1e+50"),
         (["--p", "0.75", "--C", "4", "--v", "1", "--t", "0", "--norm", "nan"],
          "norm must be finite"),
+        # a count numpy's binomial cannot draw, though count * unit is small
+        (["--p", "0.8", "--C", "10000000000000000000000", "--v", "1e-30", "--t", "0"],
+         "count must be at most 2**53"),
     ])
     def test_magnitude_past_bound_exits_one(self, tmp_path, capsys, flags, reason):
         out = tmp_path / "sim.csv"

@@ -923,6 +923,8 @@ class TestSynthPanel:
             ({"p_dist": "two_point", "p_low": 0.9, "p_high": 0.8}, "p_low must not exceed p_high"),
             ({"count": 0}, "count must be >= 1 and unit positive"),
             ({"unit": 0.0}, "count must be >= 1 and unit positive"),
+            # numpy's binomial cannot draw the deviations of a larger count
+            ({"count": 2**53 + 1, "unit": 1e-30}, "count must be at most 2\\*\\*53"),
         ]:
             with pytest.raises(ValueError, match=message):
                 SynthConfig(num_forecasters=2, num_surveys=5, seed=1, **bad)
@@ -930,6 +932,7 @@ class TestSynthPanel:
         with pytest.raises(ValueError, match="count \\* unit must not exceed 1e\\+50"):
             SynthConfig(num_forecasters=4, num_surveys=20, seed=3, unit=1e100)
         SynthConfig(num_forecasters=4, num_surveys=20, seed=3, count=4, unit=2.5e49)
+        SynthConfig(num_forecasters=4, num_surveys=20, seed=3, count=2**53, unit=1e-30)
         # a constant reliability reads neither bound
         SynthConfig(num_forecasters=2, num_surveys=5, seed=1, p_low=0.9, p_high=0.8)
 
