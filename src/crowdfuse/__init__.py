@@ -51,7 +51,6 @@ from .panel import (
     load_panel,
     synth_panel,
     to_yearly_pct_change,
-    write_panel,
 )
 from .quincunx import (
     Environment,

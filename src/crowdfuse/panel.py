@@ -28,7 +28,7 @@ import functools
 import logging
 import math
 import re
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -195,30 +195,8 @@ class ForecastTable:
         return cls(*(tuple(sorted(n)) for n in names),
                    s[order], v[order], h[order], f[order], x[order])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple[str, str, int, str, float]]) -> ForecastTable:
-        """The table of (survey, variable, horizon, forecaster id, value) rows."""
-        survey, variable, horizon, forecaster, value = zip(*rows) if rows else [()] * 5
-        columns = (survey, variable, forecaster)
-        codes = [{name: i for i, name in enumerate(dict.fromkeys(column))} for column in columns]
-        s, v, f = ([at[x] for x in column] for at, column in zip(codes, columns))
-        return cls.from_codes(*map(tuple, codes), s, v, horizon, f, value)
-
-    def rows(self) -> list[tuple[str, str, int, str, float]]:
-        """Each entry as a (survey, variable, horizon, forecaster id, value) row, in table order."""
-        return list(zip(
-            map(self.surveys.__getitem__, self.survey.tolist()),
-            map(self.variables.__getitem__, self.variable.tolist()),
-            self.horizon.tolist(),
-            map(self.forecasters.__getitem__, self.forecaster.tolist()),
-            self.value.tolist(),
-        ))
-
     def __len__(self) -> int:
         return len(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ForecastTable) and self.rows() == other.rows()
 
 
 @dataclass(frozen=True)
@@ -290,12 +268,13 @@ def _analysis_table(
     return table
 
 
-@dataclass
+@dataclass(eq=False)
 class Panel:
     """A forecast panel with derived lookup tables.
 
     The surveys, in period order, and the variables are those of the
-    forecast table; each variable's horizons are read off it once.
+    forecast table; each variable's horizons are read off it once. Panels,
+    like their forecast tables, compare by identity.
     """
 
     forecasts: ForecastTable
@@ -655,19 +634,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         writer = csv.writer(_LineFeedEnds(fh), lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_panel(
-    panel: Panel, forecast_path: str, realization_path: str, vintage_path: str
-) -> None:
-    """Write the three files in canonical form, with repr floats.
-
-    Forecasts are written in table order, by (variable, survey, horizon,
-    forecaster id); realizations and vintages in their row order.
-    """
-    write_csv(forecast_path, FORECAST_HEADER, panel.forecasts.rows())
-    write_csv(realization_path, REALIZATION_HEADER, map(astuple, panel.realizations))
-    write_csv(vintage_path, VINTAGE_HEADER, map(astuple, panel.vintages))
 
 
 # ---------------------------------------------------------------------------

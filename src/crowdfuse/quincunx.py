@@ -39,6 +39,10 @@ MAX_MAGNITUDE = 1e50
 # exact double.
 MAX_COUNT = 2**53
 
+# The most uniforms sample_estimate_each draws at once: at 9 bytes an
+# element (the double and its detection flag), about 9 MB.
+_MAX_DRAW = 2**20
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -156,14 +160,20 @@ def sample_estimate_each(
     detection flips the element's contribution. With ``c+`` and ``c-`` the
     correct detections among the positive and the negative elements, the
     sum is 2 * (c+ - c-) - deviation, an exact integer. The uniforms come
-    from one ``rng.random((len(ps), count))`` draw, which consumes the
-    stream exactly as ``len(ps)`` successive one-element calls do, so the
-    values are the same.
+    in ``rng.random((seats, count))`` draws of whole rows, at most 2**20
+    uniforms each unless one row is longer; ``rng.random``
+    fills rows in order, so the draws consume the stream exactly as
+    ``len(ps)`` successive one-element calls do, and the values are the same.
     """
-    correct = rng.random((len(ps), env.count)) < np.asarray(ps, dtype=np.float64)[:, None]
-    c_pos = correct[:, :env.positive_elements].sum(axis=1)
-    c_neg = correct[:, env.positive_elements:].sum(axis=1)
-    return env.norm + env.unit * (2 * (c_pos - c_neg) - env.deviation)
+    p = np.asarray(ps, dtype=np.float64)[:, None]
+    n_pos = env.positive_elements
+    seats = max(1, _MAX_DRAW // env.count)
+    net = np.empty(len(p), dtype=np.int64)
+    for lo in range(0, len(p), seats):
+        rows = p[lo:lo + seats]
+        correct = rng.random((len(rows), env.count)) < rows
+        net[lo:lo + seats] = correct[:, :n_pos].sum(axis=1) - correct[:, n_pos:].sum(axis=1)
+    return env.norm + env.unit * (2 * net - env.deviation)
 
 
 def sample_estimates(

@@ -18,7 +18,6 @@ from crowdfuse.aggregation import (
 from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
 from crowdfuse.panel import (
-    ForecastTable,
     Panel,
     RealizationRow,
     VintageRow,
@@ -26,6 +25,7 @@ from crowdfuse.panel import (
     calibration_series,
 )
 from crowdfuse.quincunx import Judge, p_from_mse
+from panel_rows import table_of
 
 SURVEYS = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
 REALIZED = [2.0, 2.4, 1.8, 2.2, 2.0]
@@ -44,7 +44,7 @@ def cell_panel(forecasters):
         stamp = SURVEYS[i + 1] if i + 1 < len(SURVEYS) else "2001Q2"
         realizations.append(RealizationRow(survey, "X", value, stamp))
         vintages.append(VintageRow(stamp, "X", survey, value))
-    return Panel(ForecastTable.from_rows(forecasts), tuple(realizations), tuple(vintages),
+    return Panel(table_of(forecasts), tuple(realizations), tuple(vintages),
                  transform="none")
 
 

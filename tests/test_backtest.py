@@ -24,7 +24,6 @@ from crowdfuse.backtest import (
     write_sweep_csv,
 )
 from crowdfuse.panel import (
-    ForecastTable,
     Panel,
     RealizationRow,
     SynthConfig,
@@ -37,6 +36,7 @@ from crowdfuse.panel import (
     period_key,
     synth_panel,
 )
+from panel_rows import rows_of, table_of
 
 RULES = ALL_RULES
 
@@ -56,7 +56,7 @@ def hand_panel():
         realizations.append(RealizationRow(s, "X", value, stamp))
         vintages.append(VintageRow(stamp, "X", s, value))
     return Panel(
-        forecasts=ForecastTable.from_rows(forecasts),
+        forecasts=table_of(forecasts),
         realizations=tuple(realizations),
         vintages=tuple(vintages),
         transform="none",
@@ -167,7 +167,7 @@ class TestDmTest:
 
 class TestRunBacktest:
     def test_empty_panel(self):
-        panel = Panel(forecasts=ForecastTable.from_rows(()), realizations=(), vintages=(),
+        panel = Panel(forecasts=table_of(()), realizations=(), vintages=(),
                       transform="none")
         with pytest.raises(EmptyPanelError):
             run_backtest(panel, RULES, {})
@@ -239,9 +239,9 @@ class TestRunBacktest:
         bound = period_end_month(cutoff)
 
         mutated = Panel(
-            forecasts=ForecastTable.from_rows([
+            forecasts=table_of([
                 (s, v, h, j, x + 77.7 if period_key(s) > period_key(cutoff) else x)
-                for s, v, h, j, x in panel.forecasts.rows()
+                for s, v, h, j, x in rows_of(panel.forecasts)
             ]),
             realizations=tuple(
                 RealizationRow(r.target, r.variable,
@@ -329,7 +329,7 @@ def miss_panel(truth, misses):
                  for s, value in zip(surveys, truth) for j, miss in misses.items()]
     realizations = tuple(RealizationRow(s, "X", value, stamp)
                          for s, value, stamp in zip(surveys, truth, [*surveys[1:], "2001Q2"]))
-    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
+    return Panel(table_of(forecasts), realizations, (), transform="none")
 
 
 class TestReliabilityState:
@@ -344,7 +344,7 @@ class TestReliabilityState:
                             turnover=0.1, p_dist="uniform", p_low=0.6, p_high=0.95))
             v = calib["SYN"]
             worst = 0.0  # an MSE state is a mean of squared errors, so at most the largest
-            for survey, variable, horizon, _, x in panel.forecasts.rows():
+            for survey, variable, horizon, _, x in rows_of(panel.forecasts):
                 realization = panel.realization(variable, add_quarters(survey, horizon - 1))
                 if realization is not None:
                     worst = max(worst, (x - realization[0]) ** 2)

@@ -36,7 +36,6 @@ from crowdfuse.backtest import (
     subset_sweep,
 )
 from crowdfuse.panel import (
-    ForecastTable,
     Panel,
     RealizationRow,
     SynthConfig,
@@ -48,6 +47,7 @@ from crowdfuse.panel import (
     period_key,
     synth_panel,
 )
+from panel_rows import rows_of, table_of
 
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
 
@@ -120,7 +120,7 @@ def oracle_fold_survey(contributions, counts, ids, values, realized):
 def forecast_cells(panel):
     """(survey, variable, horizon) to {forecaster id: value}, from the panel's rows."""
     cells = {}
-    for survey, variable, horizon, forecaster, value in panel.forecasts.rows():
+    for survey, variable, horizon, forecaster, value in rows_of(panel.forecasts):
         cells.setdefault((survey, variable, horizon), {})[forecaster] = value
     return cells
 
@@ -289,7 +289,7 @@ def late_stamp_panel():
         RealizationRow(add_quarters("2000Q1", t), "X", truth[t], add_quarters("2000Q1", t + lag))
         for t, lag in stamps.items()
     )
-    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
+    return Panel(table_of(forecasts), realizations, (), transform="none")
 
 
 def idle_survey_panel():
@@ -297,8 +297,8 @@ def idle_survey_panel():
     mature: nobody is eligible there, so their terms fold before 2002Q1 reads them."""
     panel = late_stamp_panel()
     forecasts = [(s, v, h, "e" if s == "2001Q4" else j, x)
-                 for s, v, h, j, x in panel.forecasts.rows() if s != "2001Q4" or j == "a"]
-    return Panel(ForecastTable.from_rows(forecasts), panel.realizations, (), transform="none")
+                 for s, v, h, j, x in rows_of(panel.forecasts) if s != "2001Q4" or j == "a"]
+    return Panel(table_of(forecasts), panel.realizations, (), transform="none")
 
 
 VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
@@ -330,7 +330,7 @@ def panels(draw):
                 for j in active:
                     miss = 0.0 if j == pool[0] else draw(VALUES)
                     forecasts.append((survey, variable, h, j, truth[s + h - 1] + miss))
-    panel = Panel(ForecastTable.from_rows(forecasts), tuple(realizations), (), transform="none")
+    panel = Panel(table_of(forecasts), tuple(realizations), (), transform="none")
     unit = draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]))
     return panel, dict.fromkeys(variables, unit)
 
@@ -357,7 +357,7 @@ def wide_panel():
                        add_quarters("2000Q1", t + 1 + t % 2))
         for t, value in enumerate(truth)
     )
-    return Panel(ForecastTable.from_rows(forecasts), realizations, (), transform="none")
+    return Panel(table_of(forecasts), realizations, (), transform="none")
 
 
 LATE = (late_stamp_panel(), {"X": 2.0})
@@ -409,8 +409,8 @@ def mutated_after(panel, cutoff):
     realization and vintage stamped after its quarter's end, changed."""
     last, bound = period_key(cutoff), period_end_month(cutoff)
     return Panel(
-        ForecastTable.from_rows([(s, v, h, j, x + 77.7 if period_key(s) > last else x)
-                                 for s, v, h, j, x in panel.forecasts.rows()]),
+        table_of([(s, v, h, j, x + 77.7 if period_key(s) > last else x)
+                  for s, v, h, j, x in rows_of(panel.forecasts)]),
         tuple(replace(r, value=r.value - 55.5) if asof_key(r.vintage) > bound else r
               for r in panel.realizations),
         tuple(replace(v, level=v.level * 3.0) if asof_key(v.asof) > bound else v
@@ -604,7 +604,7 @@ class TestKernelCalls:
         panel = synth_panel(SynthConfig(num_forecasters=10, num_surveys=24, seed=5, horizons=3,
                                         turnover=0.5, p_dist="uniform"))
         calib = calibrate_v(calibration_series(panel))
-        width = len({row[3] for row in panel.forecasts.rows()})
+        width = len({row[3] for row in rows_of(panel.forecasts)})
         shapes, counts = [], []
         kernel = backtest.rule_estimates
 

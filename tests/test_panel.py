@@ -16,7 +16,6 @@ import crowdfuse.panel as panel_module
 from crowdfuse.panel import (
     CalibrationError,
     DuplicateRowError,
-    ForecastTable,
     MissingLevelError,
     MissingSeedError,
     Panel,
@@ -37,9 +36,9 @@ from crowdfuse.panel import (
     period_key,
     synth_panel,
     to_yearly_pct_change,
-    write_panel,
 )
 from crowdfuse.quincunx import sample_estimate_each
+from panel_rows import rows_of, same_panel, table_of, write_panel
 
 FORECASTS = """survey,variable,horizon,forecaster_id,value
 2000Q1,RGDP,1,alice,2.5
@@ -144,7 +143,7 @@ class TestPctChange:
             for period, level in levels.items()
         )
         series = calibration_series(
-            Panel(ForecastTable.from_rows(()), (), vintages, transform="yearly_pct")
+            Panel(table_of(()), (), vintages, transform="yearly_pct")
         )
         assert series["UNEMP"] == list(unemp.values())
         assert series["RGDP"] == pytest.approx([10.0])
@@ -187,7 +186,7 @@ class TestLoadPanel:
         assert len(panel.forecasts) == 6
         assert panel.surveys == ("2000Q1", "2000Q2")
         assert panel.variables == frozenset({"RGDP"})
-        assert forecast_cells(panel.forecasts.rows())["2000Q1", "RGDP", 1] == {
+        assert forecast_cells(rows_of(panel.forecasts))["2000Q1", "RGDP", 1] == {
             "alice": 2.5, "bob": 3.0, "carol": 2.0,
         }
 
@@ -196,7 +195,7 @@ class TestLoadPanel:
         lines = FORECASTS.splitlines()
         shuffled = [lines[0], "2000Q1,CPI,2,zed,1.25"] + lines[:0:-1] + ["1999Q4,RGDP,3,bob,0.5"]
         panel = load_panel(*write_inputs(tmp_path, forecasts="\n".join(shuffled) + "\n"))
-        rows = panel.forecasts.rows()
+        rows = rows_of(panel.forecasts)
         assert rows == sorted(rows, key=canonical)
         assert rows[0] == ("2000Q1", "CPI", 2, "zed", 1.25)
         assert rows[1] == ("1999Q4", "RGDP", 3, "bob", 0.5)
@@ -293,7 +292,7 @@ class TestLoadPanel:
 
     def test_unknown_transform(self):
         with pytest.raises(ValueError, match="unknown transform 'logs'"):
-            Panel(ForecastTable.from_rows(()), (), (), transform="logs")
+            Panel(table_of(()), (), (), transform="logs")
 
     def test_empty_forecast_file_warns(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
@@ -473,9 +472,9 @@ class TestOnePassLoader:
             assert isinstance(got, DuplicateRowError)
             assert str(got) == duplicate
             return
-        assert got.forecasts.rows() == sorted(expected_rows, key=canonical)
+        assert rows_of(got.forecasts) == sorted(expected_rows, key=canonical)
         cells = forecast_cells(expected_rows)
-        got_cells = forecast_cells(got.forecasts.rows())
+        got_cells = forecast_cells(rows_of(got.forecasts))
         for survey in ORACLE_SURVEYS:
             for variable in ("X", "Y"):
                 for horizon in range(0, 7):
@@ -519,7 +518,7 @@ class TestOnePassLoader:
             assert str(unpacked[0]) == str(packed[0])
             assert str(packed[0]).endswith("('2000Q1', 'X', 1, 'f0') at lines 2 and 63")
         else:
-            assert unpacked[0].forecasts.rows() == packed[0].forecasts.rows()
+            assert rows_of(unpacked[0].forecasts) == rows_of(packed[0].forecasts)
             assert len(packed[0].forecasts) == 61
 
     def test_names_physical_lines(self, tmp_path):
@@ -584,7 +583,7 @@ class TestOnePassLoader:
         assert messages == expected_messages == [
             f"{paths[0]}:{line}: {reason}; row rejected" for line, reason in warned
         ]
-        assert got.forecasts.rows() == sorted(expected_rows, key=canonical)
+        assert rows_of(got.forecasts) == sorted(expected_rows, key=canonical)
 
     def test_parses_each_stamp_once(self, tmp_path, monkeypatch):
         # load_panel and calibration_series on the golden files: each distinct
@@ -682,7 +681,7 @@ class TestFirstReportTable:
     @settings(max_examples=300, deadline=None)
     def test_matches_straight_line_oracle(self, realized, levels, transform):
         panel = Panel(
-            ForecastTable.from_rows(()),
+            table_of(()),
             tuple(RealizationRow(p, v, x, stamp) for v, p, stamp, x in realized),
             tuple(VintageRow(stamp, v, p, x) for v, p, stamp, x in levels),
             transform=transform,
@@ -728,7 +727,7 @@ def quoting_panels(draw):
                   st.sampled_from(ROUNDTRIP_PERIODS), roundtrip_values),
         max_size=6, unique_by=lambda row: (row.asof, row.variable, row.period),
     ))
-    return Panel(ForecastTable.from_rows(forecasts), tuple(realizations), tuple(vintages))
+    return Panel(table_of(forecasts), tuple(realizations), tuple(vintages))
 
 
 class TestRoundtrip:
@@ -758,15 +757,15 @@ class TestRoundtrip:
         paths = [str(tmp_path / n) for n in ("f.csv", "r.csv", "v.csv")]
         write_panel(panel, *paths)
         loaded = load_panel(*paths)
-        assert loaded.forecasts == panel.forecasts
+        assert rows_of(loaded.forecasts) == rows_of(panel.forecasts)
         assert loaded.realizations == panel.realizations
         assert loaded.vintages == panel.vintages
 
     @given(panel=quoting_panels())
     @example(panel=Panel(
-        ForecastTable.from_rows([("2000Q1", "G,DP", 1, "a,b", 1.5),
-                                 ("2000Q1", "G,DP", 1, "c\nd", 2.5),
-                                 ("2000Q1", "G,DP", 1, "e\rf", 3.5)]),
+        table_of([("2000Q1", "G,DP", 1, "a,b", 1.5),
+                  ("2000Q1", "G,DP", 1, "c\nd", 2.5),
+                  ("2000Q1", "G,DP", 1, "e\rf", 3.5)]),
         (RealizationRow("2000Q1", "G,DP", 3.0, "2000-05-15"),),
         (VintageRow("2000Q2", "G,DP", "2000Q1", 3.0),),
     ))
@@ -776,14 +775,14 @@ class TestRoundtrip:
             paths = [os.path.join(tmp, name) for name in ("f.csv", "r.csv", "v.csv")]
             write_panel(panel, *paths)
             loaded, _ = load_logged(paths)
-        assert loaded == panel
+        assert same_panel(loaded, panel)
 
 
 class TestSynthPanel:
     def test_zero_turnover_constant_roster(self):
         panel = synth_panel(SynthConfig(num_forecasters=5, num_surveys=8, seed=1))
         rosters = {}
-        for survey, _, _, forecaster, _ in panel.forecasts.rows():
+        for survey, _, _, forecaster, _ in rows_of(panel.forecasts):
             rosters.setdefault(survey, set()).add(forecaster)
         assert all(r == rosters[panel.surveys[0]] for r in rosters.values())
         assert len(rosters[panel.surveys[0]]) == 5
@@ -794,22 +793,22 @@ class TestSynthPanel:
             horizons=2,
         )
         panel = synth_panel(config)
-        for survey, variable, horizon, _, value in panel.forecasts.rows():
+        for survey, variable, horizon, _, value in rows_of(panel.forecasts):
             target = add_quarters(survey, horizon - 1)
             assert value == panel.realization(variable, target)[0]
 
     def test_reproducible(self):
         config = SynthConfig(num_forecasters=6, num_surveys=10, seed=3, turnover=0.2)
-        assert synth_panel(config).forecasts == synth_panel(config).forecasts
+        assert rows_of(synth_panel(config).forecasts) == rows_of(synth_panel(config).forecasts)
         other = SynthConfig(num_forecasters=6, num_surveys=10, seed=4, turnover=0.2)
-        assert synth_panel(other).forecasts != synth_panel(config).forecasts
+        assert rows_of(synth_panel(other).forecasts) != rows_of(synth_panel(config).forecasts)
 
     def test_median_tenure_sanity(self):
         # annualized turnover 0.22 with quarterly exits: the typical stay
         # should sit in the low teens of surveys
         panel = synth_panel(SynthConfig(num_forecasters=36, num_surveys=200, seed=0, turnover=0.22))
         tenure: dict[str, set] = {}
-        for survey, _, _, forecaster, _ in panel.forecasts.rows():
+        for survey, _, _, forecaster, _ in rows_of(panel.forecasts):
             tenure.setdefault(forecaster, set()).add(survey)
         med = float(np.median(sorted(len(s) for s in tenure.values())))
         assert 11 <= med <= 18
@@ -839,7 +838,7 @@ class TestSynthPanel:
             lambda ps, env, rng: [sample_estimate_each([p], env, rng)[0] for p in ps],
         )
         per_row = synth_panel(config)
-        assert batched.forecasts == per_row.forecasts
+        assert rows_of(batched.forecasts) == rows_of(per_row.forecasts)
         assert batched.realizations == per_row.realizations
 
     @pytest.mark.parametrize("spread, digest", [

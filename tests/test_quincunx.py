@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,18 +99,32 @@ class TestSampler:
         assert np.all(batch == 103.0)
 
     def test_rows_match_one_walk_at_a_time(self):
-        # the row form consumes the stream exactly as successive single draws
-        env = walk_env(count=9, deviation=-3, norm=10.0)
+        # the row form consumes the stream exactly as successive single draws,
+        # also where the rows take several draws (five of 400,001 take three)
         ps = [0.5, 0.73, 1.0, 0.91, 0.6]
-        rows = sample_estimate_each(ps, env, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        signs = np.where(np.arange(env.count) < env.positive_elements, 1.0, -1.0)
-        for p, value in zip(ps, rows):
-            correct = rng.random(env.count) < p
-            assert value == env.norm + env.unit * float(np.where(correct, signs, -signs).sum())
-        again = np.random.default_rng(5)
-        assert [sample_estimate_each([p], env, again)[0] for p in ps] == rows.tolist()
-        assert again.random() == rng.random()
+        for count in (9, 400_001):
+            env = walk_env(count=count, deviation=-3, norm=10.0)
+            rows = sample_estimate_each(ps, env, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            signs = np.where(np.arange(env.count) < env.positive_elements, 1.0, -1.0)
+            for p, value in zip(ps, rows):
+                correct = rng.random(env.count) < p
+                assert value == env.norm + env.unit * float(np.where(correct, signs, -signs).sum())
+            again = np.random.default_rng(5)
+            assert [sample_estimate_each([p], env, again)[0] for p in ps] == rows.tolist()
+            assert again.random() == rng.random()
+
+    def test_rows_draw_in_bounded_blocks(self):
+        # 64 seats of 100,000 elements at once would hold 57.6 MB of uniforms and flags
+        env = walk_env(count=100_000, deviation=0)
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            sample_estimate_each([0.8] * 64, env, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_symmetric_walk_mean(self):
         env = walk_env(count=10, deviation=0, norm=50.0)
