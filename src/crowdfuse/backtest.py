@@ -27,10 +27,10 @@ turn. So the pass has two phases:
 
 * Up front, in whole-variable array operations: each (survey, horizon)'s
   realization and maturation survey, every forecast's squared error, and
-  each (horizon, forecaster)'s MSE trajectory, the MSE after each matured
-  error in maturation order. Each forecast reads its MSE as of its
-  survey off that trajectory with one ``searchsorted``, which gives
-  eligibility, and the eligible sets are ranked per (survey, horizon).
+  each (horizon, forecaster)'s MSE trajectory, summed along the matured
+  errors' own events axis (see :func:`_states`). Each forecast reads its
+  MSE as of its survey off that trajectory with one ``searchsorted``,
+  which gives eligibility, and the eligible sets are ranked per pair.
 * Then the surveys go in blocks of a fixed step. A block lays out its
   eligible forecasts once, places x (survey, horizon) rows, with each
   distinct cut broadcast along a third axis. It builds its members, EWM
@@ -39,13 +39,13 @@ turn. So the pass has two phases:
   per horizon, so each horizon's means see them in survey order) and to
   read the contribution means its estimates use, and makes one
   member-major ``rule_estimates`` call on places x rows x cuts. The step
-  is ``_BLOCK_ENTRIES`` over the largest eligible set times a survey's
-  rows and cuts, so it bounds a call's members x rows, and with it a
-  block's memory: a sweep's 195 rows a survey make blocks of about two
-  surveys. numpy's per-call overhead is what the blocks save: a backtest
-  call per survey would hold about five rows. On SPF-shaped panels of
-  about 40 members, 16,384 entries ran the sweep about a tenth faster
-  than 8,192, and 32,768 grew its memory.
+  is ``_BLOCK_ENTRIES`` (it sizes these blocks alone) over the largest
+  eligible set times a survey's rows and cuts, so it bounds a call's
+  members x rows, and with it a block's memory: a sweep's 195 rows a
+  survey make blocks of about two surveys. numpy's per-call overhead is
+  what the blocks save: a backtest call per survey would hold about five
+  rows. On SPF-shaped panels of about 40 members, 16,384 entries ran the
+  sweep about a tenth faster than 8,192, and 32,768 grew its memory.
 
 The results go into the variable's result arrays, indexed by (survey,
 horizon) with trailing (cut, rule) axes: masks, estimates, errors (0
@@ -239,68 +239,29 @@ class _Results(NamedTuple):
 
 
 def _targets(
-    panel: Panel, variable: str, horizons: Sequence[int], forecast: np.ndarray
+    panel: Panel, variable: str, horizons: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per (survey, horizon), flat: whether its target has a first report, its value
     and the survey at which it matures, the survey count if never.
 
-    Only the pairs marked in ``forecast``, flat, are looked up, each target
-    period once. A target matures at the first survey whose quarter ends no
-    earlier than its realization's stamp; a target that never gets a value
-    never matures.
+    Each target period is looked up once. A target matures at the first
+    survey whose quarter ends no earlier than its realization's stamp; a
+    target that never gets a value never matures.
     """
     surveys = panel.surveys
     end_months = [period_end_month(p) for p in surveys]
     quarters = np.array([period_key(p) for p in surveys], dtype=np.intp)
-    at = np.flatnonzero(forecast)
-    s, k = np.divmod(at, len(horizons))
-    periods, target = np.unique(quarters[s] + np.asarray(horizons)[k] - 1, return_inverse=True)
-    found = []
-    for q in periods.tolist():
+    periods, target = np.unique((quarters[:, None] + np.asarray(horizons) - 1).ravel(),
+                                return_inverse=True)
+    reported, realized = np.zeros(len(periods), dtype=bool), np.zeros(len(periods))
+    matures = np.full(len(periods), len(surveys))
+    for i, q in enumerate(periods.tolist()):
         realization = panel.realization(variable, format_period(q // 4, q % 4 + 1))
         # stamped after the target quarter ends, so after every survey that forecasts it
-        found.append((False, 0.0, len(surveys)) if realization is None else
-                     (True, realization[0], bisect.bisect_left(end_months, realization[1])))
-    reported = np.zeros(forecast.size, dtype=bool)
-    realized = np.zeros(forecast.size)
-    matures = np.full(forecast.size, len(surveys))
-    for column, out in zip(zip(*found), (reported, realized, matures)):
-        out[at] = np.array(column)[target]
-    return reported, realized, matures
-
-
-def _mse_trajectories(
-    cell: np.ndarray, squared: np.ndarray, history: np.ndarray, window: int | None
-) -> np.ndarray:
-    """Each matured error's MSE: the mean of its cell's errors up to it, or of the last ``window``.
-
-    The errors come sorted by cell, each cell's in maturation order;
-    ``history`` counts them per cell. A block of cells at a time, of about
-    ``_BLOCK_ENTRIES`` entries, they lie along a padded events axis,
-    one row per cell, and every sum adds oldest first, left to right: a
-    running ``np.add.accumulate``, or a window's errors added one after
-    another.
-    """
-    seen = np.arange(len(cell)) - (np.cumsum(history) - history)[cell]  # earlier errors of the cell
-    lead = 0 if window is None else window - 1  # zeros before a cell's first error
-    depth = lead + int(history.max(initial=0))
-    step = max(1, _BLOCK_ENTRIES // max(depth, 1))
-    sums = np.empty(len(cell))
-    for first in range(0, len(history), step):
-        a, b = np.searchsorted(cell, (first, first + step))
-        row, column = cell[a:b] - first, seen[a:b]
-        padded = np.zeros((step, depth))
-        padded[row, lead + column] = squared[a:b]
-        if window is None:
-            np.add.accumulate(padded, axis=1, out=padded)
-            sums[a:b] = padded[row, column]
-        else:
-            total = padded[:, :depth - lead].copy()
-            for i in range(1, window):
-                total += padded[:, i:i + depth - lead]
-            sums[a:b] = total[row, column]
-    seen += 1
-    return sums / (seen if window is None else np.minimum(seen, window))
+        if realization is not None:
+            reported[i], realized[i] = True, realization[0]
+            matures[i] = bisect.bisect_left(end_months, realization[1])
+    return reported[target], realized[target], matures[target]
 
 
 def _states(
@@ -311,10 +272,13 @@ def _states(
 
     Per forecast: its (horizon, forecaster) ``cell`` (one of ``size``),
     ``survey``, the survey at which it ``matures`` (``n_surveys``: never)
-    and its ``error``. The matured errors form each cell's trajectory, in
-    maturation order (:func:`_mse_trajectories`), and each forecast reads
-    its cell's MSE off it with one ``searchsorted``: after the last error
-    matured by its survey. It is eligible from two such errors on.
+    and its ``error``. The matured errors lie along an events axis, by cell,
+    each cell's in maturation order, and their trajectory is the MSE after
+    each: the mean of its cell's errors up to it, or of the last ``window``,
+    summed oldest first (a window's sum starts with exact zeros where the
+    cell has fewer). Each forecast reads its cell's MSE off the trajectory
+    with one ``searchsorted``: after the last error matured by its survey.
+    It is eligible from two such errors on.
     """
     event = np.flatnonzero(matures < n_surveys)
     key = cell[event] * (n_surveys + 1) + matures[event]  # by cell, then maturation
@@ -322,23 +286,39 @@ def _states(
     key, event = key[order], event[order]
     # error and matures are the caller's temporaries, freed here once read
     del matures, order
-    d, matured = error[event], cell[event]
+    squared, matured = error[event], cell[event]
     del error, event
+    np.multiply(squared, squared, out=squared)  # d * d, in place
     history = np.bincount(matured, minlength=size)  # matured errors per cell
-    mse = _mse_trajectories(matured, np.multiply(d, d, out=d), history, window)  # d * d, in place
-    del d, matured
+    start = np.cumsum(history) - history  # each cell's first error on the events axis
+    seen = np.arange(len(matured)) - start[matured]  # earlier errors of the cell
+    del matured
+    if window is None:
+        sums = squared  # in place, depth by depth: each error onto its cell's sum before it
+        deepest = start[np.argsort(-history)]  # the cells with the most errors first
+        deeper = len(history) - np.cumsum(np.bincount(history))  # cells with more than d errors
+        for depth in range(1, len(deeper) - 1):
+            at = deepest[:deeper[depth]] + depth
+            sums[at] += sums[at - 1]
+    else:
+        sums = np.zeros(len(squared))  # a cell's error back places earlier, oldest first
+        for back in range(min(window, int(history.max(initial=0))) - 1, -1, -1):
+            sums[back:] += np.where(seen[back:] >= back, squared[:len(sums) - back], 0.0)
+    seen += 1
+    mse = sums / (seen if window is None else np.minimum(seen, window))
+    del squared, sums, seen
     last = np.searchsorted(key, cell * (n_surveys + 1) + survey, side="right") - 1
     del key
-    eligible = np.flatnonzero(last - (np.cumsum(history) - history)[cell] >= 1)  # two or more
+    eligible = np.flatnonzero(last - start[cell] >= 1)  # two or more
     return eligible, mse[last[eligible]]
 
 
 class _Inputs(NamedTuple):
     """What one variable's estimates need, all of it from forecasts and realizations.
 
-    Per (survey, horizon), flat: ``forecast`` marks those with forecasts,
-    ``reported``, ``realized`` and ``matures`` are as :func:`_targets` gives
-    them and ``sizes`` counts the eligible forecasts. Per eligible forecast,
+    ``forecast``, surveys x horizons, marks the pairs with forecasts. Per
+    pair, flat: ``reported``, ``realized`` and ``matures``, as :func:`_targets`
+    gives them, and ``sizes``, its eligible forecasts. Per eligible forecast,
     in table order: its ``pair`` (survey x horizons + the horizon's
     position), ``column`` (its forecaster's place among the variable's
     ``width`` forecasters, in sorted-id order), ``place`` (its place in
@@ -382,7 +362,7 @@ def _inputs(
     pair = survey * n_horizons + np.searchsorted(horizons, f.horizon[mine])  # (survey, horizon)
     forecast = np.zeros(n_surveys * n_horizons, dtype=bool)
     forecast[pair] = True
-    reported, realized, matures = _targets(panel, variable, horizons, forecast)
+    reported, realized, matures = _targets(panel, variable, horizons)
     eligible, mse = _states(
         pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
         n_surveys, n_horizons * width, window,
@@ -535,13 +515,15 @@ def _check_window(window: int | None) -> None:
         raise ValueError(f"window must be a positive number of errors, got {window!r}")
 
 
-def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> None:
+def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> list[str]:
+    """The requested rules, each once, in the order of ``ALL_RULES``: the reports' rule order."""
     _check_window(window)
     if not panel.forecasts:
         raise EmptyPanelError("panel holds no forecasts")
     for rule in rules:
         if rule not in ALL_RULES:
             raise ValueError(f"unknown rule {rule!r}")
+    return [rule for rule in ALL_RULES if rule in rules]
 
 
 def _median(values: np.ndarray) -> float:
@@ -571,8 +553,7 @@ def run_backtest(
     Each report lists its cells by variable, then horizon, then rule in the
     order of ``ALL_RULES``, each requested rule once.
     """
-    _check_inputs(panel, rules, window)
-    rules = [rule for rule in ALL_RULES if rule in rules]
+    rules = _check_inputs(panel, rules, window)
     cells: list[RmseCell] = []
     dm_cells: list[DmCell] = []
     diagnostics: list[CellDiagnostics] = []
@@ -629,8 +610,7 @@ def subset_sweep(
     sizes = sorted(set(n_range))
     if not sizes or sizes[0] < 1:
         raise ValueError("subset sizes must be positive")
-    _check_inputs(panel, rules, window)
-    rules = [rule for rule in ALL_RULES if rule in rules]
+    rules = _check_inputs(panel, rules, window)
     horizons = sorted(set(horizons))
     # per horizon, each variable's (limit x rule) RMSEs and scored-survey count
     scored: dict[int, list[tuple[np.ndarray, int]]] = {}

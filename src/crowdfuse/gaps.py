@@ -88,9 +88,10 @@ def realized_gaps(
 ) -> np.ndarray:
     """Realized MSE gaps, one per pair of sample variances in ``s1`` and ``s2``.
 
-    ``sigma1_2`` and ``sigma2_2`` are the true variances. The estimated weight is s2 / (s1 + s2). Should both sample variances be
-    exactly zero (a probability-zero event), the true-variance weight is
-    used instead so the gap stays defined.
+    ``sigma1_2`` and ``sigma2_2`` are the true variances. The estimated
+    weight is s2 / (s1 + s2). Should both sample variances be exactly zero
+    (a probability-zero event), the true-variance weight is used instead so
+    the gap stays defined.
     """
     a, b = sigma1_2, sigma2_2
     if not (a > 0.0 and b > 0.0):

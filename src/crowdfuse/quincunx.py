@@ -160,19 +160,21 @@ def sample_estimate_each(
     detection flips the element's contribution. With ``c+`` and ``c-`` the
     correct detections among the positive and the negative elements, the
     sum is 2 * (c+ - c-) - deviation, an exact integer. The uniforms come
-    in ``rng.random((seats, count))`` draws of whole rows, at most 2**20
-    uniforms each unless one row is longer; ``rng.random``
-    fills rows in order, so the draws consume the stream exactly as
-    ``len(ps)`` successive one-element calls do, and the values are the same.
+    in ``rng.random`` draws of at most 2**20: whole rows, or a row longer
+    than that in blocks of elements. ``rng.random`` fills in order, so the
+    draws consume the stream exactly as ``len(ps)`` successive one-element
+    calls do, and the values are the same.
     """
     p = np.asarray(ps, dtype=np.float64)[:, None]
     n_pos = env.positive_elements
-    seats = max(1, _MAX_DRAW // env.count)
-    net = np.empty(len(p), dtype=np.int64)
+    seats, width = max(1, _MAX_DRAW // env.count), min(env.count, _MAX_DRAW)
+    net = np.zeros(len(p), dtype=np.int64)
     for lo in range(0, len(p), seats):
         rows = p[lo:lo + seats]
-        correct = rng.random((len(rows), env.count)) < rows
-        net[lo:lo + seats] = correct[:, :n_pos].sum(axis=1) - correct[:, n_pos:].sum(axis=1)
+        for first in range(0, env.count, width):  # one block unless a row is longer than 2**20
+            correct = rng.random((len(rows), min(width, env.count - first))) < rows
+            split = max(n_pos - first, 0)  # the block's positive elements come first
+            net[lo:lo + seats] += correct[:, :split].sum(axis=1) - correct[:, split:].sum(axis=1)
     return env.norm + env.unit * (2 * net - env.deviation)
 
 

@@ -426,7 +426,8 @@ def mutated_after(panel, cutoff):
 class TestEngineEqualsOracle:
     @given(
         case=panels(),
-        window=st.sampled_from([None, 1, 3]),
+        # 8: longer than most cells' histories, shorter than the longer panels' survey counts
+        window=st.sampled_from([None, 1, 3, 8]),
         hln=st.booleans(),
         rules=st.sampled_from([ALL_RULES, ("EWM", "KF"), ("KFplus", "CWM", "EWM")]),
         aggregate=st.sampled_from(["mean", "pooled"]),

@@ -101,8 +101,10 @@ class TestSampler:
     def test_rows_match_one_walk_at_a_time(self):
         # the row form consumes the stream exactly as successive single draws,
         # also where the rows take several draws (five of 400,001 take three)
+        # and where a row does (2**21 + 1 takes three blocks, the positive
+        # elements ending one before the first block's edge)
         ps = [0.5, 0.73, 1.0, 0.91, 0.6]
-        for count in (9, 400_001):
+        for count in (9, 400_001, 2**21 + 1):
             env = walk_env(count=count, deviation=-3, norm=10.0)
             rows = sample_estimate_each(ps, env, np.random.default_rng(5))
             rng = np.random.default_rng(5)
@@ -121,6 +123,18 @@ class TestSampler:
         tracemalloc.start()
         try:
             sample_estimate_each([0.8] * 64, env, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_long_row_draws_in_bounded_blocks(self):
+        # one seat of 2**22 elements at once would hold 37.7 MB of uniforms and flags
+        env = walk_env(count=2**22, deviation=0)
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            sample_estimate_each([0.8], env, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
