@@ -23,14 +23,15 @@ forecasters are indexed in sorted-id order. Squared errors, MSEs,
 eligibility, ranks, members, EWM numerators and leave-one-out terms
 depend on forecasts and realizations alone; only the contribution means,
 running means of the terms read at every survey, need the surveys in
-turn. So the pass has two phases:
+turn. So the pass, :func:`_run_variable`, has two phases:
 
 * Up front, in whole-variable array operations: each (survey, horizon)'s
   realization and maturation survey, every forecast's squared error, and
   each (horizon, forecaster)'s MSE trajectory, summed along the matured
   errors' own events axis (see :func:`_states`). Each forecast reads its
   MSE as of its survey off that trajectory with one ``searchsorted``,
-  which gives eligibility, and the eligible sets are ranked per pair.
+  which gives eligibility, and, where some cut is below the largest
+  eligible set, the eligible sets are ranked per pair by MSE.
 * Then the surveys go in blocks of a fixed step. A block lays out its
   eligible forecasts once, places x (survey, horizon) rows, with each
   distinct cut broadcast along a third axis. It builds its members, EWM
@@ -313,73 +314,6 @@ def _states(
     return eligible, mse[last[eligible]]
 
 
-class _Inputs(NamedTuple):
-    """What one variable's estimates need, all of it from forecasts and realizations.
-
-    ``forecast``, surveys x horizons, marks the pairs with forecasts. Per
-    pair, flat: ``reported``, ``realized`` and ``matures``, as :func:`_targets`
-    gives them, and ``sizes``, its eligible forecasts. Per eligible forecast,
-    in table order: its ``pair`` (survey x horizons + the horizon's
-    position), ``column`` (its forecaster's place among the variable's
-    ``width`` forecasters, in sorted-id order), ``place`` (its place in
-    its pair's eligible set, in sorted-id order) and ``value``, its
-    forecaster's ``mse`` as of the survey (see :func:`_states`), and its
-    ``rank`` by that MSE within its pair, 0 for all where no limit cuts an
-    eligible set.
-    """
-
-    width: int
-    forecast: np.ndarray
-    reported: np.ndarray
-    realized: np.ndarray
-    matures: np.ndarray
-    sizes: np.ndarray
-    pair: np.ndarray
-    column: np.ndarray
-    place: np.ndarray
-    value: np.ndarray
-    mse: np.ndarray
-    rank: np.ndarray
-
-
-def _inputs(
-    panel: Panel, variable: str, horizons: Sequence[int], limits: Sequence[int | None],
-    window: int | None,
-) -> _Inputs:
-    """The eligible forecasts of one variable, their forecasters' states and ranks, up front."""
-    n_surveys, n_horizons = len(panel.surveys), len(horizons)
-    f = panel.forecasts
-    v = f.variables.index(variable) if variable in f.variables else -1
-    lo, hi = np.searchsorted(f.variable, (v, v + 1))
-    keep = np.isin(f.horizon[lo:hi], horizons)
-    mine = slice(lo, hi) if keep.all() else lo + np.flatnonzero(keep)  # views where it can
-    survey, value = f.survey[mine], f.value[mine]
-    # the variable's forecasters, in sorted-id order
-    present = np.zeros(len(f.forecasters), dtype=bool)
-    present[f.forecaster[mine]] = True
-    width = int(present.sum())
-    column = (np.cumsum(present) - 1)[f.forecaster[mine]]
-    pair = survey * n_horizons + np.searchsorted(horizons, f.horizon[mine])  # (survey, horizon)
-    forecast = np.zeros(n_surveys * n_horizons, dtype=bool)
-    forecast[pair] = True
-    reported, realized, matures = _targets(panel, variable, horizons)
-    eligible, mse = _states(
-        pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
-        n_surveys, n_horizons * width, window,
-    )
-    pair, column, value = pair[eligible], column[eligible], value[eligible]
-    sizes = np.bincount(pair, minlength=len(forecast))
-    place = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
-    if min(width if n is None else n for n in limits) < sizes.max(initial=0):  # some limit cuts
-        rank = rank_by_reliability(pair, column, mse)
-    else:
-        rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
-    return _Inputs(
-        width, forecast.reshape(-1, n_horizons), reported, realized, matures, sizes,
-        pair, column, place, value, mse, rank,
-    )
-
-
 def _run_variable(
     panel: Panel,
     variable: str,
@@ -395,30 +329,61 @@ def _run_variable(
     cut, a limit capped at the largest eligible set, runs once. MSEs
     depend on the horizon; contribution means also on the limit.
 
-    Up front, :func:`_inputs` gives the eligible forecasts, their
-    forecasters' MSEs and their ranks. Then the surveys go in blocks of a
-    fixed step (see the module docstring). A block lays out its forecasts'
-    ranks, columns, values and noises once, places x rows, each at its
-    place in its (survey, horizon)'s eligible set, in sorted-id order, with
-    the cuts along a third axis. It builds its members, EWM numerators and
-    leave-one-out terms at once, walks its surveys to fold in the terms
-    that mature at each and to read the contribution means it estimates
-    with, and makes one :func:`rule_estimates` call. A target's terms wait
-    by (maturation survey, horizon), and each survey folds its targets in
+    Up front, each forecast gets its ``pair`` (survey x horizons + the
+    horizon's position) and its forecaster's ``column`` among the variable's
+    ``width``, in sorted-id order. :func:`_states` keeps the eligible ones,
+    with their forecasters' MSEs as of the survey, and each takes its
+    ``place`` in its pair's eligible set, in sorted-id order, and its
+    ``rank`` by MSE there (0 for all where no cut is below the largest
+    eligible set). Then the surveys go in blocks of a fixed step (see the
+    module docstring). A block lays out its forecasts' ranks, columns,
+    values and noises once, places x rows, each at its place, with the cuts
+    along a third axis. It builds its members, EWM numerators and
+    leave-one-out terms at once, walks its surveys to fold in the terms that
+    mature at each and to read the contribution means it estimates with, and
+    makes one :func:`rule_estimates` call. A target's terms wait by
+    (maturation survey, horizon), and each survey folds its targets in
     rounds of at most one per horizon, so each horizon's means see them in
-    survey order; a block without estimates leaves its surveys' folds to
-    the next block's walk. The errors are taken once, at the end, and set
-    to 0 where a survey is not scored.
+    survey order; a block without estimates leaves its surveys' folds to the
+    next block's walk. The errors are taken once, at the end, and set to 0
+    where a survey is not scored.
     """
     n_surveys, n_horizons = len(panel.surveys), len(horizons)
+    shape = (n_surveys, n_horizons)
     if window is not None and window >= n_surveys:
         window = None  # covers every history
-    data = _inputs(panel, variable, horizons, limits, window)
-    cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
-    width, sizes, matures, realized = data.width, data.sizes, data.matures, data.realized
+    f = panel.forecasts
+    v = f.variables.index(variable) if variable in f.variables else -1
+    lo, hi = np.searchsorted(f.variable, (v, v + 1))
+    keep = np.isin(f.horizon[lo:hi], horizons)
+    mine = slice(lo, hi) if keep.all() else lo + np.flatnonzero(keep)  # views where it can
+    survey, value = f.survey[mine], f.value[mine]
+    # the variable's forecasters, in sorted-id order
+    present = np.zeros(len(f.forecasters), dtype=bool)
+    present[f.forecaster[mine]] = True
+    width = int(present.sum())
+    column = (np.cumsum(present) - 1)[f.forecaster[mine]]
+    pair = survey * n_horizons + np.searchsorted(horizons, f.horizon[mine])  # (survey, horizon)
+    del keep, mine, present
+    forecast = np.zeros(shape, dtype=bool)
+    forecast.flat[pair] = True
+    reported, realized, matures = _targets(panel, variable, horizons)
+    eligible, mse = _states(
+        pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
+        n_surveys, n_horizons * width, window,
+    )
+    pair, column, value = pair[eligible], column[eligible], value[eligible]
+    del survey, eligible
+    sizes = np.bincount(pair, minlength=forecast.size)  # eligible forecasts per pair
+    place = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
     largest = int(sizes.max(initial=0))
     cut, limit_of = np.unique(np.minimum([width if n is None else n for n in limits], largest),
                               return_inverse=True)
+    if cut[0] < largest:  # some limit cuts
+        rank = rank_by_reliability(pair, column, mse)
+    else:
+        rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
+    cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
     n_limits = len(cut)
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
@@ -429,30 +394,28 @@ def _run_variable(
     # by (maturation survey, horizon): each target's cells and terms to fold, in survey order
     pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
     walked = 0  # the surveys before it have folded their matured terms
-    shape = data.forecast.shape
-    estimated = np.zeros(shape, dtype=bool)
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
     fallbacks = np.zeros((*shape, n_limits), dtype=bool)
     for first in range(0, n_surveys, step):
         stop = min(first + step, n_surveys)
-        lo, hi = np.searchsorted(data.pair, (first * n_horizons, stop * n_horizons))
+        lo, hi = np.searchsorted(pair, (first * n_horizons, stop * n_horizons))
         low, high = np.searchsorted(rows, (first * n_horizons, stop * n_horizons))
         block = rows[low:high]
         if not len(block):  # nothing to estimate: its surveys' terms fold with the next block's
             continue
-        entry = data.place[lo:hi], row_of[data.pair[lo:hi]] - low  # each forecast's (place, row)
+        entry = place[lo:hi], row_of[pair[lo:hi]] - low  # each forecast's (place, row)
         # places x rows, alike at every limit; a padding place ranks where no cut reaches
-        rank = np.full((int(sizes[block].max()), len(block)), cut[-1])
-        column = np.zeros(rank.shape, dtype=np.intp)
-        V, U = np.zeros((2, *rank.shape))  # forecasts and noises
-        mse = data.mse[lo:hi]  # noise min(MSE, v^2), floored, and 0 exactly at MSE 0
-        rank[entry], column[entry] = data.rank[lo:hi], data.column[lo:hi]
-        V[entry], U[entry] = data.value[lo:hi], np.where(
-            mse > 0.0, np.clip(mse, _NOISE_FLOOR, cap), 0.0)
-        members = rank[:, :, None] < cut  # the limits along a third axis
+        ranks = np.full((int(sizes[block].max()), len(block)), cut[-1])
+        columns = np.zeros(ranks.shape, dtype=np.intp)
+        V, U = np.zeros((2, *ranks.shape))  # forecasts and noises
+        noise = mse[lo:hi]  # min(MSE, v^2), floored, and 0 exactly at MSE 0
+        ranks[entry], columns[entry] = rank[lo:hi], column[lo:hi]
+        V[entry], U[entry] = value[lo:hi], np.where(
+            noise > 0.0, np.clip(noise, _NOISE_FLOOR, cap), 0.0)
+        members = ranks[:, :, None] < cut  # the limits along a third axis
         # each place's contribution cell per row and limit: (horizon, limit, forecaster)
         cells = ((block % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
-            + column[:, :, None]
+            + columns[:, :, None]
         n = np.minimum(sizes[block][:, None], cut)
         X, totals = member_forecasts(V[:, :, None], members)  # for the terms and the kernel alike
         # members of rows with two or more, of maturing targets, give leave-one-out terms, each
@@ -482,15 +445,15 @@ def _run_variable(
             C[:, start:end] = contributions[cells[:, start:end]]
         walked = stop
         at = np.divmod(block, n_horizons)  # each row's (survey, horizon)
-        estimated[at] = True
         estimates[at], fallbacks[at] = rule_estimates(X, totals, U[:, :, None], C, members, n)
 
-    scored = estimated & data.reported.reshape(shape)
+    estimated = (sizes > 0).reshape(shape)
+    scored = estimated & reported.reshape(shape)
     errors = estimates - realized.reshape(shape)[:, :, None, None]
     errors[~scored] = 0.0
-    mses = [data.mse[data.pair % n_horizons == k] if None in limits else np.empty(0)
+    mses = [mse[pair % n_horizons == k] if None in limits else np.empty(0)
             for k in range(n_horizons)]
-    return _Results(data.forecast, estimated, scored, estimates, errors, fallbacks, mses, limit_of)
+    return _Results(forecast, estimated, scored, estimates, errors, fallbacks, mses, limit_of)
 
 
 def cell_estimates(
@@ -501,8 +464,8 @@ def cell_estimates(
     calib: Calibration,
     window: int | None = None,
 ) -> dict[str, list[tuple[str, float]]]:
-    """Per-rule (survey, estimate) trail for one cell; useful for audits."""
-    _check_window(window)
+    """Per-rule (survey, estimate) trail for one cell, rules in the order of ``ALL_RULES``."""
+    rules = _check_inputs(panel, rules, window)
     results = _run_variable(panel, variable, (horizon,), calib, (None,), window)
     estimated = results.estimated[:, 0]
     surveys = [panel.surveys[i] for i in np.flatnonzero(estimated)]
@@ -510,14 +473,10 @@ def cell_estimates(
     return {rule: list(zip(surveys, estimates[:, _RULE_ORDER[rule]].tolist())) for rule in rules}
 
 
-def _check_window(window: int | None) -> None:
-    if window is not None and window < 1:
-        raise ValueError(f"window must be a positive number of errors, got {window!r}")
-
-
 def _check_inputs(panel: Panel, rules: Sequence[str], window: int | None) -> list[str]:
     """The requested rules, each once, in the order of ``ALL_RULES``: the reports' rule order."""
-    _check_window(window)
+    if window is not None and window < 1:
+        raise ValueError(f"window must be a positive number of errors, got {window!r}")
     if not panel.forecasts:
         raise EmptyPanelError("panel holds no forecasts")
     for rule in rules:

@@ -32,6 +32,7 @@ from crowdfuse.panel import (
     asof_key,
     calibrate_v,
     calibration_series,
+    load_panel,
     period_end_month,
     period_key,
     synth_panel,
@@ -491,6 +492,67 @@ class TestSubsetSweep:
         small_lead = table[(2, "CWM")] - table[(2, "KF")]
         full_lead = table[(16, "CWM")] - table[(16, "KF")]
         assert small_lead > full_lead > 0.0
+
+
+class TestRankShortcut:
+    """The engine ranks a variable's eligible sets only where some size cuts one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        ranked = backtest.rank_by_reliability
+
+        def counted(*args):
+            calls.append(args)
+            return ranked(*args)
+
+        monkeypatch.setattr(backtest, "rank_by_reliability", counted)
+        return calls
+
+    @pytest.fixture
+    def golden(self):
+        files = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "files")
+        panel = load_panel(*(os.path.join(files, f"{name}.csv")
+                             for name in ("forecasts", "realizations", "vintages")))
+        assert sorted(panel.variables) == ["GDP", "UNEMP"]
+        return panel, calibrate_v(calibration_series(panel))
+
+    def test_backtest_never_ranks(self, calls, golden):
+        panel, calib = golden
+        run_backtest(panel, RULES, calib)
+        run_backtest(panel, RULES, calib, window=2)
+        assert calls == []
+
+    def test_sizes_reaching_every_eligible_set_never_rank(self, calls, golden):
+        panel, calib = golden
+        width = len(panel.forecasts.forecasters)
+        subset_sweep(panel, (1, 2), [width, width + 5], calib)
+        assert calls == []
+
+    def test_cutting_size_ranks_once_per_variable(self, calls, golden):
+        panel, calib = golden
+        subset_sweep(panel, (1, 2), [1, 2, 3], calib)
+        assert len(calls) == 2
+
+
+class TestCellEstimates:
+    def test_inputs_checked_as_the_reports_check_them(self):
+        panel = hand_panel()
+        calib = calibrate_v(calibration_series(panel))
+        with pytest.raises(ValueError, match="unknown rule"):
+            cell_estimates(panel, "X", 1, ("EWM", "MAGIC"), calib)
+        with pytest.raises(ValueError, match="window"):
+            cell_estimates(panel, "X", 1, RULES, calib, window=0)
+        empty = Panel(forecasts=table_of(()), realizations=(), vintages=(), transform="none")
+        with pytest.raises(EmptyPanelError):
+            cell_estimates(empty, "X", 1, RULES, {"X": 1.0})
+
+    def test_trail_lists_each_rule_once_in_report_order(self):
+        panel = hand_panel()
+        calib = calibrate_v(calibration_series(panel))
+        trails = cell_estimates(panel, "X", 1, ("KFplus", "EWM", "KFplus"), calib)
+        assert list(trails) == ["EWM", "KFplus"]
+        assert trails["EWM"] == cell_estimates(panel, "X", 1, RULES, calib)["EWM"]
 
 
 class TestEmission:

@@ -463,7 +463,8 @@ class TestEngineEqualsOracle:
                     assert got == oracle_cell_estimates(panel, variable, horizon, rules, calib,
                                                         window)
 
-    @pytest.mark.parametrize("window", [None, 3])
+    # 8 cuts the histories of cells with more matured errors than that
+    @pytest.mark.parametrize("window", [None, 3, 8])
     def test_wide_crowd(self, window):
         panel, calib = WIDE
         got = run_backtest(panel, ALL_RULES, calib, window=window, hln=True)

@@ -1,9 +1,13 @@
-"""Smoke tests: the experiment scripts run at a toy size and write their files."""
+"""Smoke tests: the experiment scripts run at a toy size and write their files, and the
+README's library example runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from crowdfuse.cli import main
 
@@ -44,3 +48,15 @@ def test_theory_grids(tmp_path):
         assert main(["theory", "--kind", kind, "--resolution", "10", "--out", str(theory)]) == 0
         assert (tmp_path / f"grid_{kind}.csv").read_bytes() == theory.read_bytes()
     assert (tmp_path / "gaussian_limit.csv").read_text().strip()
+
+
+def test_readme_library_example(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library in five lines\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    # the moments the example's comment states are the ones it prints
+    stated = re.search(r"# mean ([-\d.]+), variance ([-\d.]+)", block).groups()
+    shown = re.search(r"mean=([^,]+), variance=([^,]+),", printed).groups()
+    assert [float(x) for x in shown] == pytest.approx([float(x) for x in stated])
+    assert [float(x) for x in stated] == [2.4, 12.8]
