@@ -50,7 +50,6 @@ from .panel import (
     calibrate_v,
     load_panel,
     synth_panel,
-    to_yearly_pct_change,
 )
 from .quincunx import (
     Environment,

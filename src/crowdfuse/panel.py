@@ -2,9 +2,9 @@
 
 A panel holds quarterly forecasts (per survey, variable, horizon, and
 forecaster), realized values as first reported, and vintage level series.
-File schemas (UTF-8 CSV, mandatory header, ``.`` decimal separator,
-periods formatted ``YYYYQn``, stamps ``YYYYQn`` or ``YYYY-MM[-DD]`` with a
-month of 1-12 and a day of 1-31):
+File schemas (UTF-8 CSV, with or without a byte-order mark, mandatory
+header, ``.`` decimal separator, periods formatted ``YYYYQn``, stamps
+``YYYYQn`` or ``YYYY-MM[-DD]`` with a month of 1-12 and a day of 1-31):
 
 * forecasts:     ``survey,variable,horizon,forecaster_id,value``
 * realizations:  ``target,variable,value,vintage``
@@ -66,14 +66,6 @@ class SchemaError(PanelError):
 
 class DuplicateRowError(PanelError):
     """Two rows share a key that must be unique."""
-
-
-class MissingLevelError(PanelError):
-    """A level needed for the percentage-change transform is absent."""
-
-
-class ZeroBaseError(PanelError):
-    """The lagged level is zero, so the percentage change is undefined."""
 
 
 class CalibrationError(PanelError):
@@ -222,11 +214,12 @@ def _analysis_table(
 
     A period's first report is the value at its earliest stamp after the
     period ends; on a tie the earlier row wins. Values stamped at or before
-    the period end are dropped with a diagnostic. The yearly change of a
-    period is known from the later of its two stamps; a period whose base
-    report is missing or zero has no entry, nor has one whose change is not
-    finite or exceeds ``MAX_MAGNITUDE`` (each with a diagnostic). UNEMP, and
-    every variable under ``transform="none"``, passes through.
+    the period end are dropped with a diagnostic. A period's yearly change,
+    ``100 * (level / base - 1)`` over the first report a year before, is
+    known from the later of the two stamps; a period whose base report is
+    missing or zero (either sign) has no entry, nor has one whose change is
+    not finite or exceeds ``MAX_MAGNITUDE`` (each with a diagnostic). UNEMP,
+    and every variable under ``transform="none"``, passes through.
     """
     firsts: dict[str, dict[str, tuple[tuple[int, int], float]]] = {}
     early: set[tuple[str, str]] = set()
@@ -251,12 +244,11 @@ def _analysis_table(
             for period, (key, value) in reports.items():
                 out[period] = (value, key)
             continue
-        levels = {period: value for period, (_, value) in reports.items()}
-        for period, (key, _) in reports.items():
-            try:
-                change = to_yearly_pct_change(levels, period)
-            except (MissingLevelError, ZeroBaseError):
+        for period, (key, level) in reports.items():
+            base = reports.get(add_quarters(period, -4))
+            if base is None or base[1] == 0.0:
                 continue
+            change = 100.0 * (level / base[1] - 1.0)
             if not math.isfinite(change):
                 log.warning("yearly change of %s %s is not finite; value dropped", variable, period)
                 continue
@@ -264,7 +256,7 @@ def _analysis_table(
                 log.warning("yearly change of %s %s exceeds %g; value dropped",
                             variable, period, MAX_MAGNITUDE)
                 continue
-            out[period] = (change, max(key, reports[add_quarters(period, -4)][0]))
+            out[period] = (change, max(key, base[0]))
     return table
 
 
@@ -317,26 +309,8 @@ class Panel:
 
 
 # ---------------------------------------------------------------------------
-# Transform and calibration
+# Calibration
 # ---------------------------------------------------------------------------
-
-def to_yearly_pct_change(levels: Mapping[str, float], target_period: str) -> float:
-    """Yearly percentage change of a level series at a target period.
-
-    100 * (x_t / x_{t-4} - 1) over the four-quarter lag. Variables already
-    in percent (UNEMP) are left as they are by the callers, which do not
-    call this for them.
-    """
-    lag_period = add_quarters(target_period, -4)
-    if target_period not in levels or lag_period not in levels:
-        raise MissingLevelError(
-            f"need levels at {target_period} and {lag_period} for the yearly change"
-        )
-    base = levels[lag_period]
-    if base == 0.0:
-        raise ZeroBaseError(f"level at {lag_period} is zero")
-    return 100.0 * (levels[target_period] / base - 1.0)
-
 
 Calibration = Mapping[str, float]
 """The evidence unit per variable: the largest absolute deviation of the
@@ -473,7 +447,7 @@ def _read_codes(
     before; the repeats are found on the sorted order, and only then is the
     file read again, up to the repeat, for the lines of its records
     (:func:`_accepted_lines`). A file with no record of the right width
-    warns that it holds no rows.
+    warns that it holds no rows. A leading byte-order mark is dropped.
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
@@ -482,7 +456,7 @@ def _read_codes(
     codes: list[int] = []
     rejects: list[tuple[int, str]] = []
     rejected = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader)
@@ -558,7 +532,7 @@ def _accepted_lines(path: str, encode: Callable, last: int) -> list[int]:
     as the reading pass, which keeps no line per record.
     """
     lines: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for record in reader:
@@ -703,15 +677,17 @@ _SYNTH_FIELD_TYPES = {f.name: f.type for f in fields(SynthConfig)}
 def load_synth_config(path: str, seed_override: int | None = None) -> SynthConfig:
     """Parse a flat ``key = value`` generator config file.
 
-    Lines starting with ``#`` and blank lines are skipped. ``seed`` may be
-    omitted from the file when supplied by the caller; an explicit override
-    always wins.
+    A ``#`` starts a comment to the end of its line, blank lines are skipped
+    and a leading byte-order mark is dropped. An unknown key, a repeated key
+    (named with both lines) or a value not of its key's type is an error.
+    ``seed`` may be left to the caller, whose override always wins.
     """
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    lines: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise SchemaError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
@@ -719,6 +695,9 @@ def load_synth_config(path: str, seed_override: int | None = None) -> SynthConfi
             name, text = name.strip(), text.strip()
             if name not in _SYNTH_FIELD_TYPES:
                 raise SchemaError(f"{path}:{line_no}: unknown key {name!r}")
+            if name in lines:
+                raise SchemaError(f"{path}: duplicate key {name!r} at lines {lines[name]} and {line_no}")
+            lines[name] = line_no
             kind = _SYNTH_FIELD_TYPES[name]
             try:
                 if kind == "int":

@@ -64,14 +64,32 @@ def run_case(name, out_dir):
     assert main(argv + out + ["--force"]) == 0
 
 
+def assert_golden(name, out_dir):
+    """``out_dir`` holds exactly the stored reports of case ``name``, byte for byte."""
+    expected = sorted(os.listdir(os.path.join(GOLDEN, name)))
+    assert sorted(os.listdir(out_dir)) == expected
+    for report in expected:
+        with open(os.path.join(GOLDEN, name, report), "rb") as fh:
+            assert (out_dir / report).read_bytes() == fh.read(), (name, report)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reports_match_golden(name, tmp_path):
     run_case(name, tmp_path)
-    expected = sorted(os.listdir(os.path.join(GOLDEN, name)))
-    assert sorted(os.listdir(tmp_path)) == expected
-    for report in expected:
-        with open(os.path.join(GOLDEN, name, report), "rb") as fh:
-            assert (tmp_path / report).read_bytes() == fh.read(), (name, report)
+    assert_golden(name, tmp_path)
+
+
+def test_byte_order_mark_gives_the_same_reports(tmp_path):
+    # spreadsheet "CSV UTF-8" exports put a byte-order mark before the header
+    argv = ["backtest"]
+    for flag, path in zip(FILES[::2], FILES[1::2]):
+        marked = tmp_path / os.path.basename(path)
+        with open(path, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        argv += [flag, str(marked)]
+    out = tmp_path / "reports"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert_golden("panel", out)
 
 
 if __name__ == "__main__":

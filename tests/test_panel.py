@@ -16,7 +16,6 @@ import crowdfuse.panel as panel_module
 from crowdfuse.panel import (
     CalibrationError,
     DuplicateRowError,
-    MissingLevelError,
     MissingSeedError,
     Panel,
     PanelError,
@@ -24,7 +23,6 @@ from crowdfuse.panel import (
     SchemaError,
     SynthConfig,
     VintageRow,
-    ZeroBaseError,
     add_quarters,
     asof_key,
     calibrate_v,
@@ -35,7 +33,6 @@ from crowdfuse.panel import (
     period_end_month,
     period_key,
     synth_panel,
-    to_yearly_pct_change,
 )
 from crowdfuse.quincunx import sample_estimate_each
 from panel_rows import rows_of, same_panel, table_of, write_panel
@@ -124,14 +121,31 @@ class TestPeriods:
                 asof_key(text)
 
 
+def yearly_panel(reports):
+    """A yearly-pct panel whose RGDP realizations and vintages are ``reports``,
+    ``{period: (level, stamp)}``."""
+    return Panel(
+        table_of(()),
+        tuple(RealizationRow(p, "RGDP", x, stamp) for p, (x, stamp) in reports.items()),
+        tuple(VintageRow(stamp, "RGDP", p, x) for p, (x, stamp) in reports.items()),
+    )
+
+
 class TestPctChange:
     def test_basic(self):
-        levels = {"2019Q1": 100.0, "2020Q1": 110.0}
-        assert to_yearly_pct_change(levels, "2020Q1") == pytest.approx(10.0)
+        panel = yearly_panel({"2019Q1": (100.0, "2019Q2"), "2020Q1": (110.0, "2020Q2")})
+        assert panel.realization("RGDP", "2020Q1") == (pytest.approx(10.0), (2020, 6))
+        assert calibration_series(panel) == {"RGDP": [pytest.approx(10.0)]}
+        # the change is known from the later of the two stamps, whichever report holds it
+        for base_stamp, stamp, known_by in (("2020-09", "2020Q2", (2020, 9)),
+                                            ("2019Q2", "2020-11", (2020, 11))):
+            panel = yearly_panel({"2019Q1": (100.0, base_stamp), "2020Q1": (110.0, stamp)})
+            assert panel.realization("RGDP", "2020Q1")[1] == known_by
 
     def test_flat_series(self):
-        levels = {"2019Q1": 104.0, "2020Q1": 104.0}
-        assert to_yearly_pct_change(levels, "2020Q1") == 0.0
+        panel = yearly_panel({"2019Q1": (104.0, "2019Q2"), "2020Q1": (104.0, "2020Q2")})
+        assert panel.realization("RGDP", "2020Q1")[0] == 0.0
+        assert calibration_series(panel) == {"RGDP": [0.0]}
 
     def test_unemployment_passthrough(self):
         # UNEMP is already in percent: its first reports come back as raw levels
@@ -149,12 +163,20 @@ class TestPctChange:
         assert series["RGDP"] == pytest.approx([10.0])
 
     def test_missing_lag(self):
-        with pytest.raises(MissingLevelError):
-            to_yearly_pct_change({"2020Q1": 110.0}, "2020Q1")
+        # 2020Q1 has no report a year before; 2020Q2 has one
+        panel = yearly_panel({"2019Q2": (100.0, "2019Q3"), "2020Q1": (110.0, "2020Q2"),
+                              "2020Q2": (105.0, "2020Q3")})
+        assert panel.realization("RGDP", "2020Q1") is None
+        assert panel.realization("RGDP", "2020Q2") == (pytest.approx(5.0), (2020, 9))
+        assert calibration_series(panel) == {"RGDP": [pytest.approx(5.0)]}
 
     def test_zero_base(self):
-        with pytest.raises(ZeroBaseError):
-            to_yearly_pct_change({"2019Q1": 0.0, "2020Q1": 1.0}, "2020Q1")
+        for zero in (0.0, -0.0):
+            panel = yearly_panel({"2019Q1": (zero, "2019Q2"), "2020Q1": (1.0, "2020Q2"),
+                                  "2019Q2": (2.0, "2019Q3"), "2020Q2": (3.0, "2020Q3")})
+            assert panel.realization("RGDP", "2020Q1") is None
+            assert panel.realization("RGDP", "2020Q2") == (50.0, (2020, 9))
+            assert calibration_series(panel) == {"RGDP": [50.0]}
 
 
 class TestCalibration:
@@ -265,6 +287,16 @@ class TestLoadPanel:
         with pytest.raises(DuplicateRowError) as err:
             load_panel(*paths)
         assert str(err.value) == f"{paths[list(FILES).index(name)]}: {message}"
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports put a byte-order mark before the header
+        text = FORECASTS + "2000Q5,RGDP,1,dave,1.0\n2000Q1,RGDP,1,alice,9.9\n"  # lines 8, 9
+        plain = load_logged(write_inputs(tmp_path, forecasts=text))
+        marked = load_logged(write_inputs(tmp_path, forecasts="\ufeff" + text))
+        assert isinstance(marked[0], DuplicateRowError)
+        assert str(marked[0]) == str(plain[0])
+        assert str(plain[0]).endswith("('2000Q1', 'RGDP', 1, 'alice') at lines 2 and 9")
+        assert marked[1] == plain[1] and [m.split(":")[1] for m in plain[1]] == ["8"]
 
     @pytest.mark.parametrize("name", FILES)
     def test_header_mismatch(self, tmp_path, name):
@@ -943,13 +975,14 @@ class TestSynthConfigFile:
             "# demo generator\n"
             "num_forecasters = 8\n"
             "num_surveys = 20\n"
-            "seed = 7\n"
+            "seed = 7          # may come from --seed instead\n"
             "turnover = 0.1\n"
-            "p_dist = two_point\n"
+            "p_dist = two_point#const | uniform | two_point\n"
             "\n",
             encoding="utf-8",
         )
         config = load_synth_config(str(path))
+        assert config.seed == 7
         assert config.num_forecasters == 8
         assert config.turnover == 0.1
         assert config.p_dist == "two_point"
@@ -964,6 +997,18 @@ class TestSynthConfigFile:
         path.write_text("num_forecasters = 3\nnum_surveys = 4\n", encoding="utf-8")
         with pytest.raises(MissingSeedError):
             load_synth_config(str(path))
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        path.write_text("\ufeffnum_forecasters = 3\nnum_surveys = 4\nseed = 7\n", encoding="utf-8")
+        assert load_synth_config(str(path)) == SynthConfig(num_forecasters=3, num_surveys=4, seed=7)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "gen.cfg"
+        path.write_text("seed = 1\nnum_forecasters = 3\n\nseed = 2\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: duplicate key 'seed' at lines 1 and 4")):
+            load_synth_config(str(path), seed_override=5)
 
     def test_line_without_equals(self, tmp_path):
         path = tmp_path / "gen.cfg"

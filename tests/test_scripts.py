@@ -1,8 +1,9 @@
 """Smoke tests: the experiment scripts run at a toy size and write their files, and the
-README's library example runs as written."""
+README's library example and generator-config commands run as written."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +61,19 @@ def test_readme_library_example(capsys):
     shown = re.search(r"mean=([^,]+), variance=([^,]+),", printed).groups()
     assert [float(x) for x in shown] == pytest.approx([float(x) for x in stated])
     assert [float(x) for x in stated] == [2.4, 12.8]
+
+
+def test_readme_generator_config(tmp_path, monkeypatch):
+    # the README's config block, saved as the examples.cfg its commands name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    config = re.search(r"save the block below as `examples\.cfg`.*?\n```\n(.*?)```",
+                       readme, re.S).group(1)
+    (tmp_path / "examples.cfg").write_text(config, encoding="utf-8")
+    commands = re.findall(r"^crowdfuse (\w+ --synthetic examples\.cfg .*)$", readme, re.M)
+    assert len(commands) == 2
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
+    reports = tmp_path / "reports"
+    assert sorted(os.listdir(reports)) == ["diagnostics.csv", "dm.csv", "rmse.csv", "sweep.csv"]
+    assert (reports / "sweep.csv").read_text().startswith("horizon,rule,n_included,rmse\n")
