@@ -179,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     panel, calib = _load_inputs(args, parser)
     held = sorted({h for variable in panel.variables for h in panel.horizons(variable)})
     horizons = tuple(held)
-    if args.horizons:
+    if args.horizons is not None:
         try:
             horizons = tuple(int(h) for h in args.horizons.split(","))
         except ValueError:

@@ -447,7 +447,8 @@ def _read_codes(
     before; the repeats are found on the sorted order, and only then is the
     file read again, up to the repeat, for the lines of its records
     (:func:`_accepted_lines`). A file with no record of the right width
-    warns that it holds no rows. A leading byte-order mark is dropped.
+    warns that it holds no rows. A leading byte-order mark is dropped, and a
+    file that is not UTF-8 text raises :class:`SchemaError` (:func:`_not_utf8`).
     """
     width = len(header)
     memos: list[dict[str, int]] = [{} for _ in header]
@@ -456,30 +457,33 @@ def _read_codes(
     codes: list[int] = []
     rejects: list[tuple[int, str]] = []
     rejected = 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
-        if tuple(got) != header:
-            raise SchemaError(
-                f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
-            )
-        for record in reader:
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                codes += encode(record)
-            except ValueError:  # the wrong width
-                if record:
-                    rejects.append((reader.line_num, f"expected {width} columns, got {len(record)}"))
-                continue
-            except KeyError:  # a string not seen yet
+                got = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected header {','.join(header)}")
+            if tuple(got) != header:
+                raise SchemaError(
+                    f"{path}: header {','.join(got)!r} does not match {','.join(header)!r}"
+                )
+            for record in reader:
                 try:
-                    codes += _admit(record, memos, distinct, checks)
-                except (PanelError, ValueError) as exc:
-                    rejects.append((reader.line_num, str(exc)))
-                    rejected += 1
+                    codes += encode(record)
+                except ValueError:  # the wrong width
+                    if record:
+                        rejects.append((reader.line_num, f"expected {width} columns, got {len(record)}"))
                     continue
+                except KeyError:  # a string not seen yet
+                    try:
+                        codes += _admit(record, memos, distinct, checks)
+                    except (PanelError, ValueError) as exc:
+                        rejects.append((reader.line_num, str(exc)))
+                        rejected += 1
+                        continue
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     table = np.fromiter(codes, dtype=np.intp, count=len(codes)).reshape(-1, width)
     ranks = [_ranks(distinct[j])[table[:, j]] for j in key]
     spans = [int(r.max(initial=-1)) + 1 for r in ranks]
@@ -544,6 +548,23 @@ def _accepted_lines(path: str, encode: Callable, last: int) -> list[int]:
             if len(lines) > last:
                 break
     return lines
+
+
+def _not_utf8(path: str) -> SchemaError:
+    """The error for a file that is not UTF-8 text, naming the physical line of its first bad byte.
+
+    A text read fails a chunk past the line it has reached, so only this
+    path reads the file again, whole, as bytes. A bad byte is never ASCII,
+    and the lines up to it end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as
+    in the text reads.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return SchemaError(f"{path}:{len(data[:exc.start + 1].splitlines())}: not UTF-8 text")
+    return SchemaError(f"{path}: not UTF-8 text")  # it changed since the text read
 
 
 def _records(kind: type, distinct: list[list], table: np.ndarray) -> tuple:
@@ -679,36 +700,40 @@ def load_synth_config(path: str, seed_override: int | None = None) -> SynthConfi
 
     A ``#`` starts a comment to the end of its line, blank lines are skipped
     and a leading byte-order mark is dropped. An unknown key, a repeated key
-    (named with both lines) or a value not of its key's type is an error.
+    (named with both lines), a value not of its key's type or a file that is
+    not UTF-8 text (:func:`_not_utf8`) is an error.
     ``seed`` may be left to the caller, whose override always wins.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-            name, _, text = line.partition("=")
-            name, text = name.strip(), text.strip()
-            if name not in _SYNTH_FIELD_TYPES:
-                raise SchemaError(f"{path}:{line_no}: unknown key {name!r}")
-            if name in lines:
-                raise SchemaError(f"{path}: duplicate key {name!r} at lines {lines[name]} and {line_no}")
-            lines[name] = line_no
-            kind = _SYNTH_FIELD_TYPES[name]
-            try:
-                if kind == "int":
-                    values[name] = int(text)
-                elif kind == "float":
-                    values[name] = float(text)
-                else:
-                    values[name] = text
-            except ValueError:
-                raise SchemaError(
-                    f"{path}:{line_no}: {name} = {text!r} is not a valid {kind}") from None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.partition("#")[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise SchemaError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+                name, _, text = line.partition("=")
+                name, text = name.strip(), text.strip()
+                if name not in _SYNTH_FIELD_TYPES:
+                    raise SchemaError(f"{path}:{line_no}: unknown key {name!r}")
+                if name in lines:
+                    raise SchemaError(f"{path}: duplicate key {name!r} at lines {lines[name]} and {line_no}")
+                lines[name] = line_no
+                kind = _SYNTH_FIELD_TYPES[name]
+                try:
+                    if kind == "int":
+                        values[name] = int(text)
+                    elif kind == "float":
+                        values[name] = float(text)
+                    else:
+                        values[name] = text
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}:{line_no}: {name} = {text!r} is not a valid {kind}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if seed_override is not None:
         values["seed"] = seed_override
     if "seed" not in values:

@@ -27,6 +27,7 @@ from crowdfuse.panel import (
     calibrate_v,
     calibration_series,
     load_panel,
+    load_synth_config,
     synth_panel,
 )
 from crowdfuse.quincunx import (
@@ -37,6 +38,9 @@ from crowdfuse.quincunx import (
     sample_estimates,
     variance_from_p,
 )
+
+# the generator configs of the two prediction panels, run by README's experiment commands
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 GRID_P = (0.55, 0.65, 0.75, 0.85, 0.95)
 GRID_C = (10, 12, 16, 20, 24)
@@ -173,13 +177,12 @@ def _backtest_rmse(config):
 
 
 def test_criterion_5_prediction_panels():
-    """Rule orderings on pinned synthetic panels match the predictions."""
+    """Rule orderings on the committed synthetic panels match the predictions."""
     started = time.monotonic()
     details = []
     for seed in (1, 2, 3):
         table = _backtest_rmse(
-            SynthConfig(num_forecasters=16, num_surveys=80, seed=seed,
-                        p_dist="const", p_value=0.8)
+            load_synth_config(os.path.join(SCRIPTS, "homogeneous.cfg"), seed_override=seed)
         )
         gap = (table["KF"] - table["EWM"]) / table["EWM"]
         assert table["EWM"] <= table["KF"], seed
@@ -187,9 +190,7 @@ def test_criterion_5_prediction_panels():
         details.append(f"hom s{seed}: +{gap:.2%}")
     for seed in (0, 1, 2):
         table = _backtest_rmse(
-            SynthConfig(num_forecasters=16, num_surveys=80, seed=seed,
-                        p_dist="two_point", p_low=0.7, p_high=0.95,
-                        p_share_high=0.5)
+            load_synth_config(os.path.join(SCRIPTS, "diverse.cfg"), seed_override=seed)
         )
         gap = (table["EWM"] - table["KF"]) / table["EWM"]
         assert table["KF"] < table["EWM"], seed

@@ -61,10 +61,12 @@ def edited_golden_texts(edits):
 
 
 def panel_inputs(directory, texts):
-    """Input flags for the panel files of ``texts``, written into ``directory``."""
+    """Input flags for the panel files of ``texts``, written into ``directory``:
+    a ``str`` as UTF-8, ``bytes`` as they are."""
     inputs = []
     for name in PANEL_FILES:
-        (Path(directory) / name).write_text(texts[name], encoding="utf-8")
+        text = texts[name]
+        (Path(directory) / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         inputs += [f"--{name[:-5]}", str(Path(directory) / name)]
     return inputs
 
@@ -313,6 +315,34 @@ class TestBacktest:
         assert err.value.code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["forecasts", "realizations", "vintages", "config"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, capsys, case):
+        # a text read fails a chunk past the line it has reached, so the line is the bad byte's
+        texts = edited_golden_texts({})
+        if case == "forecasts":  # CRLF lines, and the bad byte, in an id, past the first 8 KB
+            rows = [",".join(FORECAST_HEADER)] + [f"2001Q1,GDP,1,F{i},1.0" for i in range(700)]
+            texts["forecasts.csv"] = "\r\n".join(rows + ["2001Q1,GDP,1,F\xe9,1.0", ""]).encode("latin-1")
+            line = 702
+        elif case == "realizations":  # a quoted line feed and a quoted lone CR end lines too
+            texts["realizations.csv"] = texts["realizations.csv"].replace("vintage\n", (
+                'vintage\n2000Q1,"G\nDP",1.0,2000Q2\n2000Q2,"G\rDP",1.0,2000Q3\n2000Q3,G\xe9DP,1.0,2000Q4\n'
+            ), 1).encode("latin-1")
+            line = 6
+        elif case == "vintages":
+            texts["vintages.csv"] = texts["vintages.csv"].encode("utf-16")
+            line = 1
+        if case == "config":  # a latin-1 byte in a comment
+            path = tmp_path / "gen.cfg"
+            path.write_bytes("num_forecasters = 4\nnum_surveys = 10\n# p\xe9 = 0.8\n".encode("latin-1"))
+            inputs, line = ["--synthetic", str(path), "--seed", "1"], 3
+        else:
+            inputs = panel_inputs(tmp_path, texts)
+            path = tmp_path / f"{case}.csv"
+        out_dir = tmp_path / "r"
+        assert main(["backtest", *inputs, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"crowdfuse: error: {path}:{line}: not UTF-8 text\n"
+        assert not (out_dir / "rmse.csv").exists()
+
     def test_all_perfect_judges_zero_rmse(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -506,7 +536,7 @@ class TestUsageErrors:
         assert "--window" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("horizons", ["x", "9", "1,9", "1,"])
+    @pytest.mark.parametrize("horizons", ["x", "9", "1,9", "1,", ""])
     def test_sweep_horizons_not_in_panel(self, tmp_path, capsys, horizons):
         cfg = write_config(tmp_path, SYNTH_CFG + "horizons = 2\n")
         out_dir = tmp_path / "r"
@@ -664,10 +694,19 @@ def panel_texts(draw):
     }
 
 
+GOLDEN_TEXTS = edited_golden_texts({})
+
+
 class TestFileTotality:
     COMMANDS = (["backtest"], ["sweep", "--n-min", "1", "--n-max", "3"])
 
     @given(texts=panel_texts())
+    @example(texts={**GOLDEN_TEXTS,  # a latin-1 byte in an id
+                    "forecasts.csv": GOLDEN_TEXTS["forecasts.csv"].replace(",A,", ",\xc9,").encode("latin-1")})
+    @example(texts={**GOLDEN_TEXTS, "vintages.csv": GOLDEN_TEXTS["vintages.csv"].encode("utf-16")})
+    @example(texts={**GOLDEN_TEXTS,  # 0xff inside a quoted field
+                    "realizations.csv": GOLDEN_TEXTS["realizations.csv"].encode("utf-8").replace(
+                        b"2000Q1,GDP,100.0,", b'2000Q1,"G\xffDP",100.0,')})
     @example(texts=edited_golden_texts(TestMagnitudeBound.CASES["huge_forecast"][0]))
     @example(texts=edited_golden_texts(TestMagnitudeBound.CASES["tiny_base_level"][0]))
     @example(texts=edited_golden_texts(scaled_unemp(1e-150)))

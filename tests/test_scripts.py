@@ -1,9 +1,11 @@
-"""Smoke tests: the experiment scripts run at a toy size and write their files, and the
-README's library example and generator-config commands run as written."""
+"""Smoke tests: the theory-grid script runs at a toy size and writes its files, and the
+README's library example, generator-config commands and experiment commands run as written."""
 
+import csv
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,20 +23,6 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_synthetic_backtest(tmp_path):
-    done = run_script(
-        "run_synthetic_backtest.py",
-        "--out-dir", str(tmp_path), "--forecasters", "4", "--surveys", "12",
-    )
-    assert done.returncode == 0, done.stderr
-    for name in ("homogeneous", "diverse"):
-        assert (tmp_path / f"rmse_{name}.csv").read_text().startswith("variable,horizon,rule,rmse,")
-        assert (tmp_path / f"dm_{name}.csv").read_text().startswith("variable,horizon,rule,stat,")
-    sweep = (tmp_path / "sweep_diverse.csv").read_text().splitlines()
-    assert sweep[0] == "horizon,rule,n_included,rmse"
-    assert len(sweep) > 1
 
 
 def test_theory_grids(tmp_path):
@@ -77,3 +65,30 @@ def test_readme_generator_config(tmp_path, monkeypatch):
     reports = tmp_path / "reports"
     assert sorted(os.listdir(reports)) == ["diagnostics.csv", "dm.csv", "rmse.csv", "sweep.csv"]
     assert (reports / "sweep.csv").read_text().startswith("horizon,rule,n_included,rmse\n")
+
+
+def test_readme_experiment_commands(tmp_path, monkeypatch):
+    # the README's commands on the committed configs, run from a copy of scripts/
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"## Experiment scripts\n(.*?)\n## ", readme, re.S).group(1)
+    commands = re.findall(r"^crowdfuse (\w+ --synthetic scripts/\w+\.cfg .*)$", section, re.M)
+    assert len(commands) == 3
+    (tmp_path / "scripts").mkdir()
+    for config in ("homogeneous.cfg", "diverse.cfg"):
+        shutil.copy(ROOT / "scripts" / config, tmp_path / "scripts")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
+
+    def rmse(panel):
+        with open(tmp_path / "results" / panel / "rmse.csv", encoding="utf-8") as fh:
+            return {row["rule"]: float(row["rmse"]) for row in csv.DictReader(fh)}
+
+    # the predictions the README states, at the configs' seed
+    homogeneous, diverse = rmse("homogeneous"), rmse("diverse")
+    assert homogeneous["EWM"] <= homogeneous["KF"] < 1.02 * homogeneous["EWM"]
+    assert diverse["KF"] < 0.95 * diverse["EWM"]
+    assert diverse["KFplus"] <= diverse["CWM"]
+    sweep = (tmp_path / "results" / "diverse" / "sweep.csv").read_text().splitlines()
+    assert sweep[0] == "horizon,rule,n_included,rmse"
+    assert {int(line.split(",")[2]) for line in sweep[1:]} == set(range(2, 17))
