@@ -1,7 +1,8 @@
 """Survey panel ingestion, target construction, calibration, and synthesis.
 
 A panel holds quarterly forecasts (per survey, variable, horizon, and
-forecaster), realized values as first reported, and vintage level series.
+forecaster) and two report files, realized values as first reported and
+vintage level series, whose rows each load as one :class:`Release`.
 File schemas (UTF-8 CSV, with or without a byte-order mark, mandatory
 header, ``.`` decimal separator, periods formatted ``YYYYQn``, stamps
 ``YYYYQn`` or ``YYYY-MM[-DD]`` with a month of 1-12 and a day of 1-31):
@@ -29,11 +30,11 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .quincunx import MAX_COUNT, MAX_MAGNITUDE, Environment, sample_estimate_each
+from .quincunx import MAX_MAGNITUDE, Environment, sample_estimate_each
 
 log = logging.getLogger(__name__)
 
@@ -191,24 +192,17 @@ class ForecastTable:
         return len(self.value)
 
 
-@dataclass(frozen=True)
-class RealizationRow:
-    target: str
-    variable: str
-    value: float
-    vintage: str
+class Release(NamedTuple):
+    """A variable's value for a period, as released at a stamp: one row of either report file."""
 
-
-@dataclass(frozen=True)
-class VintageRow:
-    asof: str
     variable: str
     period: str
-    level: float
+    stamp: str
+    value: float
 
 
 def _analysis_table(
-    rows: Iterable[tuple[str, str, str, float]], transform: str
+    rows: Iterable[Release], transform: str
 ) -> dict[str, dict[str, tuple[float, tuple[int, int]]]]:
     """First-reported analysis-unit values: ``{variable: {period: (value, known_by)}}``.
 
@@ -270,8 +264,8 @@ class Panel:
     """
 
     forecasts: ForecastTable
-    realizations: tuple[RealizationRow, ...]
-    vintages: tuple[VintageRow, ...]
+    realizations: tuple[Release, ...]
+    vintages: tuple[Release, ...]
     transform: str = "yearly_pct"
 
     surveys: tuple[str, ...] = field(init=False)
@@ -289,10 +283,7 @@ class Panel:
         self._horizons = {
             name: tuple(np.flatnonzero(row).tolist()) for name, row in zip(f.variables, present)
         }
-        self._realized = _analysis_table(
-            ((r.variable, r.target, r.vintage, r.value) for r in self.realizations),
-            self.transform,
-        )
+        self._realized = _analysis_table(self.realizations, self.transform)
 
     def horizons(self, variable: str) -> tuple[int, ...]:
         return self._horizons.get(variable, ())
@@ -345,9 +336,7 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
 
 def calibration_series(panel: Panel) -> dict[str, list[float]]:
     """Analysis-unit series per variable from the vintage table's first reports."""
-    table = _analysis_table(
-        ((v.variable, v.period, v.asof, v.level) for v in panel.vintages), panel.transform
-    )
+    table = _analysis_table(panel.vintages, panel.transform)
     return {
         variable: [table[variable][p][0] for p in sorted(table[variable], key=period_key)]
         for variable in sorted(table)
@@ -567,10 +556,16 @@ def _not_utf8(path: str) -> SchemaError:
     return SchemaError(f"{path}: not UTF-8 text")  # it changed since the text read
 
 
-def _records(kind: type, distinct: list[list], table: np.ndarray) -> tuple:
-    """Each accepted record of a code matrix as a ``kind`` of its parsed values."""
-    return tuple(map(kind, *(map(values.__getitem__, table[:, j].tolist())
-                             for j, values in enumerate(distinct))))
+def _releases(path: str, header: tuple[str, ...], columns: tuple[int, int, int, int],
+              checks: Sequence[tuple[int, Callable]], what: str) -> tuple[Release, ...]:
+    """The accepted records of a report file as :class:`Release` rows, in file order.
+
+    ``columns`` holds the file column of each :class:`Release` field; the
+    key is the variable, period and stamp, named in file column order.
+    """
+    distinct, table, _ = _read_codes(path, header, checks, sorted(columns[:3]), what)
+    return tuple(map(Release, *(map(distinct[j].__getitem__, table[:, j].tolist())
+                                for j in columns)))
 
 
 def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> Panel:
@@ -596,14 +591,10 @@ def load_panel(forecast_path: str, realization_path: str, vintage_path: str) -> 
         np.array(horizons, dtype=np.intp)[codes[:, 2]], codes[:, 3],
         np.array(values, dtype=np.float64)[codes[:, 4]], order,
     )
-    realizations = _records(RealizationRow, *_read_codes(
-        realization_path, REALIZATION_HEADER,
-        ((0, _period), (3, _stamp), (2, _finite_float)), (0, 1, 3), "realization",
-    )[:2])
-    vintages = _records(VintageRow, *_read_codes(
-        vintage_path, VINTAGE_HEADER,
-        ((0, _stamp), (2, _period), (3, _finite_float)), (0, 1, 2), "vintage",
-    )[:2])
+    realizations = _releases(realization_path, REALIZATION_HEADER, (1, 0, 3, 2),
+                             ((0, _period), (3, _stamp), (2, _finite_float)), "realization")
+    vintages = _releases(vintage_path, VINTAGE_HEADER, (1, 2, 0, 3),
+                         ((0, _stamp), (2, _period), (3, _finite_float)), "vintage")
     return Panel(forecasts=forecasts, realizations=realizations, vintages=vintages)
 
 
@@ -647,8 +638,8 @@ class SynthConfig:
     ``p_low <= p_high``. Longer horizons subtract ``p_decay``, finite and
     nonnegative, per step, floored at 0.5. The panel has one variable,
     ``SYNTH_VARIABLE``, with norm ``SYNTH_NORM``, and its periods start in
-    ``SYNTH_START_YEAR``; ``count`` may not exceed ``MAX_COUNT`` = 2**53,
-    nor ``count * unit`` ``MAX_MAGNITUDE``.
+    ``SYNTH_START_YEAR``; ``count`` and ``unit`` have the bounds of the
+    :class:`Environment` the panel is generated from.
     """
 
     num_forecasters: int
@@ -684,12 +675,7 @@ class SynthConfig:
             raise ValueError(f"p_low must not exceed p_high, got {self.p_low!r} > {self.p_high!r}")
         if not 0.0 <= self.p_decay < math.inf:  # false for NaN
             raise ValueError(f"p_decay must be nonnegative and finite, got {self.p_decay!r}")
-        if self.count < 1 or not self.unit > 0.0:
-            raise ValueError("count must be >= 1 and unit positive")
-        if self.count > MAX_COUNT:
-            raise ValueError(f"count must be at most 2**53, got {self.count!r}")
-        if not self.count * self.unit <= MAX_MAGNITUDE:
-            raise ValueError(f"count * unit must not exceed {MAX_MAGNITUDE:g}")
+        Environment(SYNTH_NORM, self.count, self.unit, self.count)
 
 
 _SYNTH_FIELD_TYPES = {f.name: f.type for f in fields(SynthConfig)}
@@ -786,16 +772,15 @@ def synth_panel(config: SynthConfig) -> Panel:
             values[s, h] = sample_estimate_each(
                 np.clip(seat_p - config.p_decay * h, 0.5, 1.0), env, rng)
     survey, horizon, _ = np.indices(ids.shape)
-    truth = [SYNTH_NORM + t * config.unit for t in deviations]
+    releases = tuple(Release(SYNTH_VARIABLE, periods[i], periods[i + 1], SYNTH_NORM + t * config.unit)
+                     for i, t in enumerate(deviations))
     return Panel(
         forecasts=ForecastTable.from_codes(
             periods[:n_surveys], (SYNTH_VARIABLE,), [f"F{i + 1:04d}" for i in range(ids.max() + 1)],
             survey.ravel(), np.zeros(ids.size, dtype=np.intp), horizon.ravel() + 1,
             ids.ravel(), values.ravel(),
         ),
-        realizations=tuple(RealizationRow(periods[i], SYNTH_VARIABLE, x, periods[i + 1])
-                           for i, x in enumerate(truth)),
-        vintages=tuple(VintageRow(periods[i + 1], SYNTH_VARIABLE, periods[i], x)
-                       for i, x in enumerate(truth)),
+        realizations=releases,
+        vintages=releases,
         transform="none",
     )

@@ -8,7 +8,6 @@ to check that loading reads back what was written.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from typing import Sequence
 
 from crowdfuse.panel import (
@@ -58,5 +57,7 @@ def write_panel(
     forecaster id); realizations and vintages in their row order.
     """
     write_csv(forecast_path, FORECAST_HEADER, rows_of(panel.forecasts))
-    write_csv(realization_path, REALIZATION_HEADER, map(astuple, panel.realizations))
-    write_csv(vintage_path, VINTAGE_HEADER, map(astuple, panel.vintages))
+    write_csv(realization_path, REALIZATION_HEADER,
+              ((r.period, r.variable, r.value, r.stamp) for r in panel.realizations))
+    write_csv(vintage_path, VINTAGE_HEADER,
+              ((v.stamp, v.variable, v.period, v.value) for v in panel.vintages))

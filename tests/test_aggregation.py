@@ -19,8 +19,7 @@ from crowdfuse.backtest import cell_estimates, run_backtest
 from crowdfuse.fusion import fuse_sequence
 from crowdfuse.panel import (
     Panel,
-    RealizationRow,
-    VintageRow,
+    Release,
     calibrate_v,
     calibration_series,
 )
@@ -37,15 +36,13 @@ def cell_panel(forecasters):
     ``forecasters`` maps each id to a function of the realized value giving
     their forecast; each survey's realization is stamped the next quarter.
     """
-    forecasts, realizations, vintages = [], [], []
+    forecasts, releases = [], []
     for i, (survey, value) in enumerate(zip(SURVEYS, REALIZED)):
         for j, forecast in forecasters.items():
             forecasts.append((survey, "X", 1, j, forecast(value)))
         stamp = SURVEYS[i + 1] if i + 1 < len(SURVEYS) else "2001Q2"
-        realizations.append(RealizationRow(survey, "X", value, stamp))
-        vintages.append(VintageRow(stamp, "X", survey, value))
-    return Panel(table_of(forecasts), tuple(realizations), tuple(vintages),
-                 transform="none")
+        releases.append(Release("X", survey, stamp, value))
+    return Panel(table_of(forecasts), tuple(releases), tuple(releases), transform="none")
 
 
 def members(forecasts):

@@ -25,9 +25,8 @@ from crowdfuse.backtest import (
 )
 from crowdfuse.panel import (
     Panel,
-    RealizationRow,
+    Release,
     SynthConfig,
-    VintageRow,
     add_quarters,
     asof_key,
     calibrate_v,
@@ -49,17 +48,15 @@ def hand_panel():
     for s in surveys:
         forecasts.append((s, "X", 1, "a", 1.0))
         forecasts.append((s, "X", 1, "b", 3.0))
-    realizations = []
-    vintages = []
+    releases = []
     for s, value in zip(surveys, realized):
         stamp = {"2000Q1": "2000Q2", "2000Q2": "2000Q3", "2000Q3": "2000Q4",
                  "2000Q4": "2001Q1", "2001Q1": "2001Q2"}[s]
-        realizations.append(RealizationRow(s, "X", value, stamp))
-        vintages.append(VintageRow(stamp, "X", s, value))
+        releases.append(Release("X", s, stamp, value))
     return Panel(
         forecasts=table_of(forecasts),
-        realizations=tuple(realizations),
-        vintages=tuple(vintages),
+        realizations=tuple(releases),
+        vintages=tuple(releases),
         transform="none",
     )
 
@@ -220,10 +217,7 @@ class TestRunBacktest:
     def test_maturation_respects_vintage_stamps(self):
         # the slow-stamped variant must withhold eligibility longer
         panel = hand_panel()
-        late = tuple(
-            RealizationRow(r.target, r.variable, r.value, "2005Q1")
-            for r in panel.realizations
-        )
+        late = tuple(r._replace(stamp="2005Q1") for r in panel.realizations)
         slow = Panel(panel.forecasts, late, panel.vintages, transform="none")
         calib = calibrate_v(calibration_series(panel))
         fast_report = run_backtest(panel, RULES, calib)
@@ -245,9 +239,7 @@ class TestRunBacktest:
                 for s, v, h, j, x in rows_of(panel.forecasts)
             ]),
             realizations=tuple(
-                RealizationRow(r.target, r.variable,
-                               r.value - 55.5 if asof_key(r.vintage) > bound else r.value,
-                               r.vintage)
+                r._replace(value=r.value - 55.5) if asof_key(r.stamp) > bound else r
                 for r in panel.realizations
             ),
             vintages=panel.vintages,
@@ -328,7 +320,7 @@ def miss_panel(truth, misses):
     surveys = ["2000Q1", "2000Q2", "2000Q3", "2000Q4", "2001Q1"]
     forecasts = [(s, "X", 1, j, value + miss)
                  for s, value in zip(surveys, truth) for j, miss in misses.items()]
-    realizations = tuple(RealizationRow(s, "X", value, stamp)
+    realizations = tuple(Release("X", s, stamp, value)
                          for s, value, stamp in zip(surveys, truth, [*surveys[1:], "2001Q2"]))
     return Panel(table_of(forecasts), realizations, (), transform="none")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import zip_longest
 from operator import mul
 from unittest.mock import patch
@@ -37,7 +37,7 @@ from crowdfuse.backtest import (
 )
 from crowdfuse.panel import (
     Panel,
-    RealizationRow,
+    Release,
     SynthConfig,
     add_quarters,
     asof_key,
@@ -286,7 +286,7 @@ def late_stamp_panel():
             if s % 2:
                 forecasts.append((survey, "X", h, "d", target + 2.0))
     realizations = tuple(
-        RealizationRow(add_quarters("2000Q1", t), "X", truth[t], add_quarters("2000Q1", t + lag))
+        Release("X", add_quarters("2000Q1", t), add_quarters("2000Q1", t + lag), truth[t])
         for t, lag in stamps.items()
     )
     return Panel(table_of(forecasts), realizations, (), transform="none")
@@ -320,9 +320,7 @@ def panels(draw):
             lag = draw(st.sampled_from([None, 1, 1, 2, 3]))
             if lag is not None:
                 target = add_quarters("2000Q1", t)
-                realizations.append(
-                    RealizationRow(target, variable, value, add_quarters(target, lag))
-                )
+                realizations.append(Release(variable, target, add_quarters(target, lag), value))
         for s in range(n_surveys):
             survey = add_quarters("2000Q1", s)
             active = sorted(draw(st.sets(st.sampled_from(pool), min_size=1)))
@@ -353,8 +351,7 @@ def wide_panel():
                 miss = rng.normal(0.0, scale[j])
                 forecasts.append((survey, "X", h, f"f{j:02d}", float(truth[s + h - 1] + miss)))
     realizations = tuple(
-        RealizationRow(add_quarters("2000Q1", t), "X", float(value),
-                       add_quarters("2000Q1", t + 1 + t % 2))
+        Release("X", add_quarters("2000Q1", t), add_quarters("2000Q1", t + 1 + t % 2), float(value))
         for t, value in enumerate(truth)
     )
     return Panel(table_of(forecasts), realizations, (), transform="none")
@@ -396,9 +393,9 @@ def stamped_late(panel, late):
     stamped one quarter later."""
     return Panel(
         panel.forecasts,
-        tuple(replace(r, vintage=add_quarters(r.vintage, 1)) if i in late else r
+        tuple(r._replace(stamp=add_quarters(r.stamp, 1)) if i in late else r
               for i, r in enumerate(panel.realizations)),
-        tuple(replace(v, asof=add_quarters(v.asof, 1)) if i in late else v
+        tuple(v._replace(stamp=add_quarters(v.stamp, 1)) if i in late else v
               for i, v in enumerate(panel.vintages)),
         transform=panel.transform,
     )
@@ -411,9 +408,9 @@ def mutated_after(panel, cutoff):
     return Panel(
         table_of([(s, v, h, j, x + 77.7 if period_key(s) > last else x)
                   for s, v, h, j, x in rows_of(panel.forecasts)]),
-        tuple(replace(r, value=r.value - 55.5) if asof_key(r.vintage) > bound else r
+        tuple(r._replace(value=r.value - 55.5) if asof_key(r.stamp) > bound else r
               for r in panel.realizations),
-        tuple(replace(v, level=v.level * 3.0) if asof_key(v.asof) > bound else v
+        tuple(v._replace(value=v.value * 3.0) if asof_key(v.stamp) > bound else v
               for v in panel.vintages),
         transform=panel.transform,
     )

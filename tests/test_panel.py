@@ -19,10 +19,9 @@ from crowdfuse.panel import (
     MissingSeedError,
     Panel,
     PanelError,
-    RealizationRow,
+    Release,
     SchemaError,
     SynthConfig,
-    VintageRow,
     add_quarters,
     asof_key,
     calibrate_v,
@@ -124,11 +123,8 @@ class TestPeriods:
 def yearly_panel(reports):
     """A yearly-pct panel whose RGDP realizations and vintages are ``reports``,
     ``{period: (level, stamp)}``."""
-    return Panel(
-        table_of(()),
-        tuple(RealizationRow(p, "RGDP", x, stamp) for p, (x, stamp) in reports.items()),
-        tuple(VintageRow(stamp, "RGDP", p, x) for p, (x, stamp) in reports.items()),
-    )
+    releases = tuple(Release("RGDP", p, stamp, x) for p, (x, stamp) in reports.items())
+    return Panel(table_of(()), releases, releases)
 
 
 class TestPctChange:
@@ -152,7 +148,7 @@ class TestPctChange:
         unemp = {"2019Q1": 3.8, "2019Q2": 3.6, "2020Q1": 4.4, "2020Q2": 13.0}
         rgdp = {"2019Q1": 100.0, "2020Q1": 110.0}
         vintages = tuple(
-            VintageRow(add_quarters(period, 1), variable, period, level)
+            Release(variable, period, add_quarters(period, 1), level)
             for variable, levels in (("UNEMP", unemp), ("RGDP", rgdp))
             for period, level in levels.items()
         )
@@ -288,6 +284,16 @@ class TestLoadPanel:
             load_panel(*paths)
         assert str(err.value) == f"{paths[list(FILES).index(name)]}: {message}"
 
+    def test_report_files_load_alike(self, tmp_path):
+        # a realization and a vintage level state one fact, so the same facts load to equal rows
+        facts = [line.split(",") for line in REALIZATIONS.splitlines()[1:]]
+        vintages = "asof,variable,period,level\n" + "".join(
+            f"{stamp},{variable},{target},{value}\n" for target, variable, value, stamp in facts
+        )
+        panel = load_panel(*write_inputs(tmp_path, vintages=vintages))
+        assert panel.realizations == panel.vintages
+        assert panel.realizations[0] == Release("RGDP", "2000Q1", "2000Q2", 104.0)
+
     def test_byte_order_mark(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports put a byte-order mark before the header
         text = FORECASTS + "2000Q5,RGDP,1,dave,1.0\n2000Q1,RGDP,1,alice,9.9\n"  # lines 8, 9
@@ -354,14 +360,17 @@ class TestLoadPanel:
             "2000Q3,RGDP,nan,2000Q4\n2000Q4,RGDP,inf,2001Q1\n2001Q1,RGDP,-inf,2001Q2\n"
             "2001Q2,RGDP,1.0,2001-13-01\n2001Q2,RGDP,1.0,2001-07-99\n"
             "2001Q2,RGDP,-1e300,2001Q3\n2001Q3,RGDP,1e50,2001Q4\n"
+            "2001Q5,RGDP,1.0,2001-13\n2001Q3,RGDP,oops,2002Q5\n"  # two bad fields each
         )
         bad_v = VINTAGES + (
             "2000Q3,RGDP,1999Q3,nan\n2000Q3,RGDP,1999Q4,inf\n2000Q3,RGDP,2000Q3,-inf\n"
             "2000-00-15,RGDP,1999Q3,1.0\n2000-99,RGDP,1999Q3,1.0\n"
             "2000Q3,RGDP,1998Q3,-1e51\n2000Q3,RGDP,1998Q4,1e-300\n"
+            "2001-00,RGDP,1999Q0,1.0\n"  # two bad fields
         )
         with caplog.at_level(logging.WARNING):
-            panel = load_panel(*write_inputs(tmp_path, bad, bad_r, bad_v))
+            paths = write_inputs(tmp_path, bad, bad_r, bad_v)
+            panel = load_panel(*paths)
         # values up to MAX_MAGNITUDE in magnitude are read, larger ones rejected
         assert len(panel.forecasts) == 7
         assert len(panel.realizations) == 5
@@ -374,8 +383,14 @@ class TestLoadPanel:
                 assert f"{name}:{line}:" in messages
         assert messages.count("non-finite number") == 9
         assert messages.count("exceeds 1e+50 in magnitude") == 3
-        assert messages.count("bad vintage stamp") == 4
-        assert messages.count("row rejected") == 19
+        assert messages.count("bad vintage stamp") == 6
+        assert messages.count("row rejected") == 22
+        # a row bad in two fields gets the message of the field its file checks first
+        stamp = "expected YYYYQn or YYYY-MM[-DD]"
+        for path, line, reason in ((paths[1], 13, "bad period '2001Q5', expected YYYYQn"),
+                                   (paths[1], 14, f"bad vintage stamp '2002Q5', {stamp}"),
+                                   (paths[2], 13, f"bad vintage stamp '2001-00', {stamp}")):
+            assert f"{path}:{line}: {reason}; row rejected" in caplog.messages
 
 
 # survey, horizon and value strings that repeat across rows, valid and not
@@ -636,7 +651,7 @@ class TestOnePassLoader:
         asof_key.cache_clear()
         panel = load_panel(*paths)
         assert calibration_series(panel)
-        stamps = {r.vintage for r in panel.realizations} | {v.asof for v in panel.vintages}
+        stamps = {r.stamp for r in panel.realizations + panel.vintages}
         assert len(stamps) > 1
         assert sorted(calls) == sorted(stamps)
         # a bad stamp is not memoised: every row that holds it meets the regex and is rejected
@@ -714,8 +729,8 @@ class TestFirstReportTable:
     def test_matches_straight_line_oracle(self, realized, levels, transform):
         panel = Panel(
             table_of(()),
-            tuple(RealizationRow(p, v, x, stamp) for v, p, stamp, x in realized),
-            tuple(VintageRow(stamp, v, p, x) for v, p, stamp, x in levels),
+            tuple(map(Release._make, realized)),
+            tuple(map(Release._make, levels)),
             transform=transform,
         )
         expected = first_report_oracle(realized, transform)
@@ -749,17 +764,12 @@ def quoting_panels(draw):
                   st.integers(1, 5), st.sampled_from(ids), roundtrip_values),
         max_size=12, unique_by=lambda row: row[:4],
     ))
-    realizations = draw(st.lists(
-        st.builds(RealizationRow, st.sampled_from(ROUNDTRIP_PERIODS), st.sampled_from(variables),
-                  roundtrip_values, st.sampled_from(ROUNDTRIP_STAMPS)),
-        max_size=6, unique_by=lambda row: (row.target, row.variable, row.vintage),
-    ))
-    vintages = draw(st.lists(
-        st.builds(VintageRow, st.sampled_from(ROUNDTRIP_STAMPS), st.sampled_from(variables),
-                  st.sampled_from(ROUNDTRIP_PERIODS), roundtrip_values),
-        max_size=6, unique_by=lambda row: (row.asof, row.variable, row.period),
-    ))
-    return Panel(table_of(forecasts), tuple(realizations), tuple(vintages))
+    releases = st.lists(
+        st.builds(Release, st.sampled_from(variables), st.sampled_from(ROUNDTRIP_PERIODS),
+                  st.sampled_from(ROUNDTRIP_STAMPS), roundtrip_values),
+        max_size=6, unique_by=lambda row: row[:3],
+    )
+    return Panel(table_of(forecasts), tuple(draw(releases)), tuple(draw(releases)))
 
 
 class TestRoundtrip:
@@ -798,8 +808,8 @@ class TestRoundtrip:
         table_of([("2000Q1", "G,DP", 1, "a,b", 1.5),
                   ("2000Q1", "G,DP", 1, "c\nd", 2.5),
                   ("2000Q1", "G,DP", 1, "e\rf", 3.5)]),
-        (RealizationRow("2000Q1", "G,DP", 3.0, "2000-05-15"),),
-        (VintageRow("2000Q2", "G,DP", "2000Q1", 3.0),),
+        (Release("G,DP", "2000Q1", "2000-05-15", 3.0),),
+        (Release("G,DP", "2000Q1", "2000Q2", 3.0),),
     ))
     @settings(max_examples=100, deadline=None)
     def test_load_of_write_is_identity(self, panel):
@@ -952,8 +962,8 @@ class TestSynthPanel:
             ({"p_decay": float("inf")}, "p_decay must be nonnegative and finite"),
             ({"p_dist": "uniform", "p_low": 0.9, "p_high": 0.8}, "p_low must not exceed p_high"),
             ({"p_dist": "two_point", "p_low": 0.9, "p_high": 0.8}, "p_low must not exceed p_high"),
-            ({"count": 0}, "count must be >= 1 and unit positive"),
-            ({"unit": 0.0}, "count must be >= 1 and unit positive"),
+            ({"count": 0}, "count must be a positive integer, got 0"),
+            ({"unit": 0.0}, "unit must be a positive finite real, got 0.0"),
             # numpy's binomial cannot draw the deviations of a larger count
             ({"count": 2**53 + 1, "unit": 1e-30}, "count must be at most 2\\*\\*53"),
         ]:
