@@ -5,9 +5,11 @@ order of ``ALL_RULES``:
 
 * EWM: the plain mean of the eligible forecasts.
 * KF: inverse-variance fusion, each forecast weighted by 1 / min(MSE, v^2)
-  for the MSE of the forecaster's past errors and the evidence unit v;
-  the estimate equals the recursive fold of ``fusion.fuse_sequence``.
+  for the MSE of the forecaster's past errors and the evidence unit v.
   Members at MSE 0 share the whole weight equally, whatever their forecasts.
+  The estimate equals the recursive fold of ``fusion.fuse_sequence`` wherever
+  that fold is defined; it is not where members at MSE 0 disagree, and the
+  fold raises ``DegenerateFusionError``.
 * CWM: a mean over the members whose running mean leave-one-out
   contribution is strictly positive, weighted by those contributions.
 * KFplus: the KF weights within the CWM subset.

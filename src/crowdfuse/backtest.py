@@ -58,14 +58,16 @@ right, every square is ``d * d``.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
-sweep behind the smaller-wiser-crowd curves.
+sweep behind the smaller-wiser-crowd curves. A report's columns are the
+fields of its row dataclass, which :func:`write_report` writes.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import zip_longest
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,12 +90,6 @@ from .panel import (
     write_csv,
 )
 from .quincunx import p_from_mse
-
-RMSE_CSV_HEADER = ("variable", "horizon", "rule", "rmse", "n_surveys")
-DM_CSV_HEADER = ("variable", "horizon", "rule", "stat", "p_value")
-SWEEP_CSV_HEADER = ("horizon", "rule", "n_included", "rmse")
-DIAGNOSTICS_CSV_HEADER = ("variable", "horizon", "median_p_hat",
-                          "cwm_fallback_surveys", "skipped_surveys")
 
 _RULE_ORDER = {rule: i for i, rule in enumerate(ALL_RULES)}
 _BLOCK_ENTRIES = 16384  # members x rows of one rule-kernel call (see the module docstring)
@@ -606,23 +602,10 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else f"{x:.6f}"
 
 
-def write_rmse_csv(cells: Sequence[RmseCell], path: str) -> None:
-    write_csv(path, RMSE_CSV_HEADER,
-              ((c.variable, c.horizon, c.rule, _fmt(c.rmse), c.n_surveys) for c in cells))
-
-
-def write_dm_csv(cells: Sequence[DmCell], path: str) -> None:
-    write_csv(path, DM_CSV_HEADER,
-              ((c.variable, c.horizon, c.rule, _fmt(c.stat), _fmt(c.p_value)) for c in cells))
-
-
-def write_diagnostics_csv(cells: Sequence[CellDiagnostics], path: str) -> None:
-    write_csv(path, DIAGNOSTICS_CSV_HEADER, (
-        (c.variable, c.horizon, _fmt(c.median_p_hat), c.cwm_fallback_surveys, c.skipped_surveys)
-        for c in cells
-    ))
-
-
-def write_sweep_csv(points: Sequence[SweepPoint], path: str) -> None:
-    write_csv(path, SWEEP_CSV_HEADER,
-              ((p.horizon, p.rule, p.n_included, _fmt(p.rmse)) for p in points))
+def write_report(path: str, kind: type, rows: Iterable[object]) -> None:
+    """Write rows of the report dataclass ``kind``, its fields as the columns and floats by :func:`_fmt`."""
+    columns = fields(kind)
+    floats = [f.type == "float" for f in columns]  # annotations are strings here
+    read = attrgetter(*(f.name for f in columns))
+    write_csv(path, [f.name for f in columns],
+              ([_fmt(x) if real else x for x, real in zip(read(row), floats)] for row in rows))

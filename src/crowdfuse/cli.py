@@ -24,7 +24,7 @@ import numpy as np
 
 from . import backtest as bt
 from . import gaps
-from .aggregation import RULE_CWM, RULE_EWM, RULE_KF, RULE_KFPLUS
+from .aggregation import ALL_RULES
 from .panel import (
     Calibration,
     MissingSeedError,
@@ -39,13 +39,7 @@ from .panel import (
 )
 from .quincunx import Environment, Judge, moments, sample_estimates
 
-_RULE_FLAGS = {
-    "ewm": RULE_EWM,
-    "kf": RULE_KF,
-    "cwm": RULE_CWM,
-    "kfplus": RULE_KFPLUS,
-}
-_KINDS = {kind.value: kind for kind in gaps.GapKind}
+_RULE_FLAGS = {rule.lower(): rule for rule in ALL_RULES}
 
 SIMULATE_CSV_HEADER = ("moment", "analytic", "sample", "abs_error", "tolerance")
 
@@ -108,7 +102,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _cmd_theory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_output(args.out, args.force)
-    gaps.write_grid_csv(gaps.figure_grid(_KINDS[args.kind], args.resolution), args.out)
+    gaps.write_grid_csv(gaps.figure_grid(gaps.GapKind(args.kind), args.resolution), args.out)
     return 0
 
 
@@ -162,9 +156,9 @@ def _cmd_backtest(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         _check_output(path, args.force)
     panel, calib = _load_inputs(args, parser)
     report = bt.run_backtest(panel, rules, calib, window=args.window, hln=args.hln)
-    bt.write_rmse_csv(report.cells, out_paths["rmse.csv"])
-    bt.write_dm_csv(report.dm, out_paths["dm.csv"])
-    bt.write_diagnostics_csv(report.diagnostics, out_paths["diagnostics.csv"])
+    bt.write_report(out_paths["rmse.csv"], bt.RmseCell, report.cells)
+    bt.write_report(out_paths["dm.csv"], bt.DmCell, report.dm)
+    bt.write_report(out_paths["diagnostics.csv"], bt.CellDiagnostics, report.diagnostics)
     return 0
 
 
@@ -198,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         aggregate=args.aggregate,
         window=args.window,
     )
-    bt.write_sweep_csv(points, out_path)
+    bt.write_report(out_path, bt.SweepPoint, points)
     return 0
 
 
@@ -218,7 +212,7 @@ def _add_backtest_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--vintages", help="vintage CSV (asof,variable,period,level)")
     sub.add_argument("--synthetic", help="flat key = value generator config file")
     sub.add_argument("--seed", type=int, help="generator seed (required with --synthetic unless the config has one)")
-    sub.add_argument("--rules", default="ewm,kf,cwm,kfplus", help="comma-separated rules to run")
+    sub.add_argument("--rules", default=",".join(_RULE_FLAGS), help="comma-separated rules to run")
     sub.add_argument("--out-dir", required=True, help="directory for the report CSVs")
     sub.add_argument("--window", type=_positive_int, default=None, help="restrict reliability MSE to the last N >= 1 errors")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -243,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--force", action="store_true", help="overwrite an existing output")
 
     theory = commands.add_parser("theory", help="write one expected-gap grid as CSV")
-    theory.add_argument("--kind", choices=sorted(_KINDS), required=True, help="which gap surface")
+    theory.add_argument("--kind", choices=sorted(kind.value for kind in gaps.GapKind), required=True, help="which gap surface")
     theory.add_argument("--resolution", type=int, default=50, help="grid points per axis (>= 10)")
     theory.add_argument("--seed", type=int, help="ignored: the grid is closed-form and does not depend on a seed")
     theory.add_argument("--out", required=True, help="output CSV path")

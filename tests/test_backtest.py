@@ -14,14 +14,12 @@ from crowdfuse.backtest import (
     DmCell,
     EmptyPanelError,
     RmseCell,
+    SweepPoint,
     cell_estimates,
     dm_test,
     run_backtest,
     subset_sweep,
-    write_diagnostics_csv,
-    write_dm_csv,
-    write_rmse_csv,
-    write_sweep_csv,
+    write_report,
 )
 from crowdfuse.panel import (
     Panel,
@@ -70,10 +68,10 @@ def report_bytes(report):
     """The three report CSVs of a backtest, as bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         out = []
-        for write, rows in ((write_rmse_csv, report.cells), (write_dm_csv, report.dm),
-                            (write_diagnostics_csv, report.diagnostics)):
+        for kind, rows in ((RmseCell, report.cells), (DmCell, report.dm),
+                           (CellDiagnostics, report.diagnostics)):
             path = os.path.join(tmp, "report.csv")
-            write(rows, path)
+            write_report(path, kind, rows)
             with open(path, "rb") as fh:
                 out.append(fh.read())
     return out
@@ -273,9 +271,9 @@ class TestRunBacktest:
             rmse_path = tmp_path / f"rmse_{tag}.csv"
             dm_path = tmp_path / f"dm_{tag}.csv"
             diag_path = tmp_path / f"diag_{tag}.csv"
-            write_rmse_csv(report.cells, str(rmse_path))
-            write_dm_csv(report.dm, str(dm_path))
-            write_diagnostics_csv(report.diagnostics, str(diag_path))
+            write_report(str(rmse_path), RmseCell, report.cells)
+            write_report(str(dm_path), DmCell, report.dm)
+            write_report(str(diag_path), CellDiagnostics, report.diagnostics)
             paths.append((rmse_path, dm_path, diag_path))
         for a, b in zip(*paths):
             assert a.read_bytes() == b.read_bytes()
@@ -550,11 +548,18 @@ class TestCellEstimates:
 class TestEmission:
     def test_header_only_when_empty(self, tmp_path):
         rmse = tmp_path / "rmse.csv"
-        write_rmse_csv([], str(rmse))
+        write_report(str(rmse), RmseCell, [])
         assert rmse.read_text(encoding="utf-8") == "variable,horizon,rule,rmse,n_surveys\n"
         dm = tmp_path / "dm.csv"
-        write_dm_csv([], str(dm))
+        write_report(str(dm), DmCell, [])
         assert dm.read_text(encoding="utf-8") == "variable,horizon,rule,stat,p_value\n"
+        diag = tmp_path / "diagnostics.csv"
+        write_report(str(diag), CellDiagnostics, [])
+        assert diag.read_text(encoding="utf-8") == (
+            "variable,horizon,median_p_hat,cwm_fallback_surveys,skipped_surveys\n")
+        sweep = tmp_path / "sweep.csv"
+        write_report(str(sweep), SweepPoint, [])
+        assert sweep.read_text(encoding="utf-8") == "horizon,rule,n_included,rmse\n"
 
     def test_full_study_layout(self, tmp_path):
         # a complete study: 12 variables x 5 horizons x 4 rules
@@ -564,7 +569,7 @@ class TestEmission:
             for v in variables for h in range(1, 6) for rule in RULES
         ]
         path = tmp_path / "rmse.csv"
-        write_rmse_csv(cells, str(path))
+        write_report(str(path), RmseCell, cells)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 12 * 5 * 4
 
@@ -575,7 +580,7 @@ class TestEmission:
             RmseCell("EMP", 2, "EWM", math.nan, 0),
         ]
         path = tmp_path / "rmse.csv"
-        write_rmse_csv(cells, str(path))
+        write_report(str(path), RmseCell, cells)
         assert path.read_text(encoding="utf-8") == (
             "variable,horizon,rule,rmse,n_surveys\n"
             "EMP,1,EWM,0.260000,120\n"
@@ -583,15 +588,12 @@ class TestEmission:
             "EMP,2,EWM,,0\n"
         )
         dm_path = tmp_path / "dm.csv"
-        write_dm_csv([DmCell("EMP", 1, "KF", -1.5, 0.0668)], str(dm_path))
+        write_report(str(dm_path), DmCell, [DmCell("EMP", 1, "KF", -1.5, 0.0668)])
         assert dm_path.read_text(encoding="utf-8") == (
             "variable,horizon,rule,stat,p_value\nEMP,1,KF,-1.500000,0.066800\n"
         )
-        sweep_path = tmp_path / "sweep.csv"
-        write_sweep_csv([], str(sweep_path))
-        assert sweep_path.read_text(encoding="utf-8") == "horizon,rule,n_included,rmse\n"
         diag_path = tmp_path / "diag.csv"
-        write_diagnostics_csv([CellDiagnostics("EMP", 1, 0.9, 3, 2)], str(diag_path))
+        write_report(str(diag_path), CellDiagnostics, [CellDiagnostics("EMP", 1, 0.9, 3, 2)])
         assert diag_path.read_text(encoding="utf-8") == (
             "variable,horizon,median_p_hat,cwm_fallback_surveys,skipped_surveys\n"
             "EMP,1,0.900000,3,2\n"

@@ -260,13 +260,15 @@ class TestSimulate:
 
 
 class TestTheory:
-    def test_unknown_kind_usage_error(self, tmp_path):
+    def test_unknown_kind_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main([
                 "theory", "--kind", "banana", "--seed", "1",
                 "--out", str(tmp_path / "g.csv"),
             ])
         assert err.value.code == 2
+        # the choices, sorted; argparse quotes them or not, by version
+        assert re.search("ew-kfu.*kfu-kfc.*sr-kfu", capsys.readouterr().err)
 
     def test_uncertainty_cost_grid_nonnegative(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -594,7 +596,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert "unknown rule 'bogus'" in capsys.readouterr().err
+        assert "unknown rule 'bogus', expected subset of ewm,kf,cwm,kfplus" in capsys.readouterr().err
         assert not out_dir.exists()
 
 
