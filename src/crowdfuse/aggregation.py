@@ -177,9 +177,10 @@ def rank_by_reliability(groups: np.ndarray, ids: np.ndarray, mse: np.ndarray) ->
     """Each entry's rank within its group, from the most reliable (0) down.
 
     ``groups`` labels each entry's group (in the backtest, its (survey,
-    horizon)), ``ids`` its forecaster's position in sorted-id order and
-    ``mse`` its current MSE. Entries rank by MSE, lowest first, then by
-    the lower id, so the top n of each group is deterministic; p does not
+    horizon)), ``mse`` its current MSE, and ``ids`` must order a group's
+    entries as their forecasters' ids do, as the backtest's (horizon,
+    forecaster) cells do. Entries rank by MSE, lowest first, then by the
+    lower id, so the top n of each group is deterministic; p does not
     increase with the MSE, so this is also the order of descending p.
     """
     if np.isnan(mse).any():

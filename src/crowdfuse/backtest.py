@@ -32,15 +32,17 @@ turn. So the pass, :func:`_run_variable`, has two phases:
   MSE as of its survey off that trajectory with one ``searchsorted``,
   which gives eligibility, and, where some cut is below the largest
   eligible set, the eligible sets are ranked per pair by MSE.
-* Then the surveys go in blocks of a fixed step. A block lays out its
-  eligible forecasts once, places x (survey, horizon) rows, with each
-  distinct cut broadcast along a third axis. It builds its members, EWM
-  numerators and leave-one-out terms in arrays, walks its surveys to
-  fold in the terms that mature at each (in rounds of at most one target
-  per horizon, so each horizon's means see them in survey order) and to
-  read the contribution means its estimates use, and makes one
-  member-major ``rule_estimates`` call on places x rows x cuts. The step
-  is ``_BLOCK_ENTRIES`` (it sizes these blocks alone) over the largest
+* Then the surveys go in blocks of a fixed step, with the contribution
+  means in one table of a row per (horizon, forecaster) cell and a
+  column per distinct cut. A block lays out its eligible forecasts once,
+  places x (survey, horizon) rows, with each cut broadcast along a third
+  axis. It builds its members, EWM numerators and leave-one-out terms in
+  arrays, walks its surveys to fold in the terms that mature at each
+  (whole table rows, in rounds of at most one target per horizon, so
+  each horizon's means see them in survey order) and to read each
+  survey's means with one row gather, and makes one member-major
+  ``rule_estimates`` call on places x rows x cuts. The step is
+  ``_BLOCK_ENTRIES`` (it sizes these blocks alone) over the largest
   eligible set times a survey's rows and cuts, so it bounds a call's
   members x rows, and with it a block's memory: a sweep's 195 rows a
   survey make blocks of about two surveys. numpy's per-call overhead is
@@ -326,23 +328,24 @@ def _run_variable(
     depend on the horizon; contribution means also on the limit.
 
     Up front, each forecast gets its ``pair`` (survey x horizons + the
-    horizon's position) and its forecaster's ``column`` among the variable's
-    ``width``, in sorted-id order. :func:`_states` keeps the eligible ones,
-    with their forecasters' MSEs as of the survey, and each takes its
-    ``place`` in its pair's eligible set, in sorted-id order, and its
-    ``rank`` by MSE there (0 for all where no cut is below the largest
-    eligible set). Then the surveys go in blocks of a fixed step (see the
-    module docstring). A block lays out its forecasts' ranks, columns,
-    values and noises once, places x rows, each at its place, with the cuts
-    along a third axis. It builds its members, EWM numerators and
-    leave-one-out terms at once, walks its surveys to fold in the terms that
-    mature at each and to read the contribution means it estimates with, and
-    makes one :func:`rule_estimates` call. A target's terms wait by
-    (maturation survey, horizon), and each survey folds its targets in
-    rounds of at most one per horizon, so each horizon's means see them in
-    survey order; a block without estimates leaves its surveys' folds to the
-    next block's walk. The errors are taken once, at the end, and set to 0
-    where a survey is not scored.
+    horizon's position) and its ``cell`` (the horizon's position x ``width``
+    + its forecaster's among the variable's ``width``, in sorted-id order).
+    :func:`_states` keeps the eligible ones, with their cells' MSEs as of
+    the survey, and each takes its ``place`` in its pair's eligible set, in
+    sorted-id order, and its ``rank`` by MSE there (0 for all where no cut
+    is below the largest eligible set). The contribution means and their
+    counts are cell x cut tables. Then the surveys go in blocks (see the
+    module docstring). A block lays out its forecasts' ranks, cells, values
+    and noises once, places x rows, with the cuts along a third axis, and
+    builds its members, EWM numerators and leave-one-out terms. Each
+    maturing target of two or more waits under (maturation survey, horizon)
+    as its places' cells, terms and live marks; each walked survey folds its
+    targets in rounds of at most one per horizon, so each horizon's means
+    see them in survey order, a round moving the live entries of its cells'
+    rows, and reads its means with one row gather. The block makes one
+    :func:`rule_estimates` call; a block without estimates leaves its
+    surveys' folds to the next block's walk. The errors are taken once, at
+    the end, and set to 0 where a survey is not scored.
     """
     n_surveys, n_horizons = len(panel.surveys), len(horizons)
     shape = (n_surveys, n_horizons)
@@ -358,17 +361,15 @@ def _run_variable(
     present = np.zeros(len(f.forecasters), dtype=bool)
     present[f.forecaster[mine]] = True
     width = int(present.sum())
-    column = (np.cumsum(present) - 1)[f.forecaster[mine]]
     pair = survey * n_horizons + np.searchsorted(horizons, f.horizon[mine])  # (survey, horizon)
+    cell = pair % n_horizons * width + (np.cumsum(present) - 1)[f.forecaster[mine]]
     del keep, mine, present
     forecast = np.zeros(shape, dtype=bool)
     forecast.flat[pair] = True
     reported, realized, matures = _targets(panel, variable, horizons)
-    eligible, mse = _states(
-        pair % n_horizons * width + column, survey, matures[pair], value - realized[pair],
-        n_surveys, n_horizons * width, window,
-    )
-    pair, column, value = pair[eligible], column[eligible], value[eligible]
+    eligible, mse = _states(cell, survey, matures[pair], value - realized[pair],
+                            n_surveys, n_horizons * width, window)
+    pair, cell, value = pair[eligible], cell[eligible], value[eligible]
     del survey, eligible
     sizes = np.bincount(pair, minlength=forecast.size)  # eligible forecasts per pair
     place = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
@@ -376,7 +377,7 @@ def _run_variable(
     cut, limit_of = np.unique(np.minimum([width if n is None else n for n in limits], largest),
                               return_inverse=True)
     if cut[0] < largest:  # some limit cuts
-        rank = rank_by_reliability(pair, column, mse)
+        rank = rank_by_reliability(pair, cell, mse)
     else:
         rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
@@ -385,10 +386,11 @@ def _run_variable(
     row_of = np.cumsum(sizes > 0) - 1
     step = max(1, _BLOCK_ENTRIES // (max(largest, 1) * n_horizons * n_limits))
 
-    contributions = np.zeros(n_horizons * n_limits * width)
-    counts = np.zeros(len(contributions), dtype=np.intp)
-    # by (maturation survey, horizon): each target's cells and terms to fold, in survey order
-    pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    # per (horizon, forecaster) cell, a row of contribution means and counts, one per cut
+    contributions = np.zeros((n_horizons * width, n_limits))
+    counts = np.zeros(contributions.shape, dtype=np.intp)
+    # by (maturation survey, horizon): each target's cells, terms and live marks, in survey order
+    pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     walked = 0  # the surveys before it have folded their matured terms
     estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
     fallbacks = np.zeros((*shape, n_limits), dtype=bool)
@@ -402,30 +404,23 @@ def _run_variable(
         entry = place[lo:hi], row_of[pair[lo:hi]] - low  # each forecast's (place, row)
         # places x rows, alike at every limit; a padding place ranks where no cut reaches
         ranks = np.full((int(sizes[block].max()), len(block)), cut[-1])
-        columns = np.zeros(ranks.shape, dtype=np.intp)
+        cells = np.zeros(ranks.shape, dtype=np.intp)
         V, U = np.zeros((2, *ranks.shape))  # forecasts and noises
         noise = mse[lo:hi]  # min(MSE, v^2), floored, and 0 exactly at MSE 0
-        ranks[entry], columns[entry] = rank[lo:hi], column[lo:hi]
+        ranks[entry], cells[entry] = rank[lo:hi], cell[lo:hi]
         V[entry], U[entry] = value[lo:hi], np.where(
             noise > 0.0, np.clip(noise, _NOISE_FLOOR, cap), 0.0)
         members = ranks[:, :, None] < cut  # the limits along a third axis
-        # each place's contribution cell per row and limit: (horizon, limit, forecaster)
-        cells = ((block % n_horizons)[:, None] * n_limits + np.arange(n_limits)) * width \
-            + columns[:, :, None]
         n = np.minimum(sizes[block][:, None], cut)
         X, totals = member_forecasts(V[:, :, None], members)  # for the terms and the kernel alike
-        # members of rows with two or more, of maturing targets, give leave-one-out terms, each
-        # target's one run in rows x limits x places; rows of one member, masked out, take n = 2
-        live = members.transpose(1, 2, 0) & (n >= 2)[:, :, None] \
-            & (matures[block] < n_surveys)[:, None, None]
-        terms = contribution_terms(X.transpose(1, 2, 0), totals[:, :, None],
-                                   np.maximum(n, 2)[:, :, None], realized[block, None, None])[live]
-        term_cells = cells.transpose(1, 2, 0)[live]
-        ends = np.cumsum(np.count_nonzero(live, axis=(1, 2))).tolist()
-        for target, due, a, b in zip(block.tolist(), matures[block].tolist(), [0, *ends], ends):
-            if a < b:
-                pending.setdefault((due, target % n_horizons), []).append(
-                    (term_cells[a:b], terms[a:b]))
+        # members of rows with two or more give leave-one-out terms; rows of one take n = 2, unread
+        live = members & (n >= 2)
+        terms = contribution_terms(X, totals, np.maximum(n, 2), realized[block, None])
+        due = np.where(n[:, -1] >= 2, matures[block], n_surveys).tolist()  # one member: no fold
+        for r, (k, target) in enumerate(zip(sizes[block].tolist(), block.tolist())):
+            if due[r] < n_surveys:
+                pending.setdefault((due[r], target % n_horizons), []).append(
+                    (cells[:k, r], terms[:k, r], live[:k, r]))
 
         # each walked survey's rows, in survey order
         bounds = np.searchsorted(block, np.arange(walked, stop + 1) * n_horizons).tolist()
@@ -433,12 +428,13 @@ def _run_variable(
         for idx, start, end in zip(range(walked, stop), bounds, bounds[1:]):
             # rounds of at most one target per horizon, each horizon's in survey order
             for folds in zip_longest(*(pending.pop((idx, k), ()) for k in range(n_horizons))):
-                where, folded = (np.concatenate(a) for a in zip(*filter(None, folds)))
-                K = counts[where] + 1
-                mean = contributions[where]
+                where, folded, fresh = (np.concatenate(a) for a in zip(*filter(None, folds)))
+                K = counts.take(where, axis=0) + fresh  # take: twice as fast a row gather
+                mean = contributions.take(where, axis=0)
                 counts[where] = K
-                contributions[where] = mean + (folded - mean) / K
-            C[:, start:end] = contributions[cells[:, start:end]]
+                np.divide(folded - mean, K, out=folded, where=fresh)  # only live terms move a mean
+                contributions[where] = np.add(mean, folded, out=mean, where=fresh)
+            C[:, start:end] = contributions.take(cells[:, start:end], axis=0)
         walked = stop
         at = np.divmod(block, n_horizons)  # each row's (survey, horizon)
         estimates[at], fallbacks[at] = rule_estimates(X, totals, U[:, :, None], C, members, n)
@@ -519,7 +515,8 @@ def run_backtest(
         fallback_surveys = (results.fallbacks[:, :, 0] & results.scored).sum(axis=0).tolist()
         skipped = (results.forecast & ~results.scored).sum(axis=0).tolist()
         for k, horizon in enumerate(horizons):
-            p_hats = p_from_mse(results.mses[k], 1, calib[variable])  # the element count is 1
+            mses = results.mses[k] if calib[variable] < math.inf else ()  # no p without a unit
+            p_hats = p_from_mse(mses, 1, calib[variable])  # the element count is 1
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,

@@ -70,7 +70,7 @@ class DuplicateRowError(PanelError):
 
 
 class CalibrationError(PanelError):
-    """The calibration series is empty or constant."""
+    """The calibration series is empty, or its unit is positive but below 1 / ``MAX_MAGNITUDE``."""
 
 
 class MissingSeedError(SchemaError):
@@ -306,7 +306,8 @@ class Panel:
 Calibration = Mapping[str, float]
 """The evidence unit per variable: the largest absolute deviation of the
 analysis-unit series from its mean, so the maximal-uncertainty bound covers
-every observed value. The element count is 1 under the documented rule."""
+every observed value. The element count is 1 under the documented rule. A
+constant series has no unit, ``math.inf``: the backtest clamps no noise."""
 
 
 def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibration:
@@ -314,8 +315,9 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
 
     The norm of each variable is its arithmetic mean (summed in input
     order, for cross-platform determinism); the unit is the maximum
-    absolute deviation from the norm. A unit below ``1 / MAX_MAGNITUDE``
-    is rejected, as a zero unit is.
+    absolute deviation from the norm. A constant series has no unit and
+    calibrates to ``math.inf``; a positive unit below ``1 / MAX_MAGNITUDE``
+    is rejected.
     """
     units: dict[str, float] = {}
     for variable in sorted(series_by_variable):
@@ -324,13 +326,11 @@ def calibrate_v(series_by_variable: Mapping[str, Sequence[float]]) -> Calibratio
             raise CalibrationError(f"{variable}: empty calibration series")
         norm = sum(series) / len(series)
         unit = max(abs(x - norm) for x in series)
-        if unit == 0.0:
-            raise CalibrationError(f"{variable}: constant series gives a zero unit")
-        if unit < 1.0 / MAX_MAGNITUDE:
+        if 0.0 < unit < 1.0 / MAX_MAGNITUDE:
             raise CalibrationError(
                 f"{variable}: evidence unit {unit:g} is below {1.0 / MAX_MAGNITUDE:g}"
             )
-        units[variable] = unit
+        units[variable] = unit or math.inf  # a constant series has no unit
     return units
 
 

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdfuse import backtest
@@ -388,8 +388,9 @@ class TestReliabilityState:
 synth_configs = st.builds(
     SynthConfig,
     num_forecasters=st.integers(2, 8),
-    num_surveys=st.integers(8, 30),
+    num_surveys=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 9),
     turnover=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
     horizons=st.integers(1, 3),
     p_dist=st.sampled_from(["const", "uniform", "two_point"]),
@@ -402,6 +403,7 @@ synth_configs = st.builds(
 
 class TestTotality:
     @given(config=synth_configs, window=st.sampled_from([None, 1, 3]))
+    @example(config=SynthConfig(num_forecasters=2, num_surveys=1, seed=1), window=None)
     @settings(max_examples=25, deadline=None)
     def test_every_generated_panel_backtests(self, config, window):
         panel, calib = synth_calibrated(config)
@@ -421,6 +423,20 @@ class TestTotality:
                     assert table[(cell.horizon, cell.rule, size)] == cell.rmse
                 else:
                     assert (cell.horizon, cell.rule, size) not in table
+
+
+class TestNoUnit:
+    def test_constant_series_weighs_unclamped(self):
+        # every first report is equal, so there is no unit and no noise is clamped
+        panel, calib = synth_calibrated(
+            SynthConfig(num_forecasters=2, num_surveys=5, seed=186, count=1)
+        )
+        assert calib == {"SYN": math.inf}
+        report = run_backtest(panel, RULES, calib)
+        assert all(math.isnan(d.median_p_hat) for d in report.diagnostics)
+        # the estimates of a unit that no MSE reaches, and not those of one that clamps
+        assert report.cells == run_backtest(panel, RULES, {"SYN": 1e50}).cells
+        assert report.cells != run_backtest(panel, RULES, {"SYN": 0.01}).cells
 
 
 class TestSubsetSweep:

@@ -170,6 +170,51 @@ class TestAnalyticForms:
             expected_gap_analytic(GapKind.KFU_VS_KFC, np.array([1.0, math.nan]), 1.0)
 
 
+def angle_expected_gap(kind, a, b):
+    """Exact oracle for the n = 2 expected gaps: a mean over one angle.
+
+    With two observations s_i = sigma_i^2 Z_i^2 / 2, so the estimated weight
+    s2 / (s1 + s2) = b sin^2(phi) / (a cos^2(phi) + b sin^2(phi)) depends only
+    on the angle phi of (Z1, Z2), which is uniform. The gap is smooth and
+    periodic in phi, so a midpoint rule on [0, pi/2] converges geometrically,
+    at a rate that slows as the square root of the variance ratio. So the
+    node count is 64 per unit of that root: at ratio 1e6, 16 per unit gave
+    1e-13 relative and 4 per unit 3e-6.
+    """
+    nodes = 64 * math.ceil(math.sqrt(max(a / b, b / a)))
+    phi = (np.arange(nodes) + 0.5) * (math.pi / 2 / nodes)
+    return float(realized_gaps(kind, a, b, a * np.cos(phi) ** 2, b * np.sin(phi) ** 2).mean())
+
+
+class TestAngleOracle:
+    @staticmethod
+    def check(a, b):
+        # relative, with an absolute floor where a gap crosses zero
+        for kind in GapKind:
+            assert expected_gap_analytic(kind, a, b) == pytest.approx(
+                angle_expected_gap(kind, a, b), rel=1e-12, abs=1e-14 * (a + b)
+            ), (kind, a, b)
+
+    def test_over_the_grid_domain(self):
+        rng = np.random.default_rng(27)
+        for p1, p2 in rng.uniform(0.51, 0.995, (2000, 2)).tolist():
+            self.check(variance_from_p(p1, 1, 1.0), variance_from_p(p2, 1, 1.0))
+
+    def test_at_wide_variance_ratios(self):
+        for ratio in (1e2, 1e4, 1e6):
+            for b in (1.0, 0.02):
+                self.check(ratio * b, b)
+                self.check(b, ratio * b)
+
+    def test_at_the_zero_crossings(self):
+        # EW - KFU vanishes at x = sqrt(a / b) = 1 + sqrt(2), SR - KFU at the root of
+        # 2x^3 + 3x^2 - 2x - 1 near 0.745
+        sr_root = max(np.roots([2.0, 3.0, -2.0, -1.0]).real)
+        for x in (1.0 + math.sqrt(2.0), sr_root):
+            for d in (0.0, 1e-12, 1e-9, 1e-6):
+                self.check((x + d) ** 2, 1.0)
+
+
 class TestMonteCarloGap:
     def test_agrees_with_analytic(self):
         rng = np.random.default_rng(27)

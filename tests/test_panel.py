@@ -183,8 +183,9 @@ class TestCalibration:
     def test_degenerate(self):
         with pytest.raises(CalibrationError):
             calibrate_v({"A": []})
+        assert calibrate_v({"A": [3.0, 3.0, 3.0]}) == {"A": math.inf}  # no unit
         with pytest.raises(CalibrationError):
-            calibrate_v({"A": [3.0, 3.0, 3.0]})
+            calibrate_v({"A": [0.0, 1e-60]})
 
     def test_matches_exhaustive_scan(self):
         rng = random.Random(51)
