@@ -50,13 +50,16 @@ turn. So the pass, :func:`_run_variable`, has two phases:
   rows. On SPF-shaped panels of about 40 members, 16,384 entries ran the
   sweep about a tenth faster than 8,192, and 32,768 grew its memory.
 
-The results go into the variable's result arrays, indexed by (survey,
-horizon) with trailing (cut, rule) axes: masks, estimates, errors (0
-where a survey is not scored), fallbacks and MSEs. The reports
-read their RMSEs, one sum over the survey axis, their Diebold-Mariano
-series and their diagnostics straight from these arrays, and equal those
-of a straight-line loop per cell to the last bit: every sum adds left to
-right, every square is ``d * d``.
+Per-survey results are kept only where a report reads them: the masks,
+indexed by (survey, horizon), and, for the unrestricted limit alone, the
+estimates, errors (0 where a survey is not scored), fallbacks and MSEs,
+from which the Diebold-Mariano series and the diagnostics are read. Each
+cut's RMSE reads one sum of squared errors per (horizon, cut, rule),
+folded as each block finishes: the running sums and the block's surveys,
+in order, go into one sum over the survey axis, so a sweep's memory does
+not grow with surveys x cuts. The reports equal those of a straight-line
+loop per cell to the last bit: every sum adds left to right, every
+square is ``d * d``.
 
 Outputs: per-cell RMSE, Diebold-Mariano comparisons against the
 contribution-weighted rule, per-cell diagnostics, and the top-n subset
@@ -204,14 +207,16 @@ class _Results(NamedTuple):
 
     ``forecast`` marks the surveys with forecasts at a horizon,
     ``estimated`` those where the rules estimated and ``scored`` those of
-    them with a first-reported realization. ``estimates`` and ``errors``
-    add (limit, rule) axes, rules in the order of ``ALL_RULES``; an error
-    is 0 where a survey is not scored. ``fallbacks`` marks, per limit, the
-    estimates where the contribution-weighted rule fell back. Their limits
-    are the distinct cuts, and ``limit_of`` maps each requested limit to
-    its cut. ``mses[k]`` holds the MSEs behind horizon k's estimates at
-    the unrestricted (``None``) limit, survey by survey; it is empty when
-    no limit is ``None``.
+    them with a first-reported realization. The per-survey results are
+    the unrestricted (``None``) limit's alone, and have no surveys when no
+    limit is ``None``: ``estimates`` and ``errors`` add a rule axis, rules
+    in the order of ``ALL_RULES``, an error being 0 where a survey is not
+    scored; ``fallbacks`` marks the estimates where the
+    contribution-weighted rule fell back; and ``mses[k]`` holds the MSEs
+    behind horizon k's estimates, survey by survey. ``squares`` holds,
+    per (horizon, cut, rule), the squared errors' sum over the surveys,
+    folded block by block as the roll goes; the cuts are the distinct
+    ones, and ``limit_of`` maps each requested limit to its cut.
     """
 
     forecast: np.ndarray
@@ -221,19 +226,20 @@ class _Results(NamedTuple):
     errors: np.ndarray
     fallbacks: np.ndarray
     mses: list[np.ndarray]
+    squares: np.ndarray
     limit_of: np.ndarray
 
     def rmse(self) -> tuple[np.ndarray, np.ndarray]:
         """Per (horizon, limit, rule), the RMSE over the scored surveys; per horizon, their count.
 
-        Each sum adds survey by survey, in which unscored surveys add exact
-        zeros; a horizon without a scored survey has NaN RMSEs. The limits
-        are the requested ones, each read off its cut.
+        Each sum has added survey by survey, in which unscored surveys add
+        exact zeros; a horizon without a scored survey has NaN RMSEs. The
+        limits are the requested ones, each read off its cut.
         """
         count = self.scored.sum(axis=0)
-        total = _member_sums(self.errors * self.errors)
         n = count[:, None, None]
-        rmse = np.sqrt(np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0))
+        rmse = np.sqrt(np.divide(self.squares, n, out=np.full(self.squares.shape, np.nan),
+                                 where=n > 0))
         return rmse[:, self.limit_of], count
 
 
@@ -344,8 +350,10 @@ def _run_variable(
     see them in survey order, a round moving the live entries of its cells'
     rows, and reads its means with one row gather. The block makes one
     :func:`rule_estimates` call; a block without estimates leaves its
-    surveys' folds to the next block's walk. The errors are taken once, at
-    the end, and set to 0 where a survey is not scored.
+    surveys' folds to the next block's walk. The call's errors, 0 where a
+    survey is not scored, are squared into the running sums, and the
+    unrestricted limit's results, the last cut's, are kept survey by
+    survey.
     """
     n_surveys, n_horizons = len(panel.surveys), len(horizons)
     shape = (n_surveys, n_horizons)
@@ -381,7 +389,7 @@ def _run_variable(
     else:
         rank = np.broadcast_to(np.intp(0), pair.shape)  # a zero-stride view: all ranks pass
     cap = calib[variable] * calib[variable]  # C v^2 at the element count 1, as in panel.Calibration
-    n_limits = len(cut)
+    n_limits, n_rules = len(cut), len(ALL_RULES)
     rows = np.flatnonzero(sizes)  # the estimated (survey, horizon) pairs, in order
     row_of = np.cumsum(sizes > 0) - 1
     step = max(1, _BLOCK_ENTRIES // (max(largest, 1) * n_horizons * n_limits))
@@ -392,8 +400,17 @@ def _run_variable(
     # by (maturation survey, horizon): each target's cells, terms and live marks, in survey order
     pending: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     walked = 0  # the surveys before it have folded their matured terms
-    estimates = np.full((*shape, n_limits, len(ALL_RULES)), np.nan)
-    fallbacks = np.zeros((*shape, n_limits), dtype=bool)
+    # per survey, the unrestricted limit's results alone: it cuts at the largest set, the last cut
+    whole = None in limits
+    kept = shape if whole else (0, n_horizons)
+    estimates = np.full((*kept, n_rules), np.nan)
+    errors = np.zeros(estimates.shape)
+    fallbacks = np.zeros(kept, dtype=bool)
+    unscored = ~reported  # an estimated (survey, horizon) pair whose target has no first report
+    # the squared errors' running sums, per (horizon, cut, rule), stacked on a block's surveys:
+    # in its (survey, horizon) rows, a block's pair p sits at p - (first - 1) x horizons
+    stack = np.zeros((1 + min(step, n_surveys), n_horizons, n_limits, n_rules))
+    stack_rows = stack.reshape(-1, n_limits, n_rules)
     for first in range(0, n_surveys, step):
         stop = min(first + step, n_surveys)
         lo, hi = np.searchsorted(pair, (first * n_horizons, stop * n_horizons))
@@ -415,7 +432,8 @@ def _run_variable(
         X, totals = member_forecasts(V[:, :, None], members)  # for the terms and the kernel alike
         # members of rows with two or more give leave-one-out terms; rows of one take n = 2, unread
         live = members & (n >= 2)
-        terms = contribution_terms(X, totals, np.maximum(n, 2), realized[block, None])
+        truth = realized[block]
+        terms = contribution_terms(X, totals, np.maximum(n, 2), truth[:, None])
         due = np.where(n[:, -1] >= 2, matures[block], n_surveys).tolist()  # one member: no fold
         for r, (k, target) in enumerate(zip(sizes[block].tolist(), block.tolist())):
             if due[r] < n_surveys:
@@ -436,16 +454,24 @@ def _run_variable(
                 contributions[where] = np.add(mean, folded, out=mean, where=fresh)
             C[:, start:end] = contributions.take(cells[:, start:end], axis=0)
         walked = stop
-        at = np.divmod(block, n_horizons)  # each row's (survey, horizon)
-        estimates[at], fallbacks[at] = rule_estimates(X, totals, U[:, :, None], C, members, n)
+        got, fell = rule_estimates(X, totals, U[:, :, None], C, members, n)
+        d = got - truth[:, None, None]
+        d[unscored[block]] = 0.0
+        if whole:
+            at = np.divmod(block, n_horizons)  # each row's (survey, horizon)
+            estimates[at], errors[at], fallbacks[at] = got[:, -1], d[:, -1], fell[:, -1]
+        # one sum adds survey by survey, with exact zeros where a survey is not scored
+        stack[1:] = 0.0
+        stack_rows[block - (first - 1) * n_horizons] = d * d
+        stack[0] = _member_sums(stack)
 
+    squares = stack[0]
     estimated = (sizes > 0).reshape(shape)
     scored = estimated & reported.reshape(shape)
-    errors = estimates - realized.reshape(shape)[:, :, None, None]
-    errors[~scored] = 0.0
-    mses = [mse[pair % n_horizons == k] if None in limits else np.empty(0)
-            for k in range(n_horizons)]
-    return _Results(forecast, estimated, scored, estimates, errors, fallbacks, mses, limit_of)
+    horizon = pair % n_horizons
+    mses = [mse[horizon == k] if whole else np.empty(0) for k in range(n_horizons)]
+    return _Results(forecast, estimated, scored, estimates, errors, fallbacks, mses, squares,
+                    limit_of)
 
 
 def cell_estimates(
@@ -461,7 +487,7 @@ def cell_estimates(
     results = _run_variable(panel, variable, (horizon,), calib, (None,), window)
     estimated = results.estimated[:, 0]
     surveys = [panel.surveys[i] for i in np.flatnonzero(estimated)]
-    estimates = results.estimates[estimated, 0, 0]
+    estimates = results.estimates[estimated, 0]
     return {rule: list(zip(surveys, estimates[:, _RULE_ORDER[rule]].tolist())) for rule in rules}
 
 
@@ -512,15 +538,16 @@ def run_backtest(
         horizons = panel.horizons(variable)
         results = _run_variable(panel, variable, horizons, calib, (None,), window)
         rmse, count = results.rmse()
-        fallback_surveys = (results.fallbacks[:, :, 0] & results.scored).sum(axis=0).tolist()
+        fallback_surveys = (results.fallbacks & results.scored).sum(axis=0).tolist()
         skipped = (results.forecast & ~results.scored).sum(axis=0).tolist()
+        unit = calib[variable]
         for k, horizon in enumerate(horizons):
-            mses = results.mses[k] if calib[variable] < math.inf else ()  # no p without a unit
-            p_hats = p_from_mse(mses, 1, calib[variable])  # the element count is 1
+            # the element count is 1; no p without a unit
+            p_hats = p_from_mse(results.mses[k], 1, unit) if unit < math.inf else ()
             diagnostics.append(CellDiagnostics(
                 variable=variable,
                 horizon=horizon,
-                median_p_hat=_median(p_hats) if p_hats.size else math.nan,
+                median_p_hat=_median(p_hats) if len(p_hats) else math.nan,
                 cwm_fallback_surveys=fallback_surveys[k],
                 skipped_surveys=skipped[k],
             ))
@@ -529,7 +556,7 @@ def run_backtest(
                 rule_rmse = float(rmse[k, 0, _RULE_ORDER[rule]])
                 cells.append(RmseCell(variable, horizon, rule, rule_rmse, n))
             if RULE_CWM in rules and n >= _MIN_DM_LENGTH:
-                errors = results.errors[results.scored[:, k], k, 0].T  # one row per rule
+                errors = results.errors[results.scored[:, k], k].T  # one row per rule
                 cwm = errors[_RULE_ORDER[RULE_CWM]]
                 for rule in rules:
                     if rule != RULE_CWM:

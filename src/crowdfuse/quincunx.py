@@ -205,8 +205,8 @@ def variance_from_p(p: float, count: int, unit: float) -> float:
         raise ValueError(f"p must lie in [0.5, 1], got {p!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if not unit > 0.0:
-        raise ValueError(f"unit must be positive, got {unit!r}")
+    if not (unit > 0.0 and math.isfinite(unit)):
+        raise ValueError(f"unit must be a positive finite real, got {unit!r}")
     return 4.0 * count * (1.0 - p) * p * unit * unit
 
 
@@ -224,8 +224,8 @@ def p_from_mse(mse, count: int, unit: float):
         raise ValueError(f"mse must be a nonnegative finite real, got {float(m[bad][0])!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if not unit > 0.0:
-        raise ValueError(f"unit must be positive, got {unit!r}")
+    if not (unit > 0.0 and math.isfinite(unit)):
+        raise ValueError(f"unit must be a positive finite real, got {unit!r}")
     cap = count * unit * unit
     p = np.minimum(0.5 + np.sqrt(cap * (cap - np.minimum(m, cap))) / (2.0 * cap), 1.0)
     return float(p) if p.ndim == 0 else p

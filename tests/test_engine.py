@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import tracemalloc
 from dataclasses import astuple
 from itertools import zip_longest
 from operator import mul
@@ -501,30 +502,54 @@ class TestEngineEqualsOracle:
         assert sum(c.n_surveys for c in report.cells) > 0
 
 
+def kernel_rows(panel, horizons, calib, limits, window):
+    """The variable's estimated (survey, horizon) rows, in order, with the kernel's
+    estimates (rows x cuts x rules) and fallback flags (rows x cuts) for each."""
+    calls = []
+    kernel = backtest.rule_estimates
+
+    def recorded(X, totals, U, C, M, n):
+        got = kernel(X, totals, U, C, M, n)
+        calls.append(got)
+        return got
+
+    with patch.object(backtest, "rule_estimates", recorded):  # hypothesis refuses monkeypatch
+        results = backtest._run_variable(panel, "SYN", horizons, calib, limits, window)
+    rows = np.flatnonzero(results.estimated)  # the calls' rows, block after block
+    if not calls:
+        return rows, np.empty((0, 0, len(ALL_RULES))), np.empty((0, 0), dtype=bool)
+    estimates, fallbacks = (np.concatenate(a) for a in zip(*calls))
+    assert len(estimates) == len(rows)
+    return rows, estimates, fallbacks
+
+
 class TestNoLookahead:
     @given(case=lookahead_cases())
-    # the panel of test_backtest's TestRunBacktest::test_anti_lookahead
+    # the panel of test_backtest's TestRunBacktest::test_anti_lookahead, with a sized limit
     @example(case=(SynthConfig(num_forecasters=6, num_surveys=16, seed=73, horizons=2,
                                p_dist="uniform", p_low=0.6, p_high=0.95),
-                   None, (None,), frozenset(), 6))
+                   None, (None, 3), frozenset(), 6))
     @settings(max_examples=100, deadline=None)
     def test_estimates_given_the_unit(self, case):
         # the unit comes from the unmutated panel: given it, an estimate at or
-        # before the cutoff reads nothing forecast or stamped after it
+        # before the cutoff, at any cut, reads nothing forecast or stamped after it
         config, window, limits, late, cutoff = case
         panel = stamped_late(synth_panel(config), late)
         calib = calibrate_v(calibration_series(panel))
         mutated = mutated_after(panel, panel.surveys[cutoff])
         horizons = panel.horizons("SYN")
-        base, after = (backtest._run_variable(p, "SYN", horizons, calib, limits, window)
-                       for p in (panel, mutated))
-        head = slice(0, cutoff + 1)
-        assert np.array_equal(base.estimated[head], after.estimated[head])
-        assert np.array_equal(base.estimates[head], after.estimates[head], equal_nan=True)
-        assert np.array_equal(base.fallbacks[head], after.fallbacks[head])
-        if base.estimated[head].any():
+        (rows, estimates, fallbacks), (rows_after, estimates_after, fallbacks_after) = (
+            kernel_rows(p, horizons, calib, limits, window) for p in (panel, mutated))
+        head = np.searchsorted(rows, (cutoff + 1) * len(horizons))  # rows at or before the cutoff
+        assert np.array_equal(rows[:head], rows_after[:head])
+        assert estimates.shape[1:] == estimates_after.shape[1:]  # the same cuts
+        assert np.array_equal(estimates[:head], estimates_after[:head], equal_nan=True)
+        assert np.array_equal(fallbacks[:head], fallbacks_after[:head])
+        if head:
             event("estimates at or before the cutoff")
-        if not np.array_equal(base.estimates, after.estimates, equal_nan=True):
+            if estimates.shape[1] > 1:
+                event("estimates at or before the cutoff at two or more cuts")
+        if not np.array_equal(estimates, estimates_after, equal_nan=True):
             event("the mutation moves a later estimate")
 
 
@@ -622,3 +647,31 @@ class TestKernelCalls:
         at_largest = {(p.horizon, p.rule): p.rmse for p in upto if p.n_included == largest}
         assert all(p.rmse == at_largest[p.horizon, p.rule]
                    for p in points if p.n_included > largest)
+
+
+class TestMemory:
+    def test_sweep_keeps_no_per_survey_results_per_cut(self, monkeypatch):
+        # the sweep's memory above the backtest's must not grow with surveys x cuts:
+        # doubling the surveys may not add half of one float64 array over the added
+        # surveys x horizons x cuts x rules. No turnover: all 40 forecasters become
+        # eligible, so sizes 1..40 are 40 cuts. A small block bound keeps the blocks
+        # small beside such arrays
+        monkeypatch.setattr(backtest, "_BLOCK_ENTRIES", 64)
+        sizes, horizons = range(1, 41), range(1, 6)
+        above = []
+        for surveys in (100, 200):
+            panel = synth_panel(SynthConfig(num_forecasters=40, num_surveys=surveys, seed=3,
+                                            horizons=5, p_dist="uniform"))
+            calib = calibrate_v(calibration_series(panel))
+            peaks = []
+            for run in (lambda: run_backtest(panel, ALL_RULES, calib),
+                        lambda: subset_sweep(panel, horizons, sizes, calib)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            above.append(peaks[1] - peaks[0])
+        added = 100 * len(horizons) * len(sizes) * len(ALL_RULES) * 8
+        assert above[1] - above[0] < added / 2

@@ -199,6 +199,12 @@ class TestVarianceCorrespondence:
         assert variance_from_p(1.0, 3, 2.0) == 0.0
         assert variance_from_p(0.5, 1, 1.0) == 1.0
         assert variance_from_p(0.9, 1, 1.0) == pytest.approx(0.36, abs=1e-15)
+        for p, count in ((0.4, 1), (1.1, 1), (0.9, 0)):
+            with pytest.raises(ValueError):
+                variance_from_p(p, count, 1.0)
+        for unit in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="unit"):
+                variance_from_p(1.0, 1, unit)
 
     def test_variance_cross_checked_against_sampler(self):
         rng = np.random.default_rng(6)
@@ -213,10 +219,12 @@ class TestVarianceCorrespondence:
         # the smallest unit calibration accepts keeps cap * (cap - mse) a normal number
         assert p_from_mse(0.0, 1, 1e-50) == 1.0
         assert type(p_from_mse(0.36, 1, 1.0)) is float
-        for mse, count, unit in ((-0.1, 1, 1.0), (math.nan, 1, 1.0), (math.inf, 1, 1.0),
-                                 (0.1, 0, 1.0), (0.1, 1, 0.0)):
+        for mse, count in ((-0.1, 1), (math.nan, 1), (math.inf, 1), (0.1, 0)):
             with pytest.raises(ValueError):
-                p_from_mse(mse, count, unit)
+                p_from_mse(mse, count, 1.0)
+        for unit in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="unit"):
+                p_from_mse(0.5, 1, unit)
 
     def test_judge_noise(self):
         for p in (0.5, 0.6, 0.9, 1.0):
